@@ -167,7 +167,6 @@ def _survival_eval_times(args, manifest) -> np.ndarray:
 
 def cmd_predict(args) -> int:
     manifest = dataio.load_manifest(args.manifest)
-    bags = dataio.load_bags(manifest, args.data_dir)
     checkpoint = load_checkpoint(args.checkpoint)
     model = build_model(checkpoint)
     config = checkpoint.config
@@ -175,6 +174,9 @@ def cmd_predict(args) -> int:
     entries = manifest.split_entries(args.split)
     if not entries:
         raise ValidationError(f"split {args.split!r} is empty")
+    # survival also reads the train split, to fit the Breslow baseline
+    splits = (args.split, "train") if config.task == "survival" else (args.split,)
+    bags = dataio.load_bags(manifest, args.data_dir, splits)
 
     if config.task == "survival":
         eval_times = _survival_eval_times(args, manifest)

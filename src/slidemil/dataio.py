@@ -237,11 +237,14 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_bags(manifest: DatasetManifest, data_dir: str | Path) -> dict[str, SlideBag]:
-    """Load every referenced embedding file, keyed by slide_id."""
+def load_bags(manifest: DatasetManifest, data_dir: str | Path,
+              splits=SPLITS) -> dict[str, SlideBag]:
+    """Load the embedding files of the entries in the given splits, keyed by slide_id."""
     data_dir = Path(data_dir)
     bags = {}
     for e in manifest.entries:
+        if e.split not in splits:
+            continue
         p = Path(e.embedding_path)
         if not p.is_absolute():
             p = data_dir / p

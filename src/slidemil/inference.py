@@ -102,17 +102,10 @@ def ensemble_outputs(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWind
     if bag.embed_dim != model.embed_dim:
         raise ValidationError(
             f"bag embed_dim {bag.embed_dim} != model embed_dim {model.embed_dim}")
-    x = bag.embeddings[None]
-    mask = np.ones((1, bag.n_patches), dtype=bool)
-    outputs = np.empty((windows.n_chunks, model.n_outputs), dtype=np.float64)
-    attention = np.zeros(bag.n_patches, dtype=np.float64) if return_attention else None
-    for k, (start, end) in enumerate(windows.windows):
-        result = model.forward(x, mask, np.arange(start, end), training=False)
-        outputs[k] = result.outputs[0]
-        if return_attention:
-            attention += result.attention[0]
+    outputs, attention = model.forward_windows(bag.embeddings, windows.windows)
+    outputs = outputs.astype(np.float64)
     if return_attention:
-        return outputs, attention / windows.n_chunks
+        return outputs, attention.mean(axis=0, dtype=np.float64)
     return outputs
 
 

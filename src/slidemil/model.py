@@ -2,9 +2,11 @@
 
 The forward pass gathers each slide's valid rows before any reduction over
 the patch axis, so appending padded rows cannot perturb attention scores or
-pooled features even at the last bit. Attention projections operate on a
-column subspace of the weight matrices (the sampled feature indices); the
+pooled features even at the last bit; a slide without padding is used as a
+view. Attention projections operate on a column subspace of the weight
+matrices (the sampled feature indices, or a contiguous feature window); the
 pooled representation and the output head always use the full embedding.
+One kernel, _gated_attention, serves training batches and inference windows.
 """
 
 from __future__ import annotations
@@ -30,6 +32,38 @@ def _as_index_array(feature_indices) -> np.ndarray:
     if isinstance(feature_indices, FeatureIndexSet):
         return feature_indices.indices
     return np.asarray(feature_indices)
+
+
+def _contiguous_span(feat: np.ndarray) -> slice | None:
+    """The slice equal to feat when it is a run of consecutive indices, else None."""
+    lo = feat[0]
+    if feat[-1] - lo + 1 == len(feat) and (np.diff(feat) == 1).all():
+        return slice(lo, lo + len(feat))
+    return None
+
+
+def _gated_attention(xi: np.ndarray, xs: np.ndarray, v_sub: np.ndarray, u_sub: np.ndarray,
+                     w: np.ndarray, dropout: float = 0.0,
+                     rng: np.random.Generator | None = None):
+    """Attention weights and pooled vector of one slide.
+
+    xi (m, D) is pooled, xs (m, F) feeds the projections v_sub, u_sub (H, F).
+    Returns (alpha (m,), pooled (D,), activations kept for the backward pass).
+    """
+    tanh_act = np.tanh(xs @ v_sub.T)      # (m, H)
+    gate_act = 1.0 / (1.0 + np.exp(-(xs @ u_sub.T)))
+    gated = tanh_act * gate_act
+    if dropout > 0.0:
+        keep = (rng.random(gated.shape) >= dropout)
+        drop = keep.astype(gated.dtype) / gated.dtype.type(1.0 - dropout)
+        gated_out = gated * drop
+    else:
+        drop = None
+        gated_out = gated
+    logits = gated_out @ w                # (m,)
+    exp_l = np.exp(logits - logits.max())
+    alpha = exp_l / exp_l.sum()
+    return alpha, alpha @ xi, (tanh_act, gate_act, drop, gated_out)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple, dtype) -> np.ndarray:
@@ -68,12 +102,16 @@ class GatedAttentionMIL:
 
     def forward(self, embeddings: np.ndarray, valid_mask: np.ndarray, feature_indices,
                 training: bool = False, rng: np.random.Generator | None = None,
-                need_cache: bool = False) -> ForwardResult:
-        """Run the aggregator on a stacked batch (n_slides, bag_size, embed_dim)."""
+                need_cache: bool = False, check_finite: bool = True) -> ForwardResult:
+        """Run the aggregator on a stacked batch (n_slides, bag_size, embed_dim).
+
+        check_finite=False skips the scan for non-finite values, for callers
+        that have scanned the same embeddings already.
+        """
         x = np.asarray(embeddings, dtype=self.dtype)
         if x.ndim != 3 or x.shape[2] != self.embed_dim:
             raise ValidationError(f"expected (n, m, {self.embed_dim}) embeddings")
-        if not np.all(np.isfinite(x)):
+        if check_finite and not np.all(np.isfinite(x)):
             raise ValidationError("embeddings contain non-finite values")
         mask = np.asarray(valid_mask, dtype=bool)
         if mask.shape != x.shape[:2]:
@@ -82,15 +120,20 @@ class GatedAttentionMIL:
         use_dropout = training and self.dropout > 0.0
         if use_dropout and rng is None:
             raise ValidationError("training-mode dropout needs an rng")
+        dropout = self.dropout if use_dropout else 0.0
 
-        v_sub = self.params["attention_v"][:, feat]
-        u_sub = self.params["attention_u"][:, feat]
+        # a contiguous window is sliced, never gathered; its weight columns are
+        # copied because a strided weight view changes the GEMM's low bits
+        span = _contiguous_span(feat)
+        if span is None:
+            v_sub = self.params["attention_v"][:, feat]
+            u_sub = self.params["attention_u"][:, feat]
+        else:
+            v_sub = np.ascontiguousarray(self.params["attention_v"][:, span])
+            u_sub = np.ascontiguousarray(self.params["attention_u"][:, span])
         w = self.params["attention_w"]
-        head_w = self.params["head_weight"]
-        head_b = self.params["head_bias"]
 
         n_slides, bag_size, _ = x.shape
-        outputs = np.empty((n_slides, self.n_outputs), dtype=self.dtype)
         attention = np.zeros((n_slides, bag_size), dtype=self.dtype)
         pooled = np.empty((n_slides, self.embed_dim), dtype=self.dtype)
         cache = [] if need_cache else None
@@ -99,41 +142,43 @@ class GatedAttentionMIL:
             valid = np.flatnonzero(mask[i])
             if len(valid) == 0:
                 raise ValidationError(f"slide {i} has no valid patches")
-            xi = x[i, valid]          # (m, D)
-            xs = xi[:, feat]          # (m, F)
-            pre_t = xs @ v_sub.T      # (m, H)
-            pre_g = xs @ u_sub.T
-            tanh_act = np.tanh(pre_t)
-            gate_act = 1.0 / (1.0 + np.exp(-pre_g))
-            gated = tanh_act * gate_act
-            if use_dropout:
-                keep = (rng.random(gated.shape) >= self.dropout)
-                drop = keep.astype(self.dtype) / self.dtype.type(1.0 - self.dropout)
-            else:
-                drop = None
-            gated_out = gated if drop is None else gated * drop
-            logits = gated_out @ w    # (m,)
-            shifted = logits - logits.max()
-            exp_l = np.exp(shifted)
-            alpha = exp_l / exp_l.sum()
-            hi = alpha @ xi           # (D,)
-            pooled[i] = hi
+            xi = x[i] if len(valid) == bag_size else x[i, valid]  # (m, D)
+            xs = xi[:, span] if span is not None else np.take(xi, feat, axis=1)
+            alpha, pooled[i], acts = _gated_attention(xi, xs, v_sub, u_sub, w, dropout, rng)
             attention[i, valid] = alpha
             if need_cache:
-                cache.append((valid, xi, xs, tanh_act, gate_act, drop, gated_out, alpha))
+                cache.append((valid, xi, xs, *acts, alpha))
 
-        outputs[:] = pooled @ head_w.T + head_b
+        outputs = pooled @ self.params["head_weight"].T + self.params["head_bias"]
         if need_cache:
             cache = [("batch", pooled, feat)] + cache
         return ForwardResult(outputs=outputs, attention=attention, cache=cache)
+
+    def forward_windows(self, embeddings: np.ndarray,
+                        windows) -> tuple[np.ndarray, np.ndarray]:
+        """Eval-mode outputs (K, n_outputs) and attention (K, N) of one full bag
+        (N, D) under each feature window [start, end).
+
+        The bag is scanned for non-finite values once, not once per window, and
+        never copied: forward() uses a slide without padding as a view and
+        slices a contiguous window out of it.
+        """
+        x = np.asarray(embeddings, dtype=self.dtype)
+        if x.ndim != 2 or x.shape[1] != self.embed_dim:
+            raise ValidationError(f"expected (n, {self.embed_dim}) embeddings")
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("embeddings contain non-finite values")
+        mask = np.ones((1, x.shape[0]), dtype=bool)
+        results = [self.forward(x[None], mask, np.arange(start, end), check_finite=False)
+                   for start, end in windows]
+        return (np.concatenate([r.outputs for r in results]),
+                np.concatenate([r.attention for r in results]))
 
     def backward(self, cache: list, d_outputs: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients for the cached forward pass; d_outputs is (n_slides, n_outputs)."""
         _, pooled, feat = cache[0]
         d_out = np.asarray(d_outputs, dtype=self.dtype)
         head_w = self.params["head_weight"]
-        v_sub = self.params["attention_v"][:, feat]
-        u_sub = self.params["attention_u"][:, feat]
         w = self.params["attention_w"]
 
         grads = {name: np.zeros_like(p) for name, p in self.params.items()}
@@ -141,8 +186,8 @@ class GatedAttentionMIL:
         grads["head_bias"] += d_out.sum(axis=0)
         d_pooled = d_out @ head_w  # (n, D)
 
-        d_v_sub = np.zeros_like(v_sub)
-        d_u_sub = np.zeros_like(u_sub)
+        d_v_sub = np.zeros((len(w), len(feat)), dtype=w.dtype)
+        d_u_sub = np.zeros_like(d_v_sub)
         for i, (valid, xi, xs, tanh_act, gate_act, drop, gated_out, alpha) in enumerate(cache[1:]):
             dhi = d_pooled[i]                       # (D,)
             d_alpha = xi @ dhi                      # (m,)
@@ -206,21 +251,56 @@ def cox_loss(risk_scores: np.ndarray, times: np.ndarray,
     return float(loss), d_eta.astype(risk_scores.dtype)
 
 
-def _batch_loss(model: GatedAttentionMIL, task: str, x, mask, feat, targets) -> float:
-    out = model.forward(x, mask, feat, training=False).outputs
+def _perturbed_losses(task: str, params: dict[str, np.ndarray], x, mask, feat,
+                      targets) -> np.ndarray:
+    """Batch losses of a stack of parameter sets in one vectorized pass.
+
+    Every tensor carries a leading axis of length P or 1 (shared); returns the
+    (P,) losses that forward() and the loss functions would give one by one.
+    Projections and gating run in float64: an entry a perturbation does not
+    reach comes out bit-identical for +eps and -eps, so its rounding cancels
+    in the difference. The sums after it run in np.longdouble, because a
+    gradient near 1e-7 moves the loss by 1e-12 of its value and float64
+    rounding there reaches the 1e-4 tolerance (extended precision on x86;
+    where longdouble is float64 this is the plain float64 pass).
+    """
+    v = np.swapaxes(params["attention_v"][..., feat], -1, -2)  # (P, F, H)
+    u = np.swapaxes(params["attention_u"][..., feat], -1, -2)
+    w = params["attention_w"][:, None, :]                      # (P, 1, H)
+    head_w = np.swapaxes(params["head_weight"], -1, -2)        # (P, D, C)
+    outputs = []
+    for i in range(x.shape[0]):
+        xi = x[i, mask[i]]                                   # (m, D)
+        xs = xi[:, feat]
+        gated = np.tanh(xs @ v) / (1.0 + np.exp(-(xs @ u)))  # (P, m, H)
+        gated = gated.astype(np.longdouble)
+        logits = (gated * w).sum(axis=-1)                    # (P, m)
+        alpha = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        alpha /= alpha.sum(axis=-1, keepdims=True)
+        outputs.append((alpha @ xi)[:, None, :] @ head_w)    # (P, 1, C)
+    out = np.concatenate(outputs, axis=1) + params["head_bias"][:, None, :]  # (P, n, C)
     if task == "classification":
-        return cross_entropy_loss(out, targets)[0]
+        shifted = out - out.max(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return -log_probs[:, np.arange(len(targets)), targets].mean(axis=-1)
+    eta = out[..., 0]                                        # (P, n)
     if task == "regression":
-        return mse_loss(out[:, 0], targets)[0]
+        return ((eta - targets) ** 2).mean(axis=-1)
     times, events = targets
-    return cox_loss(out[:, 0], times, events)[0]
+    loss = 0.0
+    for i in np.flatnonzero(events):
+        at_risk = eta[:, times >= times[i]]
+        shift = at_risk.max(axis=-1)
+        loss = loss + shift + np.log(np.exp(at_risk - shift[:, None]).sum(axis=-1)) - eta[:, i]
+    return loss / events.sum()
 
 
 def grad_check(task: str, embed_dim: int = 8, hidden_dim: int = 4, n_classes: int = 3,
                n_slides: int = 3, bag_size: int = 4, seed: int = 0,
                eps: float = 1e-5) -> dict:
-    """Compare analytic parameter gradients against central finite differences
-    in 64-bit; returns per-parameter and overall max relative error."""
+    """Compare 64-bit analytic parameter gradients against central finite
+    differences of every scalar; returns per-parameter and overall max
+    relative error."""
     rng = np.random.default_rng(seed)
     n_out = n_classes if task == "classification" else 1
     model = GatedAttentionMIL(embed_dim, hidden_dim, n_out, dropout=0.0, dtype=np.float64)
@@ -254,25 +334,19 @@ def grad_check(task: str, embed_dim: int = 8, hidden_dim: int = 4, n_classes: in
         d_out = d_pred[:, None]
     analytic = model.backward(result.cache, d_out)
 
+    # every scalar of one tensor moved by +eps and by -eps, all in one pass
     per_param = {}
-    worst = 0.0
+    shared = {name: p[None] for name, p in model.params.items()}
     for name in PARAM_NAMES:
         p = model.params[name]
-        flat = p.reshape(-1)
-        err = 0.0
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            up = _batch_loss(model, task, x, mask, feat, targets)
-            flat[j] = orig - eps
-            down = _batch_loss(model, task, x, mask, feat, targets)
-            flat[j] = orig
-            fd = (up - down) / (2.0 * eps)
-            an = analytic[name].reshape(-1)[j]
-            denom = max(abs(an), abs(fd), 1e-8)
-            rel = abs(an - fd) / denom if max(abs(an), abs(fd)) > 1e-10 else 0.0
-            err = max(err, rel)
-        per_param[name] = err
-        worst = max(worst, err)
+        steps = (eps * np.eye(p.size)).reshape(p.size, *p.shape)
+        losses = _perturbed_losses(task, {**shared, name: p + np.concatenate([steps, -steps])},
+                                   x, mask, feat, targets)
+        fd = (losses[:p.size] - losses[p.size:]) / (2.0 * eps)
+        an = analytic[name].reshape(-1)
+        scale = np.maximum(np.abs(an), np.abs(fd))
+        rel = np.where(scale > 1e-10, np.abs(an - fd) / np.maximum(scale, 1e-8), 0.0)
+        per_param[name] = float(rel.max())
+    worst = max(per_param.values())
     return {"max_rel_err": worst, "per_param": per_param, "task": task,
             "embed_dim": embed_dim, "hidden_dim": hidden_dim}

@@ -17,6 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+# called through the module, so a wrapper set on inference.ensemble_outputs
+# (perfbench/tracing.py) also sees the validation ensemble
+from . import inference
 from .dataio import DatasetManifest, SlideBag, SurvivalRecord
 from .errors import CorruptionError, FormatError, ValidationError
 from .fingerprint import RunConfig
@@ -205,10 +208,8 @@ def _loss_and_grad(task: str, outputs: np.ndarray, targets):
 
 def _validation_loss(model, task, val_entries, bags, windows) -> float | None:
     """Loss of the chunk-ensembled prediction over the whole validation split."""
-    from .inference import ensemble_outputs  # local import avoids a module cycle
-
     outputs = np.stack([
-        ensemble_outputs(model, bags[e.slide_id], windows) for e in val_entries
+        inference.ensemble_outputs(model, bags[e.slide_id], windows) for e in val_entries
     ])  # (n_val, K, n_out)
     if task == "classification":
         mean_logits = outputs.mean(axis=1)
@@ -218,9 +219,7 @@ def _validation_loss(model, task, val_entries, bags, windows) -> float | None:
         preds = outputs.mean(axis=1)[:, 0]
         targets = np.array([e.label for e in val_entries], dtype=np.float64)
         return mse_loss(preds, targets)[0]
-    per_chunk = outputs[:, :, 0].astype(np.float64)
-    shift = per_chunk.max()
-    risks = np.log(np.exp(per_chunk - shift).mean(axis=1)) + shift
+    risks = np.array([inference.log_mean_exp(per_chunk) for per_chunk in outputs[:, :, 0]])
     times = np.array([e.label.time for e in val_entries], dtype=np.float64)
     events = np.array([e.label.event for e in val_entries], dtype=int)
     if events.sum() == 0:
@@ -231,8 +230,6 @@ def _validation_loss(model, task, val_entries, bags, windows) -> float | None:
 def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag],
           checkpoint_path=None) -> tuple[Checkpoint, TrainReport]:
     """Train per the run config; returns the latest-epoch checkpoint and a report."""
-    from .inference import inference_windows
-
     if config.task != manifest.task:
         raise ValidationError(f"config task {config.task} != manifest task {manifest.task}")
     train_entries = manifest.split_entries("train")
@@ -256,7 +253,7 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
     model = GatedAttentionMIL(embed_dim, config.hidden_dim, n_out, dropout=config.dropout)
     model.init_params(rng)
     state = init_adam_state(model.params)
-    windows = inference_windows(config, embed_dim)
+    windows = inference.inference_windows(config, embed_dim)
 
     if task == "classification":
         labels = np.array([e.label for e in train_entries], dtype=int)

@@ -1,11 +1,13 @@
 """End-to-end command-line pipeline and exit-code contract."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from slidemil.cli import main
+from slidemil.dataio import load_manifest
 
 
 def _write_spec(path, **kw):
@@ -40,6 +42,20 @@ def _run_through_predict(tmp_path, dirs, spec_kw=None, plan_args=()):
                  "--checkpoint", str(dirs["train"] / "checkpoint.ckpt"),
                  "--split", "test", "--out", str(dirs["pred"])]) == 0
     return manifest
+
+
+def _predict_without(dirs, manifest, splits, out):
+    """Exit code of predict on a copy of the corpus whose embedding files of
+    the given splits are deleted."""
+    data = out.parent / f"{out.name}_data"
+    shutil.copytree(dirs["data"], data)
+    for entry in load_manifest(manifest).entries:
+        if entry.split in splits:
+            (data / entry.embedding_path).unlink()
+    return main(["predict", "--manifest", str(data / "manifest.json"),
+                 "--data-dir", str(data),
+                 "--checkpoint", str(dirs["train"] / "checkpoint.ckpt"),
+                 "--split", "test", "--out", str(out)])
 
 
 class TestClassificationPipeline:
@@ -116,6 +132,12 @@ class TestClassificationPipeline:
         assert (dirs2["pred"] / "predictions.jsonl").read_text() == \
             (self.dirs["pred"] / "predictions.jsonl").read_text()
 
+    def test_predict_reads_only_the_scored_split(self, tmp_path):
+        out = tmp_path / "test_only"
+        assert _predict_without(self.dirs, self.manifest, ("train", "val"), out) == 0
+        assert (out / "predictions.jsonl").read_bytes() == \
+            (self.dirs["pred"] / "predictions.jsonl").read_bytes()
+
 
 class TestSurvivalPipeline:
     def test_survival_stages(self, tmp_path, pipeline_dirs):
@@ -148,6 +170,13 @@ class TestSurvivalPipeline:
                      "--out", str(dirs["rej"])]) == 0
         rejection = json.loads((dirs["rej"] / "rejection.json").read_text())
         assert rejection["metric"] == "concordance_index"
+
+        # the Breslow baseline needs the train split, never the val split
+        no_val = tmp_path / "no_val"
+        assert _predict_without(dirs, manifest, ("val",), no_val) == 0
+        assert (no_val / "predictions.jsonl").read_bytes() == \
+            (dirs["pred"] / "predictions.jsonl").read_bytes()
+        assert _predict_without(dirs, manifest, ("train",), tmp_path / "no_train") == 2
 
 
 class TestRegressionPipeline:

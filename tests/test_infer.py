@@ -1,6 +1,7 @@
 """Sliding-window ensemble inference and the uncertainty decomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,24 @@ class TestEnsembleOutputs:
         with pytest.raises(ValidationError):
             ensemble_outputs(m, bag, chunk_windows(6, 4, 2))
 
+    def test_bag_is_never_copied(self, rng):
+        # D = 8H: per-window activations are a few (N, H) arrays, an eighth
+        # of the bag each; a copy or column gather of the bag would exceed it
+        m = GatedAttentionMIL(512, 64, 2)
+        m.init_params(rng)
+        bag = make_bag(rng, 2000, 512)
+        wins = chunk_windows(512, 64, 64)
+        ensemble_outputs(m, bag, wins, return_attention=True)  # warm caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ensemble_outputs(m, bag, wins, return_attention=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        ratio = peak / bag.embeddings.nbytes
+        assert ratio < 0.75, f"ensemble peak is {ratio:.2f}x the bag's bytes"
+
 
 class TestPredictClassification:
     def test_predicted_class_follows_mean_logits(self):
@@ -181,13 +200,12 @@ class TestPredictClassification:
         assert wins.n_chunks == 3
 
         class Stub(GatedAttentionMIL):
-            def forward(self, x, mask, feat, **kw):
-                logit_rows = {0: np.array([[30.0, 0.0]]),
-                              2: np.array([[-1.0, 1.0]]),
-                              4: np.array([[-1.0, 1.0]])}
-                r = super().forward(x, mask, feat, **kw)
-                r.outputs = logit_rows[int(feat[0])]
-                return r
+            def forward_windows(self, x, windows):
+                logit_rows = {0: np.array([30.0, 0.0]),
+                              2: np.array([-1.0, 1.0]),
+                              4: np.array([-1.0, 1.0])}
+                _, attention = super().forward_windows(x, windows)
+                return np.stack([logit_rows[start] for start, _ in windows]), attention
 
         stub = Stub(6, 2, 2)
         stub.init_params(np.random.default_rng(0))

@@ -9,11 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidemil.errors import ValidationError
+from slidemil.inference import chunk_windows
 from slidemil.model import (
     PARAM_NAMES,
     GatedAttentionMIL,
+    _perturbed_losses,
     cox_loss,
     cross_entropy_loss,
     grad_check,
@@ -222,6 +226,70 @@ class TestForward:
         assert m.params["attention_v"].dtype == np.float32
 
 
+@st.composite
+def _window_cases(draw):
+    """(model, bag (N, D), windows): N down to 1, H <= D, any stride S, so the
+    final window is clamped whenever (D - H) % S != 0."""
+    d = draw(st.integers(1, 40))
+    h = draw(st.integers(1, d))
+    stride = draw(st.integers(1, d))
+    n = draw(st.integers(1, 30))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = GatedAttentionMIL(d, h, draw(st.integers(1, 3)), dtype=dtype)
+    m.init_params(rng)
+    x = (rng.standard_normal((n, d)) * draw(st.sampled_from([0.1, 1.0, 10.0]))).astype(dtype)
+    return m, x, chunk_windows(d, h, stride).windows
+
+
+class TestForwardWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(_window_cases())
+    def test_equals_per_window_forward_exactly(self, case):
+        m, x, windows = case
+        outputs, attention = m.forward_windows(x, windows)
+        mask = np.ones((1, x.shape[0]), dtype=bool)
+        for k, (start, end) in enumerate(windows):
+            ref = m.forward(x[None], mask, np.arange(start, end))
+            np.testing.assert_allclose(outputs[k], ref.outputs[0], rtol=0, atol=0)
+            np.testing.assert_allclose(attention[k], ref.attention[0], rtol=0, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_window_cases())
+    def test_attention_rows_sum_to_one(self, case):
+        m, x, windows = case
+        _, attention = m.forward_windows(x, windows)
+        assert attention.shape == (len(windows), x.shape[0])
+        assert (attention >= 0).all()
+        np.testing.assert_allclose(attention.sum(axis=1), 1.0, rtol=1e-5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_window_cases(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_non_finite_bag_rejected(self, case, bad, data):
+        m, x, windows = case
+        x = x.copy()
+        x[data.draw(st.integers(0, x.shape[0] - 1)), data.draw(st.integers(0, x.shape[1] - 1))] = bad
+        with pytest.raises(ValidationError):
+            m.forward_windows(x, windows)
+
+    def test_clamped_final_window(self):
+        # D=10, H=4, S=4: starts 0, 4, then the clamped start 6
+        m = _model(d=10, h=4, c=2)
+        windows = chunk_windows(10, 4, 4).windows
+        assert windows == ((0, 4), (4, 8), (6, 10))
+        x = np.random.default_rng(1).standard_normal((7, 10))
+        outputs, _ = m.forward_windows(x, windows)
+        ref = m.forward(x[None], np.ones((1, 7), dtype=bool), np.arange(6, 10))
+        assert np.array_equal(outputs[2], ref.outputs[0])
+
+    def test_wrong_shape_rejected(self):
+        m = _model(d=6)
+        with pytest.raises(ValidationError):
+            m.forward_windows(np.zeros((3, 5)), ((0, 4),))
+        with pytest.raises(ValidationError):
+            m.forward_windows(np.zeros((1, 3, 6)), ((0, 4),))
+
+
 class TestCrossEntropy:
     def test_uniform_logits_give_log_c(self):
         for c in (2, 3, 7):
@@ -390,6 +458,37 @@ class TestGradCheck:
     def test_survival_single_event_is_finite(self):
         report = grad_check("survival", n_slides=2, seed=2)
         assert math.isfinite(report["max_rel_err"])
+
+    @pytest.mark.parametrize("task", ["classification", "regression", "survival"])
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_perturbed_losses_match_one_forward_per_parameter_set(self, task, name):
+        # the vectorized pass against the loop it replaces: one forward() and
+        # one loss call per perturbed tensor
+        rng = np.random.default_rng(11)
+        m = _model(d=7, h=3, c=3 if task == "classification" else 1)
+        x, mask = _batch(rng, n=4, m=5, d=7, n_valid=[5, 2, 4, 1])
+        feat = np.array([1, 4, 6])
+        if task == "classification":
+            targets = np.array([0, 2, 1, 2])
+        elif task == "regression":
+            targets = rng.standard_normal(4)
+        else:
+            targets = (np.array([1.0, 0.5, 2.0, 1.0]), np.array([1, 0, 1, 1]))
+        base = m.params[name]
+        stack = base + rng.standard_normal((6, *base.shape)) * 1e-2
+        got = _perturbed_losses(task, {**{k: v[None] for k, v in m.params.items()},
+                                       name: stack}, x, mask, feat, targets)
+        want = []
+        for value in stack:
+            m.params[name] = value
+            out = m.forward(x, mask, feat).outputs
+            if task == "classification":
+                want.append(cross_entropy_loss(out, targets)[0])
+            elif task == "regression":
+                want.append(mse_loss(out[:, 0], targets)[0])
+            else:
+                want.append(cox_loss(out[:, 0], *targets)[0])
+        np.testing.assert_allclose(got.astype(np.float64), want, rtol=1e-13, atol=0)
 
     def test_feature_subselected_configs(self):
         # H < D exercises the scatter of column gradients

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from slidemil import inference
 from slidemil.errors import CorruptionError, FormatError, ValidationError
 from slidemil.fingerprint import RunConfig
-from slidemil.model import PARAM_NAMES
+from slidemil.model import PARAM_NAMES, cox_loss
 from slidemil.synthetic import SyntheticSpec, generate_synthetic_dataset
 from slidemil.training import (
+    _validation_loss,
     adamw_step,
     init_adam_state,
     load_checkpoint,
@@ -259,6 +261,26 @@ class TestTrain:
         cfg = tiny_config(task="regression", max_epochs=3)
         _, report = train(cfg, manifest, bags)
         assert all(math.isfinite(r["val_loss"]) for r in report.epochs)
+
+
+class TestValidationLoss:
+    def test_survival_risks_800_apart_stay_finite(self, monkeypatch):
+        # per-window risks of the two val slides sit 800 apart; one shift for
+        # the whole split would underflow the lower slide's log-mean-exp
+        manifest, bags = make_survival_corpus(np.random.default_rng(0))
+        val = manifest.split_entries("val")
+        assert sorted(e.label.event for e in val) == [0, 1]
+        per_window = {val[0].slide_id: np.array([[0.0], [1.0], [2.0]]),
+                      val[1].slide_id: np.array([[-800.0], [-799.0], [-798.0]])}
+        monkeypatch.setattr(inference, "ensemble_outputs",
+                            lambda model, bag, windows: per_window[bag.slide_id])
+        loss = _validation_loss(None, "survival", val, bags, None)
+        lme = math.log(np.mean(np.exp([0.0, 1.0, 2.0])))
+        times = np.array([e.label.time for e in val])
+        events = np.array([e.label.event for e in val])
+        expected = cox_loss(np.array([lme, lme - 800.0]), times, events)[0]
+        assert math.isfinite(loss)
+        assert loss == pytest.approx(expected, rel=1e-12)
 
 
 class TestCheckpointIO:
