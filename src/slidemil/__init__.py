@@ -7,8 +7,7 @@ from .dataio import (DatasetManifest, ManifestEntry, SlideBag, SurvivalRecord,
                      write_embedding_file)
 from .errors import (CorruptionError, FormatError, MetricUndefinedError,
                      SlidemilError, ValidationError)
-from .fingerprint import (DataFingerprint, RunConfig, chunk_count,
-                          compute_fingerprint, derive_config)
+from .fingerprint import DataFingerprint, RunConfig, compute_fingerprint, derive_config
 from .inference import (BaselineSurvival, ChunkWindows, ClsPrediction,
                         RegPrediction, SurvPrediction, adjust_patient_uncertainty,
                         aggregate_patient, chunk_windows, decompose_uncertainty,

@@ -126,12 +126,13 @@ def cmd_plan(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     config = derive_config(fp, task=args.task, overrides=overrides)
+    n_windows = inference.inference_windows(config, fp.embed_dim).n_chunks
     out = _out_dir(args)
     config.to_json(out / "config.json")
     _write_run_manifest(out, "plan", {"fingerprint": args.fingerprint},
                         config.seed, _sha256(args.fingerprint))
     print(f"wrote config (M={config.bag_size}, H={config.hidden_dim}, "
-          f"S={config.stride}, K={config.ensemble_chunks}) to {out}")
+          f"S={config.stride}, K={n_windows}) to {out}")
     return 0
 
 
@@ -182,8 +183,8 @@ def cmd_predict(args) -> int:
         eval_times = _survival_eval_times(args, manifest)
         train_entries = manifest.split_entries("train")
         train_risks = np.array([
-            inference.log_mean_exp(
-                inference.ensemble_outputs(model, bags[e.slide_id], windows)[:, 0])
+            inference.slide_output(
+                "survival", inference.ensemble_outputs(model, bags[e.slide_id], windows))[0]
             for e in train_entries])
         baseline = inference.estimate_baseline_survival(
             train_risks, [e.label for e in train_entries])
@@ -239,9 +240,9 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 42
     report: dict = {"task": manifest.task, "split": args.split, "n_slides": len(entries)}
+    truth = dataio.label_arrays(manifest.task, entries)
 
     if manifest.task == "classification":
-        truth = np.array([e.label for e in entries], dtype=int)
         pred_cls = np.array([p["predicted_class"] for p in preds], dtype=int)
         report["balanced_accuracy"] = metrics.bootstrap_ci(
             metrics.balanced_accuracy, (truth, pred_cls), seed=seed).to_dict()
@@ -254,15 +255,13 @@ def cmd_evaluate(args) -> int:
             report["auc"] = metrics.bootstrap_ci(metrics.auc, (truth, scores),
                                                  seed=seed).to_dict()
     elif manifest.task == "regression":
-        truth = np.array([e.label for e in entries], dtype=np.float64)
         pred_val = np.array([p["mean_value"] for p in preds], dtype=np.float64)
         report["pearson_r"] = metrics.bootstrap_ci(metrics.pearson_r, (truth, pred_val),
                                                    seed=seed).to_dict()
         report["mse"] = metrics.bootstrap_ci(metrics.mean_squared_error,
                                              (truth, pred_val), seed=seed).to_dict()
     else:
-        times = np.array([e.label.time for e in entries], dtype=np.float64)
-        events = np.array([e.label.event for e in entries], dtype=int)
+        times, events = truth
         risks = np.array([p["risk"] for p in preds], dtype=np.float64)
         cindex = lambda t, e, r: metrics.concordance_index(t, e, r)
         report["concordance_index"] = metrics.bootstrap_ci(
@@ -305,22 +304,20 @@ def cmd_reject_curve(args) -> int:
     manifest = dataio.load_manifest(args.manifest)
     entries, preds = _aligned_predictions(manifest, args)
     fractions = [float(f) for f in args.fractions.split(",") if f.strip() != ""]
+    truth = dataio.label_arrays(manifest.task, entries)
 
     if manifest.task == "classification":
-        truth = np.array([e.label for e in entries], dtype=int)
         pred = np.array([p["predicted_class"] for p in preds], dtype=int)
         unc = np.array([p["h_aleatoric"] for p in preds], dtype=np.float64)
         metric = metrics.balanced_accuracy
         metric_name = "balanced_accuracy"
     elif manifest.task == "regression":
-        truth = np.array([e.label for e in entries], dtype=np.float64)
         pred = np.array([p["mean_value"] for p in preds], dtype=np.float64)
         unc = np.array([p["std_value"] for p in preds], dtype=np.float64)
         metric = lambda t, p: -metrics.mean_squared_error(t, p)
         metric_name = "neg_mse"
     else:
-        truth = np.array([[e.label.time, e.label.event] for e in entries],
-                         dtype=np.float64)
+        truth = np.column_stack(truth)
         pred = np.array([p["risk"] for p in preds], dtype=np.float64)
         unc = np.array([p["unc_survival"][0] for p in preds], dtype=np.float64)
         metric = lambda t, r: metrics.concordance_index(t[:, 0], t[:, 1], r)

@@ -126,6 +126,17 @@ class DatasetManifest:
         return [e for e in self.entries if e.split == split]
 
 
+def label_arrays(task: str, entries):
+    """Labels of entries as arrays: int classes, float targets, or survival (times, events)."""
+    if task == "classification":
+        return np.array([e.label for e in entries], dtype=int)
+    if task == "regression":
+        return np.array([e.label for e in entries], dtype=np.float64)
+    times = np.array([e.label.time for e in entries], dtype=np.float64)
+    events = np.array([e.label.event for e in entries], dtype=int)
+    return times, events
+
+
 def read_embedding_header(path: str | Path) -> tuple[int, int]:
     """Read (N, D) from an embedding file without loading the payload."""
     with open(path, "rb") as f:
@@ -137,7 +148,7 @@ def read_embedding_header(path: str | Path) -> tuple[int, int]:
 
 
 def read_embedding_file(path: str | Path, slide_id: str = "", patient_id: str = "") -> SlideBag:
-    """Load a SlideBag; validates magic, payload length and finiteness."""
+    """Load a SlideBag; validates magic and payload length (SlideBag checks finiteness)."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 8 or raw[:8] != EMBEDDING_MAGIC:
@@ -154,8 +165,6 @@ def read_embedding_file(path: str | Path, slide_id: str = "", patient_id: str = 
     if n < 1 or d < 1:
         raise CorruptionError(f"{path}: header declares empty matrix {n}x{d}")
     emb = np.frombuffer(raw, dtype="<f4", offset=HEADER_SIZE).reshape(n, d)
-    if not np.all(np.isfinite(emb)):
-        raise ValidationError(f"{path}: embeddings contain non-finite values")
     return SlideBag(slide_id=slide_id or path.stem, patient_id=patient_id or path.stem,
                     embeddings=emb.copy())
 
@@ -190,12 +199,17 @@ def _label_to_json(label, task: str):
     return label
 
 
+def read_json(path: str | Path):
+    """Parse a UTF-8 JSON file; FormatError when it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse and validate a UTF-8 JSON manifest."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or "task" not in doc or "entries" not in doc:
         raise FormatError(f"{path}: manifest must be an object with 'task' and 'entries'")
     task = doc["task"]

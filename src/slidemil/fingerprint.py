@@ -3,22 +3,20 @@
 Rules: bag size M = max(1, round(median patch count / 2)); attention hidden
 size H = min(256, D); inference stride S = max(1, H // 4); batch size 32;
 dropout 0.25; AdamW lr 3e-4 (1e-4 for survival) with weight decay 1e-4;
-5 warmup epochs, up to 100 epochs, patience 10; seed 42. The ensemble chunk
-count is floor((D - H) / S) + 1; when (D - H) is not divisible by S the
-inference module appends one clamped final window so every dimension is
-covered.
+5 warmup epochs, up to 100 epochs, patience 10; seed 42. The window set,
+and with it the ensemble size K, comes from ``inference.chunk_windows``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import DatasetManifest, SlideBag
-from .errors import ValidationError
+from .dataio import DatasetManifest, SlideBag, read_json
+from .errors import FormatError, ValidationError
 
 DEFAULT_HIDDEN_DIM = 256
 DEFAULT_BATCH_SIZE = 32
@@ -30,6 +28,17 @@ TRAINING_MODES = ("nnmil", "full_bag_batch1")
 
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
+
+
+def _from_fields(cls, doc, retired=()):
+    """cls(**doc) for a parsed JSON object. Keys in retired name fields since
+    removed, so files written while they existed still load; they are dropped."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{cls.__name__}: expected a JSON object, got {type(doc).__name__}")
+    try:
+        return cls(**{k: v for k, v in doc.items() if k not in retired})
+    except TypeError as exc:  # a missing or unknown field, or a value of the wrong type
+        raise ValidationError(f"{cls.__name__}: {exc}") from exc
 
 
 @dataclass
@@ -48,7 +57,6 @@ class DataFingerprint:
     event_rate: float | None = None
     time_horizon_max: float | None = None
     task: str = "classification"
-    magnification: float | None = None  # pass-through metadata; no rule consumes it
 
     def __post_init__(self):
         if not self.patch_count_p5 <= self.patch_count_median <= self.patch_count_p95:
@@ -65,7 +73,7 @@ class DataFingerprint:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DataFingerprint":
-        return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+        return _from_fields(cls, read_json(path), retired=("magnification",))
 
 
 @dataclass
@@ -82,7 +90,6 @@ class RunConfig:
     max_epochs: int
     patience: int
     seed: int
-    ensemble_chunks: int
     training_mode: str = "nnmil"
     overrides: dict = field(default_factory=dict)
 
@@ -105,11 +112,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        return cls(**doc)
+        return _from_fields(cls, doc, retired=("ensemble_chunks",))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path))
 
 
 def compute_fingerprint(manifest: DatasetManifest, bags: dict[str, SlideBag]) -> DataFingerprint:
@@ -153,13 +160,6 @@ def compute_fingerprint(manifest: DatasetManifest, bags: dict[str, SlideBag]) ->
     return fp
 
 
-def chunk_count(embed_dim: int, hidden_dim: int, stride: int) -> int:
-    """floor((D - H) / S) + 1 regular windows."""
-    if hidden_dim > embed_dim:
-        raise ValidationError(f"hidden_dim {hidden_dim} exceeds embed_dim {embed_dim}")
-    return (embed_dim - hidden_dim) // stride + 1
-
-
 def derive_config(fp: DataFingerprint, task: str | None = None,
                   overrides: dict | None = None) -> RunConfig:
     """Apply the rules to a fingerprint; explicit overrides win and are recorded."""
@@ -191,11 +191,8 @@ def derive_config(fp: DataFingerprint, task: str | None = None,
         "seed": DEFAULT_SEED,
         "training_mode": "nnmil",
     }
-    unknown = set(overrides) - set(values) - {"ensemble_chunks"}
+    unknown = set(overrides) - set(values)
     if unknown:
         raise ValidationError(f"unknown config overrides {sorted(unknown)}")
-    values.update({k: v for k, v in overrides.items() if k != "ensemble_chunks"})
-    values["ensemble_chunks"] = overrides.get(
-        "ensemble_chunks", chunk_count(fp.embed_dim, values["hidden_dim"], values["stride"])
-    )
+    values.update(overrides)
     return RunConfig(overrides=overrides, **values)

@@ -23,7 +23,10 @@ MI_CLAMP_TOLERANCE = 1e-9
 @dataclass(frozen=True)
 class ChunkWindows:
     windows: tuple[tuple[int, int], ...]  # ordered [start, end) ranges
-    n_chunks: int
+
+    @property
+    def n_chunks(self) -> int:
+        return len(self.windows)
 
 
 @dataclass
@@ -85,14 +88,13 @@ def chunk_windows(embed_dim: int, hidden_dim: int, stride: int) -> ChunkWindows:
     starts = list(range(0, embed_dim - hidden_dim + 1, stride))
     if starts[-1] != embed_dim - hidden_dim:
         starts.append(embed_dim - hidden_dim)
-    wins = tuple((s, s + hidden_dim) for s in starts)
-    return ChunkWindows(windows=wins, n_chunks=len(wins))
+    return ChunkWindows(windows=tuple((s, s + hidden_dim) for s in starts))
 
 
 def inference_windows(config: RunConfig, embed_dim: int) -> ChunkWindows:
     """Window set implied by a run config; the batch-1 ablation sees one full window."""
     if config.training_mode == "full_bag_batch1":
-        return ChunkWindows(windows=((0, embed_dim),), n_chunks=1)
+        return ChunkWindows(windows=((0, embed_dim),))
     return chunk_windows(embed_dim, config.hidden_dim, config.stride)
 
 
@@ -146,7 +148,7 @@ def predict_classification(model: GatedAttentionMIL, bag: SlideBag,
     out = ensemble_outputs(model, bag, windows, return_attention=with_attention)
     logits, attention = out if with_attention else (out, None)
     per_chunk_probs = _softmax64(logits)
-    mean_logits = logits.mean(axis=0)
+    mean_logits = slide_output("classification", logits)
     mean_probs = per_chunk_probs.mean(axis=0)
     h_total, h_aleatoric, mi = decompose_uncertainty(per_chunk_probs)
     return ClsPrediction(
@@ -161,10 +163,10 @@ def predict_regression(model: GatedAttentionMIL, bag: SlideBag,
                        windows: ChunkWindows,
                        with_attention: bool = False) -> RegPrediction:
     out = ensemble_outputs(model, bag, windows, return_attention=with_attention)
-    values, attention = out if with_attention else (out, None)
-    values = values[:, 0]
+    raw, attention = out if with_attention else (out, None)
+    values = raw[:, 0]
     return RegPrediction(slide_id=bag.slide_id, per_chunk_values=values,
-                         mean_value=float(values.mean()),
+                         mean_value=float(slide_output("regression", raw)[0]),
                          std_value=float(values.std()),
                          attention=attention)
 
@@ -173,6 +175,14 @@ def log_mean_exp(values: np.ndarray) -> float:
     v = np.asarray(values, dtype=np.float64)
     shift = v.max()
     return float(np.log(np.exp(v - shift).mean()) + shift)
+
+
+def slide_output(task: str, window_outputs: np.ndarray) -> np.ndarray:
+    """Slide-level output (n_out,) from the (K, n_out) window outputs: their
+    mean, or for survival the log-mean-exp of the window risks."""
+    if task == "survival":
+        return np.array([log_mean_exp(window_outputs[:, 0])])
+    return window_outputs.mean(axis=0)
 
 
 def estimate_baseline_survival(train_risks: np.ndarray,
@@ -208,7 +218,7 @@ def predict_survival(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWind
     per_chunk_surv = s0[None, :] ** np.exp(eta)[:, None]  # (K, T)
     return SurvPrediction(
         slide_id=bag.slide_id, per_chunk_risk=eta,
-        risk=log_mean_exp(eta), mean_risk=float(eta.mean()),
+        risk=float(slide_output("survival", raw)[0]), mean_risk=float(eta.mean()),
         var_risk=float(eta.var()),
         eval_times=eval_times,
         per_chunk_survival=per_chunk_surv,
@@ -241,12 +251,9 @@ def aggregate_patient(predictions: list) -> dict:
     if isinstance(first, ClsPrediction):
         mean_logits = np.mean([p.mean_logits for p in predictions], axis=0)
         slide_probs = np.stack([p.mean_probs for p in predictions])
-        mean_probs = slide_probs.mean(axis=0)
-        h_total = entropy(mean_probs)
-        h_aleatoric = float(np.mean([entropy(p) for p in slide_probs]))
-        mi = max(h_total - h_aleatoric, 0.0)
+        h_total, h_aleatoric, mi = decompose_uncertainty(slide_probs)
         return {"n_wsi": n, "mean_logits": mean_logits.tolist(),
-                "mean_probs": mean_probs.tolist(),
+                "mean_probs": slide_probs.mean(axis=0).tolist(),
                 "predicted_class": int(np.argmax(mean_logits)),
                 "h_total": h_total, "h_aleatoric": h_aleatoric, "mutual_info": mi}
     if isinstance(first, RegPrediction):

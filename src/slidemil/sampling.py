@@ -15,6 +15,7 @@ import numpy as np
 
 from .dataio import SlideBag, SurvivalRecord
 from .errors import ValidationError
+from .fingerprint import _round_half_up
 
 
 @dataclass
@@ -23,7 +24,6 @@ class FixedBag:
 
     embeddings: np.ndarray  # (M, D) float32
     valid_mask: np.ndarray  # (M,) bool
-    source_slide: str
 
     def __post_init__(self):
         if self.embeddings.shape[0] != self.valid_mask.shape[0]:
@@ -55,7 +55,10 @@ class FeatureIndexSet:
 @dataclass
 class BatchPlan:
     batches: list[list[int]]
-    epoch_length: int
+
+    @property
+    def epoch_length(self) -> int:
+        return len(self.batches)
 
 
 def sample_patches(bag: SlideBag, bag_size: int, rng: np.random.Generator) -> FixedBag:
@@ -72,7 +75,7 @@ def sample_patches(bag: SlideBag, bag_size: int, rng: np.random.Generator) -> Fi
         emb[:n] = bag.embeddings
         mask = np.zeros(bag_size, dtype=bool)
         mask[:n] = True
-    return FixedBag(embeddings=emb, valid_mask=mask, source_slide=bag.slide_id)
+    return FixedBag(embeddings=emb, valid_mask=mask)
 
 
 def sample_feature_indices(embed_dim: int, hidden_dim: int,
@@ -109,10 +112,9 @@ def _quota_batches(pools: list[_Pool], base: int, remainder: int, n_total: int,
                    batch_size: int, rng: np.random.Generator) -> BatchPlan:
     """Fill ceil(n/B) batches with per-group quotas; the remainder rotates round-robin."""
     n_groups = len(pools)
-    epoch_length = math.ceil(n_total / batch_size)
     offset = int(rng.integers(n_groups))
     batches = []
-    for b in range(epoch_length):
+    for b in range(math.ceil(n_total / batch_size)):
         extra = {(offset + b * remainder + j) % n_groups for j in range(remainder)}
         batch: list[int] = []
         for g, pool in enumerate(pools):
@@ -120,13 +122,13 @@ def _quota_batches(pools: list[_Pool], base: int, remainder: int, n_total: int,
             batch.extend(pool.draw() for _ in range(take))
         rng.shuffle(batch)
         batches.append(batch)
-    return BatchPlan(batches=batches, epoch_length=epoch_length)
+    return BatchPlan(batches=batches)
 
 
 def plain_batches(n: int, batch_size: int, rng: np.random.Generator) -> BatchPlan:
     order = rng.permutation(n)
     batches = [list(map(int, order[i:i + batch_size])) for i in range(0, n, batch_size)]
-    return BatchPlan(batches=batches, epoch_length=len(batches))
+    return BatchPlan(batches=batches)
 
 
 def balanced_batches(class_labels: np.ndarray, batch_size: int,
@@ -201,15 +203,14 @@ def survival_batches(records: list[SurvivalRecord], batch_size: int,
         censor_pool = None
     else:
         rate = len(event_idx) / n
-        quota_events = min(max(int(np.floor(batch_size * rate + 0.5)), 1), batch_size - 1)
+        quota_events = min(max(_round_half_up(batch_size * rate), 1), batch_size - 1)
         censor_pool = _Pool(censor_idx, _temporal_order(censor_idx, times, rng), rng)
 
-    epoch_length = math.ceil(n / batch_size)
     batches = []
-    for _ in range(epoch_length):
+    for _ in range(math.ceil(n / batch_size)):
         batch = [event_pool.draw() for _ in range(quota_events)]
         if censor_pool is not None:
             batch.extend(censor_pool.draw() for _ in range(batch_size - quota_events))
         rng.shuffle(batch)
         batches.append(batch)
-    return BatchPlan(batches=batches, epoch_length=epoch_length)
+    return BatchPlan(batches=batches)

@@ -24,14 +24,12 @@ from .dataio import (
     SlideBag,
     SurvivalRecord,
     TASKS,
+    read_json,
     save_manifest,
     write_embedding_file,
 )
 from .errors import ValidationError
-
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+from .fingerprint import _from_fields, _round_half_up
 
 
 @dataclass
@@ -51,6 +49,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValidationError(f"unknown task {self.task!r}")
+        self.patches_per_bag_range = tuple(self.patches_per_bag_range)
+        self.split_fractions = tuple(self.split_fractions)
         lo, hi = self.patches_per_bag_range
         if not (1 <= lo <= hi):
             raise ValidationError(f"patches_per_bag_range must satisfy 1 <= lo <= hi, got {lo, hi}")
@@ -73,22 +73,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticSpec":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {
-            "task", "n_bags", "patches_per_bag_range", "embed_dim", "signal_fraction",
-            "signal_strength", "positive_rate", "coefficients", "censoring_rate",
-            "seed", "split_fractions",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ValidationError(f"unknown synthetic-spec fields {sorted(unknown)}")
-        if "patches_per_bag_range" in doc:
-            doc["patches_per_bag_range"] = tuple(doc["patches_per_bag_range"])
-        if "split_fractions" in doc:
-            doc["split_fractions"] = tuple(doc["split_fractions"])
-        if doc.get("coefficients") is not None:
-            doc["coefficients"] = np.asarray(doc["coefficients"], dtype=np.float64)
-        return cls(**doc)
+        return _from_fields(cls, read_json(path))
 
 
 def _calibrate_censoring_rate(hazards: np.ndarray, target: float) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 # called through the module, so a wrapper set on inference.ensemble_outputs
 # (perfbench/tracing.py) also sees the validation ensemble
 from . import inference
-from .dataio import DatasetManifest, SlideBag, SurvivalRecord
+from .dataio import DatasetManifest, SlideBag, label_arrays
 from .errors import CorruptionError, FormatError, ValidationError
 from .fingerprint import RunConfig
 from .model import GatedAttentionMIL, cox_loss, cross_entropy_loss, mse_loss
@@ -185,20 +185,9 @@ def _stack_fixed(fixed: list[FixedBag]) -> tuple[np.ndarray, np.ndarray]:
     return x, mask
 
 
-def _batch_targets(task: str, entries, batch: list[int]):
-    if task == "classification":
-        return np.array([entries[i].label for i in batch], dtype=int)
-    if task == "regression":
-        return np.array([entries[i].label for i in batch], dtype=np.float64)
-    times = np.array([entries[i].label.time for i in batch], dtype=np.float64)
-    events = np.array([entries[i].label.event for i in batch], dtype=int)
-    return times, events
-
-
 def _loss_and_grad(task: str, outputs: np.ndarray, targets):
     if task == "classification":
-        loss, d_out = cross_entropy_loss(outputs, targets)
-        return loss, d_out
+        return cross_entropy_loss(outputs, targets)
     if task == "regression":
         loss, d_pred = mse_loss(outputs[:, 0], targets)
         return loss, d_pred[:, None].astype(outputs.dtype)
@@ -208,23 +197,14 @@ def _loss_and_grad(task: str, outputs: np.ndarray, targets):
 
 def _validation_loss(model, task, val_entries, bags, windows) -> float | None:
     """Loss of the chunk-ensembled prediction over the whole validation split."""
-    outputs = np.stack([
-        inference.ensemble_outputs(model, bags[e.slide_id], windows) for e in val_entries
-    ])  # (n_val, K, n_out)
-    if task == "classification":
-        mean_logits = outputs.mean(axis=1)
-        labels = np.array([e.label for e in val_entries], dtype=int)
-        return cross_entropy_loss(mean_logits, labels)[0]
-    if task == "regression":
-        preds = outputs.mean(axis=1)[:, 0]
-        targets = np.array([e.label for e in val_entries], dtype=np.float64)
-        return mse_loss(preds, targets)[0]
-    risks = np.array([inference.log_mean_exp(per_chunk) for per_chunk in outputs[:, :, 0]])
-    times = np.array([e.label.time for e in val_entries], dtype=np.float64)
-    events = np.array([e.label.event for e in val_entries], dtype=int)
-    if events.sum() == 0:
+    targets = label_arrays(task, val_entries)
+    if task == "survival" and targets[1].sum() == 0:
         return None
-    return cox_loss(risks, times, events)[0]
+    outputs = np.stack([
+        inference.slide_output(task, inference.ensemble_outputs(model, bags[e.slide_id], windows))
+        for e in val_entries
+    ])  # (n_val, n_out)
+    return _loss_and_grad(task, outputs, targets)[0]
 
 
 def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag],
@@ -255,15 +235,7 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
     state = init_adam_state(model.params)
     windows = inference.inference_windows(config, embed_dim)
 
-    if task == "classification":
-        labels = np.array([e.label for e in train_entries], dtype=int)
-    elif task == "regression":
-        targets = np.array([e.label for e in train_entries], dtype=np.float64)
-    else:
-        records = [e.label for e in train_entries]
-        for r in records:
-            if not isinstance(r, SurvivalRecord):
-                raise ValidationError("survival training needs SurvivalRecord labels")
+    labels = label_arrays(task, train_entries)
 
     report = TrainReport()
     best_val = None
@@ -278,9 +250,9 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
         elif task == "classification":
             plan = balanced_batches(labels, config.batch_size, rng)
         elif task == "regression":
-            plan = regression_batches(targets, config.batch_size, rng)
+            plan = regression_batches(labels, config.batch_size, rng)
         else:
-            plan = survival_batches(records, config.batch_size, rng)
+            plan = survival_batches([e.label for e in train_entries], config.batch_size, rng)
 
         loss_sum = 0.0
         n_seen = 0
@@ -295,7 +267,7 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
                          for i in batch]
                 x, mask = _stack_fixed(fixed)
                 feat = sample_feature_indices(embed_dim, config.hidden_dim, rng)
-            batch_targets = _batch_targets(task, train_entries, batch)
+            batch_targets = label_arrays(task, [train_entries[i] for i in batch])
             if task == "survival" and int(np.sum(batch_targets[1])) == 0:
                 skipped_eventless += 1
                 continue

@@ -242,6 +242,91 @@ class TestExitCodes:
                      "--out", str(tmp_path / "p2")]) == 2
 
 
+class TestPlanWindowCount:
+    """plan prints K, the number of windows predict runs."""
+
+    def _plan(self, tmp_path, capsys, *plan_args):
+        dirs = {name: tmp_path / name for name in ("data", "fp", "plan")}
+        spec = _write_spec(tmp_path / "spec.json", embed_dim=70)
+        main(["synth", "--spec", str(spec), "--out", str(dirs["data"])])
+        main(["fingerprint", "--manifest", str(dirs["data"] / "manifest.json"),
+              "--data-dir", str(dirs["data"]), "--out", str(dirs["fp"])])
+        capsys.readouterr()
+        assert main(["plan", "--fingerprint", str(dirs["fp"] / "fingerprint.json"),
+                     "--override", "hidden_dim=16", *plan_args,
+                     "--out", str(dirs["plan"])]) == 0
+        return capsys.readouterr().out
+
+    def test_clamped_tail_window_is_counted(self, tmp_path, capsys):
+        # D=70, H=16, S=4: starts 0, 4, ..., 52 and the clamped 54
+        assert "K=15" in self._plan(tmp_path, capsys)
+
+    def test_full_bag_mode_is_one_window(self, tmp_path, capsys):
+        assert "K=1)" in self._plan(tmp_path, capsys, "--mode", "full_bag_batch1")
+
+
+# each malformed synthetic spec, fingerprint.json or config.json, with the
+# exit code it must give
+_DAMAGES = {
+    "not-json": (lambda doc, key: "not json", 2),
+    "array": (lambda doc, key: json.dumps([doc]), 2),
+    "missing-field": (lambda doc, key: json.dumps({k: v for k, v in doc.items() if k != key}), 1),
+    "unknown-field": (lambda doc, key: json.dumps({**doc, "bogus_field": 1}), 1),
+}
+
+
+class TestLoaderExitCodes:
+    @pytest.fixture(autouse=True)
+    def _planned(self, tmp_path, pipeline_dirs):
+        self.dirs = pipeline_dirs
+        spec = _write_spec(tmp_path / "spec.json")
+        main(["synth", "--spec", str(spec), "--out", str(self.dirs["data"])])
+        main(["fingerprint", "--manifest", str(self.dirs["data"] / "manifest.json"),
+              "--data-dir", str(self.dirs["data"]), "--out", str(self.dirs["fp"])])
+        main(["plan", "--fingerprint", str(self.dirs["fp"] / "fingerprint.json"),
+              "--override", "max_epochs=1", "--out", str(self.dirs["plan"])])
+
+    def _plan(self, fingerprint):
+        return main(["plan", "--fingerprint", str(fingerprint),
+                     "--out", str(self.dirs["plan"].parent / "plan2")])
+
+    def _train(self, config):
+        return main(["train", "--manifest", str(self.dirs["data"] / "manifest.json"),
+                     "--data-dir", str(self.dirs["data"]), "--config", str(config),
+                     "--out", str(self.dirs["train"])])
+
+    def _synth(self, spec):
+        return main(["synth", "--spec", str(spec), "--out", str(self.dirs["data"].parent / "d2")])
+
+    @pytest.mark.parametrize("damage", sorted(_DAMAGES))
+    @pytest.mark.parametrize("kind,key", [("spec", "embed_dim"), ("fingerprint", "embed_dim"),
+                                          ("config", "hidden_dim")])
+    def test_malformed_input(self, kind, key, damage, tmp_path, capsys):
+        good, run = {"spec": (tmp_path / "spec.json", self._synth),
+                     "fingerprint": (self.dirs["fp"] / "fingerprint.json", self._plan),
+                     "config": (self.dirs["plan"] / "config.json", self._train)}[kind]
+        make_text, code = _DAMAGES[damage]
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_text(make_text(json.loads(good.read_text()), key), encoding="utf-8")
+        assert run(bad) == code
+        if damage == "missing-field":
+            assert key in capsys.readouterr().err
+        elif damage == "unknown-field":
+            assert "bogus_field" in capsys.readouterr().err
+
+    def test_retired_keys_still_load(self, tmp_path):
+        # files written while fingerprints had magnification and configs had
+        # ensemble_chunks
+        fp = json.loads((self.dirs["fp"] / "fingerprint.json").read_text())
+        old_fp = tmp_path / "old_fingerprint.json"
+        old_fp.write_text(json.dumps({**fp, "magnification": None}), encoding="utf-8")
+        assert self._plan(old_fp) == 0
+        config = json.loads((self.dirs["plan"] / "config.json").read_text())
+        old_config = tmp_path / "old_config.json"
+        old_config.write_text(json.dumps({**config, "ensemble_chunks": 1}), encoding="utf-8")
+        assert self._train(old_config) == 0
+
+
 class TestGradcheckCommand:
     def test_passes_exit_0(self, capsys):
         assert main(["gradcheck", "--dims", "8x4", "--task", "classification"]) == 0

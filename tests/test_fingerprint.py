@@ -11,10 +11,10 @@ from slidemil.errors import ValidationError
 from slidemil.fingerprint import (
     DataFingerprint,
     RunConfig,
-    chunk_count,
     compute_fingerprint,
     derive_config,
 )
+from slidemil.inference import inference_windows
 
 from conftest import make_bag
 
@@ -104,27 +104,13 @@ class TestFingerprintStatistics:
             assert fp.patch_count_p5 <= fp.patch_count_median <= fp.patch_count_p95
 
 
-class TestChunkFormula:
-    @pytest.mark.parametrize("d,expected", [(1024, 13), (1536, 21), (2560, 37)])
-    def test_reference_dims(self, d, expected):
-        assert chunk_count(d, 256, 64) == expected
-
-    def test_h_equals_d(self):
-        assert chunk_count(64, 64, 16) == 1
-
-    def test_formula_is_floor(self):
-        # (300 - 256) // 64 + 1 = 1; the clamped extra window is an
-        # inference-level concern, not part of this count
-        assert chunk_count(300, 256, 64) == 1
-
-
 class TestDeriveConfig:
     def test_reference_rule_table(self):
         cfg = derive_config(_fp(1000, 1024))
         assert cfg.bag_size == 500
         assert cfg.hidden_dim == 256
         assert cfg.stride == 64
-        assert cfg.ensemble_chunks == 13
+        assert inference_windows(cfg, 1024).n_chunks == 13
         assert cfg.batch_size == 32
         assert cfg.dropout == 0.25
         assert cfg.learning_rate == 3e-4
@@ -139,10 +125,10 @@ class TestDeriveConfig:
         cfg = derive_config(_fp(100, 128))
         assert cfg.hidden_dim == 128
         assert cfg.stride == 32
-        assert cfg.ensemble_chunks == 1
+        assert inference_windows(cfg, 128).n_chunks == 1
 
     def test_virchow_dims(self):
-        assert derive_config(_fp(1000, 2560)).ensemble_chunks == 37
+        assert inference_windows(derive_config(_fp(1000, 2560)), 2560).n_chunks == 37
 
     def test_bag_size_rounds_half_up(self):
         assert derive_config(_fp(141, 64)).bag_size == 71  # 70.5 rounds up
@@ -167,12 +153,12 @@ class TestDeriveConfig:
         cfg = derive_config(_fp(1000, 1024), overrides={"hidden_dim": 128})
         assert cfg.hidden_dim == 128
         assert cfg.stride == 32
-        assert cfg.ensemble_chunks == chunk_count(1024, 128, 32)
+        assert inference_windows(cfg, 1024).n_chunks == 29  # (1024 - 128) / 32 + 1
 
     def test_stride_override_beats_rederivation(self):
         cfg = derive_config(_fp(1000, 1024), overrides={"hidden_dim": 128, "stride": 16})
         assert cfg.stride == 16
-        assert cfg.ensemble_chunks == chunk_count(1024, 128, 16)
+        assert inference_windows(cfg, 1024).n_chunks == 57  # (1024 - 128) / 16 + 1
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ValidationError):
@@ -200,8 +186,7 @@ class TestConfigSerialization:
         doc = json.loads(path.read_text())
         for key in ("task", "bag_size", "hidden_dim", "stride", "dropout",
                     "batch_size", "learning_rate", "weight_decay", "warmup_epochs",
-                    "max_epochs", "patience", "seed", "ensemble_chunks",
-                    "training_mode"):
+                    "max_epochs", "patience", "seed", "training_mode"):
             assert key in doc
 
     def test_invariants_enforced(self):

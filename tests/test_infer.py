@@ -77,22 +77,20 @@ class TestChunkWindows:
         with pytest.raises(ValidationError):
             chunk_windows(128, 64, 0)
 
-    def test_config_window_count_can_exceed_config_field(self):
-        # the config records the aligned-grid count; the emitted set adds the
-        # clamped tail window when the grid leaves a remainder
+    def test_config_window_count_includes_clamped_tail(self):
+        # the aligned grid has (300 - 256) // 64 + 1 = 1 window; K counts the
+        # clamped tail window the remainder adds
         cfg = RunConfig(task="classification", bag_size=4, hidden_dim=256,
                         stride=64, dropout=0.25, batch_size=32,
                         learning_rate=3e-4, weight_decay=1e-4, warmup_epochs=5,
-                        max_epochs=100, patience=10, seed=42,
-                        ensemble_chunks=(300 - 256) // 64 + 1)
-        assert cfg.ensemble_chunks == 1
+                        max_epochs=100, patience=10, seed=42)
         assert inference_windows(cfg, 300).n_chunks == 2
 
     def test_full_bag_mode_sees_one_full_window(self):
         cfg = RunConfig(task="classification", bag_size=4, hidden_dim=64,
                         stride=16, dropout=0.25, batch_size=1,
                         learning_rate=3e-4, weight_decay=1e-4, warmup_epochs=5,
-                        max_epochs=100, patience=10, seed=42, ensemble_chunks=5,
+                        max_epochs=100, patience=10, seed=42,
                         training_mode="full_bag_batch1")
         assert inference_windows(cfg, 128).windows == ((0, 128),)
 

@@ -85,6 +85,13 @@ class TestEmbeddingFormat:
             write_embedding_file(bag, path)
         assert not path.exists(), "no partial file may be left behind"
 
+    def test_nan_payload_rejected_on_read(self, tmp_path):
+        path = tmp_path / "nan.emb"
+        payload = np.array([[1.0, np.nan]], dtype="<f4").tobytes()
+        path.write_bytes(EMBEDDING_MAGIC + struct.pack("<II", 1, 2) + payload)
+        with pytest.raises(ValidationError):
+            read_embedding_file(path)
+
 
 class TestBagValidation:
     def test_rejects_wrong_rank(self):

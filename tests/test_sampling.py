@@ -58,10 +58,6 @@ class TestSamplePatches:
         # the degenerate path must not consume randomness
         assert rng.bit_generator.state == state_before
 
-    def test_source_slide_recorded(self, rng):
-        bag = make_bag(rng, 5, 4, slide_id="slide-9")
-        assert sample_patches(bag, 8, rng).source_slide == "slide-9"
-
 
 class TestFeatureIndices:
     def test_sorted_distinct_in_range(self, rng):

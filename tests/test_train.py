@@ -1,7 +1,9 @@
 """Training loop: schedule oracles, optimizer semantics, determinism, checkpoints."""
 
 import dataclasses
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -27,8 +29,7 @@ from conftest import make_classification_corpus, make_survival_corpus
 def tiny_config(**kw):
     base = dict(task="classification", bag_size=4, hidden_dim=8, stride=2,
                 dropout=0.25, batch_size=4, learning_rate=3e-4, weight_decay=1e-4,
-                warmup_epochs=5, max_epochs=6, patience=10, seed=42,
-                ensemble_chunks=1)
+                warmup_epochs=5, max_epochs=6, patience=10, seed=42)
     base.update(kw)
     return RunConfig(**base)
 
@@ -337,12 +338,33 @@ class TestCheckpointIO:
             load_checkpoint(cut)
 
     def test_garbage_header_is_format_error(self, tmp_path):
-        import struct
         bad = tmp_path / "bad.ckpt"
         junk = b"not json {{"
         bad.write_bytes(b"NNMILCK1" + struct.pack("<Q", len(junk)) + junk)
         with pytest.raises(FormatError):
             load_checkpoint(bad)
+
+    def _with_header_config(self, path, tmp_path, edit):
+        """Copy of the checkpoint at path whose header config is edit(config)."""
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + n])
+        header["config"] = edit(header["config"])
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        out = tmp_path / "edited.ckpt"
+        out.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + n:])
+        return out
+
+    def test_retired_ensemble_chunks_key_still_loads(self, tmp_path):
+        ckpt, path = self._trained(tmp_path)
+        old = self._with_header_config(path, tmp_path,
+                                       lambda cfg: {**cfg, "ensemble_chunks": 1})
+        assert load_checkpoint(old).config == ckpt.config
+
+    def test_header_config_not_an_object_is_format_error(self, tmp_path):
+        _, path = self._trained(tmp_path)
+        with pytest.raises(FormatError):
+            load_checkpoint(self._with_header_config(path, tmp_path, lambda cfg: [cfg]))
 
     def test_tiny_file_is_format_error(self, tmp_path):
         bad = tmp_path / "tiny.ckpt"
