@@ -96,8 +96,8 @@ def cmd_synth(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     manifest = dataio.load_manifest(args.manifest)
-    bags = dataio.load_bags(manifest, args.data_dir)
-    fp = compute_fingerprint(manifest, bags)
+    shapes = dataio.load_bag_shapes(manifest, args.data_dir, ("train",))
+    fp = compute_fingerprint(manifest, shapes)
     out = _out_dir(args)
     fp.to_json(out / "fingerprint.json")
     _write_run_manifest(out, "fingerprint", {"manifest": args.manifest,

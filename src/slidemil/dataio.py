@@ -10,6 +10,7 @@ Embedding file layout (little-endian throughout):
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +51,14 @@ class SlideBag:
     @property
     def embed_dim(self) -> int:
         return self.embeddings.shape[1]
+
+
+@dataclass(frozen=True)
+class BagShape:
+    """(N, D) of a bag, for callers that need no payload."""
+
+    n_patches: int
+    embed_dim: int
 
 
 @dataclass(frozen=True)
@@ -137,33 +146,38 @@ def label_arrays(task: str, entries):
     return times, events
 
 
+def _check_header(path, header: bytes, file_size: int) -> tuple[int, int]:
+    """(N, D) from the first bytes of an embedding file whose size is file_size."""
+    if len(header) < 8 or header[:8] != EMBEDDING_MAGIC:
+        raise FormatError(f"{path}: not an embedding file (bad magic)")
+    if len(header) < HEADER_SIZE:
+        raise CorruptionError(f"{path}: truncated header ({len(header)} bytes)")
+    n, d = struct.unpack("<II", header[8:HEADER_SIZE])
+    expected = HEADER_SIZE + 4 * n * d
+    if file_size != expected:
+        raise CorruptionError(
+            f"{path}: payload length mismatch (header says {n}x{d}, "
+            f"expected {expected} bytes, file has {file_size})"
+        )
+    if n < 1 or d < 1:
+        raise CorruptionError(f"{path}: header declares empty matrix {n}x{d}")
+    return n, d
+
+
 def read_embedding_header(path: str | Path) -> tuple[int, int]:
-    """Read (N, D) from an embedding file without loading the payload."""
+    """Read (N, D) from an embedding file without loading the payload; the
+    file size must still match the header."""
     with open(path, "rb") as f:
         header = f.read(HEADER_SIZE)
-    if len(header) < HEADER_SIZE or header[:8] != EMBEDDING_MAGIC:
-        raise FormatError(f"{path}: not an embedding file (bad magic)")
-    n, d = struct.unpack("<II", header[8:16])
-    return n, d
+        size = os.fstat(f.fileno()).st_size
+    return _check_header(path, header, size)
 
 
 def read_embedding_file(path: str | Path, slide_id: str = "", patient_id: str = "") -> SlideBag:
     """Load a SlideBag; validates magic and payload length (SlideBag checks finiteness)."""
     path = Path(path)
     raw = path.read_bytes()
-    if len(raw) < 8 or raw[:8] != EMBEDDING_MAGIC:
-        raise FormatError(f"{path}: not an embedding file (bad magic)")
-    if len(raw) < HEADER_SIZE:
-        raise CorruptionError(f"{path}: truncated header ({len(raw)} bytes)")
-    n, d = struct.unpack("<II", raw[8:16])
-    expected = HEADER_SIZE + 4 * n * d
-    if len(raw) != expected:
-        raise CorruptionError(
-            f"{path}: payload length mismatch (header says {n}x{d}, "
-            f"expected {expected} bytes, file has {len(raw)})"
-        )
-    if n < 1 or d < 1:
-        raise CorruptionError(f"{path}: header declares empty matrix {n}x{d}")
+    n, d = _check_header(path, raw[:HEADER_SIZE], len(raw))
     emb = np.frombuffer(raw, dtype="<f4", offset=HEADER_SIZE).reshape(n, d)
     return SlideBag(slide_id=slide_id or path.stem, patient_id=patient_id or path.stem,
                     embeddings=emb.copy())
@@ -251,16 +265,24 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _entry_path(entry: ManifestEntry, data_dir: Path) -> Path:
+    p = Path(entry.embedding_path)
+    return p if p.is_absolute() else data_dir / p
+
+
 def load_bags(manifest: DatasetManifest, data_dir: str | Path,
               splits=SPLITS) -> dict[str, SlideBag]:
     """Load the embedding files of the entries in the given splits, keyed by slide_id."""
     data_dir = Path(data_dir)
-    bags = {}
-    for e in manifest.entries:
-        if e.split not in splits:
-            continue
-        p = Path(e.embedding_path)
-        if not p.is_absolute():
-            p = data_dir / p
-        bags[e.slide_id] = read_embedding_file(p, slide_id=e.slide_id, patient_id=e.patient_id)
-    return bags
+    return {e.slide_id: read_embedding_file(_entry_path(e, data_dir), slide_id=e.slide_id,
+                                            patient_id=e.patient_id)
+            for e in manifest.entries if e.split in splits}
+
+
+def load_bag_shapes(manifest: DatasetManifest, data_dir: str | Path,
+                    splits=SPLITS) -> dict[str, BagShape]:
+    """Shapes of the embedding files of the entries in the given splits, keyed
+    by slide_id, from their headers alone (payloads are not read or scanned)."""
+    data_dir = Path(data_dir)
+    return {e.slide_id: BagShape(*read_embedding_header(_entry_path(e, data_dir)))
+            for e in manifest.entries if e.split in splits}

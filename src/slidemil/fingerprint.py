@@ -10,12 +10,13 @@ and with it the ensemble size K, comes from ``inference.chunk_windows``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import DatasetManifest, SlideBag, read_json
+from .dataio import BagShape, DatasetManifest, SlideBag, read_json
 from .errors import FormatError, ValidationError
 
 DEFAULT_HIDDEN_DIM = 256
@@ -76,6 +77,10 @@ class DataFingerprint:
         return _from_fields(cls, read_json(path), retired=("magnification",))
 
 
+# accepted value types per RunConfig annotation (annotations are strings here)
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dict": dict}
+
+
 @dataclass
 class RunConfig:
     task: str
@@ -94,6 +99,10 @@ class RunConfig:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValidationError(f"RunConfig.{f.name} must be {f.type}, got {value!r}")
         if self.bag_size < 1:
             raise ValidationError("bag_size must be >= 1")
         if self.stride < 1:
@@ -119,8 +128,13 @@ class RunConfig:
         return cls.from_dict(read_json(path))
 
 
-def compute_fingerprint(manifest: DatasetManifest, bags: dict[str, SlideBag]) -> DataFingerprint:
-    """Dataset statistics over the train split; percentiles use linear interpolation."""
+def compute_fingerprint(manifest: DatasetManifest,
+                        bags: dict[str, SlideBag | BagShape]) -> DataFingerprint:
+    """Dataset statistics over the train split; percentiles use linear interpolation.
+
+    Only the train bags' n_patches and embed_dim are read, so bags may map
+    slide_id to headers (dataio.load_bag_shapes) instead of loaded bags.
+    """
     train = manifest.split_entries("train")
     if not train:
         raise ValidationError("cannot fingerprint an empty train split")

@@ -141,6 +141,10 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         fh.write(payload)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if len(raw) < len(CHECKPOINT_MAGIC) + 8:
@@ -156,14 +160,20 @@ def load_checkpoint(path) -> Checkpoint:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"unreadable checkpoint header: {exc}") from exc
     payload = raw[header_end:]
+    tensors = header.get("tensors") if isinstance(header, dict) else None
+    if not (isinstance(tensors, dict) and _is_count(header.get("opt_step"))
+            and isinstance(header.get("config"), dict)):
+        raise FormatError("checkpoint header needs an object 'tensors', "
+                          "a non-negative integer 'opt_step' and an object 'config'")
 
     arrays = {}
     expected_end = 0
-    for name, meta in header["tensors"].items():
-        shape = tuple(meta["shape"])
-        n_bytes = int(np.prod(shape)) * 4 if shape else 4
-        start = meta["offset"]
-        end = start + n_bytes
+    for name, meta in tensors.items():
+        meta = meta if isinstance(meta, dict) else {}
+        shape, start = meta.get("shape"), meta.get("offset")
+        if not (isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(start)):
+            raise FormatError(f"tensor {name}: shape and offset must be non-negative integers")
+        end = start + 4 * math.prod(shape)
         if end > len(payload):
             raise CorruptionError(f"tensor {name} extends past the payload")
         arrays[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
@@ -271,7 +281,9 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
             if task == "survival" and int(np.sum(batch_targets[1])) == 0:
                 skipped_eventless += 1
                 continue
-            result = model.forward(x, mask, feat, training=True, rng=rng, need_cache=True)
+            # SlideBag scanned every bag when it was built; padding rows are zeros
+            result = model.forward(x, mask, feat, training=True, rng=rng, need_cache=True,
+                                   check_finite=False)
             loss, d_out = _loss_and_grad(task, result.outputs, batch_targets)
             grads = model.backward(result.cache, d_out)
             adamw_step(model.params, grads, state, lr, config.weight_decay)

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -229,6 +230,33 @@ class TestExitCodes:
         assert main(["plan", "--fingerprint", str(dirs["fp"] / "fingerprint.json"),
                      "--override", "bogus_key=1", "--out", str(dirs["plan"])]) == 1
 
+    def test_wrongly_typed_override_is_1(self, tmp_path, pipeline_dirs, capsys):
+        dirs = pipeline_dirs
+        spec = _write_spec(tmp_path / "spec.json")
+        main(["synth", "--spec", str(spec), "--out", str(dirs["data"])])
+        main(["fingerprint", "--manifest", str(dirs["data"] / "manifest.json"),
+              "--data-dir", str(dirs["data"]), "--out", str(dirs["fp"])])
+        capsys.readouterr()
+        assert main(["plan", "--fingerprint", str(dirs["fp"] / "fingerprint.json"),
+                     "--override", "bag_size=abc", "--out", str(dirs["plan"])]) == 1
+        assert "bag_size" in capsys.readouterr().err
+
+    def test_checkpoint_header_without_tensors_is_2(self, tmp_path, pipeline_dirs):
+        dirs = pipeline_dirs
+        _run_through_predict(tmp_path, pipeline_dirs,
+                             plan_args=("--override", "max_epochs=1"))
+        raw = (dirs["train"] / "checkpoint.ckpt").read_bytes()
+        (n,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + n])
+        del header["tensors"]
+        text = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "no_tensors.ckpt"
+        bad.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + n:])
+        assert main(["predict", "--manifest", str(dirs["data"] / "manifest.json"),
+                     "--data-dir", str(dirs["data"]),
+                     "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "p2")]) == 2
+
     def test_truncated_checkpoint_is_2(self, tmp_path, pipeline_dirs):
         dirs = pipeline_dirs
         _run_through_predict(tmp_path, pipeline_dirs,
@@ -240,6 +268,36 @@ class TestExitCodes:
                      "--data-dir", str(dirs["data"]),
                      "--checkpoint", str(clipped),
                      "--out", str(tmp_path / "p2")]) == 2
+
+
+class TestFingerprintReadsHeaders:
+    """fingerprint reads only the train files' headers, and checks their sizes."""
+
+    def _corpus(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--spec", str(_write_spec(tmp_path / "spec.json")),
+                     "--out", str(data)]) == 0
+        return data, load_manifest(data / "manifest.json")
+
+    def _fingerprint(self, data, out):
+        return main(["fingerprint", "--manifest", str(data / "manifest.json"),
+                     "--data-dir", str(data), "--out", str(out)])
+
+    def test_val_and_test_embeddings_are_not_read(self, tmp_path):
+        data, manifest = self._corpus(tmp_path)
+        assert self._fingerprint(data, tmp_path / "full") == 0
+        for entry in manifest.entries:
+            if entry.split != "train":
+                (data / entry.embedding_path).unlink()
+        assert self._fingerprint(data, tmp_path / "headers") == 0
+        assert ((tmp_path / "headers" / "fingerprint.json").read_bytes()
+                == (tmp_path / "full" / "fingerprint.json").read_bytes())
+
+    def test_truncated_train_file_is_2(self, tmp_path):
+        data, manifest = self._corpus(tmp_path)
+        path = data / manifest.split_entries("train")[0].embedding_path
+        path.write_bytes(path.read_bytes()[:-4])
+        assert self._fingerprint(data, tmp_path / "fp") == 2
 
 
 class TestPlanWindowCount:

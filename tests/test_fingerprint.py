@@ -196,6 +196,18 @@ class TestConfigSerialization:
         with pytest.raises(ValidationError):
             dataclasses.replace(cfg, training_mode="bogus")
 
+    @pytest.mark.parametrize("field,value", [("bag_size", "abc"), ("stride", 4.0),
+                                             ("learning_rate", "3e-4"), ("seed", True),
+                                             ("task", 1), ("overrides", [])])
+    def test_wrongly_typed_field_names_it(self, field, value):
+        cfg = derive_config(_fp(100, 64))
+        with pytest.raises(ValidationError, match=field):
+            dataclasses.replace(cfg, **{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = derive_config(_fp(100, 64))
+        assert dataclasses.replace(cfg, seed=np.int64(3), dropout=np.float32(0.5)).seed == 3
+
     def test_fingerprint_json_roundtrip(self, tmp_path):
         fp = _fp(141, 512)
         path = tmp_path / "fp.json"

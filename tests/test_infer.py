@@ -28,11 +28,11 @@ from slidemil.inference import (
 )
 from slidemil.model import GatedAttentionMIL
 
-from conftest import make_bag
+from conftest import assert_window_close, make_bag
 
 
-def _model(d=8, h=4, c=3, seed=0):
-    m = GatedAttentionMIL(d, h, c)
+def _model(d=8, h=4, c=3, seed=0, dtype=np.float32):
+    m = GatedAttentionMIL(d, h, c, dtype=dtype)
     m.init_params(np.random.default_rng(seed))
     return m
 
@@ -150,7 +150,7 @@ class TestEnsembleOutputs:
         mask = np.ones((1, 6), dtype=bool)
         for k, (s, e) in enumerate(wins.windows):
             ref = m.forward(x, mask, np.arange(s, e)).outputs[0]
-            np.testing.assert_allclose(out[k], ref, atol=0)
+            assert_window_close(out[k], ref, m.dtype)
 
     def test_attention_is_mean_over_windows(self, rng):
         m = _model()
@@ -161,8 +161,8 @@ class TestEnsembleOutputs:
         x = bag.embeddings[None]
         mask = np.ones((1, 5), dtype=bool)
         ref = np.mean([m.forward(x, mask, np.arange(s, e)).attention[0]
-                       for s, e in wins.windows], axis=0)
-        np.testing.assert_allclose(att, ref, atol=1e-15)
+                       for s, e in wins.windows], axis=0, dtype=np.float64)
+        assert_window_close(att, ref, m.dtype)
 
     def test_dim_mismatch_rejected(self, rng):
         m = _model(d=8)
@@ -224,12 +224,13 @@ class TestPredictClassification:
             or pred.mutual_info == 0.0
 
     def test_logit_shift_invariance_of_class_and_probs(self, rng):
-        m = _model()
+        # float64: a float32 head rounds o + 7 to its own ulp (4.8e-7), which
+        # moves the probabilities by about 1e-7 of their value
+        m = _model(dtype=np.float64)
         bag = make_bag(rng, 6, 8)
         wins = chunk_windows(8, 4, 2)
         pred = predict_classification(m, bag, wins)
-        shifted = GatedAttentionMIL(8, 4, 3)
-        shifted.init_params(np.random.default_rng(0))
+        shifted = _model(dtype=np.float64)
         shifted.params["head_bias"] = m.params["head_bias"] + 7.0
         pred2 = predict_classification(shifted, bag, wins)
         assert pred2.predicted_class == pred.predicted_class

@@ -56,6 +56,13 @@ class TestEmbeddingFormat:
         write_embedding_file(bag, path)
         assert read_embedding_header(path) == (9, 3)
 
+    def test_header_reader_checks_file_size(self, rng, tmp_path):
+        path = tmp_path / "h.emb"
+        write_embedding_file(make_bag(rng, 9, 3), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CorruptionError):
+            read_embedding_header(path)
+
     def test_bad_magic_is_format_error(self, rng, tmp_path):
         path = tmp_path / "bad.emb"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)

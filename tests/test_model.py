@@ -15,14 +15,19 @@ from hypothesis import strategies as st
 from slidemil.errors import ValidationError
 from slidemil.inference import chunk_windows
 from slidemil.model import (
+    MAX_BLOCKS_PER_WINDOW,
     PARAM_NAMES,
+    ROW_TILE,
     GatedAttentionMIL,
     _perturbed_losses,
+    _window_blocks,
     cox_loss,
     cross_entropy_loss,
     grad_check,
     mse_loss,
 )
+
+from conftest import assert_window_close
 
 
 def _model(d=6, h=4, c=2, dropout=0.0, dtype=np.float64, seed=0):
@@ -242,17 +247,71 @@ def _window_cases(draw):
     return m, x, chunk_windows(d, h, stride).windows
 
 
+def _per_window_forward(m, x, windows):
+    """(outputs (K, C), attention (K, N)) of one forward() call per window."""
+    mask = np.ones((1, x.shape[0]), dtype=bool)
+    refs = [m.forward(x[None], mask, np.arange(start, end)) for start, end in windows]
+    return (np.concatenate([r.outputs for r in refs]),
+            np.concatenate([r.attention for r in refs]))
+
+
 class TestForwardWindows:
     @settings(max_examples=60, deadline=None)
     @given(_window_cases())
-    def test_equals_per_window_forward_exactly(self, case):
+    def test_matches_per_window_forward(self, case):
         m, x, windows = case
         outputs, attention = m.forward_windows(x, windows)
-        mask = np.ones((1, x.shape[0]), dtype=bool)
-        for k, (start, end) in enumerate(windows):
-            ref = m.forward(x[None], mask, np.arange(start, end))
-            np.testing.assert_allclose(outputs[k], ref.outputs[0], rtol=0, atol=0)
-            np.testing.assert_allclose(attention[k], ref.attention[0], rtol=0, atol=0)
+        ref_outputs, ref_attention = _per_window_forward(m, x, windows)
+        assert outputs.shape == ref_outputs.shape and attention.shape == ref_attention.shape
+        for k in range(len(windows)):
+            assert_window_close(outputs[k], ref_outputs[k], m.dtype)
+            assert_window_close(attention[k], ref_attention[k], m.dtype)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.data())
+    def test_block_split_covers_each_window_once(self, d, data):
+        h = data.draw(st.integers(1, d))
+        stride = data.draw(st.integers(1, d))
+        for windows in (chunk_windows(d, h, stride).windows, ((0, d),)):
+            plan = _window_blocks(windows)
+            assert len(plan) == len(windows)
+            for (start, end), blocks in zip(windows, plan):
+                cols = np.concatenate([np.arange(b, e) for b, e in blocks])
+                assert np.array_equal(cols, np.arange(start, end))
+                assert len(blocks) <= MAX_BLOCKS_PER_WINDOW
+
+    def test_block_split_shares_blocks_and_isolates_clamped_window(self):
+        # D=70, H=16, S=4: g=4, four blocks per window; the clamped start 54
+        # is not a multiple of g, so that window is one block
+        plan = _window_blocks(chunk_windows(70, 16, 4).windows)
+        assert plan[0] == ((0, 4), (4, 8), (8, 12), (12, 16))
+        assert plan[1] == ((4, 8), (8, 12), (12, 16), (16, 20))
+        assert plan[-1] == ((54, 70),)
+        # D=32, H=12, S=8: g=4, and the clamped start 20 is a multiple of it
+        assert _window_blocks(chunk_windows(32, 12, 8).windows)[-1] == ((20, 24), (24, 28), (28, 32))
+        # S=2 would give 32 blocks per window, more than the cutoff
+        assert all(len(b) == 1 for b in _window_blocks(chunk_windows(70, 64, 2).windows))
+
+    @pytest.mark.parametrize("n", [1, ROW_TILE, ROW_TILE + 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_tile_edges(self, n, dtype):
+        # D=26, H=8, S=2: four blocks per window and a clamped final window
+        m = _model(d=26, h=8, c=3, dtype=dtype)
+        x = np.random.default_rng(n).standard_normal((n, 26)).astype(dtype)
+        windows = chunk_windows(26, 8, 4).windows
+        assert windows[-1] == (18, 26)
+        outputs, attention = m.forward_windows(x, windows)
+        ref_outputs, ref_attention = _per_window_forward(m, x, windows)
+        assert_window_close(outputs, ref_outputs, dtype)
+        assert_window_close(attention, ref_attention, dtype)
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        m = _model(d=40, h=16, c=2, dtype=np.float32)
+        x = np.random.default_rng(3).standard_normal((ROW_TILE + 7, 40)).astype(np.float32)
+        windows = chunk_windows(40, 16, 4).windows
+        first = m.forward_windows(x, windows)
+        again = m.forward_windows(x, windows)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
     @settings(max_examples=60, deadline=None)
     @given(_window_cases())
@@ -280,7 +339,7 @@ class TestForwardWindows:
         x = np.random.default_rng(1).standard_normal((7, 10))
         outputs, _ = m.forward_windows(x, windows)
         ref = m.forward(x[None], np.ones((1, 7), dtype=bool), np.arange(6, 10))
-        assert np.array_equal(outputs[2], ref.outputs[0])
+        assert_window_close(outputs[2], ref.outputs[0], np.float64)
 
     def test_wrong_shape_rejected(self):
         m = _model(d=6)
@@ -288,6 +347,33 @@ class TestForwardWindows:
             m.forward_windows(np.zeros((3, 5)), ((0, 4),))
         with pytest.raises(ValidationError):
             m.forward_windows(np.zeros((1, 3, 6)), ((0, 4),))
+
+
+class TestAttentionLogits:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("feat", [np.arange(1, 5), np.array([0, 2, 3, 5])])
+    def test_own_logits_reproduce_forward_bitwise(self, rng, dtype, feat):
+        m = _model(dtype=dtype)
+        x, mask = _batch(rng, n=3, m=5, n_valid=[5, 3, 1])
+        plain = m.forward(x, mask, feat, need_cache=True)
+        logits = np.zeros(mask.shape, dtype=dtype)
+        w = m.params["attention_w"]
+        for i, (valid, *_, gated_out, _alpha) in enumerate(plain.cache[1:]):
+            logits[i, valid] = gated_out @ w
+        given = m.forward(x, mask, feat, attention_logits=logits)
+        assert np.array_equal(given.outputs, plain.outputs)
+        assert np.array_equal(given.attention, plain.attention)
+
+    def test_rejected_with_cache_dropout_or_wrong_shape(self, rng):
+        m = _model(dropout=0.5)
+        x, mask = _batch(rng, n=2, m=4)
+        logits = np.zeros((2, 4))
+        with pytest.raises(ValidationError):
+            m.forward(x, mask, np.arange(4), need_cache=True, attention_logits=logits)
+        with pytest.raises(ValidationError):
+            m.forward(x, mask, np.arange(4), training=True, rng=rng, attention_logits=logits)
+        with pytest.raises(ValidationError):
+            m.forward(x, mask, np.arange(4), attention_logits=logits[:, :3])
 
 
 class TestCrossEntropy:

@@ -284,6 +284,22 @@ class TestValidationLoss:
         assert loss == pytest.approx(expected, rel=1e-12)
 
 
+def _without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def _setting(key, value):
+    return lambda header: {**header, key: value}
+
+
+def _tensor_meta(edit):
+    """Header edit that replaces the first tensor's entry with edit(entry)."""
+    def apply(header):
+        name = sorted(header["tensors"])[0]
+        return {**header, "tensors": {**header["tensors"], name: edit(header["tensors"][name])}}
+    return apply
+
+
 class TestCheckpointIO:
     def _trained(self, tmp_path):
         manifest, bags = _signal_corpus(n_bags=12)
@@ -344,16 +360,42 @@ class TestCheckpointIO:
         with pytest.raises(FormatError):
             load_checkpoint(bad)
 
-    def _with_header_config(self, path, tmp_path, edit):
-        """Copy of the checkpoint at path whose header config is edit(config)."""
+    def _with_header(self, path, tmp_path, edit):
+        """Copy of the checkpoint at path whose JSON header is edit(header)."""
         raw = path.read_bytes()
         (n,) = struct.unpack("<Q", raw[8:16])
-        header = json.loads(raw[16:16 + n])
-        header["config"] = edit(header["config"])
-        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        text = json.dumps(edit(json.loads(raw[16:16 + n])), sort_keys=True).encode("utf-8")
         out = tmp_path / "edited.ckpt"
         out.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + n:])
         return out
+
+    def _with_header_config(self, path, tmp_path, edit):
+        """Copy of the checkpoint at path whose header config is edit(config)."""
+        return self._with_header(path, tmp_path,
+                                 lambda header: {**header, "config": edit(header["config"])})
+
+    @pytest.mark.parametrize("edit", [
+        _without("tensors"), _without("opt_step"), _without("config"),
+        _setting("tensors", ["attention_v"]), _setting("opt_step", "3"),
+        _setting("opt_step", -1), _setting("opt_step", 1.5), _setting("opt_step", True),
+        _setting("config", "nnmil"), lambda header: [header],
+        _tensor_meta(lambda meta: {"offset": meta["offset"]}),
+        _tensor_meta(lambda meta: {"shape": meta["shape"]}),
+        _tensor_meta(lambda meta: {**meta, "shape": [-1, 2]}),
+        _tensor_meta(lambda meta: {**meta, "shape": [2.0]}),
+        _tensor_meta(lambda meta: {**meta, "shape": "2"}),
+        _tensor_meta(lambda meta: {**meta, "offset": -4}),
+        _tensor_meta(lambda meta: {**meta, "offset": "0"}),
+        _tensor_meta(lambda meta: 3),
+    ], ids=["no-tensors", "no-opt_step", "no-config", "tensors-array", "opt_step-string",
+            "opt_step-negative", "opt_step-float", "opt_step-bool", "config-string",
+            "header-array", "tensor-no-shape", "tensor-no-offset", "shape-negative",
+            "shape-float", "shape-string", "offset-negative", "offset-string",
+            "tensor-not-object"])
+    def test_malformed_header_is_format_error(self, tmp_path, edit):
+        _, path = self._trained(tmp_path)
+        with pytest.raises(FormatError):
+            load_checkpoint(self._with_header(path, tmp_path, edit))
 
     def test_retired_ensemble_chunks_key_still_loads(self, tmp_path):
         ckpt, path = self._trained(tmp_path)
