@@ -138,7 +138,7 @@ def cmd_plan(args) -> int:
 
 def cmd_train(args) -> int:
     manifest = dataio.load_manifest(args.manifest)
-    bags = dataio.load_bags(manifest, args.data_dir)
+    bags = dataio.load_bags(manifest, args.data_dir, ("train", "val"))
     config = _load_config(args)
     out = _out_dir(args)
     ckpt_path = out / "checkpoint.ckpt"

@@ -5,6 +5,14 @@ Embedding file layout (little-endian throughout):
     bytes 8-11   N (number of patches) as uint32
     bytes 12-15  D (embedding dimension) as uint32
     then         N*D float32 values, row-major
+
+Loaded bags are read-only memory maps of their files' payloads: loading
+copies nothing, and the operating system may evict clean pages of a corpus
+larger than memory. Each loaded bag holds one open file descriptor until it
+is freed, and load_bags raises the process's soft descriptor limit to fit.
+A file must not be modified in place while a bag maps it (truncating it
+under the mapping ends the process with SIGBUS); write_embedding_file
+replaces files by renaming, which leaves mapped bags as they were.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,16 +28,28 @@ import numpy as np
 
 from .errors import CorruptionError, FormatError, ValidationError
 
+try:
+    import resource
+except ImportError:  # not on Windows, where the descriptor limit is not set this way
+    resource = None
+
 EMBEDDING_MAGIC = b"NNMILEB1"
 HEADER_SIZE = 16
 
 TASKS = ("classification", "regression", "survival")
 SPLITS = ("train", "val", "test")
+# Descriptors left free beside the mapped bags, for the files a command opens
+# while its bags are loaded (checkpoint, outputs, lazily imported modules).
+FD_HEADROOM = 32
 
 
 @dataclass
 class SlideBag:
-    """One slide's patch-embedding matrix plus identity metadata."""
+    """One slide's patch-embedding matrix plus identity metadata.
+
+    A bag read from a file holds a read-only view of the file's payload;
+    writing to its embeddings raises ValueError. Bags built from arrays hold
+    those arrays (cast to float32 if they are not)."""
 
     slide_id: str
     patient_id: str
@@ -40,7 +61,10 @@ class SlideBag:
             raise ValidationError(f"bag {self.slide_id}: embeddings must be 2-D, got shape {emb.shape}")
         if emb.shape[0] < 1 or emb.shape[1] < 1:
             raise ValidationError(f"bag {self.slide_id}: need N >= 1 and D >= 1, got shape {emb.shape}")
-        if not np.all(np.isfinite(emb)):
+        # min and max propagate NaN, so both are finite exactly when every
+        # value is; unlike isfinite they allocate nothing the size of the bag.
+        # The scan reads every page of a mapped bag now, not at first use.
+        if not (np.isfinite(emb.min()) and np.isfinite(emb.max())):
             raise ValidationError(f"bag {self.slide_id}: embeddings contain non-finite values")
         self.embeddings = emb
 
@@ -146,8 +170,11 @@ def label_arrays(task: str, entries):
     return times, events
 
 
-def _check_header(path, header: bytes, file_size: int) -> tuple[int, int]:
-    """(N, D) from the first bytes of an embedding file whose size is file_size."""
+def _read_header(path, f) -> tuple[int, int]:
+    """(N, D) from the header of the embedding file open as f; the file's
+    size must match it."""
+    header = f.read(HEADER_SIZE)
+    file_size = os.fstat(f.fileno()).st_size
     if len(header) < 8 or header[:8] != EMBEDDING_MAGIC:
         raise FormatError(f"{path}: not an embedding file (bad magic)")
     if len(header) < HEADER_SIZE:
@@ -168,29 +195,42 @@ def read_embedding_header(path: str | Path) -> tuple[int, int]:
     """Read (N, D) from an embedding file without loading the payload; the
     file size must still match the header."""
     with open(path, "rb") as f:
-        header = f.read(HEADER_SIZE)
-        size = os.fstat(f.fileno()).st_size
-    return _check_header(path, header, size)
+        return _read_header(path, f)
 
 
 def read_embedding_file(path: str | Path, slide_id: str = "", patient_id: str = "") -> SlideBag:
-    """Load a SlideBag; validates magic and payload length (SlideBag checks finiteness)."""
+    """Load a SlideBag whose embeddings are a read-only memory map of the
+    file's payload; validates magic and payload length (SlideBag checks
+    finiteness). Header and payload come from one open file, so a file
+    replaced meanwhile cannot pair one file's shape with another's values."""
     path = Path(path)
-    raw = path.read_bytes()
-    n, d = _check_header(path, raw[:HEADER_SIZE], len(raw))
-    emb = np.frombuffer(raw, dtype="<f4", offset=HEADER_SIZE).reshape(n, d)
+    with open(path, "rb") as f:
+        n, d = _read_header(path, f)
+        emb = np.memmap(f, dtype="<f4", mode="r", offset=HEADER_SIZE, shape=(n, d))
     return SlideBag(slide_id=slide_id or path.stem, patient_id=patient_id or path.stem,
-                    embeddings=emb.copy())
+                    embeddings=emb)
 
 
 def write_embedding_file(bag: SlideBag, path: str | Path) -> None:
-    """Write a SlideBag in the bit-exact on-disk format. No file is emitted on invalid input."""
+    """Write a SlideBag in the bit-exact on-disk format. No file is emitted on invalid input.
+
+    The bytes go to a new file in the same directory, which then replaces
+    path in one rename: readers see the old file or the new one, never a
+    partial one, and bags mapped from the old file keep their values."""
     emb = np.ascontiguousarray(bag.embeddings, dtype="<f4")
     if not np.all(np.isfinite(emb)):
         raise ValidationError(f"bag {bag.slide_id}: refusing to write non-finite embeddings")
     n, d = emb.shape
-    payload = EMBEDDING_MAGIC + struct.pack("<II", n, d) + emb.tobytes(order="C")
-    Path(path).write_bytes(payload)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(EMBEDDING_MAGIC + struct.pack("<II", n, d))
+            f.write(emb.data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _label_from_json(raw, task: str, slide_id: str):
@@ -272,11 +312,37 @@ def _entry_path(entry: ManifestEntry, data_dir: Path) -> Path:
 
 def load_bags(manifest: DatasetManifest, data_dir: str | Path,
               splits=SPLITS) -> dict[str, SlideBag]:
-    """Load the embedding files of the entries in the given splits, keyed by slide_id."""
+    """Load the embedding files of the entries in the given splits, keyed by
+    slide_id. Each bag maps its file and holds one open file descriptor."""
     data_dir = Path(data_dir)
+    entries = [e for e in manifest.entries if e.split in splits]
+    _reserve_file_descriptors(len(entries))
     return {e.slide_id: read_embedding_file(_entry_path(e, data_dir), slide_id=e.slide_id,
                                             patient_id=e.patient_id)
-            for e in manifest.entries if e.split in splits}
+            for e in entries}
+
+
+def _reserve_file_descriptors(count: int) -> None:
+    """Make room for count more open files beside those already open and
+    FD_HEADROOM spare, raising this process's soft RLIMIT_NOFILE up to its
+    hard limit if needed; ValidationError when the hard limit is too low,
+    instead of EMFILE partway through a load."""
+    if resource is None:
+        return
+    try:
+        open_fds = len(os.listdir("/dev/fd"))
+    except OSError:  # no /dev/fd to count them by
+        open_fds = 0
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    needed = count + open_fds + FD_HEADROOM
+    if soft == resource.RLIM_INFINITY or needed <= soft:
+        return
+    if hard != resource.RLIM_INFINITY and needed > hard:
+        raise ValidationError(
+            f"loading {count} embedding files needs {needed} open file descriptors, "
+            f"above this process's hard limit of {hard} (soft limit {soft}); "
+            f"raise it with ulimit -n or load fewer bags")
+    resource.setrlimit(resource.RLIMIT_NOFILE, (needed, hard))
 
 
 def load_bag_shapes(manifest: DatasetManifest, data_dir: str | Path,

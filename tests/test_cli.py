@@ -45,14 +45,20 @@ def _run_through_predict(tmp_path, dirs, spec_kw=None, plan_args=()):
     return manifest
 
 
-def _predict_without(dirs, manifest, splits, out):
-    """Exit code of predict on a copy of the corpus whose embedding files of
-    the given splits are deleted."""
+def _copy_without(dirs, manifest, splits, out):
+    """A copy of the corpus whose embedding files of the given splits are deleted."""
     data = out.parent / f"{out.name}_data"
     shutil.copytree(dirs["data"], data)
     for entry in load_manifest(manifest).entries:
         if entry.split in splits:
             (data / entry.embedding_path).unlink()
+    return data
+
+
+def _predict_without(dirs, manifest, splits, out):
+    """Exit code of predict on a copy of the corpus whose embedding files of
+    the given splits are deleted."""
+    data = _copy_without(dirs, manifest, splits, out)
     return main(["predict", "--manifest", str(data / "manifest.json"),
                  "--data-dir", str(data),
                  "--checkpoint", str(dirs["train"] / "checkpoint.ckpt"),
@@ -138,6 +144,16 @@ class TestClassificationPipeline:
         assert _predict_without(self.dirs, self.manifest, ("train", "val"), out) == 0
         assert (out / "predictions.jsonl").read_bytes() == \
             (self.dirs["pred"] / "predictions.jsonl").read_bytes()
+
+    def test_train_reads_only_train_and_val(self, tmp_path):
+        out = tmp_path / "no_test"
+        data = _copy_without(self.dirs, self.manifest, ("test",), out)
+        assert main(["train", "--manifest", str(data / "manifest.json"),
+                     "--data-dir", str(data),
+                     "--config", str(self.dirs["plan"] / "config.json"),
+                     "--out", str(out)]) == 0
+        assert (out / "checkpoint.ckpt").read_bytes() == \
+            (self.dirs["train"] / "checkpoint.ckpt").read_bytes()
 
 
 class TestSurvivalPipeline:

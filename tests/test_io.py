@@ -1,11 +1,19 @@
 """Binary embedding-file format and manifest validation."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from slidemil import dataio
+from slidemil.cli import main
 from slidemil.dataio import (
     EMBEDDING_MAGIC,
     DatasetManifest,
@@ -230,3 +238,226 @@ class TestLoadBags:
         manifest = DatasetManifest(entries=[_entry("ghost")], task="classification")
         with pytest.raises((OSError, FormatError)):
             load_bags(manifest, tmp_path)
+
+
+def _corpus(tmp_path, n_bags=3, n_patches=4, embed_dim=6, seed=0):
+    rng = np.random.default_rng(seed)
+    entries = []
+    for i in range(n_bags):
+        sid = f"s{i}"
+        write_embedding_file(make_bag(rng, n_patches + i, embed_dim, sid), tmp_path / f"{sid}.emb")
+        entries.append(_entry(sid, label=i % 2))
+    return DatasetManifest(entries=entries, task="classification")
+
+
+class TestMappedBags:
+    """Loaded bags are read-only views of their files: loading copies nothing."""
+
+    def test_loaded_bag_is_read_only(self, tmp_path):
+        manifest = _corpus(tmp_path)
+        for bag in [read_embedding_file(tmp_path / "s0.emb"),
+                    *load_bags(manifest, tmp_path).values()]:
+            assert not bag.embeddings.flags.writeable
+            with pytest.raises(ValueError):
+                bag.embeddings[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                bag.embeddings += 1.0
+
+    @pytest.mark.parametrize("load", ["read_embedding_file", "load_bags"])
+    def test_load_allocates_under_a_tenth_of_the_payload(self, load, tmp_path):
+        manifest = _corpus(tmp_path, n_bags=4, n_patches=512, embed_dim=256)
+        payload = sum(4 * (512 + i) * 256 for i in range(4))
+        read_embedding_file(tmp_path / "s0.emb")  # first call pays one-off imports
+        tracemalloc.start()
+        try:
+            if load == "read_embedding_file":
+                bags = [read_embedding_file(tmp_path / f"{e.slide_id}.emb")
+                        for e in manifest.entries]
+            else:
+                bags = list(load_bags(manifest, tmp_path).values())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(b.embeddings.nbytes for b in bags) == payload
+        assert peak < 0.1 * payload, f"loading allocated {peak} bytes for a {payload}-byte payload"
+
+    def test_rewrite_leaves_loaded_bag_unchanged(self, rng, tmp_path):
+        path = tmp_path / "a.emb"
+        first = make_bag(rng, 7, 5)
+        write_embedding_file(first, path)
+        loaded = read_embedding_file(path)
+        write_embedding_file(make_bag(rng, 3, 2), path)
+        assert np.array_equal(loaded.embeddings.view(np.uint32),
+                              first.embeddings.view(np.uint32))
+        assert read_embedding_file(path).embeddings.shape == (3, 2)
+        assert sorted(os.listdir(tmp_path)) == ["a.emb"], "no temporary file may be left"
+
+    def test_failed_rename_keeps_the_old_file(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "a.emb"
+        write_embedding_file(make_bag(rng, 4, 3), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dataio.os, "replace", fail)
+        with pytest.raises(OSError):
+            write_embedding_file(make_bag(rng, 9, 9), path)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["a.emb"], "no partial file may be left"
+
+
+_LIMITED_CHILD = """
+import resource, sys
+soft, hard = int(sys.argv[1]), int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+from slidemil import dataio
+try:
+    bags = dataio.load_bags(dataio.load_manifest(sys.argv[3]), sys.argv[4])
+except dataio.ValidationError as exc:
+    print(exc)
+    sys.exit(1)
+print(len(bags), resource.getrlimit(resource.RLIMIT_NOFILE)[0])
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_NOFILE is POSIX")
+class TestDescriptorBudget:
+    """Each mapped bag holds one open file descriptor; load_bags makes room for
+    them under the hard limit, or refuses before opening any."""
+
+    N_BAGS = 150
+
+    @pytest.fixture(autouse=True)
+    def _many_bags(self, tmp_path):
+        import resource
+
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[1] < 4 * self.N_BAGS:
+            pytest.skip("hard descriptor limit below this test's corpus")
+        manifest = _corpus(tmp_path, n_bags=self.N_BAGS, n_patches=2, embed_dim=2)
+        self.manifest_path = tmp_path / "manifest.json"
+        save_manifest(manifest, self.manifest_path)
+        self.data = tmp_path
+
+    def _child(self, soft, hard):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        return subprocess.run(
+            [sys.executable, "-c", _LIMITED_CHILD, str(soft), str(hard),
+             str(self.manifest_path), str(self.data)],
+            capture_output=True, text=True, env=env, timeout=120)
+
+    def test_raises_a_low_soft_limit(self):
+        done = self._child(soft=64, hard=4 * self.N_BAGS)
+        assert done.returncode == 0, done.stderr
+        n_loaded, soft_after = map(int, done.stdout.split())
+        assert n_loaded == self.N_BAGS
+        assert self.N_BAGS + dataio.FD_HEADROOM < soft_after <= 4 * self.N_BAGS
+
+    def test_refuses_past_the_hard_limit(self):
+        hard = self.N_BAGS
+        done = self._child(soft=64, hard=hard)
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert f"loading {self.N_BAGS} embedding files" in done.stdout
+        assert f"hard limit of {hard}" in done.stdout
+        assert "soft limit 64" in done.stdout
+
+
+@st.composite
+def damaged_embedding_files(draw):
+    """(file bytes, the error class reading them must raise) for one damage:
+    truncation at any offset, a header whose N x D disagrees with the file
+    size, bad magic, or one NaN or +-inf in the payload."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    x = np.arange(n * d, dtype="<f4").reshape(n, d) + 0.5
+    raw = EMBEDDING_MAGIC + struct.pack("<II", n, d) + x.tobytes()
+    kind = draw(st.sampled_from(["truncate", "size", "magic", "nonfinite"]))
+    if kind == "truncate":
+        cut = draw(st.integers(0, len(raw) - 1))
+        return raw[:cut], FormatError if cut < 8 else CorruptionError
+    if kind == "size":
+        shape = draw(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+                     .filter(lambda s: s[0] * s[1] != n * d)
+                     | st.tuples(st.integers(0, 2 * n), st.integers(0, 2 * d))
+                     .filter(lambda s: s[0] * s[1] != n * d))
+        return EMBEDDING_MAGIC + struct.pack("<II", *shape) + x.tobytes(), CorruptionError
+    if kind == "magic":
+        magic = draw(st.binary(min_size=8, max_size=8).filter(lambda m: m != EMBEDDING_MAGIC))
+        return magic + raw[8:], FormatError
+    x.flat[draw(st.integers(0, n * d - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return EMBEDDING_MAGIC + struct.pack("<II", n, d) + x.tobytes(), ValidationError
+
+
+EXIT_CODES = {FormatError: 2, CorruptionError: 2, ValidationError: 1}
+
+
+def _replace_file(path, raw: bytes) -> None:
+    """Put raw at path by renaming, so no earlier mapping of path sees it change."""
+    tmp = path.with_name(path.name + ".new")
+    tmp.write_bytes(raw)
+    os.replace(tmp, path)
+
+
+@pytest.fixture(scope="module")
+def trained_corpus(tmp_path_factory):
+    """A tiny classification corpus with a plan and a one-epoch checkpoint."""
+    root = tmp_path_factory.mktemp("fuzz")
+    spec = root / "spec.json"
+    spec.write_text(json.dumps({"task": "classification", "n_bags": 10,
+                                "patches_per_bag_range": [3, 5], "embed_dim": 5,
+                                "seed": 0}), encoding="utf-8")
+    data = root / "data"
+    assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+    manifest = data / "manifest.json"
+    assert main(["fingerprint", "--manifest", str(manifest), "--data-dir", str(data),
+                 "--out", str(root / "fp")]) == 0
+    assert main(["plan", "--fingerprint", str(root / "fp" / "fingerprint.json"),
+                 "--override", "max_epochs=1", "--out", str(root / "plan")]) == 0
+    assert main(["train", "--manifest", str(manifest), "--data-dir", str(data),
+                 "--config", str(root / "plan" / "config.json"),
+                 "--out", str(root / "train")]) == 0
+    return root, load_manifest(manifest)
+
+
+class TestReaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(damaged_embedding_files())
+    def test_error_class(self, tmp_path_factory, case):
+        raw, error = case
+        path = tmp_path_factory.mktemp("emb") / "x.emb"
+        path.write_bytes(raw)
+        for read in (read_embedding_file, read_embedding_header):
+            if error is ValidationError and read is read_embedding_header:
+                assert read(path) == struct.unpack("<II", raw[8:16])  # payload unread
+                continue
+            with pytest.raises(error) as info:
+                read(path)
+            assert type(info.value) is error
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=damaged_embedding_files())
+    def test_exit_codes(self, trained_corpus, case, capsys):
+        """predict reads the test split and train the train and val splits, so
+        one damaged file in each makes both exit with the error's code."""
+        root, manifest = trained_corpus
+        data = root / "data"
+        raw, error = case
+        damaged = [data / manifest.split_entries(split)[0].embedding_path
+                   for split in ("test", "train")]
+        originals = [p.read_bytes() for p in damaged]
+        for p in damaged:
+            _replace_file(p, raw)
+        try:
+            predict = main(["predict", "--manifest", str(data / "manifest.json"),
+                            "--data-dir", str(data),
+                            "--checkpoint", str(root / "train" / "checkpoint.ckpt"),
+                            "--out", str(root / "pred")])
+            train = main(["train", "--manifest", str(data / "manifest.json"),
+                          "--data-dir", str(data),
+                          "--config", str(root / "plan" / "config.json"),
+                          "--out", str(root / "train_again")])
+        finally:
+            for p, original in zip(damaged, originals):
+                _replace_file(p, original)
+        assert (predict, train) == (EXIT_CODES[error], EXIT_CODES[error])
+        assert "Traceback" not in capsys.readouterr().err
