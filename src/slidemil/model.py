@@ -65,7 +65,8 @@ def _gated_attention(xi: np.ndarray, xs: np.ndarray, v_sub: np.ndarray, u_sub: n
     Returns (alpha (m,), pooled (D,), activations kept for the backward pass).
     """
     tanh_act = np.tanh(xs @ v_sub.T)      # (m, H)
-    gate_act = 1.0 / (1.0 + np.exp(-(xs @ u_sub.T)))
+    with np.errstate(over="ignore"):      # exp overflows to inf; 1 / (1 + inf) is 0
+        gate_act = 1.0 / (1.0 + np.exp(-(xs @ u_sub.T)))
     gated = tanh_act * gate_act
     if dropout > 0.0:
         keep = (rng.random(gated.shape) >= dropout)
@@ -216,15 +217,18 @@ class GatedAttentionMIL:
         (N, D) under each feature window [start, end).
 
         The bag is scanned for non-finite values once and never copied. Each
-        window's projections x[:, window] @ [V; -U][:, window].T are the sum
+        window's projections x[:, window] @ [V; U/2][:, window].T are the sum
         of its column blocks' products (_window_blocks); the bag is walked in
         ROW_TILE-row tiles, and in each tile a block's product is computed
-        once and kept in a ring while the windows that contain it pass. -U
-        makes the gate 1 / (1 + exp(x @ (-U).T)), the same value as training's
-        1 / (1 + exp(-(x @ U.T))), from the one product. Block sums round
-        differently from one product per window, so outputs differ from
-        per-window forward() in their low bits. forward() then runs softmax,
-        pooling and the head on each window's logits.
+        once and kept in a ring while the windows that contain it pass. The
+        gate uses sigmoid(z) = (1 + tanh(z/2)) / 2, so one tanh covers both
+        halves of a product, and the logits
+        w @ (tanh(xV) * sigmoid(xU)) are [w/2; w/2] @ [t; t * tanh(xU/2)]
+        with t = tanh(xV): one GEMV, no exp, nothing to overflow. Halving is
+        exact in binary floating point. Block sums and the tanh form round
+        differently from per-window forward(), so outputs differ from it in
+        their low bits. forward() then runs softmax, pooling and the head on
+        each window's logits.
         """
         x = np.asarray(embeddings, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.embed_dim:
@@ -232,8 +236,9 @@ class GatedAttentionMIL:
         if not np.all(np.isfinite(x)):
             raise ValidationError("embeddings contain non-finite values")
         h, n = self.hidden_dim, x.shape[0]
-        w = self.params["attention_w"]
-        proj = np.concatenate([self.params["attention_v"], -self.params["attention_u"]])
+        half = self.dtype.type(0.5)
+        w2 = np.concatenate([self.params["attention_w"], self.params["attention_w"]]) * half
+        proj = np.concatenate([self.params["attention_v"], self.params["attention_u"] * half])
         plan = _window_blocks(windows)
         block_weights = {b: np.ascontiguousarray(proj[:, b[0]:b[1]])
                          for blocks in plan for b in blocks}  # (2H, width) each
@@ -244,7 +249,6 @@ class GatedAttentionMIL:
         for t0 in range(0, n, ROW_TILE):
             xt = x[t0:t0 + ROW_TILE]
             pre = np.empty((2 * h, len(xt)), dtype=self.dtype)
-            tanh_act, gate_act = pre[:h], pre[h:]
             ring = {}
             for k, blocks in enumerate(plan):
                 ring = {b: ring[b] if b in ring else block_weights[b] @ xt[:, b[0]:b[1]].T
@@ -252,12 +256,9 @@ class GatedAttentionMIL:
                 np.copyto(pre, ring[blocks[0]])
                 for b in blocks[1:]:
                     pre += ring[b]
-                np.tanh(tanh_act, out=tanh_act)
-                np.exp(gate_act, out=gate_act)
-                gate_act += 1.0
-                np.reciprocal(gate_act, out=gate_act)
-                tanh_act *= gate_act
-                np.matmul(w, tanh_act, out=logits[k, t0:t0 + len(xt)])
+                np.tanh(pre, out=pre)
+                pre[h:] *= pre[:h]
+                np.matmul(w2, pre, out=logits[k, t0:t0 + len(xt)])
 
         mask = np.ones((1, n), dtype=bool)
         results = [self.forward(x[None], mask, np.arange(start, end), check_finite=False,

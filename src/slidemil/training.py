@@ -5,6 +5,12 @@ Training is a deterministic function of (config, manifest, bag bytes): one
 root generator is seeded from config.seed and consumed in a fixed order
 (param init, then per epoch: batch plan, per batch: patch subsets, feature
 subset, dropout), so identical runs produce bitwise-identical checkpoints.
+
+Memory: a run allocates one (batch_size, bag_size, D) float32 batch buffer,
+and sample_patches writes each step's slides straight into its rows. A
+step's activations are released once its update is applied, so besides the
+mapped train and val bags training holds one batch and one step's
+activations at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from . import inference
 from .dataio import DatasetManifest, SlideBag, label_arrays
 from .errors import CorruptionError, FormatError, ValidationError
 from .fingerprint import RunConfig
-from .model import GatedAttentionMIL, cox_loss, cross_entropy_loss, mse_loss
-from .sampling import (FixedBag, balanced_batches, full_feature_indices, plain_batches,
+from .model import PARAM_NAMES, GatedAttentionMIL, cox_loss, cross_entropy_loss, mse_loss
+from .sampling import (balanced_batches, full_feature_indices, plain_batches,
                        regression_batches, sample_feature_indices, sample_patches,
                        survival_batches)
 
@@ -145,6 +151,25 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _check_model_tensors(arrays: dict[str, np.ndarray]) -> None:
+    """The tensors must be one model's parameters, each with its two Adam
+    moments, in shapes that agree with each other."""
+    names = {*PARAM_NAMES, *(f"adam_{m}.{name}" for m in "mv" for name in PARAM_NAMES)}
+    if set(arrays) != names:
+        raise FormatError(f"checkpoint tensors {sorted(arrays)} are not {sorted(names)}")
+    v, head = arrays["attention_v"], arrays["head_weight"]
+    if v.ndim != 2 or head.ndim != 2:
+        raise FormatError("attention_v and head_weight must be matrices")
+    (h, d), c = v.shape, head.shape[0]
+    shapes = {"attention_v": (h, d), "attention_u": (h, d), "attention_w": (h,),
+              "head_weight": (c, d), "head_bias": (c,)}
+    for name, shape in shapes.items():
+        for key in (name, f"adam_m.{name}", f"adam_v.{name}"):
+            if arrays[key].shape != shape:
+                raise FormatError(f"tensor {key} has shape {list(arrays[key].shape)}, "
+                                  f"not {list(shape)}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if len(raw) < len(CHECKPOINT_MAGIC) + 8:
@@ -166,20 +191,31 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError("checkpoint header needs an object 'tensors', "
                           "a non-negative integer 'opt_step' and an object 'config'")
 
-    arrays = {}
-    expected_end = 0
+    layout = []
     for name, meta in tensors.items():
         meta = meta if isinstance(meta, dict) else {}
         shape, start = meta.get("shape"), meta.get("offset")
         if not (isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(start)):
             raise FormatError(f"tensor {name}: shape and offset must be non-negative integers")
+        layout.append((start, name, shape))
+
+    # the tensors must tile the payload: in offset order, each starts where
+    # the one before it ends, and the last ends with the file
+    arrays = {}
+    end = 0
+    for start, name, shape in sorted(layout):
+        if start != end:
+            raise CorruptionError(f"tensor {name} starts at payload byte {start}, not {end}")
         end = start + 4 * math.prod(shape)
         if end > len(payload):
             raise CorruptionError(f"tensor {name} extends past the payload")
-        arrays[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
-        expected_end = max(expected_end, end)
-    if expected_end != len(payload):
+        arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise CorruptionError(f"tensor {name} holds non-finite values")
+        arrays[name] = arr
+    if end != len(payload):
         raise CorruptionError("checkpoint payload length mismatch")
+    _check_model_tensors(arrays)
 
     params = {k: v for k, v in arrays.items() if not k.startswith("adam_")}
     opt_m = {k[len("adam_m."):]: v for k, v in arrays.items() if k.startswith("adam_m.")}
@@ -187,12 +223,6 @@ def load_checkpoint(path) -> Checkpoint:
     config = RunConfig.from_dict(header["config"])
     return Checkpoint(params=params, opt_m=opt_m, opt_v=opt_v,
                       opt_step=header["opt_step"], config=config)
-
-
-def _stack_fixed(fixed: list[FixedBag]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([f.embeddings for f in fixed])
-    mask = np.stack([f.valid_mask for f in fixed])
-    return x, mask
 
 
 def _loss_and_grad(task: str, outputs: np.ndarray, targets):
@@ -246,6 +276,9 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
     windows = inference.inference_windows(config, embed_dim)
 
     labels = label_arrays(task, train_entries)
+    # the one batch of the run: each step's sampled bags are written into it
+    batch_buf = (None if full_bag_mode else
+                 np.empty((config.batch_size, config.bag_size, embed_dim), dtype=np.float32))
 
     report = TrainReport()
     best_val = None
@@ -273,9 +306,11 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
                 mask = np.ones((1, bag.n_patches), dtype=bool)
                 feat = full_feature_indices(embed_dim)
             else:
-                fixed = [sample_patches(bags[train_entries[i].slide_id], config.bag_size, rng)
-                         for i in batch]
-                x, mask = _stack_fixed(fixed)
+                fixed = [sample_patches(bags[train_entries[i].slide_id], config.bag_size, rng,
+                                        out=batch_buf[j])
+                         for j, i in enumerate(batch)]
+                x = batch_buf[:len(batch)]
+                mask = np.stack([f.valid_mask for f in fixed])
                 feat = sample_feature_indices(embed_dim, config.hidden_dim, rng)
             batch_targets = label_arrays(task, [train_entries[i] for i in batch])
             if task == "survival" and int(np.sum(batch_targets[1])) == 0:
@@ -287,6 +322,9 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
             loss, d_out = _loss_and_grad(task, result.outputs, batch_targets)
             grads = model.backward(result.cache, d_out)
             adamw_step(model.params, grads, state, lr, config.weight_decay)
+            # the activations (and the cache's views of x) are not kept through
+            # validation or the next step's sampling and forward
+            del result, grads
             loss_sum += loss * len(batch)
             n_seen += len(batch)
 

@@ -1,6 +1,7 @@
 """Binary embedding-file format and manifest validation."""
 
 import json
+import math
 import os
 import struct
 import subprocess
@@ -28,6 +29,7 @@ from slidemil.dataio import (
     write_embedding_file,
 )
 from slidemil.errors import CorruptionError, FormatError, ValidationError
+from slidemil.training import CHECKPOINT_MAGIC, load_checkpoint
 
 from conftest import make_bag
 
@@ -460,4 +462,68 @@ class TestReaderFuzz:
             for p, original in zip(damaged, originals):
                 _replace_file(p, original)
         assert (predict, train) == (EXIT_CODES[error], EXIT_CODES[error])
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def _checkpoint_bytes(header: dict, payload: bytes) -> bytes:
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(text)) + text + payload
+
+
+@st.composite
+def damaged_checkpoints(draw, raw: bytes):
+    """(file bytes, the error class load_checkpoint must raise) for one damage
+    to the checkpoint raw: truncation at any offset, a header length past the
+    end of the file, one tensor's shape or offset that disagrees with the
+    payload, or one NaN or +-inf at any payload position."""
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    header, payload = json.loads(raw[16:16 + header_len]), raw[16 + header_len:]
+    kind = draw(st.sampled_from(["truncate", "header_length", "layout", "nonfinite"]))
+    if kind == "truncate":
+        cut = draw(st.integers(0, len(raw) - 1))
+        return raw[:cut], FormatError if cut < 16 else CorruptionError
+    if kind == "header_length":
+        past = draw(st.integers(len(raw) - 16 + 1, 2**64 - 1))
+        return raw[:8] + struct.pack("<Q", past) + raw[16:], CorruptionError
+    if kind == "layout":
+        name = draw(st.sampled_from(sorted(header["tensors"])))
+        meta = header["tensors"][name]
+        if draw(st.booleans()):
+            edit = {"offset": draw(st.integers(0, 2 * len(payload))
+                                   .filter(lambda offset: offset != meta["offset"]))}
+        else:
+            edit = {"shape": draw(st.lists(st.integers(0, 64), min_size=1, max_size=3)
+                                  .filter(lambda s: math.prod(s) != math.prod(meta["shape"])))}
+        tensors = {**header["tensors"], name: {**meta, **edit}}
+        return _checkpoint_bytes({**header, "tensors": tensors}, payload), CorruptionError
+    values = np.frombuffer(payload, dtype="<f4").copy()
+    values[draw(st.integers(0, len(values) - 1))] = draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    return _checkpoint_bytes(header, values.tobytes()), CorruptionError
+
+
+class TestCheckpointReaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_error_class(self, trained_corpus, tmp_path_factory, data):
+        root, _ = trained_corpus
+        raw, error = data.draw(damaged_checkpoints((root / "train" / "checkpoint.ckpt").read_bytes()))
+        path = tmp_path_factory.mktemp("ckpt") / "x.ckpt"
+        path.write_bytes(raw)
+        with pytest.raises(error) as info:
+            load_checkpoint(path)
+        assert type(info.value) is error
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_predict_exits_2(self, trained_corpus, data, capsys):
+        root, _ = trained_corpus
+        raw, _ = data.draw(damaged_checkpoints((root / "train" / "checkpoint.ckpt").read_bytes()))
+        damaged = root / "damaged.ckpt"
+        damaged.write_bytes(raw)
+        code = main(["predict", "--manifest", str(root / "data" / "manifest.json"),
+                     "--data-dir", str(root / "data"), "--checkpoint", str(damaged),
+                     "--out", str(root / "pred_damaged")])
+        assert code == 2
         assert "Traceback" not in capsys.readouterr().err

@@ -6,6 +6,7 @@ for the hand-derived backward pass.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -580,3 +581,25 @@ class TestGradCheck:
         # H < D exercises the scatter of column gradients
         report = grad_check("classification", embed_dim=12, hidden_dim=4, seed=3)
         assert report["max_rel_err"] < 1e-4
+
+
+class TestSaturatedGate:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gate_overflow_raises_no_warning(self, dtype):
+        # U x500 drives -(x @ U) far past exp's overflow point (89 in float32,
+        # 710 in float64); the gate's limit there is exactly 0
+        m = _model(d=8, h=4, c=2, dropout=0.25, dtype=dtype)
+        m.params["attention_u"] *= 500
+        rng = np.random.default_rng(0)
+        x, mask = _batch(rng, n=3, m=40, d=8)
+        x = (x * 20).astype(dtype)
+        feat = np.arange(2, 6)
+        assert (np.abs(x[..., feat] @ m.params["attention_u"][:, feat].T) > 720).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = m.forward(x, mask, feat, training=True, rng=rng, need_cache=True)
+            grads = m.backward(result.cache, np.ones_like(result.outputs))
+            outputs, attention = m.forward_windows(x[0], chunk_windows(8, 4, 2).windows)
+        assert all(np.isfinite(g).all() for g in grads.values())
+        assert np.isfinite(result.outputs).all() and np.isfinite(outputs).all()
+        np.testing.assert_allclose(attention.sum(axis=1), 1.0, rtol=1e-5)

@@ -58,6 +58,26 @@ class TestSamplePatches:
         # the degenerate path must not consume randomness
         assert rng.bit_generator.state == state_before
 
+    @pytest.mark.parametrize("n_patches", [5, 16, 40])
+    def test_out_buffer_matches_a_fresh_sample(self, n_patches):
+        # a NaN-filled buffer shows any row sample_patches leaves unwritten
+        bag = make_bag(np.random.default_rng(1), n_patches, 4)
+        fresh_rng, out_rng = np.random.default_rng(5), np.random.default_rng(5)
+        fresh = sample_patches(bag, 16, fresh_rng)
+        buf = np.full((16, 4), np.nan, dtype=np.float32)
+        into = sample_patches(bag, 16, out_rng, out=buf)
+        assert into.embeddings is buf
+        assert np.array_equal(into.embeddings, fresh.embeddings)
+        assert np.array_equal(into.valid_mask, fresh.valid_mask)
+        assert (buf[~into.valid_mask] == 0).all()
+        assert out_rng.bit_generator.state == fresh_rng.bit_generator.state
+
+    @pytest.mark.parametrize("shape,dtype", [((15, 4), np.float32), ((16, 3), np.float32),
+                                             ((16, 4), np.float64)])
+    def test_out_buffer_of_wrong_shape_or_dtype_rejected(self, rng, shape, dtype):
+        with pytest.raises(ValidationError):
+            sample_patches(make_bag(rng, 30, 4), 16, rng, out=np.zeros(shape, dtype=dtype))
+
 
 class TestFeatureIndices:
     def test_sorted_distinct_in_range(self, rng):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,47 @@ class TestTrain:
         assert report.stopped_epoch == 2
         assert ckpt.opt_step == 2 * 8  # one step per train slide per epoch
 
+    def test_padded_batches_are_reproducible_and_padding_invariant(self, tmp_path):
+        # bags of 3-30 patches around M=16 mix subsampled and padded slides in
+        # each reused batch buffer row; two runs must write the same bytes
+        manifest, bags = make_classification_corpus(np.random.default_rng(3), n_bags=28,
+                                                    n_patches=(3, 30))
+        paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+        for path in paths:
+            train(tiny_config(bag_size=16, max_epochs=3), manifest, bags, checkpoint_path=path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # with every bag shorter than M no patch subset is drawn, so a larger
+        # M only adds padded rows, and the parameters must not move by a bit
+        manifest, bags = make_classification_corpus(np.random.default_rng(3), n_bags=28,
+                                                    n_patches=(3, 15))
+        short, long = (train(tiny_config(bag_size=m, max_epochs=3), manifest, bags)[0]
+                       for m in (16, 23))
+        for name in PARAM_NAMES:
+            assert np.array_equal(short.params[name], long.params[name]), name
+
+    def test_peak_memory_is_one_batch_and_one_step(self):
+        # per row, a batch holds D floats and a step's activations F + 4H
+        # (sampled columns, tanh, gate, dropout mask, gated output); the
+        # per-slide temporaries on top measured 0.3-0.45 of the activations.
+        # A second batch (a stacked copy) or the last step's activations
+        # kept alive would each add more than the 0.8 x act of slack
+        manifest, bags = make_classification_corpus(np.random.default_rng(4), n_bags=36,
+                                                    embed_dim=128, n_patches=(80, 120))
+        cfg = tiny_config(bag_size=64, batch_size=16, hidden_dim=32, stride=8, max_epochs=2)
+        batch_bytes = cfg.batch_size * cfg.bag_size * 128 * 4
+        act_bytes = cfg.batch_size * cfg.bag_size * 5 * cfg.hidden_dim * 4
+        train(cfg, manifest, bags)  # the first run pays one-off imports
+        tracemalloc.start()
+        try:
+            _, report = train(cfg, manifest, bags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.stopped_epoch == 2
+        assert peak < batch_bytes + 1.8 * act_bytes, (
+            f"train peaked at one batch plus {(peak - batch_bytes) / act_bytes:.2f} "
+            f"steps' activations")
+
     def test_regression_training_runs(self):
         spec = SyntheticSpec(task="regression", n_bags=20,
                              patches_per_bag_range=(5, 10), embed_dim=8,
@@ -407,6 +449,23 @@ class TestCheckpointIO:
         _, path = self._trained(tmp_path)
         with pytest.raises(FormatError):
             load_checkpoint(self._with_header_config(path, tmp_path, lambda cfg: [cfg]))
+
+    @pytest.mark.parametrize("edit", [
+        lambda tensors: {("head_bias_renamed" if k == "head_bias" else k): m
+                         for k, m in tensors.items()},
+        lambda tensors: {**tensors, "attention_w": {**tensors["attention_w"],
+                                                    "shape": [1, *tensors["attention_w"]["shape"]]}},
+        lambda tensors: {**tensors, "adam_v.head_weight": {
+            **tensors["adam_v.head_weight"], "shape": tensors["adam_v.head_weight"]["shape"][::-1]}},
+    ], ids=["renamed", "vector-as-matrix", "transposed-moment"])
+    def test_tensors_that_make_no_model_are_format_error(self, tmp_path, edit):
+        # each edit keeps the payload tiled, so only the tensor set is wrong
+        _, path = self._trained(tmp_path)
+        edited = self._with_header(path, tmp_path,
+                                   lambda header: {**header, "tensors": edit(header["tensors"])})
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(edited)
+        assert type(info.value) is FormatError
 
     def test_tiny_file_is_format_error(self, tmp_path):
         bad = tmp_path / "tiny.ckpt"
