@@ -58,15 +58,6 @@ def _dump_json(doc, path) -> None:
                           encoding="utf-8")
 
 
-def _load_config(args) -> RunConfig:
-    config = RunConfig.from_json(args.config)
-    if getattr(args, "mode", None):
-        config = dataclasses.replace(config, training_mode=args.mode)
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
-
-
 def _read_predictions(path) -> list[dict]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -75,12 +66,28 @@ def _read_predictions(path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"bad JSON on predictions line {i + 1}: {exc}") from exc
+            if not (isinstance(record, dict) and isinstance(record.get("slide_id"), str)):
+                raise FormatError(f"predictions line {i + 1} is not an object "
+                                  f"with a string 'slide_id'")
+            records.append(record)
     if not records:
         raise ValidationError(f"no predictions in {path}")
     return records
+
+
+def _column(records: list[dict], key: str, dtype, index: int | None = None) -> np.ndarray:
+    """The numeric field key of every record, or element index of it, as a 1-D array."""
+    try:
+        column = np.array([r[key] if index is None else r[key][index] for r in records],
+                          dtype=dtype)
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"every prediction record needs a numeric {key!r}") from exc
+    if column.ndim != 1:
+        raise FormatError(f"every prediction record needs a numeric {key!r}")
+    return column
 
 
 def cmd_synth(args) -> int:
@@ -139,7 +146,10 @@ def cmd_plan(args) -> int:
 def cmd_train(args) -> int:
     manifest = dataio.load_manifest(args.manifest)
     bags = dataio.load_bags(manifest, args.data_dir, ("train", "val"))
-    config = _load_config(args)
+    config = RunConfig.from_json(args.config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed,
+                                     overrides={**config.overrides, "seed": args.seed})
     out = _out_dir(args)
     ckpt_path = out / "checkpoint.ckpt"
     checkpoint, report = train(config, manifest, bags, checkpoint_path=ckpt_path)
@@ -243,7 +253,7 @@ def cmd_evaluate(args) -> int:
     truth = dataio.label_arrays(manifest.task, entries)
 
     if manifest.task == "classification":
-        pred_cls = np.array([p["predicted_class"] for p in preds], dtype=int)
+        pred_cls = _column(preds, "predicted_class", int)
         report["balanced_accuracy"] = metrics.bootstrap_ci(
             metrics.balanced_accuracy, (truth, pred_cls), seed=seed).to_dict()
         kappa = lambda t, p: metrics.cohens_kappa(t, p, weighting=args.kappa_weighting)
@@ -251,18 +261,18 @@ def cmd_evaluate(args) -> int:
                                                       seed=seed).to_dict()
         report["kappa_weighting"] = args.kappa_weighting
         if manifest.n_classes == 2:
-            scores = np.array([p["mean_probs"][1] for p in preds], dtype=np.float64)
+            scores = _column(preds, "mean_probs", np.float64, index=1)
             report["auc"] = metrics.bootstrap_ci(metrics.auc, (truth, scores),
                                                  seed=seed).to_dict()
     elif manifest.task == "regression":
-        pred_val = np.array([p["mean_value"] for p in preds], dtype=np.float64)
+        pred_val = _column(preds, "mean_value", np.float64)
         report["pearson_r"] = metrics.bootstrap_ci(metrics.pearson_r, (truth, pred_val),
                                                    seed=seed).to_dict()
         report["mse"] = metrics.bootstrap_ci(metrics.mean_squared_error,
                                              (truth, pred_val), seed=seed).to_dict()
     else:
         times, events = truth
-        risks = np.array([p["risk"] for p in preds], dtype=np.float64)
+        risks = _column(preds, "risk", np.float64)
         cindex = lambda t, e, r: metrics.concordance_index(t, e, r)
         report["concordance_index"] = metrics.bootstrap_ci(
             cindex, (times, events, risks), seed=seed).to_dict()
@@ -307,19 +317,19 @@ def cmd_reject_curve(args) -> int:
     truth = dataio.label_arrays(manifest.task, entries)
 
     if manifest.task == "classification":
-        pred = np.array([p["predicted_class"] for p in preds], dtype=int)
-        unc = np.array([p["h_aleatoric"] for p in preds], dtype=np.float64)
+        pred = _column(preds, "predicted_class", int)
+        unc = _column(preds, "h_aleatoric", np.float64)
         metric = metrics.balanced_accuracy
         metric_name = "balanced_accuracy"
     elif manifest.task == "regression":
-        pred = np.array([p["mean_value"] for p in preds], dtype=np.float64)
-        unc = np.array([p["std_value"] for p in preds], dtype=np.float64)
+        pred = _column(preds, "mean_value", np.float64)
+        unc = _column(preds, "std_value", np.float64)
         metric = lambda t, p: -metrics.mean_squared_error(t, p)
         metric_name = "neg_mse"
     else:
         truth = np.column_stack(truth)
-        pred = np.array([p["risk"] for p in preds], dtype=np.float64)
-        unc = np.array([p["unc_survival"][0] for p in preds], dtype=np.float64)
+        pred = _column(preds, "risk", np.float64)
+        unc = _column(preds, "unc_survival", np.float64, index=0)
         metric = lambda t, r: metrics.concordance_index(t[:, 0], t[:, 1], r)
         metric_name = "concordance_index"
 
@@ -391,7 +401,6 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=["nnmil", "full_bag_batch1"], default=None)
     p.add_argument("--out", required=True)
 
     p = add("predict", cmd_predict, help="run sliding-window ensemble inference")

@@ -119,6 +119,8 @@ class DatasetManifest:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValidationError(f"unknown task {self.task!r}")
+        if self.n_classes is not None and not _is_int(self.n_classes):
+            raise ValidationError(f"n_classes must be an integer, got {self.n_classes!r}")
         seen = set()
         for e in self.entries:
             if e.slide_id in seen:
@@ -126,7 +128,7 @@ class DatasetManifest:
             seen.add(e.slide_id)
         if self.task == "classification":
             labels = [e.label for e in self.entries]
-            if not all(isinstance(l, (int, np.integer)) and not isinstance(l, bool) for l in labels):
+            if not all(_is_int(l) for l in labels):
                 raise ValidationError("classification labels must be integer class indices")
             if self.n_classes is None:
                 self.n_classes = int(max(labels)) + 1 if labels else 0
@@ -233,18 +235,35 @@ def write_embedding_file(bag: SlideBag, path: str | Path) -> None:
         raise
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_real(value):
+    """value as a float when it is a JSON number a float holds, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def _label_from_json(raw, task: str, slide_id: str):
     if task == "classification":
-        if not isinstance(raw, int) or isinstance(raw, bool):
+        if not _is_int(raw):
             raise ValidationError(f"entry {slide_id}: classification label must be an integer, got {raw!r}")
         return raw
     if task == "regression":
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        value = _as_real(raw)
+        if value is None:
             raise ValidationError(f"entry {slide_id}: regression label must be a number, got {raw!r}")
-        return float(raw)
-    if not isinstance(raw, dict) or set(raw) != {"time", "event"}:
-        raise ValidationError(f"entry {slide_id}: survival label must be {{'time', 'event'}}, got {raw!r}")
-    return SurvivalRecord(time=float(raw["time"]), event=int(raw["event"]))
+        return value
+    if not (isinstance(raw, dict) and set(raw) == {"time", "event"}
+            and _as_real(raw["time"]) is not None and _is_int(raw["event"])):
+        raise ValidationError(f"entry {slide_id}: survival label must be {{'time': number, "
+                              f"'event': integer}}, got {raw!r}")
+    return SurvivalRecord(time=float(raw["time"]), event=raw["event"])
 
 
 def _label_to_json(label, task: str):
@@ -269,11 +288,18 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     task = doc["task"]
     if task not in TASKS:
         raise ValidationError(f"{path}: unknown task {task!r}")
+    if not isinstance(doc["entries"], list):
+        raise FormatError(f"{path}: 'entries' must be a list")
     entries = []
     for raw in doc["entries"]:
+        if not isinstance(raw, dict):
+            raise FormatError(f"{path}: every entry must be an object, got {raw!r}")
         missing = {"slide_id", "patient_id", "embedding_path", "split", "label"} - set(raw)
         if missing:
             raise ValidationError(f"{path}: entry missing fields {sorted(missing)}")
+        for key in ("slide_id", "patient_id", "embedding_path"):
+            if not isinstance(raw[key], str):
+                raise FormatError(f"{path}: entry field {key!r} must be a string, got {raw[key]!r}")
         entries.append(ManifestEntry(
             slide_id=raw["slide_id"],
             patient_id=raw["patient_id"],

@@ -143,10 +143,8 @@ def decompose_uncertainty(per_chunk_probs: np.ndarray) -> tuple[float, float, fl
 
 
 def predict_classification(model: GatedAttentionMIL, bag: SlideBag,
-                           windows: ChunkWindows,
-                           with_attention: bool = False) -> ClsPrediction:
-    out = ensemble_outputs(model, bag, windows, return_attention=with_attention)
-    logits, attention = out if with_attention else (out, None)
+                           windows: ChunkWindows) -> ClsPrediction:
+    logits, attention = ensemble_outputs(model, bag, windows, return_attention=True)
     per_chunk_probs = _softmax64(logits)
     mean_logits = slide_output("classification", logits)
     mean_probs = per_chunk_probs.mean(axis=0)
@@ -160,10 +158,8 @@ def predict_classification(model: GatedAttentionMIL, bag: SlideBag,
 
 
 def predict_regression(model: GatedAttentionMIL, bag: SlideBag,
-                       windows: ChunkWindows,
-                       with_attention: bool = False) -> RegPrediction:
-    out = ensemble_outputs(model, bag, windows, return_attention=with_attention)
-    raw, attention = out if with_attention else (out, None)
+                       windows: ChunkWindows) -> RegPrediction:
+    raw, attention = ensemble_outputs(model, bag, windows, return_attention=True)
     values = raw[:, 0]
     return RegPrediction(slide_id=bag.slide_id, per_chunk_values=values,
                          mean_value=float(slide_output("regression", raw)[0]),
@@ -208,10 +204,8 @@ def estimate_baseline_survival(train_risks: np.ndarray,
 
 
 def predict_survival(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows,
-                     baseline: BaselineSurvival, eval_times,
-                     with_attention: bool = False) -> SurvPrediction:
-    out = ensemble_outputs(model, bag, windows, return_attention=with_attention)
-    raw, attention = out if with_attention else (out, None)
+                     baseline: BaselineSurvival, eval_times) -> SurvPrediction:
+    raw, attention = ensemble_outputs(model, bag, windows, return_attention=True)
     eta = raw[:, 0]
     eval_times = np.atleast_1d(np.asarray(eval_times, dtype=np.float64))
     s0 = baseline.at(eval_times)  # (T,)

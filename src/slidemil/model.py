@@ -3,9 +3,10 @@
 The forward pass gathers each slide's valid rows before any reduction over
 the patch axis, so appending padded rows cannot perturb attention scores or
 pooled features even at the last bit; a slide without padding is used as a
-view. Attention projections operate on a column subspace of the weight
-matrices (the sampled feature indices, or a contiguous feature window); the
-pooled representation and the output head always use the full embedding.
+view. Attention projections operate on the weight columns and embedding
+features at the given sorted feature indices (a sampled subset, a feature
+window, or every feature); the pooled representation and the output head
+always use the full embedding.
 One kernel, _gated_attention, serves training batches and forward().
 
 The window ensemble (forward_windows) computes the attention logits of all
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sampling import FeatureIndexSet
 
 PARAM_NAMES = ("attention_v", "attention_u", "attention_w", "head_weight", "head_bias")
 
@@ -33,20 +33,6 @@ class ForwardResult:
     outputs: np.ndarray    # (n_slides, n_outputs)
     attention: np.ndarray  # (n_slides, bag_size); exactly 0 at padded rows
     cache: list | None
-
-
-def _as_index_array(feature_indices) -> np.ndarray:
-    if isinstance(feature_indices, FeatureIndexSet):
-        return feature_indices.indices
-    return np.asarray(feature_indices)
-
-
-def _contiguous_span(feat: np.ndarray) -> slice | None:
-    """The slice equal to feat when it is a run of consecutive indices, else None."""
-    lo = feat[0]
-    if feat[-1] - lo + 1 == len(feat) and (np.diff(feat) == 1).all():
-        return slice(lo, lo + len(feat))
-    return None
 
 
 def _softmax_pool(logits: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,17 +132,21 @@ class GatedAttentionMIL:
             "head_bias": np.zeros(c, dtype=self.dtype),
         }
 
-    def forward(self, embeddings: np.ndarray, valid_mask: np.ndarray, feature_indices,
-                training: bool = False, rng: np.random.Generator | None = None,
+    def forward(self, embeddings: np.ndarray, valid_mask: np.ndarray,
+                feature_indices: np.ndarray, training: bool = False,
+                rng: np.random.Generator | None = None,
                 need_cache: bool = False, check_finite: bool = True,
                 attention_logits: np.ndarray | None = None) -> ForwardResult:
         """Run the aggregator on a stacked batch (n_slides, bag_size, embed_dim).
 
-        check_finite=False skips the scan for non-finite values, for callers
-        that have scanned the same embeddings already. attention_logits
-        (n_slides, bag_size), the gated projections' output computed by the
-        caller for these feature indices, skips the projections: only
-        softmax, pooling and the head run (eval mode, no cache).
+        feature_indices, a sorted int array, selects the embedding features
+        and weight columns the attention projections read; both are gathered
+        with it. check_finite=False skips the scan for non-finite values, for
+        callers that have scanned the same embeddings already.
+        attention_logits (n_slides, bag_size), the gated projections' output
+        computed by the caller for these feature indices, skips the
+        projections: only softmax, pooling and the head run (eval mode, no
+        cache).
         """
         x = np.asarray(embeddings, dtype=self.dtype)
         if x.ndim != 3 or x.shape[2] != self.embed_dim:
@@ -166,25 +156,19 @@ class GatedAttentionMIL:
         mask = np.asarray(valid_mask, dtype=bool)
         if mask.shape != x.shape[:2]:
             raise ValidationError("mask shape must match (n_slides, bag_size)")
-        feat = _as_index_array(feature_indices)
+        feat = np.asarray(feature_indices)
         use_dropout = training and self.dropout > 0.0
         if use_dropout and rng is None:
             raise ValidationError("training-mode dropout needs an rng")
         dropout = self.dropout if use_dropout else 0.0
-        if attention_logits is not None:
+        if attention_logits is None:
+            v_sub, u_sub = (self.params[name][:, feat] for name in ("attention_v", "attention_u"))
+        else:
             attention_logits = np.asarray(attention_logits, dtype=self.dtype)
             if attention_logits.shape != mask.shape:
                 raise ValidationError("attention_logits shape must match (n_slides, bag_size)")
             if use_dropout or need_cache:
                 raise ValidationError("attention_logits serve eval-mode passes without a cache")
-
-        # a contiguous window is sliced, never gathered; its weight columns are
-        # copied because a strided weight view changes the GEMM's low bits
-        span = _contiguous_span(feat)
-        if attention_logits is None:
-            v_sub, u_sub = (self.params[name][:, feat] if span is None
-                            else np.ascontiguousarray(self.params[name][:, span])
-                            for name in ("attention_v", "attention_u"))
         w = self.params["attention_w"]
 
         n_slides, bag_size, _ = x.shape
@@ -198,7 +182,7 @@ class GatedAttentionMIL:
                 raise ValidationError(f"slide {i} has no valid patches")
             xi = x[i] if len(valid) == bag_size else x[i, valid]  # (m, D)
             if attention_logits is None:
-                xs = xi[:, span] if span is not None else np.take(xi, feat, axis=1)
+                xs = np.take(xi, feat, axis=1)
                 alpha, pooled[i], acts = _gated_attention(xi, xs, v_sub, u_sub, w, dropout, rng)
                 if need_cache:
                     cache.append((valid, xi, xs, *acts, alpha))

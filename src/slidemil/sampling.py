@@ -32,33 +32,9 @@ class FixedBag:
             raise ValidationError("a fixed bag needs at least one valid patch")
 
 
-@dataclass(frozen=True)
-class FeatureIndexSet:
-    """Distinct, ascending feature indices in [0, embed_dim)."""
-
-    indices: np.ndarray
-    embed_dim: int
-
-    def __post_init__(self):
-        idx = self.indices
-        if idx.ndim != 1 or len(idx) == 0:
-            raise ValidationError("feature index set must be a nonempty 1-D array")
-        if np.any(np.diff(idx) <= 0):
-            raise ValidationError("feature indices must be strictly ascending")
-        if idx[0] < 0 or idx[-1] >= self.embed_dim:
-            raise ValidationError(f"feature indices must lie in [0, {self.embed_dim})")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 @dataclass
 class BatchPlan:
     batches: list[list[int]]
-
-    @property
-    def epoch_length(self) -> int:
-        return len(self.batches)
 
 
 def sample_patches(bag: SlideBag, bag_size: int, rng: np.random.Generator,
@@ -93,16 +69,11 @@ def sample_patches(bag: SlideBag, bag_size: int, rng: np.random.Generator,
 
 
 def sample_feature_indices(embed_dim: int, hidden_dim: int,
-                           rng: np.random.Generator) -> FeatureIndexSet:
+                           rng: np.random.Generator) -> np.ndarray:
     """Uniform without-replacement choice of hidden_dim feature dimensions, sorted ascending."""
     if hidden_dim > embed_dim:
         raise ValidationError(f"hidden_dim {hidden_dim} exceeds embed_dim {embed_dim}")
-    idx = np.sort(rng.choice(embed_dim, size=hidden_dim, replace=False))
-    return FeatureIndexSet(indices=idx, embed_dim=embed_dim)
-
-
-def full_feature_indices(embed_dim: int) -> FeatureIndexSet:
-    return FeatureIndexSet(indices=np.arange(embed_dim), embed_dim=embed_dim)
+    return np.sort(rng.choice(embed_dim, size=hidden_dim, replace=False))
 
 
 class _Pool:
@@ -202,7 +173,12 @@ def _temporal_order(members: np.ndarray, times: np.ndarray,
 
 def survival_batches(records: list[SurvivalRecord], batch_size: int,
                      rng: np.random.Generator) -> BatchPlan:
-    """Survival sampler: balanced event rate per batch (>= 1 event always) with temporal spread."""
+    """Survival sampler: balanced event rate per batch (>= 1 event always) with temporal spread.
+
+    A Cox batch of one slide has zero gradient (its partial likelihood is
+    exp(eta) / exp(eta) = 1), so batch_size must be at least 2."""
+    if batch_size < 2:
+        raise ValidationError(f"survival batch_size must be >= 2, got {batch_size}")
     events = np.array([r.event for r in records])
     times = np.array([r.time for r in records], dtype=np.float64)
     n = len(records)

@@ -30,9 +30,8 @@ from .dataio import DatasetManifest, SlideBag, label_arrays
 from .errors import CorruptionError, FormatError, ValidationError
 from .fingerprint import RunConfig
 from .model import PARAM_NAMES, GatedAttentionMIL, cox_loss, cross_entropy_loss, mse_loss
-from .sampling import (balanced_batches, full_feature_indices, plain_batches,
-                       regression_batches, sample_feature_indices, sample_patches,
-                       survival_batches)
+from .sampling import (balanced_batches, plain_batches, regression_batches,
+                       sample_feature_indices, sample_patches, survival_batches)
 
 CHECKPOINT_MAGIC = b"NNMILCK1"
 ADAM_BETAS = (0.9, 0.999)
@@ -304,7 +303,7 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
                 bag = bags[train_entries[batch[0]].slide_id]
                 x = bag.embeddings[None]
                 mask = np.ones((1, bag.n_patches), dtype=bool)
-                feat = full_feature_indices(embed_dim)
+                feat = np.arange(embed_dim)
             else:
                 fixed = [sample_patches(bags[train_entries[i].slide_id], config.bag_size, rng,
                                         out=batch_buf[j])

@@ -159,7 +159,7 @@ def test_criterion_04_planted_signal_training_hits_auc_and_attention_targets():
     labels, scores, ratios = [], [], []
     for entry in manifest.split_entries("test"):
         bag = bags[entry.slide_id]
-        pred = predict_classification(model, bag, windows, with_attention=True)
+        pred = predict_classification(model, bag, windows)
         labels.append(entry.label)
         scores.append(float(pred.mean_probs[1]))
         planted = signal[entry.slide_id]

@@ -9,6 +9,7 @@ import pytest
 
 from slidemil.cli import main
 from slidemil.dataio import load_manifest
+from slidemil.training import load_checkpoint
 
 
 def _write_spec(path, **kw):
@@ -116,6 +117,27 @@ class TestClassificationPipeline:
         assert csv_lines[0] == "fraction,value,n_retained"
         assert len(csv_lines) == 3
 
+    @pytest.mark.parametrize("command", ["evaluate", "reject-curve"])
+    def test_malformed_prediction_records_are_2(self, tmp_path, command, capsys):
+        test_ids = [e.slide_id for e in load_manifest(self.manifest).split_entries("test")]
+        good = [json.loads(line) for line in
+                (self.dirs["pred"] / "predictions.jsonl").read_text().splitlines()]
+        damaged = {
+            "not an object": ["[1,2]"],
+            "no slide_id": ['{"x":1}'],
+            "no predicted_class": [json.dumps({"slide_id": sid}) for sid in test_ids],
+            "text predicted_class": [json.dumps({**r, "predicted_class": "x"}) for r in good],
+            "list predicted_class": [json.dumps({**r, "predicted_class": [0, 1]})
+                                     for r in good],
+        }
+        for name, lines in damaged.items():
+            path = tmp_path / "predictions.jsonl"
+            path.write_text("\n".join(lines) + "\n")
+            code = main([command, "--manifest", str(self.manifest), "--predictions", str(path),
+                         "--split", "test", "--out", str(tmp_path / "out")])
+            assert code == 2, name
+            assert "Traceback" not in capsys.readouterr().err
+
     def test_run_manifests_written_everywhere(self):
         for name in ("data", "fp", "plan", "train", "pred"):
             doc = json.loads((self.dirs[name] / "run_manifest.json").read_text())
@@ -180,6 +202,14 @@ class TestSurvivalPipeline:
         evaluation = json.loads((dirs["eval"] / "evaluation.json").read_text())
         assert "concordance_index" in evaluation
         assert "logrank" in evaluation
+        records = [json.loads(line) for line in
+                   (dirs["pred"] / "predictions.jsonl").read_text().splitlines()]
+        no_risk = tmp_path / "no_risk.jsonl"
+        no_risk.write_text("".join(json.dumps({k: v for k, v in r.items() if k != "risk"}) + "\n"
+                                   for r in records))
+        for command in ("evaluate", "reject-curve"):
+            assert main([command, "--manifest", str(manifest), "--predictions", str(no_risk),
+                         "--split", "test", "--out", str(tmp_path / "no_risk")]) == 2
 
         assert main(["reject-curve", "--manifest", str(manifest),
                      "--predictions", str(dirs["pred"] / "predictions.jsonl"),
@@ -194,6 +224,26 @@ class TestSurvivalPipeline:
         assert (no_val / "predictions.jsonl").read_bytes() == \
             (dirs["pred"] / "predictions.jsonl").read_bytes()
         assert _predict_without(dirs, manifest, ("train",), tmp_path / "no_train") == 2
+
+
+    def test_batch_of_one_is_1(self, tmp_path, pipeline_dirs, capsys):
+        # every planned batch was censored at B=1, so train skipped every step
+        # and exited 0 with the initial parameters
+        dirs = pipeline_dirs
+        spec = _write_spec(tmp_path / "spec.json", task="survival", censoring_rate=0.2,
+                           n_bags=24)
+        assert main(["synth", "--spec", str(spec), "--out", str(dirs["data"])]) == 0
+        manifest = dirs["data"] / "manifest.json"
+        assert main(["fingerprint", "--manifest", str(manifest),
+                     "--data-dir", str(dirs["data"]), "--out", str(dirs["fp"])]) == 0
+        assert main(["plan", "--fingerprint", str(dirs["fp"] / "fingerprint.json"),
+                     "--override", "max_epochs=1", "--override", "batch_size=1",
+                     "--out", str(dirs["plan"])]) == 0
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(manifest), "--data-dir", str(dirs["data"]),
+                     "--config", str(dirs["plan"] / "config.json"),
+                     "--out", str(dirs["train"])]) == 1
+        assert "batch_size must be >= 2" in capsys.readouterr().err
 
 
 class TestRegressionPipeline:
@@ -439,6 +489,19 @@ class TestSeedFlag:
                      "--seed", "7", "--out", str(other)]) == 0
         assert (other / "checkpoint.ckpt").read_bytes() != \
             (dirs["train"] / "checkpoint.ckpt").read_bytes()
+        config = load_checkpoint(other / "checkpoint.ckpt").config
+        assert config.seed == 7
+        assert config.overrides == {"max_epochs": 1, "seed": 7}
+
+    def test_train_has_no_mode_flag(self, tmp_path, pipeline_dirs):
+        # the training mode is a plan decision, read from the config
+        dirs = pipeline_dirs
+        _run_through_predict(tmp_path, pipeline_dirs,
+                             plan_args=("--override", "max_epochs=1"))
+        assert main(["train", "--manifest", str(dirs["data"] / "manifest.json"),
+                     "--data-dir", str(dirs["data"]),
+                     "--config", str(dirs["plan"] / "config.json"),
+                     "--mode", "full_bag_batch1", "--out", str(tmp_path / "moded")]) == 1
 
 
 class TestFullBagMode:

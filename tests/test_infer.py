@@ -243,13 +243,6 @@ class TestPredictClassification:
         pred = predict_classification(m, bag, chunk_windows(8, 8, 2))
         assert pred.mutual_info == 0.0
 
-    def test_attention_returned_on_request(self, rng):
-        m = _model()
-        bag = make_bag(rng, 6, 8)
-        pred = predict_classification(m, bag, chunk_windows(8, 4, 2), with_attention=True)
-        assert pred.attention.shape == (6,)
-        np.testing.assert_allclose(pred.attention.sum(), 1.0, atol=1e-12)
-
 
 class TestPredictRegression:
     def test_mean_and_population_std(self, rng):
@@ -372,6 +365,24 @@ class TestPredictSurvival:
         pred = predict_survival(m, bag, chunk_windows(8, 4, 2), base,
                                 [0.0, 1.0, 2.0, 3.0, 10.0])
         assert (pred.mean_survival >= 0).all() and (pred.mean_survival <= 1).all()
+
+
+class TestPredictionAttention:
+    @pytest.mark.parametrize("task", ["classification", "regression", "survival"])
+    def test_every_prediction_carries_the_mean_attention(self, rng, task):
+        m = _model(c=3 if task == "classification" else 1)
+        bag = make_bag(rng, 6, 8)
+        wins = chunk_windows(8, 4, 2)
+        if task == "classification":
+            pred = predict_classification(m, bag, wins)
+        elif task == "regression":
+            pred = predict_regression(m, bag, wins)
+        else:
+            base = estimate_baseline_survival(np.zeros(1), [SurvivalRecord(time=1.0, event=1)])
+            pred = predict_survival(m, bag, wins, base, [1.0])
+        _, attention = m.forward_windows(bag.embeddings, wins.windows)
+        assert np.array_equal(pred.attention, attention.mean(axis=0, dtype=np.float64))
+        np.testing.assert_allclose(pred.attention.sum(), 1.0, atol=1e-12)
 
 
 class TestPatientAggregation:

@@ -527,3 +527,121 @@ class TestCheckpointReaderFuzz:
                      "--out", str(root / "pred_damaged")])
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=3)),
+    max_leaves=8)
+
+MANIFEST_DOCS = {
+    "classification": {"task": "classification", "n_classes": 2, "entries": [
+        {"slide_id": sid, "patient_id": f"p{sid}", "embedding_path": f"{sid}.emb",
+         "split": split, "label": label}
+        for sid, split, label in (("a", "train", 0), ("b", "train", 1), ("c", "val", 0))]},
+    "survival": {"task": "survival", "entries": [
+        {"slide_id": sid, "patient_id": f"p{sid}", "embedding_path": f"{sid}.emb",
+         "split": split, "label": {"time": time, "event": event}}
+        for sid, split, time, event in (("a", "train", 1.5, 1), ("b", "val", 2.0, 0))]},
+}
+
+
+@st.composite
+def damaged_manifests(draw):
+    """(manifest document, the error class load_manifest must raise) for one
+    damage to a valid manifest: 'entries' not a list, an entry not an object,
+    a non-string slide_id, patient_id or embedding_path, a missing entry
+    field, or an unknown task."""
+    doc = json.loads(json.dumps(MANIFEST_DOCS[draw(st.sampled_from(sorted(MANIFEST_DOCS)))]))
+    entries = doc["entries"]
+    i = draw(st.integers(0, len(entries) - 1))
+    kind = draw(st.sampled_from(["entries", "entry", "identifier", "missing", "task"]))
+    if kind == "entries":
+        doc["entries"] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, list)))
+        return doc, FormatError
+    if kind == "entry":
+        entries[i] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+        return doc, FormatError
+    if kind == "identifier":
+        key = draw(st.sampled_from(["slide_id", "patient_id", "embedding_path"]))
+        entries[i][key] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, str)))
+        return doc, FormatError
+    if kind == "missing":
+        del entries[i][draw(st.sampled_from(sorted(entries[i])))]
+        return doc, ValidationError
+    doc["task"] = draw(JSON_VALUES.filter(lambda v: v not in dataio.TASKS))
+    return doc, ValidationError
+
+
+class TestManifestReaderFuzz:
+    @pytest.mark.parametrize("doc", [
+        {"task": "classification", "entries": 5},
+        {"task": "classification", "entries": [5]},
+        {"task": "classification", "entries": [
+            {"slide_id": "a", "patient_id": "a", "embedding_path": 3,
+             "split": "train", "label": 0}]},
+    ])
+    def test_reproduced_type_errors_exit_2(self, tmp_path, doc, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_manifest(path)
+        assert main(["fingerprint", "--manifest", str(path), "--data-dir", str(tmp_path),
+                     "--out", str(tmp_path / "fp")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task,label", [
+        ("regression", 10**400),                        # past float range
+        ("survival", {"time": 10**400, "event": 1}),
+        ("survival", {"time": "1.5", "event": 1}),      # read as 1.5 before
+        ("survival", {"time": 1.5, "event": 0.5}),      # read as censored before
+    ], ids=["huge-target", "huge-time", "text-time", "fractional-event"])
+    def test_label_of_the_wrong_type_is_rejected(self, tmp_path, task, label):
+        doc = {"task": task, "entries": [{"slide_id": "a", "patient_id": "a",
+                                          "embedding_path": "a.emb", "split": "train",
+                                          "label": label}]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="label must be"):
+            load_manifest(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=damaged_manifests())
+    def test_error_class(self, tmp_path_factory, case):
+        doc, error = case
+        path = tmp_path_factory.mktemp("manifest") / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error) as info:
+            load_manifest(path)
+        assert type(info.value) is error
+
+    @settings(max_examples=200, deadline=None)
+    @given(task=st.sampled_from(sorted(MANIFEST_DOCS)),
+           field=st.sampled_from(["n_classes", "split", "label"]), value=JSON_VALUES)
+    def test_any_field_value_loads_or_is_rejected(self, tmp_path_factory, task, field, value):
+        """Whatever JSON value a field holds, load_manifest returns a manifest
+        or raises FormatError or ValidationError."""
+        doc = json.loads(json.dumps(MANIFEST_DOCS[task]))
+        if field == "n_classes":
+            doc["n_classes"] = value
+        else:
+            doc["entries"][0][field] = value
+        path = tmp_path_factory.mktemp("manifest") / "manifest.json"
+        path.write_text(json.dumps(doc))
+        try:
+            load_manifest(path)
+        except (FormatError, ValidationError):
+            pass
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=damaged_manifests())
+    def test_fingerprint_exit_codes(self, tmp_path, case, capsys):
+        doc, error = case
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code = main(["fingerprint", "--manifest", str(path), "--data-dir", str(tmp_path),
+                     "--out", str(tmp_path / "fp")])
+        assert code == EXIT_CODES[error]
+        assert "Traceback" not in capsys.readouterr().err

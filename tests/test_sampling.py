@@ -10,7 +10,6 @@ from slidemil.dataio import SurvivalRecord
 from slidemil.errors import ValidationError
 from slidemil.sampling import (
     balanced_batches,
-    full_feature_indices,
     plain_batches,
     regression_batches,
     sample_feature_indices,
@@ -82,15 +81,13 @@ class TestSamplePatches:
 class TestFeatureIndices:
     def test_sorted_distinct_in_range(self, rng):
         for _ in range(50):
-            fs = sample_feature_indices(32, 8, rng)
-            idx = fs.indices
+            idx = sample_feature_indices(32, 8, rng)
             assert len(idx) == 8
             assert (np.diff(idx) > 0).all()
             assert idx[0] >= 0 and idx[-1] < 32
 
     def test_full_when_h_equals_d(self, rng):
-        assert np.array_equal(sample_feature_indices(8, 8, rng).indices, np.arange(8))
-        assert np.array_equal(full_feature_indices(8).indices, np.arange(8))
+        assert np.array_equal(sample_feature_indices(8, 8, rng), np.arange(8))
 
     def test_h_larger_than_d_rejected(self, rng):
         with pytest.raises(ValidationError):
@@ -101,7 +98,7 @@ class TestFeatureIndices:
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(500):
-            seen.add(tuple(sample_feature_indices(4, 2, rng).indices.tolist()))
+            seen.add(tuple(sample_feature_indices(4, 2, rng).tolist()))
         assert seen == {tuple(c) for c in combinations(range(4), 2)}
 
 
@@ -125,11 +122,10 @@ class TestBalancedBatches:
             counts = sorted(_batch_class_counts(batch, labels).values())
             assert counts == [10, 11, 11]
 
-    def test_epoch_length_is_ceil(self, rng):
+    def test_batch_count_is_ceil(self, rng):
         labels = np.array([0, 1] * 35)  # n = 70
         plan = balanced_batches(labels, 32, rng)
-        assert plan.epoch_length == math.ceil(70 / 32) == 3
-        assert len(plan.batches) == 3
+        assert len(plan.batches) == math.ceil(70 / 32) == 3
 
     def test_single_class_degenerate(self, rng):
         labels = np.zeros(10, dtype=int)
@@ -175,7 +171,6 @@ class TestBalancedBatches:
         p1 = balanced_batches(labels, 9, np.random.default_rng(5))
         p2 = balanced_batches(labels, 9, np.random.default_rng(5))
         assert p1.batches == p2.batches
-        assert p1.epoch_length == p2.epoch_length
 
 
 class TestRegressionBatches:
@@ -198,7 +193,7 @@ class TestRegressionBatches:
     def test_constant_targets_degenerate_to_plain(self, rng):
         targets = np.full(20, 3.3)
         plan = regression_batches(targets, 8, rng)
-        assert plan.epoch_length == math.ceil(20 / 8)
+        assert len(plan.batches) == math.ceil(20 / 8)
         seen = sorted(b for batch in plan.batches[:2] for b in batch)
         assert len(set(seen)) == len(seen), "plain batching does not resample"
 
@@ -260,6 +255,13 @@ class TestSurvivalBatches:
         with pytest.raises(ValidationError):
             survival_batches(_records([1, 2, 3], [0, 0, 0]), 2, rng)
 
+    def test_batch_of_one_rejected(self, rng):
+        # one slide per batch left no room for an event next to a censored
+        # slide: every batch came out censored; and a one-slide Cox batch has
+        # zero gradient even when it holds the event
+        with pytest.raises(ValidationError, match="batch_size must be >= 2"):
+            survival_batches(_records(np.arange(1, 7), [1, 0, 1, 0, 0, 0]), 1, rng)
+
     def test_temporal_mixing(self):
         # every batch spans the time range rather than clustering one tercile
         rng = np.random.default_rng(9)
@@ -282,7 +284,7 @@ class TestSurvivalBatches:
 class TestPlainBatches:
     def test_partition_covers_everything(self, rng):
         plan = plain_batches(23, 5, rng)
-        assert plan.epoch_length == math.ceil(23 / 5)
+        assert len(plan.batches) == math.ceil(23 / 5)
         flat = sorted(b for batch in plan.batches for b in batch)
         assert flat == list(range(23))
 
