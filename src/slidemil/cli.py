@@ -2,8 +2,10 @@
 reject-curve, gradcheck.
 
 Every command that writes artifacts drops a run_manifest.json (inputs, config
-hash, seed, timestamp) into its output directory. Exit codes: 0 success,
-1 validation/usage error, 2 file-format or I/O error.
+hash, seed, timestamp) into its output directory; the seed is null for
+fingerprint, predict and reject-curve, which draw no random numbers and take
+no --seed. Exit codes: 0 success, 1 validation/usage error, 2 file-format or
+I/O error.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def cmd_fingerprint(args) -> int:
     fp.to_json(out / "fingerprint.json")
     _write_run_manifest(out, "fingerprint", {"manifest": args.manifest,
                                              "data_dir": args.data_dir},
-                        args.seed, _sha256(args.manifest))
+                        None, _sha256(args.manifest))
     print(f"wrote fingerprint for {fp.n_train + fp.n_val + fp.n_test} slides to {out}")
     return 0
 
@@ -128,11 +130,9 @@ def _parse_override(text: str) -> tuple[str, object]:
 def cmd_plan(args) -> int:
     fp = DataFingerprint.from_json(args.fingerprint)
     overrides = dict(_parse_override(o) for o in args.override or [])
-    if args.mode:
-        overrides["training_mode"] = args.mode
     if args.seed is not None:
         overrides["seed"] = args.seed
-    config = derive_config(fp, task=args.task, overrides=overrides)
+    config = derive_config(fp, overrides=overrides)
     n_windows = inference.inference_windows(config, fp.embed_dim).n_chunks
     out = _out_dir(args)
     config.to_json(out / "config.json")
@@ -192,10 +192,8 @@ def cmd_predict(args) -> int:
     if config.task == "survival":
         eval_times = _survival_eval_times(args, manifest)
         train_entries = manifest.split_entries("train")
-        train_risks = np.array([
-            inference.slide_output(
-                "survival", inference.ensemble_outputs(model, bags[e.slide_id], windows))[0]
-            for e in train_entries])
+        train_risks = inference.slide_outputs(model, "survival", bags, train_entries,
+                                              windows)[:, 0]
         baseline = inference.estimate_baseline_survival(
             train_risks, [e.label for e in train_entries])
 
@@ -227,7 +225,7 @@ def cmd_predict(args) -> int:
     _write_run_manifest(out, "predict", {"manifest": args.manifest,
                                          "data_dir": args.data_dir,
                                          "checkpoint": args.checkpoint},
-                        args.seed, _sha256(args.checkpoint))
+                        None, _sha256(args.checkpoint))
     print(f"wrote {len(predictions)} slide predictions "
           f"({len(by_patient)} patients) to {out}")
     return 0
@@ -279,12 +277,8 @@ def cmd_evaluate(args) -> int:
         median_risk = float(np.median(risks))
         high = risks > median_risk
         if high.any() and (~high).any():
-            group_high = [dataio.SurvivalRecord(t, e) for t, e in
-                          zip(times[high], events[high])]
-            group_low = [dataio.SurvivalRecord(t, e) for t, e in
-                         zip(times[~high], events[~high])]
             try:
-                stat, p_value = metrics.logrank_test(group_high, group_low)
+                stat, p_value = metrics.logrank_test(times, events, high)
                 report["logrank"] = {"statistic": stat, "p_value": p_value,
                                      "n_high": int(high.sum()), "n_low": int((~high).sum())}
             except MetricUndefinedError as exc:
@@ -347,7 +341,7 @@ def cmd_reject_curve(args) -> int:
             writer.writerow([row["fraction"], row["value"], row["n_retained"]])
     _write_run_manifest(out, "reject-curve", {"manifest": args.manifest,
                                               "predictions": args.predictions},
-                        args.seed, _sha256(args.predictions))
+                        None, _sha256(args.predictions))
     print(f"wrote rejection curve ({metric_name}, {len(rows)} points) to {out}")
     return 0
 
@@ -372,14 +366,15 @@ def build_parser() -> _Parser:
                      description="Slide-level multiple-instance learning workflows")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, func, **kwargs):
+    def add(name, func, seeded=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config/spec seed (default 42 where unset)")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config/spec seed (default 42 where unset)")
         return p
 
-    p = add("synth", cmd_synth, help="generate a synthetic dataset")
+    p = add("synth", cmd_synth, seeded=True, help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="synthetic spec JSON")
     p.add_argument("--out", required=True)
 
@@ -388,16 +383,13 @@ def build_parser() -> _Parser:
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("plan", cmd_plan, help="derive a run config from a fingerprint")
+    p = add("plan", cmd_plan, seeded=True, help="derive a run config from a fingerprint")
     p.add_argument("--fingerprint", required=True)
-    p.add_argument("--task", default=None,
-                   choices=["classification", "regression", "survival"])
-    p.add_argument("--mode", choices=["nnmil", "full_bag_batch1"], default=None)
     p.add_argument("--override", action="append", metavar="KEY=VALUE",
                    help="config field override; repeatable")
     p.add_argument("--out", required=True)
 
-    p = add("train", cmd_train, help="train a model")
+    p = add("train", cmd_train, seeded=True, help="train a model")
     p.add_argument("--manifest", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--config", required=True)
@@ -412,7 +404,7 @@ def build_parser() -> _Parser:
                    help="survival probability evaluation time: 'median' or a number")
     p.add_argument("--out", required=True)
 
-    p = add("evaluate", cmd_evaluate, help="score predictions against labels")
+    p = add("evaluate", cmd_evaluate, seeded=True, help="score predictions against labels")
     p.add_argument("--manifest", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
@@ -426,7 +418,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fractions", default="0,0.05,0.1,0.15,0.2,0.25,0.3")
     p.add_argument("--out", required=True)
 
-    p = add("gradcheck", cmd_gradcheck, help="finite-difference gradient check")
+    p = add("gradcheck", cmd_gradcheck, seeded=True, help="finite-difference gradient check")
     p.add_argument("--dims", default="8x4", help="DxH, e.g. 8x4")
     p.add_argument("--task", default="classification",
                    choices=["classification", "regression", "survival"])

@@ -111,6 +111,11 @@ class RunConfig:
             raise ValidationError("batch_size must be >= 1")
         if self.training_mode not in TRAINING_MODES:
             raise ValidationError(f"unknown training_mode {self.training_mode!r}")
+        # every full_bag_batch1 batch is one slide, and a one-slide Cox batch
+        # has zero gradient (its partial likelihood is exp(eta) / exp(eta))
+        if self.training_mode == "full_bag_batch1" and self.task == "survival":
+            raise ValidationError("training_mode 'full_bag_batch1' cannot train the "
+                                  "survival task: a one-slide Cox batch has zero gradient")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -174,13 +179,8 @@ def compute_fingerprint(manifest: DatasetManifest,
     return fp
 
 
-def derive_config(fp: DataFingerprint, task: str | None = None,
-                  overrides: dict | None = None) -> RunConfig:
-    """Apply the rules to a fingerprint; explicit overrides win and are recorded."""
-    if task is not None and task != fp.task:
-        raise ValidationError(
-            f"requested task {task!r} contradicts the fingerprint task {fp.task!r}")
-    task = task if task is not None else fp.task
+def derive_config(fp: DataFingerprint, overrides: dict | None = None) -> RunConfig:
+    """Apply the rules to a fingerprint of fp.task; explicit overrides win and are recorded."""
     if fp.embed_dim < 1:
         raise ValidationError("embed_dim must be >= 1")
     overrides = dict(overrides or {})
@@ -191,13 +191,13 @@ def derive_config(fp: DataFingerprint, task: str | None = None,
     stride = int(overrides.get("stride", stride))
 
     values = {
-        "task": task,
+        "task": fp.task,
         "bag_size": max(1, _round_half_up(fp.patch_count_median / 2)),
         "hidden_dim": hidden,
         "stride": stride,
         "dropout": DEFAULT_DROPOUT,
         "batch_size": DEFAULT_BATCH_SIZE,
-        "learning_rate": 1e-4 if task == "survival" else 3e-4,
+        "learning_rate": 1e-4 if fp.task == "survival" else 3e-4,
         "weight_decay": 1e-4,
         "warmup_epochs": 5,
         "max_epochs": 100,

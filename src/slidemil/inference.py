@@ -100,10 +100,9 @@ def inference_windows(config: RunConfig, embed_dim: int) -> ChunkWindows:
 
 def ensemble_outputs(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows,
                      return_attention: bool = False):
-    """Raw per-window head outputs (K, n_outputs) on the full bag, dropout off."""
-    if bag.embed_dim != model.embed_dim:
-        raise ValidationError(
-            f"bag embed_dim {bag.embed_dim} != model embed_dim {model.embed_dim}")
+    """Raw per-window head outputs (K, n_outputs) on the full bag, dropout off.
+
+    forward_windows rejects a bag whose embed_dim is not the model's."""
     outputs, attention = model.forward_windows(bag.embeddings, windows.windows)
     outputs = outputs.astype(np.float64)
     if return_attention:
@@ -179,6 +178,14 @@ def slide_output(task: str, window_outputs: np.ndarray) -> np.ndarray:
     if task == "survival":
         return np.array([log_mean_exp(window_outputs[:, 0])])
     return window_outputs.mean(axis=0)
+
+
+def slide_outputs(model: GatedAttentionMIL, task: str, bags: dict[str, SlideBag], entries,
+                  windows: ChunkWindows) -> np.ndarray:
+    """Slide-level outputs (n_entries, n_out) of the window ensemble on each
+    entry's bag, in entry order."""
+    return np.stack([slide_output(task, ensemble_outputs(model, bags[e.slide_id], windows))
+                     for e in entries])
 
 
 def estimate_baseline_survival(train_risks: np.ndarray,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import SurvivalRecord
 from .errors import MetricUndefinedError, ValidationError
 
 
@@ -153,17 +152,19 @@ def km_curve(times, events) -> KMCurve:
     return KMCurve(times=event_times, survival=survival, at_risk=at_risk)
 
 
-def logrank_test(group_a: list[SurvivalRecord], group_b: list[SurvivalRecord]) -> tuple[float, float]:
-    """Two-group log-rank test; returns (chi-square statistic, p-value) at 1 dof."""
-    if not group_a or not group_b:
+def logrank_test(times, events, in_group_a) -> tuple[float, float]:
+    """Two-group log-rank test of the subjects in group a (in_group_a True)
+    against the rest; returns (chi-square statistic, p-value) at 1 dof."""
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=int)
+    in_a = np.asarray(in_group_a, dtype=bool)
+    if not times.shape == events.shape == in_a.shape or times.ndim != 1:
+        raise ValidationError("log-rank needs aligned 1-D times, events and group arrays")
+    if in_a.all() or not in_a.any():
         raise MetricUndefinedError("both groups must be nonempty")
-    times_a = np.array([r.time for r in group_a], dtype=np.float64)
-    events_a = np.array([r.event for r in group_a], dtype=int)
-    times_b = np.array([r.time for r in group_b], dtype=np.float64)
-    events_b = np.array([r.event for r in group_b], dtype=int)
-    all_times = np.concatenate([times_a, times_b])
-    all_events = np.concatenate([events_a, events_b])
-    event_times = np.unique(all_times[all_events == 1])
+    times_a, events_a = times[in_a], events[in_a]
+    times_b, events_b = times[~in_a], events[~in_a]
+    event_times = np.unique(times[events == 1])
     if len(event_times) == 0:
         raise MetricUndefinedError("log-rank needs at least one event")
 

@@ -133,42 +133,37 @@ class GatedAttentionMIL:
         }
 
     def forward(self, embeddings: np.ndarray, valid_mask: np.ndarray,
-                feature_indices: np.ndarray, training: bool = False,
-                rng: np.random.Generator | None = None,
-                need_cache: bool = False, check_finite: bool = True,
+                feature_indices: np.ndarray, rng: np.random.Generator | None = None,
                 attention_logits: np.ndarray | None = None) -> ForwardResult:
         """Run the aggregator on a stacked batch (n_slides, bag_size, embed_dim).
 
         feature_indices, a sorted int array, selects the embedding features
         and weight columns the attention projections read; both are gathered
-        with it. check_finite=False skips the scan for non-finite values, for
-        callers that have scanned the same embeddings already.
+        with it. Dropout applies exactly when rng is given (a training step).
         attention_logits (n_slides, bag_size), the gated projections' output
         computed by the caller for these feature indices, skips the
-        projections: only softmax, pooling and the head run (eval mode, no
-        cache).
+        projections: only softmax, pooling and the head run, without dropout.
+        The backward cache is built exactly when attention_logits is None.
+        The embeddings must be finite; that is checked once, when a SlideBag
+        is built, and not here.
         """
         x = np.asarray(embeddings, dtype=self.dtype)
         if x.ndim != 3 or x.shape[2] != self.embed_dim:
             raise ValidationError(f"expected (n, m, {self.embed_dim}) embeddings")
-        if check_finite and not np.all(np.isfinite(x)):
-            raise ValidationError("embeddings contain non-finite values")
         mask = np.asarray(valid_mask, dtype=bool)
         if mask.shape != x.shape[:2]:
             raise ValidationError("mask shape must match (n_slides, bag_size)")
         feat = np.asarray(feature_indices)
-        use_dropout = training and self.dropout > 0.0
-        if use_dropout and rng is None:
-            raise ValidationError("training-mode dropout needs an rng")
-        dropout = self.dropout if use_dropout else 0.0
-        if attention_logits is None:
+        dropout = self.dropout if rng is not None else 0.0
+        need_cache = attention_logits is None
+        if need_cache:
             v_sub, u_sub = (self.params[name][:, feat] for name in ("attention_v", "attention_u"))
         else:
             attention_logits = np.asarray(attention_logits, dtype=self.dtype)
             if attention_logits.shape != mask.shape:
                 raise ValidationError("attention_logits shape must match (n_slides, bag_size)")
-            if use_dropout or need_cache:
-                raise ValidationError("attention_logits serve eval-mode passes without a cache")
+            if rng is not None:
+                raise ValidationError("attention_logits serve eval-mode passes without dropout")
         w = self.params["attention_w"]
 
         n_slides, bag_size, _ = x.shape
@@ -181,11 +176,10 @@ class GatedAttentionMIL:
             if len(valid) == 0:
                 raise ValidationError(f"slide {i} has no valid patches")
             xi = x[i] if len(valid) == bag_size else x[i, valid]  # (m, D)
-            if attention_logits is None:
+            if need_cache:
                 xs = np.take(xi, feat, axis=1)
                 alpha, pooled[i], acts = _gated_attention(xi, xs, v_sub, u_sub, w, dropout, rng)
-                if need_cache:
-                    cache.append((valid, xi, xs, *acts, alpha))
+                cache.append((valid, xi, xs, *acts, alpha))
             else:
                 alpha, pooled[i] = _softmax_pool(attention_logits[i, valid], xi)
             attention[i, valid] = alpha
@@ -200,11 +194,12 @@ class GatedAttentionMIL:
         """Eval-mode outputs (K, n_outputs) and attention (K, N) of one full bag
         (N, D) under each feature window [start, end).
 
-        The bag is scanned for non-finite values once and never copied. Each
-        window's projections x[:, window] @ [V; U/2][:, window].T are the sum
-        of its column blocks' products (_window_blocks); the bag is walked in
-        ROW_TILE-row tiles, and in each tile a block's product is computed
-        once and kept in a ring while the windows that contain it pass. The
+        The bag must be finite, which is checked when its SlideBag is built
+        and not again here; it is never copied. Each window's projections
+        x[:, window] @ [V; U/2][:, window].T are the sum of its column
+        blocks' products (_window_blocks); the bag is walked in ROW_TILE-row
+        tiles, and in each tile a block's product is computed once and kept
+        in a ring while the windows that contain it pass. The
         gate uses sigmoid(z) = (1 + tanh(z/2)) / 2, so one tanh covers both
         halves of a product, and the logits
         w @ (tanh(xV) * sigmoid(xU)) are [w/2; w/2] @ [t; t * tanh(xU/2)]
@@ -217,8 +212,6 @@ class GatedAttentionMIL:
         x = np.asarray(embeddings, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.embed_dim:
             raise ValidationError(f"expected (n, {self.embed_dim}) embeddings")
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("embeddings contain non-finite values")
         h, n = self.hidden_dim, x.shape[0]
         half = self.dtype.type(0.5)
         w2 = np.concatenate([self.params["attention_w"], self.params["attention_w"]]) * half
@@ -245,7 +238,7 @@ class GatedAttentionMIL:
                 np.matmul(w2, pre, out=logits[k, t0:t0 + len(xt)])
 
         mask = np.ones((1, n), dtype=bool)
-        results = [self.forward(x[None], mask, np.arange(start, end), check_finite=False,
+        results = [self.forward(x[None], mask, np.arange(start, end),
                                 attention_logits=logits[k][None])
                    for k, (start, end) in enumerate(windows)]
         return (np.concatenate([r.outputs for r in results]),
@@ -400,7 +393,7 @@ def grad_check(task: str, embed_dim: int = 8, hidden_dim: int = 4, n_classes: in
         events[0] = 1
         targets = (times, events)
 
-    result = model.forward(x, mask, feat, training=False, need_cache=True)
+    result = model.forward(x, mask, feat)
     if task == "classification":
         _, d_out = cross_entropy_loss(result.outputs, targets)
     elif task == "regression":

@@ -38,21 +38,18 @@ class BatchPlan:
 
 
 def sample_patches(bag: SlideBag, bag_size: int, rng: np.random.Generator,
-                   out: np.ndarray | None = None) -> FixedBag:
+                   out: np.ndarray) -> FixedBag:
     """Normalize one bag to bag_size rows: uniform subsample if larger, zero-pad if smaller.
 
-    out, a writable float32 (bag_size, D) array, receives the rows in place of
-    a new array and becomes the returned FixedBag's embeddings. Every row of
-    it is written: sampled rows are gathered straight into it and padded rows
-    are set to zero, so a buffer reused across calls carries nothing over.
-    The rng is consumed the same way with or without out.
+    out, a writable float32 (bag_size, D) array, receives the rows and becomes
+    the returned FixedBag's embeddings. Every row of it is written: sampled
+    rows are gathered straight into it and padded rows are set to zero, so a
+    buffer reused across calls carries nothing over.
     """
     if bag_size < 1:
         raise ValidationError("bag_size must be >= 1")
     n, d = bag.embeddings.shape
-    if out is None:
-        out = np.empty((bag_size, d), dtype=np.float32)
-    elif out.shape != (bag_size, d) or out.dtype != np.float32:
+    if out.shape != (bag_size, d) or out.dtype != np.float32:
         raise ValidationError(f"out must be a float32 ({bag_size}, {d}) array")
     if n > bag_size:
         keep = np.sort(rng.choice(n, size=bag_size, replace=False))
@@ -135,16 +132,15 @@ def balanced_batches(class_labels: np.ndarray, batch_size: int,
     return _quota_batches(pools, base, remainder, n, batch_size, rng)
 
 
-def regression_batches(targets: np.ndarray, batch_size: int, rng: np.random.Generator,
-                       n_bins: int | None = None) -> BatchPlan:
-    """Regression sampler: quantile-bin the targets, then fill per-bin quotas per batch."""
+def regression_batches(targets: np.ndarray, batch_size: int,
+                       rng: np.random.Generator) -> BatchPlan:
+    """Regression sampler: quantile-bin the targets into min(10, n, batch_size)
+    bins, then fill per-bin quotas per batch."""
     targets = np.asarray(targets, dtype=np.float64)
     n = len(targets)
     if n == 0 or not np.all(np.isfinite(targets)):
         raise ValidationError("targets must be nonempty and finite")
-    if n_bins is None:
-        n_bins = min(10, n)
-    n_bins = max(1, min(n_bins, batch_size))
+    n_bins = max(1, min(10, n, batch_size))
     edges = np.unique(np.quantile(targets, np.linspace(0.0, 1.0, n_bins + 1)))
     if n_bins == 1 or len(edges) < 3:
         # constant targets (or a single bin) degenerate to plain shuffled batching

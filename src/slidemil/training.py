@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-# called through the module, so a wrapper set on inference.ensemble_outputs
-# (perfbench/tracing.py) also sees the validation ensemble
+# inference.slide_outputs looks ensemble_outputs up in its module, so a
+# wrapper set there (perfbench/tracing.py) also sees the validation ensemble
 from . import inference
 from .dataio import DatasetManifest, SlideBag, label_arrays
 from .errors import CorruptionError, FormatError, ValidationError
@@ -239,10 +239,7 @@ def _validation_loss(model, task, val_entries, bags, windows) -> float | None:
     targets = label_arrays(task, val_entries)
     if task == "survival" and targets[1].sum() == 0:
         return None
-    outputs = np.stack([
-        inference.slide_output(task, inference.ensemble_outputs(model, bags[e.slide_id], windows))
-        for e in val_entries
-    ])  # (n_val, n_out)
+    outputs = inference.slide_outputs(model, task, bags, val_entries, windows)
     return _loss_and_grad(task, outputs, targets)[0]
 
 
@@ -283,7 +280,6 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
     best_val = None
     best_epoch = None
     epochs_since_best = 0
-    skipped_eventless = 0
 
     for epoch in range(config.max_epochs):
         lr = lr_schedule(epoch, config)
@@ -312,12 +308,7 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
                 mask = np.stack([f.valid_mask for f in fixed])
                 feat = sample_feature_indices(embed_dim, config.hidden_dim, rng)
             batch_targets = label_arrays(task, [train_entries[i] for i in batch])
-            if task == "survival" and int(np.sum(batch_targets[1])) == 0:
-                skipped_eventless += 1
-                continue
-            # SlideBag scanned every bag when it was built; padding rows are zeros
-            result = model.forward(x, mask, feat, training=True, rng=rng, need_cache=True,
-                                   check_finite=False)
+            result = model.forward(x, mask, feat, rng=rng)
             loss, d_out = _loss_and_grad(task, result.outputs, batch_targets)
             grads = model.backward(result.cache, d_out)
             adamw_step(model.params, grads, state, lr, config.weight_decay)
@@ -327,7 +318,7 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
             loss_sum += loss * len(batch)
             n_seen += len(batch)
 
-        train_loss = loss_sum / n_seen if n_seen else float("nan")
+        train_loss = loss_sum / n_seen
         val_loss = _validation_loss(model, task, val_entries, bags, windows)
         report.epochs.append({"epoch": epoch, "lr": lr, "train_loss": train_loss,
                               "val_loss": val_loss})
@@ -343,8 +334,6 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
             if epochs_since_best >= config.patience:
                 break
 
-    if skipped_eventless:
-        report.notes.append(f"skipped {skipped_eventless} event-free survival batches")
     if best_val is None and task == "survival":
         report.notes.append("validation split has no events; early stopping disabled")
     report.best_epoch = best_epoch

@@ -205,10 +205,7 @@ def test_criterion_05_survival_pipeline_discriminates_and_is_shift_invariant():
     assert abs(base - shifted) <= 1e-9, (
         f"partial-likelihood loss moved by {abs(base - shifted):.3e} under a constant risk shift")
 
-    median = np.median(risks)
-    high = [e.label for e, r in zip(entries, risks) if r > median]
-    low = [e.label for e, r in zip(entries, risks) if r <= median]
-    stat, p = logrank_test(high, low)
+    stat, p = logrank_test(times, events, risks > np.median(risks))
     assert p < 0.01, f"median-risk split log-rank p {p:.3e} (stat {stat:.3f}), target < 0.01"
 
 
@@ -318,11 +315,10 @@ def test_criterion_08_rank_statistics_match_brute_force_enumeration():
     #   t=4: at risk 1/2, deaths 0/1 -> E_a = 1/3,  V = 2/9
     #   t=5: at risk 1/1, deaths 1/0 -> E_a = 1/2,  V = 1/4
     # O_a = 3, E_a = 7/3, V = 101/90, stat = (3 - 7/3)^2 / (101/90) = 40/101
-    group_a = [SurvivalRecord(1, 1), SurvivalRecord(2, 1), SurvivalRecord(3, 0),
-               SurvivalRecord(5, 1)]
-    group_b = [SurvivalRecord(1, 0), SurvivalRecord(2, 1), SurvivalRecord(4, 1),
-               SurvivalRecord(6, 0)]
-    stat, p = logrank_test(group_a, group_b)
+    # group a: (1, event), (2, event), (3, censored), (5, event)
+    # group b: (1, censored), (2, event), (4, event), (6, censored)
+    stat, p = logrank_test([1, 2, 3, 5, 1, 2, 4, 6], [1, 1, 0, 1, 0, 1, 1, 0],
+                           [True] * 4 + [False] * 4)
     assert abs(stat - 40.0 / 101.0) <= 1e-9, f"log-rank statistic {stat!r} != 40/101"
     assert abs(p - 0.5291416909253399) <= 1e-9, f"log-rank p {p!r}"
 
@@ -345,18 +341,16 @@ def test_criterion_09_zero_masked_padding_is_exactly_invariant():
         mask_pad = np.concatenate([mask, np.zeros((n_slides, pad), dtype=bool)], axis=1)
         feat = np.sort(rng.choice(embed_dim, size=hidden_dim, replace=False))
 
-        base = model.forward(x, mask, feat, training=False)
-        padded = model.forward(x_pad, mask_pad, feat, training=False)
+        base = model.forward(x, mask, feat)
+        padded = model.forward(x_pad, mask_pad, feat)
         assert np.array_equal(base.outputs, padded.outputs), (
             f"trial {trial}: eval outputs moved under {pad} padded rows")
         assert np.array_equal(base.attention, padded.attention[:, :n_valid])
         assert not padded.attention[:, n_valid:].any()
 
         seed = int(rng.integers(0, 2**31))
-        t_base = model.forward(x, mask, feat, training=True,
-                               rng=np.random.default_rng(seed))
-        t_pad = model.forward(x_pad, mask_pad, feat, training=True,
-                              rng=np.random.default_rng(seed))
+        t_base = model.forward(x, mask, feat, rng=np.random.default_rng(seed))
+        t_pad = model.forward(x_pad, mask_pad, feat, rng=np.random.default_rng(seed))
         assert np.array_equal(t_base.outputs, t_pad.outputs), (
             f"trial {trial}: dropout-mode outputs moved under {pad} padded rows")
 

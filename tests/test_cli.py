@@ -139,9 +139,12 @@ class TestClassificationPipeline:
             assert "Traceback" not in capsys.readouterr().err
 
     def test_run_manifests_written_everywhere(self):
-        for name in ("data", "fp", "plan", "train", "pred"):
+        # the seed is the one the command used; null where it draws nothing
+        seeds = {"data": 0, "fp": None, "plan": 42, "train": 42, "pred": None}
+        for name, seed in seeds.items():
             doc = json.loads((self.dirs[name] / "run_manifest.json").read_text())
             assert {"command", "inputs", "seed", "timestamp", "config_hash"} <= doc.keys()
+            assert doc["seed"] == seed, name
 
     def test_predictions_are_deterministic(self, tmp_path):
         # same corpus and config, fresh train + predict: identical output bytes
@@ -386,7 +389,8 @@ class TestPlanWindowCount:
         assert "K=15" in self._plan(tmp_path, capsys)
 
     def test_full_bag_mode_is_one_window(self, tmp_path, capsys):
-        assert "K=1)" in self._plan(tmp_path, capsys, "--mode", "full_bag_batch1")
+        assert "K=1)" in self._plan(tmp_path, capsys,
+                                    "--override", "training_mode=full_bag_batch1")
 
 
 # each malformed synthetic spec, fingerprint.json or config.json, with the
@@ -505,17 +509,18 @@ class TestSeedFlag:
 
 
 class TestFullBagMode:
-    def test_mode_flag_threads_through(self, tmp_path, pipeline_dirs):
+    def test_mode_override_threads_through(self, tmp_path, pipeline_dirs):
         dirs = pipeline_dirs
         spec = _write_spec(tmp_path / "spec.json")
         main(["synth", "--spec", str(spec), "--out", str(dirs["data"])])
         main(["fingerprint", "--manifest", str(dirs["data"] / "manifest.json"),
               "--data-dir", str(dirs["data"]), "--out", str(dirs["fp"])])
         assert main(["plan", "--fingerprint", str(dirs["fp"] / "fingerprint.json"),
-                     "--mode", "full_bag_batch1",
+                     "--override", "training_mode=full_bag_batch1",
                      "--override", "max_epochs=1", "--out", str(dirs["plan"])]) == 0
         config = json.loads((dirs["plan"] / "config.json").read_text())
         assert config["training_mode"] == "full_bag_batch1"
+        assert config["overrides"] == {"training_mode": "full_bag_batch1", "max_epochs": 1}
         assert main(["train", "--manifest", str(dirs["data"] / "manifest.json"),
                      "--data-dir", str(dirs["data"]),
                      "--config", str(dirs["plan"] / "config.json"),
@@ -528,3 +533,48 @@ class TestFullBagMode:
             (dirs["pred"] / "predictions.jsonl").read_text().splitlines()[0])
         # one full-width window: a single ensemble member
         assert len(rec["per_chunk_probs"]) == 1
+
+    def test_survival_is_rejected_by_plan_and_train(self, tmp_path, pipeline_dirs, capsys):
+        # every batch is one slide, and a one-slide Cox batch has zero gradient
+        dirs = pipeline_dirs
+        spec = _write_spec(tmp_path / "spec.json", task="survival", censoring_rate=0.2,
+                           n_bags=24)
+        main(["synth", "--spec", str(spec), "--out", str(dirs["data"])])
+        main(["fingerprint", "--manifest", str(dirs["data"] / "manifest.json"),
+              "--data-dir", str(dirs["data"]), "--out", str(dirs["fp"])])
+        fingerprint = str(dirs["fp"] / "fingerprint.json")
+        capsys.readouterr()
+        assert main(["plan", "--fingerprint", fingerprint,
+                     "--override", "training_mode=full_bag_batch1",
+                     "--out", str(tmp_path / "rejected")]) == 1
+        assert "full_bag_batch1" in capsys.readouterr().err
+        # a config written by hand is rejected when train reads it
+        assert main(["plan", "--fingerprint", fingerprint, "--override", "max_epochs=1",
+                     "--out", str(dirs["plan"])]) == 0
+        config_path = dirs["plan"] / "config.json"
+        config = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**config, "training_mode": "full_bag_batch1"}))
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(dirs["data"] / "manifest.json"),
+                     "--data-dir", str(dirs["data"]), "--config", str(config_path),
+                     "--out", str(dirs["train"])]) == 1
+        assert "full_bag_batch1" in capsys.readouterr().err
+        assert not (dirs["train"] / "checkpoint.ckpt").exists()
+
+
+class TestRemovedFlags:
+    """Flags that repeated another input or set nothing exit 1 as unknown."""
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--fingerprint", "fp.json", "--out", "o", "--task", "classification"],
+        ["plan", "--fingerprint", "fp.json", "--out", "o", "--mode", "full_bag_batch1"],
+        ["fingerprint", "--manifest", "m.json", "--data-dir", "d", "--out", "o",
+         "--seed", "1"],
+        ["predict", "--manifest", "m.json", "--data-dir", "d", "--checkpoint", "c.ckpt",
+         "--out", "o", "--seed", "1"],
+        ["reject-curve", "--manifest", "m.json", "--predictions", "p.jsonl", "--out", "o",
+         "--seed", "1"],
+    ], ids=["plan-task", "plan-mode", "fingerprint-seed", "predict-seed", "reject-curve-seed"])
+    def test_removed_flag_is_unknown(self, argv, capsys):
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err

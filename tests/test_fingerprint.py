@@ -164,9 +164,15 @@ class TestDeriveConfig:
         with pytest.raises(ValidationError):
             derive_config(_fp(1000, 1024), overrides={"momentum": 0.9})
 
-    def test_task_argument_must_match_fingerprint(self):
-        with pytest.raises(ValidationError):
-            derive_config(_fp(100, 64, task="survival"), task="classification")
+    def test_full_bag_mode_rejected_for_survival(self):
+        # one slide per batch: a one-slide Cox batch has zero gradient
+        with pytest.raises(ValidationError, match="full_bag_batch1"):
+            derive_config(_fp(100, 64, task="survival"),
+                          overrides={"training_mode": "full_bag_batch1"})
+        for task in ("classification", "regression"):
+            cfg = derive_config(_fp(100, 64, task=task),
+                                overrides={"training_mode": "full_bag_batch1"})
+            assert cfg.training_mode == "full_bag_batch1"
 
 
 class TestConfigSerialization:

@@ -270,6 +270,13 @@ def _logrank_reference(group_a, group_b):
     return stat, math.erfc(math.sqrt(stat / 2.0))
 
 
+def _groups(a, b):
+    """(times, events, in_group_a) arrays of two record lists, group a first."""
+    records = list(a) + list(b)
+    return ([r.time for r in records], [r.event for r in records],
+            [True] * len(a) + [False] * len(b))
+
+
 class TestLogrank:
     def test_hand_computed_table(self):
         # group a events at 1, 2; group b event at 3: work the three tables
@@ -278,7 +285,7 @@ class TestLogrank:
         # t=3: na=0 nb=2 da=0 dt=1 -> e=0,   v=0... na=0 so v=0
         a = [SurvivalRecord(time=1.0, event=1), SurvivalRecord(time=2.0, event=1)]
         b = [SurvivalRecord(time=3.0, event=1), SurvivalRecord(time=4.0, event=0)]
-        stat, p = logrank_test(a, b)
+        stat, p = logrank_test(*_groups(a, b))
         o_minus_e = (1 - 0.5) + (1 - 1 / 3) + (0 - 0.0)
         var = 0.25 + 2 / 9 + 0.0
         assert stat == pytest.approx(o_minus_e ** 2 / var, abs=1e-9)
@@ -287,7 +294,7 @@ class TestLogrank:
     def test_identical_groups_score_near_zero(self, rng):
         recs = [SurvivalRecord(time=float(t), event=1)
                 for t in rng.exponential(1.0, 20) + 0.01]
-        stat, p = logrank_test(recs, list(recs))
+        stat, p = logrank_test(*_groups(recs, recs))
         assert stat == pytest.approx(0.0, abs=1e-12)
         assert p == pytest.approx(1.0, abs=1e-9)
 
@@ -300,7 +307,7 @@ class TestLogrank:
                         for _ in range(n)]
             a, b = draw(), draw()
             try:
-                stat, p = logrank_test(a, b)
+                stat, p = logrank_test(*_groups(a, b))
             except MetricUndefinedError:
                 continue
             ref_stat, ref_p = _logrank_reference(a, b)
@@ -310,18 +317,24 @@ class TestLogrank:
     def test_separated_groups_are_significant(self):
         a = [SurvivalRecord(time=float(t), event=1) for t in range(1, 11)]
         b = [SurvivalRecord(time=float(t + 100), event=1) for t in range(1, 11)]
-        stat, p = logrank_test(a, b)
+        stat, p = logrank_test(*_groups(a, b))
         assert p < 0.01
 
     def test_empty_group_undefined(self):
         with pytest.raises(MetricUndefinedError):
-            logrank_test([], [SurvivalRecord(time=1.0, event=1)])
+            logrank_test(*_groups([], [SurvivalRecord(time=1.0, event=1)]))
+        with pytest.raises(MetricUndefinedError):
+            logrank_test(*_groups([SurvivalRecord(time=1.0, event=1)], []))
+
+    def test_misaligned_arrays_rejected(self):
+        with pytest.raises(ValidationError):
+            logrank_test([1.0, 2.0], [1, 1], [True])
 
     def test_no_events_undefined(self):
         a = [SurvivalRecord(time=1.0, event=0)]
         b = [SurvivalRecord(time=2.0, event=0)]
         with pytest.raises(MetricUndefinedError):
-            logrank_test(a, b)
+            logrank_test(*_groups(a, b))
 
 
 class TestBootstrap:

@@ -20,10 +20,16 @@ from slidemil.sampling import (
 from conftest import make_bag
 
 
+def _sample(bag, bag_size, rng):
+    """sample_patches into a new NaN-filled buffer, so an unwritten row shows."""
+    out = np.full((bag_size, bag.embed_dim), np.nan, dtype=np.float32)
+    return sample_patches(bag, bag_size, rng, out=out)
+
+
 class TestSamplePatches:
     def test_subsample_without_replacement(self, rng):
         bag = make_bag(rng, 100, 4)
-        fixed = sample_patches(bag, 50, rng)
+        fixed = _sample(bag, 50, rng)
         assert fixed.embeddings.shape == (50, 4)
         assert fixed.valid_mask.all()
         # every row is one of the originals, no duplicates
@@ -37,12 +43,12 @@ class TestSamplePatches:
         # a bag holding its own indices comes out sorted
         bag = make_bag(rng, 30, 3)
         bag.embeddings[:, 0] = np.arange(30, dtype=np.float32)
-        fixed = sample_patches(bag, 10, rng)
+        fixed = _sample(bag, 10, rng)
         assert (np.diff(fixed.embeddings[:, 0]) > 0).all()
 
     def test_small_bag_zero_padded(self, rng):
         bag = make_bag(rng, 30, 4)
-        fixed = sample_patches(bag, 50, rng)
+        fixed = _sample(bag, 50, rng)
         assert fixed.valid_mask[:30].all()
         assert not fixed.valid_mask[30:].any()
         assert np.array_equal(fixed.embeddings[:30], bag.embeddings)
@@ -51,19 +57,20 @@ class TestSamplePatches:
     def test_exact_size_identity_without_rng(self, rng):
         bag = make_bag(rng, 16, 4)
         state_before = rng.bit_generator.state
-        fixed = sample_patches(bag, 16, rng)
+        fixed = _sample(bag, 16, rng)
         assert np.array_equal(fixed.embeddings, bag.embeddings)
         assert fixed.valid_mask.all()
         # the degenerate path must not consume randomness
         assert rng.bit_generator.state == state_before
 
     @pytest.mark.parametrize("n_patches", [5, 16, 40])
-    def test_out_buffer_matches_a_fresh_sample(self, n_patches):
-        # a NaN-filled buffer shows any row sample_patches leaves unwritten
+    def test_reused_buffer_carries_nothing_over(self, n_patches):
+        # a buffer holding another bag's rows gives the same sample as a new one
         bag = make_bag(np.random.default_rng(1), n_patches, 4)
         fresh_rng, out_rng = np.random.default_rng(5), np.random.default_rng(5)
-        fresh = sample_patches(bag, 16, fresh_rng)
-        buf = np.full((16, 4), np.nan, dtype=np.float32)
+        fresh = _sample(bag, 16, fresh_rng)
+        assert not np.isnan(fresh.embeddings).any()
+        buf = np.random.default_rng(2).standard_normal((16, 4)).astype(np.float32)
         into = sample_patches(bag, 16, out_rng, out=buf)
         assert into.embeddings is buf
         assert np.array_equal(into.embeddings, fresh.embeddings)
@@ -176,7 +183,7 @@ class TestBalancedBatches:
 class TestRegressionBatches:
     def test_uniform_targets_equal_bin_quota(self, rng):
         targets = np.linspace(0.0, 1.0, 100)
-        plan = regression_batches(targets, 30, rng, n_bins=10)
+        plan = regression_batches(targets, 30, rng)  # min(10, n, B) = 10 bins
         edges = np.quantile(targets, np.linspace(0, 1, 11))
         for batch in plan.batches:
             assert len(batch) == 30
@@ -199,7 +206,8 @@ class TestRegressionBatches:
 
     def test_single_bin_degenerate_to_plain(self, rng):
         targets = np.linspace(0, 1, 12)
-        plan = regression_batches(targets, 4, rng, n_bins=1)
+        plan = regression_batches(targets, 1, rng)  # min(10, n, B) = 1 bin
+        assert len(plan.batches) == 12
         seen = sorted(b for batch in plan.batches for b in batch)
         assert seen == list(range(12))
 

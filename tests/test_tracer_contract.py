@@ -1,0 +1,93 @@
+"""The benchmark tracer's contract with the program.
+
+perfbench/tracing.py wraps each callable in its PATCH_POINTS where the caller
+looks the name up. A caller that binds one of those names by value instead
+(``from .sampling import sample_patches`` used before the wrapper is set, or
+a helper that captures a function) still runs, but its span is never
+recorded and the per-layer metric built on it reads zero. This test runs the
+whole CLI pipeline of each task under the tracer and checks that every span
+the task reaches is recorded, under the parent the metrics expect.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from slidemil.cli import main
+
+TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+# span names only some tasks reach
+TASK_ONLY = {"inference.decompose_uncertainty": "classification",
+             "inference.baseline_fit": "survival"}
+
+SPECS = {
+    "classification": {"n_bags": 20},
+    "regression": {"n_bags": 20, "signal_strength": 1.0},
+    "survival": {"n_bags": 24, "censoring_rate": 0.2},
+}
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("slidemil_bench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pipeline(task, root, tracer):
+    spec_path = root / "spec.json"
+    spec_path.write_text(json.dumps({
+        "task": task, "patches_per_bag_range": [5, 10], "embed_dim": 8,
+        "signal_fraction": 0.5, "signal_strength": 3.0, "seed": 0, **SPECS[task]}))
+    data = root / "data"
+    manifest = str(data / "manifest.json")
+    steps = [
+        ("synth", ["--spec", str(spec_path), "--out", str(data)]),
+        ("fingerprint", ["--manifest", manifest, "--data-dir", str(data),
+                         "--out", str(root / "fp")]),
+        ("plan", ["--fingerprint", str(root / "fp" / "fingerprint.json"),
+                  "--override", "max_epochs=1", "--out", str(root / "plan")]),
+        ("train", ["--manifest", manifest, "--data-dir", str(data),
+                   "--config", str(root / "plan" / "config.json"),
+                   "--out", str(root / "train")]),
+        ("predict", ["--manifest", manifest, "--data-dir", str(data),
+                     "--checkpoint", str(root / "train" / "checkpoint.ckpt"),
+                     "--out", str(root / "pred")]),
+        ("evaluate", ["--manifest", manifest,
+                      "--predictions", str(root / "pred" / "predictions.jsonl"),
+                      "--out", str(root / "eval")]),
+    ]
+    for command, argv in steps:
+        with tracer.span(f"cli.{command}"):
+            assert main([command, *argv]) == 0, command
+
+
+@pytest.mark.parametrize("task", sorted(SPECS))
+def test_every_reached_patch_point_records_a_span(task, tmp_path):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _pipeline(task, tmp_path, tracer)
+    finally:
+        assert tracer.uninstall() == []
+
+    expected = {name for _, _, name, _ in tracing.PATCH_POINTS
+                if TASK_ONLY.get(name, task) == task}
+    recorded = {s.name for s in tracer.spans}
+    assert expected <= recorded, f"no spans for {sorted(expected - recorded)}"
+
+    names = {s.id: s.name for s in tracer.spans}
+    parents = {(s.name, names.get(s.parent)) for s in tracer.spans}
+    # training forwards are told apart from the ensemble's by their parent
+    assert ("model.forward", "training.train") in parents
+    assert ("model.forward", "inference.ensemble_outputs") in parents
+    # the validation ensemble is counted as training.validation_s
+    assert ("inference.ensemble_outputs", "training.train") in parents
+    # the Breslow fit's ensemble is counted as inference.baseline_s
+    assert (("inference.ensemble_outputs", "cli.predict") in parents) == (task == "survival")

@@ -240,13 +240,11 @@ class TestTrain:
         assert ckpt.params["head_weight"].shape == (1, 8)
         assert all(math.isfinite(r["train_loss"]) for r in report.epochs)
 
-    def test_full_bag_mode_skips_eventless_survival_batches(self, rng):
-        # batch-of-one full bags make censored slides event-free batches
-        manifest, bags = make_survival_corpus(rng)
-        cfg = tiny_config(task="survival", training_mode="full_bag_batch1",
-                          learning_rate=1e-4, max_epochs=2)
-        _, report = train(cfg, manifest, bags)
-        assert any("event-free" in note for note in report.notes)
+    def test_full_bag_mode_rejected_for_survival(self):
+        # every batch is one slide, and a one-slide Cox batch has zero
+        # gradient: the run would end at its initial parameters
+        with pytest.raises(ValidationError, match="full_bag_batch1"):
+            tiny_config(task="survival", training_mode="full_bag_batch1", learning_rate=1e-4)
 
     def test_full_bag_mode_classification(self, rng):
         manifest, bags = make_classification_corpus(rng)
