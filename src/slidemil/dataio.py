@@ -132,6 +132,11 @@ class DatasetManifest:
                 raise ValidationError("classification labels must be integer class indices")
             if self.n_classes is None:
                 self.n_classes = int(max(labels)) + 1 if labels else 0
+            # fingerprinting and the head scale with n_classes, declared or
+            # inferred from the largest label, not with the data
+            if self.n_classes > len(self.entries):
+                raise ValidationError(f"n_classes {self.n_classes} exceeds the manifest's "
+                                      f"{len(self.entries)} entries")
             for e in self.entries:
                 if not 0 <= e.label < self.n_classes:
                     raise ValidationError(

@@ -165,8 +165,9 @@ def compute_fingerprint(manifest: DatasetManifest,
         task=manifest.task,
     )
     if manifest.task == "classification":
-        labels = np.array([e.label for e in train])
-        fp.class_prevalence = [float(np.mean(labels == c)) for c in range(manifest.n_classes)]
+        labels = np.array([e.label for e in train], dtype=np.int64)
+        counts = np.bincount(labels, minlength=manifest.n_classes)
+        fp.class_prevalence = (counts / len(labels)).tolist()
     elif manifest.task == "regression":
         targets = np.array([e.label for e in train], dtype=np.float64)
         fp.target_min = float(targets.min())
@@ -180,10 +181,16 @@ def compute_fingerprint(manifest: DatasetManifest,
 
 
 def derive_config(fp: DataFingerprint, overrides: dict | None = None) -> RunConfig:
-    """Apply the rules to a fingerprint of fp.task; explicit overrides win and are recorded."""
+    """Apply the rules to a fingerprint of fp.task; explicit overrides win and are recorded.
+
+    The task is not a rule's choice but the data's, so it cannot be overridden.
+    """
     if fp.embed_dim < 1:
         raise ValidationError("embed_dim must be >= 1")
     overrides = dict(overrides or {})
+    if "task" in overrides:
+        raise ValidationError(f"the task comes from the fingerprint ({fp.task}); "
+                              f"it cannot be overridden")
 
     hidden = min(DEFAULT_HIDDEN_DIM, fp.embed_dim)
     hidden = int(overrides.get("hidden_dim", hidden))

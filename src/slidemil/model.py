@@ -42,28 +42,39 @@ def _softmax_pool(logits: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.nd
     return alpha, alpha @ xi
 
 
+def _gated_output(tanh_act: np.ndarray, gate_act: np.ndarray, keep: np.ndarray | None,
+                  dropout: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gated activations tanh_act * gate_act (m, H) with the dropout mask keep
+    applied, and the scale keep / (1 - dropout) that applies it (None when
+    keep is None). forward and backward both build them here, so backward's
+    rebuild is bit-identical to the forward pass."""
+    gated = tanh_act * gate_act
+    if keep is None:
+        return gated, None
+    drop = keep.astype(gated.dtype) / gated.dtype.type(1.0 - dropout)
+    gated *= drop
+    return gated, drop
+
+
 def _gated_attention(xi: np.ndarray, xs: np.ndarray, v_sub: np.ndarray, u_sub: np.ndarray,
                      w: np.ndarray, dropout: float = 0.0,
-                     rng: np.random.Generator | None = None):
+                     rng: np.random.Generator | None = None, noise: np.ndarray | None = None):
     """Attention weights and pooled vector of one slide.
 
     xi (m, D) is pooled, xs (m, F) feeds the projections v_sub, u_sub (H, F).
-    Returns (alpha (m,), pooled (D,), activations kept for the backward pass).
+    With dropout > 0 the mask is drawn from rng into the first m rows of
+    noise, a float64 buffer of H columns. Returns (alpha (m,), pooled (D,),
+    (tanh_act, gate_act, keep)), where keep is the bool dropout mask or None
+    without dropout.
     """
     tanh_act = np.tanh(xs @ v_sub.T)      # (m, H)
     with np.errstate(over="ignore"):      # exp overflows to inf; 1 / (1 + inf) is 0
         gate_act = 1.0 / (1.0 + np.exp(-(xs @ u_sub.T)))
-    gated = tanh_act * gate_act
-    if dropout > 0.0:
-        keep = (rng.random(gated.shape) >= dropout)
-        drop = keep.astype(gated.dtype) / gated.dtype.type(1.0 - dropout)
-        gated_out = gated * drop
-    else:
-        drop = None
-        gated_out = gated
+    keep = rng.random(out=noise[:len(xs)]) >= dropout if dropout > 0.0 else None
+    gated_out, _ = _gated_output(tanh_act, gate_act, keep, dropout)
     logits = gated_out @ w                # (m,)
     alpha, pooled = _softmax_pool(logits, xi)
-    return alpha, pooled, (tanh_act, gate_act, drop, gated_out)
+    return alpha, pooled, (tanh_act, gate_act, keep)
 
 
 # Rows of the bag per tile in forward_windows. A tile's block products are
@@ -143,7 +154,14 @@ class GatedAttentionMIL:
         attention_logits (n_slides, bag_size), the gated projections' output
         computed by the caller for these feature indices, skips the
         projections: only softmax, pooling and the head run, without dropout.
-        The backward cache is built exactly when attention_logits is None.
+        The backward cache is built exactly when attention_logits is None:
+        cache[0] is ("batch", pooled, feature_indices), and each slide adds
+        (valid rows, xi, tanh_act, gate_act, keep, alpha), with xi its (m, D)
+        valid rows (a view of the batch when it has no padding), tanh_act and
+        gate_act the (m, H) activations and keep the bool dropout mask or
+        None. backward rebuilds the sampled columns, the dropout scale and
+        the gated output from these. Each call draws its dropout masks
+        through one (bag_size, H) float64 buffer.
         The embeddings must be finite; that is checked once, when a SlideBag
         is built, and not here.
         """
@@ -170,6 +188,7 @@ class GatedAttentionMIL:
         attention = np.zeros((n_slides, bag_size), dtype=self.dtype)
         pooled = np.empty((n_slides, self.embed_dim), dtype=self.dtype)
         cache = [] if need_cache else None
+        noise = np.empty((bag_size, self.hidden_dim)) if dropout > 0.0 else None
 
         for i in range(n_slides):
             valid = np.flatnonzero(mask[i])
@@ -178,8 +197,9 @@ class GatedAttentionMIL:
             xi = x[i] if len(valid) == bag_size else x[i, valid]  # (m, D)
             if need_cache:
                 xs = np.take(xi, feat, axis=1)
-                alpha, pooled[i], acts = _gated_attention(xi, xs, v_sub, u_sub, w, dropout, rng)
-                cache.append((valid, xi, xs, *acts, alpha))
+                alpha, pooled[i], acts = _gated_attention(xi, xs, v_sub, u_sub, w,
+                                                          dropout, rng, noise)
+                cache.append((valid, xi, *acts, alpha))
             else:
                 alpha, pooled[i] = _softmax_pool(attention_logits[i, valid], xi)
             attention[i, valid] = alpha
@@ -215,10 +235,11 @@ class GatedAttentionMIL:
         h, n = self.hidden_dim, x.shape[0]
         half = self.dtype.type(0.5)
         w2 = np.concatenate([self.params["attention_w"], self.params["attention_w"]]) * half
-        proj = np.concatenate([self.params["attention_v"], self.params["attention_u"] * half])
+        v, u = self.params["attention_v"], self.params["attention_u"]
         plan = _window_blocks(windows)
-        block_weights = {b: np.ascontiguousarray(proj[:, b[0]:b[1]])
-                         for blocks in plan for b in blocks}  # (2H, width) each
+        # each distinct block of [V; U/2] is built once, without the whole matrix
+        block_weights = {b: np.concatenate([v[:, b[0]:b[1]], u[:, b[0]:b[1]] * half])
+                         for b in dict.fromkeys(b for blocks in plan for b in blocks)}
 
         # products are taken as (2H, rows) so the tanh and gate halves are
         # contiguous: on strided (rows, H) halves the in-place passes ran 2x slower
@@ -245,7 +266,14 @@ class GatedAttentionMIL:
                 np.concatenate([r.attention for r in results]))
 
     def backward(self, cache: list, d_outputs: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients for the cached forward pass; d_outputs is (n_slides, n_outputs)."""
+        """Parameter gradients for the cached forward pass; d_outputs is (n_slides, n_outputs).
+
+        Per slide the cache keeps only tanh_act, gate_act and the bool dropout
+        mask (see forward); the sampled columns xs, the dropout scale and the
+        gated output are rebuilt here, one slide at a time, with the
+        operations the forward pass used, so the gradients are those of the
+        full-activation formulas to the last bit.
+        """
         _, pooled, feat = cache[0]
         d_out = np.asarray(d_outputs, dtype=self.dtype)
         head_w = self.params["head_weight"]
@@ -258,7 +286,9 @@ class GatedAttentionMIL:
 
         d_v_sub = np.zeros((len(w), len(feat)), dtype=w.dtype)
         d_u_sub = np.zeros_like(d_v_sub)
-        for i, (valid, xi, xs, tanh_act, gate_act, drop, gated_out, alpha) in enumerate(cache[1:]):
+        for i, (valid, xi, tanh_act, gate_act, keep, alpha) in enumerate(cache[1:]):
+            xs = np.take(xi, feat, axis=1)
+            gated_out, drop = _gated_output(tanh_act, gate_act, keep, self.dropout)
             dhi = d_pooled[i]                       # (D,)
             d_alpha = xi @ dhi                      # (m,)
             # softmax Jacobian: d_logits = alpha * (d_alpha - <alpha, d_alpha>)

@@ -8,9 +8,12 @@ subset, dropout), so identical runs produce bitwise-identical checkpoints.
 
 Memory: a run allocates one (batch_size, bag_size, D) float32 batch buffer,
 and sample_patches writes each step's slides straight into its rows. A
-step's activations are released once its update is applied, so besides the
-mapped train and val bags training holds one batch and one step's
-activations at a time.
+step's activations are, per slide, the (m, H) tanh and sigmoid branches and
+the bool dropout mask: 2H floats and H bytes per row, from which backward
+rebuilds the sampled columns, the dropout scale and the gated output. They
+are released once the step's update is applied, so besides the mapped train
+and val bags training holds one batch and one step's activations at a time.
+AdamW updates in place through two scratch buffers allocated once per run.
 """
 
 from __future__ import annotations
@@ -51,16 +54,29 @@ def lr_schedule(epoch: int, config: RunConfig) -> float:
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> dict:
+    """Zero moments, step 0, and two flat scratch buffers the size of the
+    largest tensor, in the parameters' dtype, that every adamw_step reuses."""
+    size = max(p.size for p in params.values())
+    dtype = np.result_type(*params.values())
     return {
         "m": {k: np.zeros_like(v) for k, v in params.items()},
         "v": {k: np.zeros_like(v) for k, v in params.items()},
         "step": 0,
+        "scratch": (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)),
     }
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: dict,
                lr: float, weight_decay: float, betas=ADAM_BETAS, eps=ADAM_EPS) -> None:
-    """In-place bias-corrected Adam update with decay decoupled from the moments."""
+    """In-place bias-corrected Adam update with decay decoupled from the moments.
+
+    The temporaries live in the state's two scratch buffers. The operations
+    are those of m += (1 - b1) * g, v += (1 - b2) * g * g and
+    p -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order; only the
+    operands of a product may swap, which IEEE multiplication does not see,
+    so the update is bit-identical to the formulas. The gradients must have
+    the parameters' dtype, as backward's do.
+    """
     b1, b2 = betas
     state["step"] += 1
     t = state["step"]
@@ -70,14 +86,19 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], stat
             raise ValidationError(f"non-finite gradient in tensor {name}")
         m = state["m"][name]
         v = state["v"][name]
+        tmp_a, tmp_b = (buf[:p.size].reshape(p.shape) for buf in state["scratch"])
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=tmp_a)
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
+        np.multiply(g, 1.0 - b2, out=tmp_a)
+        v += np.multiply(tmp_a, g, out=tmp_a)
+        m_hat = np.divide(m, 1.0 - b1 ** t, out=tmp_a)
+        v_hat = np.divide(v, 1.0 - b2 ** t, out=tmp_b)
         p *= 1.0 - lr * weight_decay
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m_hat *= lr
+        denom = np.sqrt(v_hat, out=tmp_b)
+        denom += eps
+        p -= np.divide(m_hat, denom, out=tmp_a)
 
 
 @dataclass

@@ -1,8 +1,11 @@
 """End-to-end command-line pipeline and exit-code contract."""
 
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -309,6 +312,40 @@ class TestExitCodes:
         assert main(["plan", "--fingerprint", str(dirs["fp"] / "fingerprint.json"),
                      "--override", "bag_size=abc", "--out", str(dirs["plan"])]) == 1
         assert "bag_size" in capsys.readouterr().err
+
+    def test_task_override_is_1(self, tmp_path, pipeline_dirs, capsys):
+        # the task is the fingerprint's; a regression config planned from a
+        # classification fingerprint would carry a classification learning rate
+        dirs = pipeline_dirs
+        spec = _write_spec(tmp_path / "spec.json")
+        main(["synth", "--spec", str(spec), "--out", str(dirs["data"])])
+        main(["fingerprint", "--manifest", str(dirs["data"] / "manifest.json"),
+              "--data-dir", str(dirs["data"]), "--out", str(dirs["fp"])])
+        capsys.readouterr()
+        assert main(["plan", "--fingerprint", str(dirs["fp"] / "fingerprint.json"),
+                     "--override", "task=regression", "--out", str(dirs["plan"])]) == 1
+        assert "task comes from the fingerprint" in capsys.readouterr().err
+        assert not (dirs["plan"] / "config.json").exists()
+
+    def test_n_classes_beyond_entries_is_1(self, tmp_path, pipeline_dirs):
+        # a declared class count is bounded by the entries, so fingerprint
+        # cannot be made to loop or allocate per class; run in a child with a
+        # timeout, since an unbounded count keeps the command busy for hours
+        dirs = pipeline_dirs
+        spec = _write_spec(tmp_path / "spec.json")
+        main(["synth", "--spec", str(spec), "--out", str(dirs["data"])])
+        manifest = dirs["data"] / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["n_classes"] = 10**9
+        manifest.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-m", "slidemil", "fingerprint", "--manifest", str(manifest),
+             "--data-dir", str(dirs["data"]), "--out", str(dirs["fp"])],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1, done.stderr
+        assert "n_classes 1000000000 exceeds" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_checkpoint_header_without_tensors_is_2(self, tmp_path, pipeline_dirs):
         dirs = pipeline_dirs

@@ -77,6 +77,14 @@ class TestFingerprintStatistics:
         assert fp.class_prevalence == pytest.approx([0.5, 0.5])
         assert sum(fp.class_prevalence) == pytest.approx(1.0, abs=1e-9)
 
+    def test_class_prevalence_counts_every_declared_class(self, rng):
+        # classes without a train slide get prevalence 0, one bincount for all
+        manifest, bags = _manifest_with_counts(rng, [5, 5, 5, 5])
+        manifest = DatasetManifest(entries=manifest.entries, task="classification",
+                                   n_classes=4)
+        fp = compute_fingerprint(manifest, bags)
+        assert fp.class_prevalence == [0.5, 0.5, 0.0, 0.0]
+
     def test_survival_event_rate_and_horizon(self, rng):
         entries, bags = [], {}
         for i, (t, ev) in enumerate([(1.0, 1), (2.0, 0), (5.0, 1), (3.0, 0)]):
@@ -163,6 +171,11 @@ class TestDeriveConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(ValidationError):
             derive_config(_fp(1000, 1024), overrides={"momentum": 0.9})
+
+    def test_task_override_rejected(self):
+        # the learning rate and the loss follow the fingerprint's task
+        with pytest.raises(ValidationError, match="task comes from the fingerprint"):
+            derive_config(_fp(100, 64), overrides={"task": "regression"})
 
     def test_full_bag_mode_rejected_for_survival(self):
         # one slide per batch: a one-slide Cox batch has zero gradient

@@ -164,9 +164,23 @@ class TestManifest:
         assert [e.label for e in back.entries] == [0, 1]
 
     def test_n_classes_inferred_from_max_label(self):
-        m = DatasetManifest(entries=[_entry("a", label=0), _entry("b", label=2)],
+        m = DatasetManifest(entries=[_entry("a", label=0), _entry("b", label=2),
+                                     _entry("c", label=0)],
                             task="classification")
         assert m.n_classes == 3
+
+    def test_n_classes_bounded_by_entries(self):
+        entries = [_entry("a", label=0), _entry("b", label=1), _entry("c", label=0)]
+        assert DatasetManifest(entries=entries, task="classification", n_classes=3).n_classes == 3
+        with pytest.raises(ValidationError, match="n_classes 4 exceeds"):
+            DatasetManifest(entries=entries, task="classification", n_classes=4)
+        with pytest.raises(ValidationError, match="exceeds"):
+            DatasetManifest(entries=entries, task="classification", n_classes=10**9)
+        # an inferred count is bounded too: a label of 10**9 would otherwise
+        # size the fingerprint's class counts and the head by it
+        with pytest.raises(ValidationError, match="n_classes 1000000001 exceeds"):
+            DatasetManifest(entries=[*entries, _entry("d", label=10**9)],
+                            task="classification")
 
     def test_duplicate_slide_id_rejected(self):
         with pytest.raises(ValidationError):

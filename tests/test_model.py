@@ -349,8 +349,10 @@ class TestAttentionLogits:
         plain = m.forward(x, mask, feat)
         logits = np.zeros(mask.shape, dtype=dtype)
         w = m.params["attention_w"]
-        for i, (valid, *_, gated_out, _alpha) in enumerate(plain.cache[1:]):
-            logits[i, valid] = gated_out @ w
+        # without dropout the gated output is tanh_act * gate_act
+        for i, (valid, _xi, tanh_act, gate_act, keep, _alpha) in enumerate(plain.cache[1:]):
+            assert keep is None
+            logits[i, valid] = (tanh_act * gate_act) @ w
         given = m.forward(x, mask, feat, attention_logits=logits)
         assert np.array_equal(given.outputs, plain.outputs)
         assert np.array_equal(given.attention, plain.attention)
@@ -514,6 +516,92 @@ class TestBackward:
         assert (grads["attention_u"][:, unused] == 0).all()
         # the head sees all D dims, so its gradient is generally dense
         assert np.abs(grads["head_weight"]).sum() > 0
+
+
+def _full_activation_pass(model, x, mask, feat, d_out, rng):
+    """Outputs and gradients with every activation kept through backward, by
+    the formulas as they read before the cache was slimmed: per slide the
+    sampled columns xs, tanh, gate, the float dropout scale and the gated
+    output, with a fresh rng.random array per slide for the mask."""
+    p, dtype = model.params, model.dtype
+    x = np.asarray(x, dtype=dtype)
+    v_sub, u_sub, w = p["attention_v"][:, feat], p["attention_u"][:, feat], p["attention_w"]
+    pooled = np.empty((len(x), model.embed_dim), dtype=dtype)
+    kept = []
+    for i in range(len(x)):
+        valid = np.flatnonzero(mask[i])
+        xi = x[i] if len(valid) == x.shape[1] else x[i, valid]
+        xs = np.take(xi, feat, axis=1)
+        tanh_act = np.tanh(xs @ v_sub.T)
+        gate_act = 1.0 / (1.0 + np.exp(-(xs @ u_sub.T)))
+        gated = tanh_act * gate_act
+        if rng is not None and model.dropout > 0.0:
+            keep = rng.random(gated.shape) >= model.dropout
+            drop = keep.astype(dtype) / dtype.type(1.0 - model.dropout)
+            gated_out = gated * drop
+        else:
+            drop, gated_out = None, gated
+        logits = gated_out @ w
+        exp_l = np.exp(logits - logits.max())
+        alpha = exp_l / exp_l.sum()
+        pooled[i] = alpha @ xi
+        kept.append((xi, xs, tanh_act, gate_act, drop, gated_out, alpha))
+    outputs = pooled @ p["head_weight"].T + p["head_bias"]
+
+    grads = {name: np.zeros_like(t) for name, t in p.items()}
+    grads["head_weight"] += d_out.T @ pooled
+    grads["head_bias"] += d_out.sum(axis=0)
+    d_pooled = d_out @ p["head_weight"]
+    d_v_sub = np.zeros((len(w), len(feat)), dtype=dtype)
+    d_u_sub = np.zeros_like(d_v_sub)
+    for i, (xi, xs, tanh_act, gate_act, drop, gated_out, alpha) in enumerate(kept):
+        d_alpha = xi @ d_pooled[i]
+        d_logits = alpha * (d_alpha - alpha @ d_alpha)
+        grads["attention_w"] += gated_out.T @ d_logits
+        d_gated_out = np.outer(d_logits, w)
+        d_gated = d_gated_out if drop is None else d_gated_out * drop
+        d_v_sub += (d_gated * gate_act * (1.0 - tanh_act ** 2)).T @ xs
+        d_u_sub += (d_gated * tanh_act * gate_act * (1.0 - gate_act)).T @ xs
+    grads["attention_v"][:, feat] = d_v_sub
+    grads["attention_u"][:, feat] = d_u_sub
+    return outputs, grads
+
+
+class TestSlimCache:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("feat", [np.array([0, 2, 3, 5]), np.arange(6)],
+                             ids=["subset", "all"])
+    def test_backward_equals_full_activation_formulas_bitwise(self, dtype, dropout, feat):
+        m = _model(dropout=dropout, dtype=dtype)
+        x, mask = _batch(np.random.default_rng(3), n=4, m=5, n_valid=[5, 3, 1, 4])
+        d_out = np.random.default_rng(4).standard_normal((4, 2)).astype(dtype)
+        rng_model, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+        res = m.forward(x, mask, feat, rng=rng_model)
+        grads = m.backward(res.cache, d_out)
+        ref_outputs, ref_grads = _full_activation_pass(m, x, mask, feat, d_out, rng_ref)
+        assert np.array_equal(res.outputs, ref_outputs)
+        for name in PARAM_NAMES:
+            assert grads[name].dtype == dtype
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        # the masks were drawn from the same stream, which is left in the same place
+        assert rng_model.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_cache_holds_tanh_gate_and_a_bool_mask(self, dropout):
+        m = _model(dropout=dropout, dtype=np.float32)
+        x, mask = _batch(np.random.default_rng(3), n=2, m=5, n_valid=[5, 2])
+        res = m.forward(x, mask, np.array([1, 4]), rng=np.random.default_rng(0))
+        assert res.cache[0][0] == "batch"
+        for n_valid, (valid, xi, tanh_act, gate_act, keep, alpha) in zip([5, 2], res.cache[1:]):
+            assert np.array_equal(valid, np.arange(n_valid))
+            assert xi.shape == (n_valid, 6) and alpha.shape == (n_valid,)
+            assert tanh_act.shape == gate_act.shape == (n_valid, 4)
+            assert tanh_act.dtype == gate_act.dtype == np.float32
+            if dropout == 0.0:
+                assert keep is None
+            else:
+                assert keep.dtype == bool and keep.shape == (n_valid, 4)
 
 
 class TestGradCheck:
