@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -45,19 +46,13 @@ def _write_run_manifest(out_dir: Path, command: str, inputs: dict, seed,
                         config_hash: str | None) -> None:
     doc = {"command": command, "inputs": {k: str(v) for k, v in inputs.items() if v},
            "config_hash": config_hash, "seed": seed, "timestamp": time.time()}
-    (out_dir / "run_manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    dataio.write_json(doc, out_dir / "run_manifest.json")
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _dump_json(doc, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 def _read_predictions(path) -> list[dict]:
@@ -153,7 +148,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     ckpt_path = out / "checkpoint.ckpt"
     checkpoint, report = train(config, manifest, bags, checkpoint_path=ckpt_path)
-    _dump_json(report.to_dict(), out / "train_report.json")
+    dataio.write_json(report.to_dict(), out / "train_report.json")
     _write_run_manifest(out, "train", {"manifest": args.manifest,
                                        "data_dir": args.data_dir,
                                        "config": args.config},
@@ -170,10 +165,14 @@ def _survival_eval_times(args, manifest) -> np.ndarray:
     if args.eval_time == "median":
         return np.array([inference.median_event_time(train_records)])
     try:
-        return np.array([float(args.eval_time)])
-    except ValueError as exc:
-        raise ValidationError(f"--eval-time must be 'median' or a number, "
-                              f"got {args.eval_time!r}") from exc
+        value = float(args.eval_time)
+    except ValueError:
+        value = math.nan
+    # the condition SurvivalRecord puts on a survival time
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"--eval-time must be 'median' or a finite positive number, "
+                              f"got {args.eval_time!r}")
+    return np.array([value])
 
 
 def cmd_predict(args) -> int:
@@ -296,7 +295,7 @@ def cmd_evaluate(args) -> int:
         else:
             report["logrank"] = {"undefined": "median split left one group empty"}
 
-    _dump_json(report, out / "evaluation.json")
+    dataio.write_json(report, out / "evaluation.json")
     _write_run_manifest(out, "evaluate", {"manifest": args.manifest,
                                           "predictions": args.predictions},
                         seed, _sha256(args.predictions))
@@ -307,7 +306,11 @@ def cmd_evaluate(args) -> int:
 def cmd_reject_curve(args) -> int:
     manifest = dataio.load_manifest(args.manifest)
     entries, preds = _aligned_predictions(manifest, args)
-    fractions = [float(f) for f in args.fractions.split(",") if f.strip() != ""]
+    try:
+        fractions = [float(f) for f in args.fractions.split(",") if f.strip() != ""]
+    except ValueError as exc:
+        raise ValidationError(f"--fractions must be comma-separated numbers, "
+                              f"got {args.fractions!r}") from exc
     truth = dataio.label_arrays(manifest.task, entries)
 
     if manifest.task == "classification":
@@ -332,8 +335,8 @@ def cmd_reject_curve(args) -> int:
     n = len(entries)
     rows = [{"fraction": q, "value": v,
              "n_retained": n - int(np.ceil(q * n))} for q, v in curve]
-    _dump_json({"metric": metric_name, "task": manifest.task, "points": rows},
-               out / "rejection.json")
+    dataio.write_json({"metric": metric_name, "task": manifest.task, "points": rows},
+                      out / "rejection.json")
     with open(out / "rejection.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fraction", "value", "n_retained"])
@@ -401,7 +404,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--eval-time", default="median",
-                   help="survival probability evaluation time: 'median' or a number")
+                   help="survival probability evaluation time: 'median' or a positive number")
     p.add_argument("--out", required=True)
 
     p = add("evaluate", cmd_evaluate, seeded=True, help="score predictions against labels")

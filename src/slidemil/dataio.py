@@ -285,6 +285,11 @@ def read_json(path: str | Path):
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def write_json(doc, path: str | Path) -> None:
+    """Write doc as UTF-8 JSON: indented by 2, keys sorted, newline-terminated."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse and validate a UTF-8 JSON manifest."""
     doc = read_json(path)
@@ -333,7 +338,7 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     }
     if manifest.task != "classification":
         del doc["n_classes"]
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(doc, path)
 
 
 def _entry_path(entry: ManifestEntry, data_dir: Path) -> Path:

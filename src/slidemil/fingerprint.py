@@ -9,14 +9,13 @@ and with it the ensemble size K, comes from ``inference.chunk_windows``.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import BagShape, DatasetManifest, SlideBag, read_json
+from .dataio import BagShape, DatasetManifest, SlideBag, read_json, write_json
 from .errors import FormatError, ValidationError
 
 DEFAULT_HIDDEN_DIM = 256
@@ -69,8 +68,7 @@ class DataFingerprint:
             raise ValidationError("event_rate must lie in [0, 1]")
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        write_json(asdict(self), path)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DataFingerprint":
@@ -103,12 +101,9 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValidationError(f"RunConfig.{f.name} must be {f.type}, got {value!r}")
-        if self.bag_size < 1:
-            raise ValidationError("bag_size must be >= 1")
-        if self.stride < 1:
-            raise ValidationError("stride must be >= 1")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
+        for name in ("bag_size", "hidden_dim", "stride", "batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1")
         if self.training_mode not in TRAINING_MODES:
             raise ValidationError(f"unknown training_mode {self.training_mode!r}")
         # every full_bag_batch1 batch is one slide, and a one-slide Cox batch
@@ -121,8 +116,7 @@ class RunConfig:
         return asdict(self)
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        write_json(self.to_dict(), path)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":

@@ -8,7 +8,7 @@ division, so values agree bit-for-bit with brute-force pair enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,9 +25,7 @@ class BootstrapResult:
     n_replicates: int
 
     def to_dict(self) -> dict:
-        return {"point": self.point, "mean": self.mean, "std": self.std,
-                "ci_low": self.ci_low, "ci_high": self.ci_high,
-                "n_replicates": self.n_replicates}
+        return asdict(self)
 
 
 @dataclass

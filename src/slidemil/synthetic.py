@@ -12,7 +12,6 @@ requested censoring rate in expectation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .dataio import (
     read_json,
     save_manifest,
     write_embedding_file,
+    write_json,
 )
 from .errors import ValidationError
 from .fingerprint import _from_fields, _round_half_up
@@ -206,7 +206,5 @@ def write_synthetic_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Dataset
     for entry in manifest.entries:
         write_embedding_file(bags[entry.slide_id], out_dir / entry.embedding_path)
     save_manifest(manifest, out_dir / "manifest.json")
-    (out_dir / "signal_indices.json").write_text(
-        json.dumps(signal_indices, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(signal_indices, out_dir / "signal_indices.json")
     return manifest

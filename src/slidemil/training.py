@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -103,10 +103,9 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], stat
 
 @dataclass
 class Checkpoint:
+    """The trained model: its parameters and the config that made them. The
+    AdamW state lives only as long as the run that updates with it."""
     params: dict[str, np.ndarray]
-    opt_m: dict[str, np.ndarray]
-    opt_v: dict[str, np.ndarray]
-    opt_step: int
     config: RunConfig
 
 
@@ -119,9 +118,7 @@ class TrainReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "stopped_epoch": self.stopped_epoch,
-                "best_epoch": self.best_epoch, "best_val_loss": self.best_val_loss,
-                "notes": self.notes}
+        return asdict(self)
 
 
 def build_model(checkpoint: Checkpoint) -> GatedAttentionMIL:
@@ -135,28 +132,20 @@ def build_model(checkpoint: Checkpoint) -> GatedAttentionMIL:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    """magic, uint64 LE header length, JSON metadata, float32 LE tensor payloads."""
-    tensors: list[tuple[str, np.ndarray]] = []
-    for name, arr in checkpoint.params.items():
-        tensors.append((name, arr))
-    for name, arr in checkpoint.opt_m.items():
-        tensors.append((f"adam_m.{name}", arr))
-    for name, arr in checkpoint.opt_v.items():
-        tensors.append((f"adam_v.{name}", arr))
-    # canonical payload layout: the file is a function of the tensor contents
-    # alone, not of dict insertion order
-    tensors.sort(key=lambda t: t[0])
+    """magic, uint64 LE header length, JSON metadata, float32 LE tensor payloads.
 
+    The parameters are laid out in sorted name order, so the file is a
+    function of the tensor contents alone, not of dict insertion order.
+    """
     meta_tensors = {}
     payload = bytearray()
-    for name, arr in tensors:
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    for name in sorted(PARAM_NAMES):
+        arr = checkpoint.params[name]
         meta_tensors[name] = {"shape": list(arr.shape), "offset": len(payload)}
-        payload.extend(data)
+        payload.extend(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     header = {
         "format_version": 1,
         "config": checkpoint.config.to_dict(),
-        "opt_step": checkpoint.opt_step,
         "tensors": meta_tensors,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -171,26 +160,27 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _check_model_tensors(arrays: dict[str, np.ndarray]) -> None:
-    """The tensors must be one model's parameters, each with its two Adam
-    moments, in shapes that agree with each other."""
-    names = {*PARAM_NAMES, *(f"adam_{m}.{name}" for m in "mv" for name in PARAM_NAMES)}
-    if set(arrays) != names:
-        raise FormatError(f"checkpoint tensors {sorted(arrays)} are not {sorted(names)}")
-    v, head = arrays["attention_v"], arrays["head_weight"]
+def _check_model_tensors(params: dict[str, np.ndarray]) -> None:
+    """The tensors must be one model's parameters, in shapes that agree with
+    each other."""
+    if set(params) != set(PARAM_NAMES):
+        raise FormatError(f"checkpoint tensors {sorted(params)} are not {sorted(PARAM_NAMES)}")
+    v, head = params["attention_v"], params["head_weight"]
     if v.ndim != 2 or head.ndim != 2:
         raise FormatError("attention_v and head_weight must be matrices")
     (h, d), c = v.shape, head.shape[0]
     shapes = {"attention_v": (h, d), "attention_u": (h, d), "attention_w": (h,),
               "head_weight": (c, d), "head_bias": (c,)}
     for name, shape in shapes.items():
-        for key in (name, f"adam_m.{name}", f"adam_v.{name}"):
-            if arrays[key].shape != shape:
-                raise FormatError(f"tensor {key} has shape {list(arrays[key].shape)}, "
-                                  f"not {list(shape)}")
+        if params[name].shape != shape:
+            raise FormatError(f"tensor {name} has shape {list(params[name].shape)}, "
+                              f"not {list(shape)}")
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint. Files written while checkpoints carried the AdamW
+    state also hold an 'opt_step' key and an adam_m./adam_v. moment per
+    parameter; the moments are checked like every tensor, then dropped."""
     raw = Path(path).read_bytes()
     if len(raw) < len(CHECKPOINT_MAGIC) + 8:
         raise FormatError("checkpoint file too short for its header")
@@ -206,10 +196,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"unreadable checkpoint header: {exc}") from exc
     payload = raw[header_end:]
     tensors = header.get("tensors") if isinstance(header, dict) else None
-    if not (isinstance(tensors, dict) and _is_count(header.get("opt_step"))
-            and isinstance(header.get("config"), dict)):
-        raise FormatError("checkpoint header needs an object 'tensors', "
-                          "a non-negative integer 'opt_step' and an object 'config'")
+    if not (isinstance(tensors, dict) and isinstance(header.get("config"), dict)):
+        raise FormatError("checkpoint header needs an object 'tensors' and an object 'config'")
 
     layout = []
     for name, meta in tensors.items():
@@ -235,14 +223,10 @@ def load_checkpoint(path) -> Checkpoint:
         arrays[name] = arr
     if end != len(payload):
         raise CorruptionError("checkpoint payload length mismatch")
-    _check_model_tensors(arrays)
 
-    params = {k: v for k, v in arrays.items() if not k.startswith("adam_")}
-    opt_m = {k[len("adam_m."):]: v for k, v in arrays.items() if k.startswith("adam_m.")}
-    opt_v = {k[len("adam_v."):]: v for k, v in arrays.items() if k.startswith("adam_v.")}
-    config = RunConfig.from_dict(header["config"])
-    return Checkpoint(params=params, opt_m=opt_m, opt_v=opt_v,
-                      opt_step=header["opt_step"], config=config)
+    params = {k: v for k, v in arrays.items() if not k.startswith(("adam_m.", "adam_v."))}
+    _check_model_tensors(params)
+    return Checkpoint(params=params, config=RunConfig.from_dict(header["config"]))
 
 
 def _loss_and_grad(task: str, outputs: np.ndarray, targets):
@@ -360,8 +344,7 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
     report.best_epoch = best_epoch
     report.best_val_loss = best_val
 
-    checkpoint = Checkpoint(params=model.params, opt_m=state["m"], opt_v=state["v"],
-                            opt_step=state["step"], config=config)
+    checkpoint = Checkpoint(params=model.params, config=config)
     if checkpoint_path is not None:
         save_checkpoint(checkpoint, checkpoint_path)
     return checkpoint, report

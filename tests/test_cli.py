@@ -615,3 +615,62 @@ class TestRemovedFlags:
     def test_removed_flag_is_unknown(self, argv, capsys):
         assert main(argv) == 1
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+def _config_with(dirs, tmp_path, **fields):
+    """Path of a copy of the planned config.json with fields replaced."""
+    doc = json.loads((dirs["plan"] / "config.json").read_text())
+    path = tmp_path / "edited_config.json"
+    path.write_text(json.dumps({**doc, **fields}), encoding="utf-8")
+    return path
+
+
+# each bad input: the command, its arguments but --out, and what the error names
+_BAD_INPUTS = {
+    "plan-hidden_dim-0": ("plan", lambda dirs, manifest, tmp_path: [
+        "--fingerprint", dirs["fp"] / "fingerprint.json", "--override", "hidden_dim=0"],
+        "hidden_dim must be >= 1"),
+    "plan-max_epochs-0": ("plan", lambda dirs, manifest, tmp_path: [
+        "--fingerprint", dirs["fp"] / "fingerprint.json", "--override", "max_epochs=0"],
+        "max_epochs must be >= 1"),
+    "train-max_epochs-0": ("train", lambda dirs, manifest, tmp_path: [
+        "--manifest", manifest, "--data-dir", dirs["data"],
+        "--config", _config_with(dirs, tmp_path, max_epochs=0)],
+        "max_epochs must be >= 1"),
+    **{f"predict-eval-time-{value}": ("predict", lambda dirs, manifest, tmp_path, value=value: [
+        "--manifest", manifest, "--data-dir", dirs["data"],
+        "--checkpoint", dirs["train"] / "checkpoint.ckpt", "--eval-time", value],
+        "--eval-time must be 'median' or a finite positive number")
+       for value in ("nan", "inf", "-1", "0", "soon")},
+    "reject-curve-fractions-abc": ("reject-curve", lambda dirs, manifest, tmp_path: [
+        "--manifest", manifest, "--predictions", dirs["pred"] / "predictions.jsonl",
+        "--fractions", "0,abc"],
+        "--fractions must be comma-separated numbers"),
+}
+
+
+class TestBadInputs:
+    """Inputs no command can act on exit 1 with a one-line error, write nothing
+    and raise no exception out of main."""
+
+    @pytest.fixture(scope="class")
+    def survival_run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("survival_run")
+        dirs = {name: tmp / name for name in ("data", "fp", "plan", "train", "pred")}
+        manifest = _run_through_predict(
+            tmp, dirs, spec_kw={"task": "survival", "censoring_rate": 0.2, "n_bags": 24},
+            plan_args=("--override", "max_epochs=1", "--override", "batch_size=8"))
+        return dirs, manifest
+
+    @pytest.mark.parametrize("case", list(_BAD_INPUTS))
+    def test_exits_1_without_traceback(self, survival_run, case, tmp_path, capsys):
+        dirs, manifest = survival_run
+        command, make_args, message = _BAD_INPUTS[case]
+        out = tmp_path / "out"
+        argv = [command, *map(str, make_args(dirs, manifest, tmp_path)), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())

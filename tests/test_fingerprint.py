@@ -215,6 +215,14 @@ class TestConfigSerialization:
         with pytest.raises(ValidationError):
             dataclasses.replace(cfg, training_mode="bogus")
 
+    @pytest.mark.parametrize("field", ["bag_size", "hidden_dim", "stride", "batch_size",
+                                       "max_epochs"])
+    def test_counts_below_one_rejected(self, field):
+        # hidden_dim=0 gives zero-width windows; max_epochs=0 trains nothing
+        cfg = derive_config(_fp(100, 64))
+        with pytest.raises(ValidationError, match=f"{field} must be >= 1"):
+            dataclasses.replace(cfg, **{field: 0})
+
     @pytest.mark.parametrize("field,value", [("bag_size", "abc"), ("stride", 4.0),
                                              ("learning_rate", "3e-4"), ("seed", True),
                                              ("task", 1), ("overrides", [])])

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from slidemil import inference
+from slidemil import inference, training
 from slidemil.errors import CorruptionError, FormatError, ValidationError
 from slidemil.fingerprint import RunConfig
 from slidemil.model import PARAM_NAMES, cox_loss
@@ -246,12 +246,19 @@ class TestTrain:
         with pytest.raises(ValidationError, match="full_bag_batch1"):
             tiny_config(task="survival", training_mode="full_bag_batch1", learning_rate=1e-4)
 
-    def test_full_bag_mode_classification(self, rng):
+    def test_full_bag_mode_classification(self, rng, monkeypatch):
+        steps = []
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return adamw_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "adamw_step", counted)
         manifest, bags = make_classification_corpus(rng)
         cfg = tiny_config(training_mode="full_bag_batch1", max_epochs=2)
-        ckpt, report = train(cfg, manifest, bags)
+        _, report = train(cfg, manifest, bags)
         assert report.stopped_epoch == 2
-        assert ckpt.opt_step == 2 * 8  # one step per train slide per epoch
+        assert len(steps) == 2 * 8  # one step per train slide per epoch
 
     def test_padded_batches_are_reproducible_and_padding_invariant(self, tmp_path):
         # bags of 3-30 patches around M=16 mix subsampled and padded slides in
@@ -343,6 +350,33 @@ def _tensor_meta(edit):
     return apply
 
 
+def _header_len(path) -> int:
+    return struct.unpack("<Q", path.read_bytes()[8:16])[0]
+
+
+def _header(path) -> dict:
+    return json.loads(path.read_bytes()[16:16 + _header_len(path)])
+
+
+def _write_old_layout(ckpt, path, opt_step, moment_fill=0.5):
+    """A checkpoint as written while checkpoints carried the AdamW state: the
+    parameters and an adam_m./adam_v. moment of each, in sorted name order,
+    and an opt_step in the header (left out when opt_step is None)."""
+    tensors = {name: ckpt.params[name] for name in PARAM_NAMES}
+    for moment in ("adam_m", "adam_v"):
+        tensors.update({f"{moment}.{name}": np.full_like(ckpt.params[name], moment_fill)
+                        for name in PARAM_NAMES})
+    meta, payload = {}, b""
+    for name in sorted(tensors):
+        meta[name] = {"shape": list(tensors[name].shape), "offset": len(payload)}
+        payload += np.ascontiguousarray(tensors[name], dtype="<f4").tobytes()
+    header = {"format_version": 1, "config": ckpt.config.to_dict(), "tensors": meta}
+    if opt_step is not None:
+        header["opt_step"] = opt_step
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(b"NNMILCK1" + struct.pack("<Q", len(text)) + text + payload)
+
+
 class TestCheckpointIO:
     def _trained(self, tmp_path):
         manifest, bags = _signal_corpus(n_bags=12)
@@ -354,15 +388,50 @@ class TestCheckpointIO:
     def test_roundtrip_restores_everything(self, tmp_path):
         ckpt, path = self._trained(tmp_path)
         loaded = load_checkpoint(path)
-        assert loaded.opt_step == ckpt.opt_step
         assert loaded.config == ckpt.config
+        assert loaded.params.keys() == set(PARAM_NAMES)
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(loaded.params[name],
                                           np.asarray(ckpt.params[name], dtype=np.float32))
-            np.testing.assert_array_equal(loaded.opt_m[name],
-                                          np.asarray(ckpt.opt_m[name], dtype=np.float32))
-            np.testing.assert_array_equal(loaded.opt_v[name],
-                                          np.asarray(ckpt.opt_v[name], dtype=np.float32))
+
+    def test_file_holds_the_parameters_and_the_config(self, tmp_path):
+        ckpt, path = self._trained(tmp_path)
+        header = _header(path)
+        assert header.keys() == {"config", "format_version", "tensors"}
+        assert header["config"] == ckpt.config.to_dict()
+        assert sorted(header["tensors"]) == sorted(PARAM_NAMES)
+        n_floats = sum(ckpt.params[name].size for name in PARAM_NAMES)
+        assert path.stat().st_size == 16 + _header_len(path) + 4 * n_floats
+
+    def test_old_layout_with_moments_loads_to_the_same_model(self, tmp_path):
+        # files written while checkpoints carried the AdamW state hold an
+        # opt_step and two moments per parameter besides the parameters
+        ckpt, path = self._trained(tmp_path)
+        old = tmp_path / "old.ckpt"
+        _write_old_layout(ckpt, old, opt_step=16)
+        loaded = load_checkpoint(old)
+        assert loaded.config == ckpt.config
+        assert loaded.params.keys() == set(PARAM_NAMES)
+        for name in PARAM_NAMES:
+            np.testing.assert_array_equal(loaded.params[name],
+                                          np.asarray(ckpt.params[name], dtype=np.float32))
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("opt_step", [None, "3", -1, 1.5, True])
+    def test_old_opt_step_of_any_value_is_ignored(self, tmp_path, opt_step):
+        ckpt, _ = self._trained(tmp_path)
+        old = tmp_path / "old.ckpt"
+        _write_old_layout(ckpt, old, opt_step=opt_step)
+        assert load_checkpoint(old).config == ckpt.config
+
+    def test_old_layout_moments_are_still_checked(self, tmp_path):
+        ckpt, _ = self._trained(tmp_path)
+        old = tmp_path / "old.ckpt"
+        _write_old_layout(ckpt, old, opt_step=16, moment_fill=np.nan)
+        with pytest.raises(CorruptionError, match="adam_"):
+            load_checkpoint(old)
 
     def test_save_load_save_is_bitwise_stable(self, tmp_path):
         _, path = self._trained(tmp_path)
@@ -418,9 +487,7 @@ class TestCheckpointIO:
                                  lambda header: {**header, "config": edit(header["config"])})
 
     @pytest.mark.parametrize("edit", [
-        _without("tensors"), _without("opt_step"), _without("config"),
-        _setting("tensors", ["attention_v"]), _setting("opt_step", "3"),
-        _setting("opt_step", -1), _setting("opt_step", 1.5), _setting("opt_step", True),
+        _without("tensors"), _without("config"), _setting("tensors", ["attention_v"]),
         _setting("config", "nnmil"), lambda header: [header],
         _tensor_meta(lambda meta: {"offset": meta["offset"]}),
         _tensor_meta(lambda meta: {"shape": meta["shape"]}),
@@ -430,11 +497,9 @@ class TestCheckpointIO:
         _tensor_meta(lambda meta: {**meta, "offset": -4}),
         _tensor_meta(lambda meta: {**meta, "offset": "0"}),
         _tensor_meta(lambda meta: 3),
-    ], ids=["no-tensors", "no-opt_step", "no-config", "tensors-array", "opt_step-string",
-            "opt_step-negative", "opt_step-float", "opt_step-bool", "config-string",
-            "header-array", "tensor-no-shape", "tensor-no-offset", "shape-negative",
-            "shape-float", "shape-string", "offset-negative", "offset-string",
-            "tensor-not-object"])
+    ], ids=["no-tensors", "no-config", "tensors-array", "config-string", "header-array",
+            "tensor-no-shape", "tensor-no-offset", "shape-negative", "shape-float",
+            "shape-string", "offset-negative", "offset-string", "tensor-not-object"])
     def test_malformed_header_is_format_error(self, tmp_path, edit):
         _, path = self._trained(tmp_path)
         with pytest.raises(FormatError):
@@ -456,9 +521,9 @@ class TestCheckpointIO:
                          for k, m in tensors.items()},
         lambda tensors: {**tensors, "attention_w": {**tensors["attention_w"],
                                                     "shape": [1, *tensors["attention_w"]["shape"]]}},
-        lambda tensors: {**tensors, "adam_v.head_weight": {
-            **tensors["adam_v.head_weight"], "shape": tensors["adam_v.head_weight"]["shape"][::-1]}},
-    ], ids=["renamed", "vector-as-matrix", "transposed-moment"])
+        lambda tensors: {**tensors, "head_weight": {
+            **tensors["head_weight"], "shape": tensors["head_weight"]["shape"][::-1]}},
+    ], ids=["renamed", "vector-as-matrix", "transposed-head"])
     def test_tensors_that_make_no_model_are_format_error(self, tmp_path, edit):
         # each edit keeps the payload tiled, so only the tensor set is wrong
         _, path = self._trained(tmp_path)
