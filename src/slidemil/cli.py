@@ -2,17 +2,17 @@
 reject-curve, gradcheck.
 
 Every command that writes artifacts drops a run_manifest.json (inputs, config
-hash, seed, timestamp) into its output directory; the seed is null for
-fingerprint, predict and reject-curve, which draw no random numbers and take
-no --seed. Exit codes: 0 success, 1 validation/usage error, 2 file-format or
-I/O error.
+hash, seed, timestamp) into its output directory. A corpus's seed lives in
+its spec and a run's in its config; only evaluate and gradcheck take --seed,
+since no input file holds theirs. The seed is null for fingerprint, predict
+and reject-curve, which draw no random numbers. Exit codes: 0 success,
+1 validation/usage error, 2 file-format or I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -47,6 +47,14 @@ def _write_run_manifest(out_dir: Path, command: str, inputs: dict, seed,
     doc = {"command": command, "inputs": {k: str(v) for k, v in inputs.items() if v},
            "config_hash": config_hash, "seed": seed, "timestamp": time.time()}
     dataio.write_json(doc, out_dir / "run_manifest.json")
+
+
+def _seed(text: str) -> int:
+    """--seed value: numpy seeds generators with non-negative integers only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _out_dir(args) -> Path:
@@ -89,8 +97,6 @@ def _column(records: list[dict], key: str, dtype, index: int | None = None) -> n
 
 def cmd_synth(args) -> int:
     spec = synthetic.SyntheticSpec.from_json(args.spec)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
     out = _out_dir(args)
     synthetic.write_synthetic_dataset(spec, out)
     _write_run_manifest(out, "synth", {"spec": args.spec}, spec.seed, _sha256(args.spec))
@@ -125,8 +131,6 @@ def _parse_override(text: str) -> tuple[str, object]:
 def cmd_plan(args) -> int:
     fp = DataFingerprint.from_json(args.fingerprint)
     overrides = dict(_parse_override(o) for o in args.override or [])
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     config = derive_config(fp, overrides=overrides)
     n_windows = inference.inference_windows(config, fp.embed_dim).n_chunks
     out = _out_dir(args)
@@ -139,12 +143,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = RunConfig.from_json(args.config)
     manifest = dataio.load_manifest(args.manifest)
     bags = dataio.load_bags(manifest, args.data_dir, ("train", "val"))
-    config = RunConfig.from_json(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed,
-                                     overrides={**config.overrides, "seed": args.seed})
     out = _out_dir(args)
     ckpt_path = out / "checkpoint.ckpt"
     checkpoint, report = train(config, manifest, bags, checkpoint_path=ckpt_path)
@@ -180,6 +181,8 @@ def cmd_predict(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     model = build_model(checkpoint)
     config = checkpoint.config
+    if config.task != manifest.task:
+        raise ValidationError(f"checkpoint task {config.task} != manifest task {manifest.task}")
     windows = inference.inference_windows(config, model.embed_dim)
     entries = manifest.split_entries(args.split)
     if not entries:
@@ -245,34 +248,33 @@ def cmd_evaluate(args) -> int:
     manifest = dataio.load_manifest(args.manifest)
     entries, preds = _aligned_predictions(manifest, args)
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 42
     report: dict = {"task": manifest.task, "split": args.split, "n_slides": len(entries)}
     truth = dataio.label_arrays(manifest.task, entries)
 
     if manifest.task == "classification":
         pred_cls = _column(preds, "predicted_class", int)
         report["balanced_accuracy"] = metrics.bootstrap_ci(
-            metrics.balanced_accuracy, (truth, pred_cls), seed=seed).to_dict()
+            metrics.balanced_accuracy, (truth, pred_cls), seed=args.seed).to_dict()
         kappa = lambda t, p: metrics.cohens_kappa(t, p, weighting=args.kappa_weighting)
         report["cohens_kappa"] = metrics.bootstrap_ci(kappa, (truth, pred_cls),
-                                                      seed=seed).to_dict()
+                                                      seed=args.seed).to_dict()
         report["kappa_weighting"] = args.kappa_weighting
         if manifest.n_classes == 2:
             scores = _column(preds, "mean_probs", np.float64, index=1)
             report["auc"] = metrics.bootstrap_ci(metrics.auc, (truth, scores),
-                                                 seed=seed).to_dict()
+                                                 seed=args.seed).to_dict()
     elif manifest.task == "regression":
         pred_val = _column(preds, "mean_value", np.float64)
         report["pearson_r"] = metrics.bootstrap_ci(metrics.pearson_r, (truth, pred_val),
-                                                   seed=seed).to_dict()
+                                                   seed=args.seed).to_dict()
         report["mse"] = metrics.bootstrap_ci(metrics.mean_squared_error,
-                                             (truth, pred_val), seed=seed).to_dict()
+                                             (truth, pred_val), seed=args.seed).to_dict()
     else:
         times, events = truth
         risks = _column(preds, "risk", np.float64)
         cindex = lambda t, e, r: metrics.concordance_index(t, e, r)
         report["concordance_index"] = metrics.bootstrap_ci(
-            cindex, (times, events, risks), seed=seed).to_dict()
+            cindex, (times, events, risks), seed=args.seed).to_dict()
         median_risk = float(np.median(risks))
         high = risks > median_risk
         if high.any() and (~high).any():
@@ -298,7 +300,7 @@ def cmd_evaluate(args) -> int:
     dataio.write_json(report, out / "evaluation.json")
     _write_run_manifest(out, "evaluate", {"manifest": args.manifest,
                                           "predictions": args.predictions},
-                        seed, _sha256(args.predictions))
+                        args.seed, _sha256(args.predictions))
     print(f"wrote evaluation ({manifest.task}, {len(entries)} slides) to {out}")
     return 0
 
@@ -355,8 +357,8 @@ def cmd_gradcheck(args) -> int:
         embed_dim, hidden_dim = int(d_text), int(h_text)
     except ValueError as exc:
         raise ValidationError(f"--dims must look like 8x4, got {args.dims!r}") from exc
-    seed = args.seed if args.seed is not None else 42
-    result = grad_check(args.task, embed_dim=embed_dim, hidden_dim=hidden_dim, seed=seed)
+    result = grad_check(args.task, embed_dim=embed_dim, hidden_dim=hidden_dim,
+                        seed=args.seed)
     err = result["max_rel_err"]
     ok = err < 1e-4
     print(f"gradcheck task={args.task} dims={embed_dim}x{hidden_dim}: "
@@ -369,15 +371,12 @@ def build_parser() -> _Parser:
                      description="Slide-level multiple-instance learning workflows")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, func, seeded=False, **kwargs):
+    def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        if seeded:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config/spec seed (default 42 where unset)")
         return p
 
-    p = add("synth", cmd_synth, seeded=True, help="generate a synthetic dataset")
+    p = add("synth", cmd_synth, help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="synthetic spec JSON")
     p.add_argument("--out", required=True)
 
@@ -386,13 +385,13 @@ def build_parser() -> _Parser:
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("plan", cmd_plan, seeded=True, help="derive a run config from a fingerprint")
+    p = add("plan", cmd_plan, help="derive a run config from a fingerprint")
     p.add_argument("--fingerprint", required=True)
     p.add_argument("--override", action="append", metavar="KEY=VALUE",
                    help="config field override; repeatable")
     p.add_argument("--out", required=True)
 
-    p = add("train", cmd_train, seeded=True, help="train a model")
+    p = add("train", cmd_train, help="train a model")
     p.add_argument("--manifest", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--config", required=True)
@@ -407,12 +406,13 @@ def build_parser() -> _Parser:
                    help="survival probability evaluation time: 'median' or a positive number")
     p.add_argument("--out", required=True)
 
-    p = add("evaluate", cmd_evaluate, seeded=True, help="score predictions against labels")
+    p = add("evaluate", cmd_evaluate, help="score predictions against labels")
     p.add_argument("--manifest", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--kappa-weighting", default="none", choices=["none", "quadratic"])
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=_seed, default=42, help="bootstrap seed (default 42)")
 
     p = add("reject-curve", cmd_reject_curve, help="selective-prediction curve")
     p.add_argument("--manifest", required=True)
@@ -421,10 +421,12 @@ def build_parser() -> _Parser:
     p.add_argument("--fractions", default="0,0.05,0.1,0.15,0.2,0.25,0.3")
     p.add_argument("--out", required=True)
 
-    p = add("gradcheck", cmd_gradcheck, seeded=True, help="finite-difference gradient check")
+    p = add("gradcheck", cmd_gradcheck, help="finite-difference gradient check")
     p.add_argument("--dims", default="8x4", help="DxH, e.g. 8x4")
     p.add_argument("--task", default="classification",
                    choices=["classification", "regression", "survival"])
+    p.add_argument("--seed", type=_seed, default=42,
+                   help="seed of the random model and data (default 42)")
 
     return parser
 

@@ -5,10 +5,12 @@ size H = min(256, D); inference stride S = max(1, H // 4); batch size 32;
 dropout 0.25; AdamW lr 3e-4 (1e-4 for survival) with weight decay 1e-4;
 5 warmup epochs, up to 100 epochs, patience 10; seed 42. The window set,
 and with it the ensemble size K, comes from ``inference.chunk_windows``.
+Overrides must keep S <= H, so that the windows cover every feature.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -101,9 +103,24 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValidationError(f"RunConfig.{f.name} must be {f.type}, got {value!r}")
-        for name in ("bag_size", "hidden_dim", "stride", "batch_size", "max_epochs"):
+        for name in ("bag_size", "hidden_dim", "stride", "batch_size", "max_epochs",
+                     "patience"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
+        for name in ("warmup_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
+        # a learning rate of 0 is legal: it freezes the parameters
+        for name in ("learning_rate", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout}")
+        # windows of width H at stride S > H would skip the features between them
+        if self.stride > self.hidden_dim:
+            raise ValidationError(f"stride {self.stride} exceeds hidden_dim "
+                                  f"{self.hidden_dim}: windows would skip features")
         if self.training_mode not in TRAINING_MODES:
             raise ValidationError(f"unknown training_mode {self.training_mode!r}")
         # every full_bag_batch1 batch is one slide, and a one-slide Cox batch

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import MetricUndefinedError, ValidationError
 
+# bootstrap_ci gives up after this many draws per replicate
+MAX_REDRAW_FACTOR = 100
+
 
 @dataclass
 class BootstrapResult:
@@ -186,12 +189,12 @@ def logrank_test(times, events, in_group_a) -> tuple[float, float]:
     return float(statistic), float(p_value)
 
 
-def bootstrap_ci(metric, data: tuple, n_replicates: int = 1000, seed: int = 42,
-                 max_redraw_factor: int = 100) -> BootstrapResult:
+def bootstrap_ci(metric, data: tuple, n_replicates: int = 1000,
+                 seed: int = 42) -> BootstrapResult:
     """Percentile bootstrap of metric(*data) with slide-level resampling.
 
     Resamples that violate the metric's preconditions are redrawn; total draws
-    are capped at max_redraw_factor * n_replicates."""
+    are capped at MAX_REDRAW_FACTOR * n_replicates."""
     arrays = [np.asarray(a) for a in data]
     n = len(arrays[0])
     if n == 0 or any(len(a) != n for a in arrays):
@@ -200,7 +203,7 @@ def bootstrap_ci(metric, data: tuple, n_replicates: int = 1000, seed: int = 42,
     rng = np.random.default_rng(seed)
     values = np.empty(n_replicates, dtype=np.float64)
     draws = 0
-    cap = max_redraw_factor * n_replicates
+    cap = MAX_REDRAW_FACTOR * n_replicates
     done = 0
     while done < n_replicates:
         if draws >= cap:

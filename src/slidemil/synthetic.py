@@ -56,6 +56,8 @@ class SyntheticSpec:
             raise ValidationError(f"patches_per_bag_range must satisfy 1 <= lo <= hi, got {lo, hi}")
         if self.n_bags < 1 or self.embed_dim < 1:
             raise ValidationError("n_bags and embed_dim must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.task == "classification":
             if not 0.0 < self.signal_fraction <= 1.0:
                 raise ValidationError("signal_fraction must lie in (0, 1]")

@@ -67,17 +67,18 @@ def init_adam_state(params: dict[str, np.ndarray]) -> dict:
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: dict,
-               lr: float, weight_decay: float, betas=ADAM_BETAS, eps=ADAM_EPS) -> None:
+               lr: float, weight_decay: float) -> None:
     """In-place bias-corrected Adam update with decay decoupled from the moments.
 
     The temporaries live in the state's two scratch buffers. The operations
     are those of m += (1 - b1) * g, v += (1 - b2) * g * g and
-    p -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order; only the
-    operands of a product may swap, which IEEE multiplication does not see,
-    so the update is bit-identical to the formulas. The gradients must have
-    the parameters' dtype, as backward's do.
+    p -= lr * m_hat / (sqrt(v_hat) + eps), with (b1, b2) = ADAM_BETAS and
+    eps = ADAM_EPS, evaluated in that order; only the operands of a product
+    may swap, which IEEE multiplication does not see, so the update is
+    bit-identical to the formulas. The gradients must have the parameters'
+    dtype, as backward's do.
     """
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state["step"] += 1
     t = state["step"]
     for name, p in params.items():
@@ -97,7 +98,7 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], stat
         p *= 1.0 - lr * weight_decay
         m_hat *= lr
         denom = np.sqrt(v_hat, out=tmp_b)
-        denom += eps
+        denom += ADAM_EPS
         p -= np.divide(m_hat, denom, out=tmp_a)
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from slidemil.cli import main
 from slidemil.dataio import load_manifest
-from slidemil.training import load_checkpoint
 
 
 def _write_spec(path, **kw):
@@ -507,32 +506,51 @@ class TestGradcheckCommand:
 
 
 class TestSeedFlag:
-    def test_synth_seed_override_changes_data(self, tmp_path):
-        spec = _write_spec(tmp_path / "spec.json")
-        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        main(["synth", "--spec", str(spec), "--out", str(a)])
-        main(["synth", "--spec", str(spec), "--out", str(b), "--seed", "1"])
-        main(["synth", "--spec", str(spec), "--out", str(c), "--seed", "0"])
-        first = sorted(p.name for p in a.glob("*.emb"))
-        assert first  # embeddings were written
-        same = (a / first[0]).read_bytes() == (c / first[0]).read_bytes()
-        assert same  # --seed equal to the spec seed reproduces the corpus
-        assert (a / first[0]).read_bytes() != (b / first[0]).read_bytes()
+    """Only evaluate and gradcheck take --seed: no input file holds their seed."""
 
-    def test_train_seed_override(self, tmp_path, pipeline_dirs):
+    def test_evaluate_seed_defaults_to_42(self, tmp_path, pipeline_dirs):
         dirs = pipeline_dirs
-        _run_through_predict(tmp_path, pipeline_dirs,
-                             plan_args=("--override", "max_epochs=1"))
-        other = tmp_path / "other_seed"
-        assert main(["train", "--manifest", str(dirs["data"] / "manifest.json"),
-                     "--data-dir", str(dirs["data"]),
-                     "--config", str(dirs["plan"] / "config.json"),
-                     "--seed", "7", "--out", str(other)]) == 0
-        assert (other / "checkpoint.ckpt").read_bytes() != \
-            (dirs["train"] / "checkpoint.ckpt").read_bytes()
-        config = load_checkpoint(other / "checkpoint.ckpt").config
-        assert config.seed == 7
-        assert config.overrides == {"max_epochs": 1, "seed": 7}
+        manifest = _run_through_predict(tmp_path, dirs,
+                                        plan_args=("--override", "max_epochs=1"))
+        outs = []
+        for name, extra in (("default", []), ("explicit", ["--seed", "42"]),
+                            ("other", ["--seed", "7"])):
+            out = tmp_path / name
+            assert main(["evaluate", "--manifest", str(manifest),
+                         "--predictions", str(dirs["pred"] / "predictions.jsonl"),
+                         "--out", str(out), *extra]) == 0
+            outs.append(out)
+        default, explicit, other = outs
+        assert json.loads((default / "run_manifest.json").read_text())["seed"] == 42
+        assert (default / "evaluation.json").read_bytes() == \
+            (explicit / "evaluation.json").read_bytes()
+        assert (default / "evaluation.json").read_bytes() != \
+            (other / "evaluation.json").read_bytes()
+
+    def test_gradcheck_seed_defaults_to_42(self, capsys):
+        outputs = []
+        for extra in ([], ["--seed", "42"], ["--seed", "7"]):
+            assert main(["gradcheck", "--task", "survival", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        default, explicit, other = outputs
+        assert default == explicit != other
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--manifest", "m.json", "--predictions", "p.jsonl", "--out", "o"],
+        ["gradcheck"],
+    ], ids=["evaluate", "gradcheck"])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_1(self, argv, seed, capsys):
+        # numpy seeds generators with non-negative integers only
+        assert main([*argv, "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert "error: argument --seed" in err and "Traceback" not in err
+
+    def test_negative_spec_seed_is_1(self, tmp_path, capsys):
+        spec = _write_spec(tmp_path / "spec.json", seed=-1)
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be >= 0" in err
 
     def test_train_has_no_mode_flag(self, tmp_path, pipeline_dirs):
         # the training mode is a plan decision, read from the config
@@ -603,6 +621,10 @@ class TestRemovedFlags:
     """Flags that repeated another input or set nothing exit 1 as unknown."""
 
     @pytest.mark.parametrize("argv", [
+        ["synth", "--spec", "s.json", "--out", "o", "--seed", "1"],
+        ["plan", "--fingerprint", "fp.json", "--out", "o", "--seed", "1"],
+        ["train", "--manifest", "m.json", "--data-dir", "d", "--config", "c.json",
+         "--out", "o", "--seed", "1"],
         ["plan", "--fingerprint", "fp.json", "--out", "o", "--task", "classification"],
         ["plan", "--fingerprint", "fp.json", "--out", "o", "--mode", "full_bag_batch1"],
         ["fingerprint", "--manifest", "m.json", "--data-dir", "d", "--out", "o",
@@ -611,7 +633,8 @@ class TestRemovedFlags:
          "--out", "o", "--seed", "1"],
         ["reject-curve", "--manifest", "m.json", "--predictions", "p.jsonl", "--out", "o",
          "--seed", "1"],
-    ], ids=["plan-task", "plan-mode", "fingerprint-seed", "predict-seed", "reject-curve-seed"])
+    ], ids=["synth-seed", "plan-seed", "train-seed", "plan-task", "plan-mode",
+            "fingerprint-seed", "predict-seed", "reject-curve-seed"])
     def test_removed_flag_is_unknown(self, argv, capsys):
         assert main(argv) == 1
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
@@ -624,6 +647,28 @@ def _config_with(dirs, tmp_path, **fields):
     path.write_text(json.dumps({**doc, **fields}), encoding="utf-8")
     return path
 
+
+def _classification_manifest(tmp_path):
+    spec = _write_spec(tmp_path / "cls_spec.json")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "cls")]) == 0
+    return tmp_path / "cls" / "manifest.json"
+
+
+# config settings no run can train with, as --override values (JSON), and the
+# error each gives; the corpus below has D = H = 8
+_UNTRAINABLE = [
+    ("patience", "0", "patience must be >= 1"),
+    ("learning_rate", "-0.001", "learning_rate must be finite and >= 0"),
+    ("learning_rate", "NaN", "learning_rate must be finite and >= 0"),
+    ("learning_rate", "Infinity", "learning_rate must be finite and >= 0"),
+    ("weight_decay", "-0.0001", "weight_decay must be finite and >= 0"),
+    ("weight_decay", "NaN", "weight_decay must be finite and >= 0"),
+    ("warmup_epochs", "-1", "warmup_epochs must be >= 0"),
+    ("dropout", "1.0", "dropout must lie in [0, 1)"),
+    ("dropout", "-0.1", "dropout must lie in [0, 1)"),
+    ("seed", "-1", "seed must be >= 0"),
+    ("stride", "9", "stride 9 exceeds hidden_dim 8"),
+]
 
 # each bad input: the command, its arguments but --out, and what the error names
 _BAD_INPUTS = {
@@ -642,6 +687,18 @@ _BAD_INPUTS = {
         "--checkpoint", dirs["train"] / "checkpoint.ckpt", "--eval-time", value],
         "--eval-time must be 'median' or a finite positive number")
        for value in ("nan", "inf", "-1", "0", "soon")},
+    **{f"{command}-{field}-{value}": (command, lambda dirs, manifest, tmp_path, command=command,
+                                      field=field, value=value: [
+        "--fingerprint", dirs["fp"] / "fingerprint.json", "--override", f"{field}={value}"]
+        if command == "plan" else [
+        "--manifest", manifest, "--data-dir", dirs["data"],
+        "--config", _config_with(dirs, tmp_path, **{field: json.loads(value)})],
+        message)
+       for field, value, message in _UNTRAINABLE for command in ("plan", "train")},
+    "predict-task-mismatch": ("predict", lambda dirs, manifest, tmp_path: [
+        "--manifest", _classification_manifest(tmp_path), "--data-dir", tmp_path / "cls",
+        "--checkpoint", dirs["train"] / "checkpoint.ckpt"],
+        "checkpoint task survival != manifest task classification"),
     "reject-curve-fractions-abc": ("reject-curve", lambda dirs, manifest, tmp_path: [
         "--manifest", manifest, "--predictions", dirs["pred"] / "predictions.jsonl",
         "--fractions", "0,abc"],

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +190,22 @@ class TestDeriveConfig:
             assert cfg.training_mode == "full_bag_batch1"
 
 
+# config settings no run can train with, and the error each gives (H = 16)
+_UNTRAINABLE = [
+    ("learning_rate", -1e-3, "learning_rate must be finite and >= 0"),
+    ("learning_rate", math.nan, "learning_rate must be finite and >= 0"),
+    ("learning_rate", math.inf, "learning_rate must be finite and >= 0"),
+    ("weight_decay", -1e-4, "weight_decay must be finite and >= 0"),
+    ("weight_decay", math.nan, "weight_decay must be finite and >= 0"),
+    ("warmup_epochs", -1, "warmup_epochs must be >= 0"),
+    ("dropout", 1.0, "dropout must lie in [0, 1)"),
+    ("dropout", -0.1, "dropout must lie in [0, 1)"),
+    ("dropout", math.nan, "dropout must lie in [0, 1)"),
+    ("seed", -1, "seed must be >= 0"),
+    ("stride", 17, "stride 17 exceeds hidden_dim 16"),
+]
+
+
 class TestConfigSerialization:
     def test_json_roundtrip_identity(self, tmp_path):
         cfg = derive_config(_fp(1000, 1024), overrides={"batch_size": 16})
@@ -216,12 +234,28 @@ class TestConfigSerialization:
             dataclasses.replace(cfg, training_mode="bogus")
 
     @pytest.mark.parametrize("field", ["bag_size", "hidden_dim", "stride", "batch_size",
-                                       "max_epochs"])
+                                       "max_epochs", "patience"])
     def test_counts_below_one_rejected(self, field):
-        # hidden_dim=0 gives zero-width windows; max_epochs=0 trains nothing
+        # hidden_dim=0 gives zero-width windows; max_epochs=0 trains nothing;
+        # patience=0 stops after the first epoch
         cfg = derive_config(_fp(100, 64))
         with pytest.raises(ValidationError, match=f"{field} must be >= 1"):
             dataclasses.replace(cfg, **{field: 0})
+
+    @pytest.mark.parametrize("field,value,message", _UNTRAINABLE,
+                             ids=[f"{f}={v}" for f, v, _ in _UNTRAINABLE])
+    def test_untrainable_setting_rejected(self, field, value, message):
+        # stride > hidden_dim: windows (0,16), (17,33), ... never read feature 16
+        cfg = derive_config(_fp(100, 64), overrides={"hidden_dim": 16})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            dataclasses.replace(cfg, **{field: value})
+
+    def test_boundary_settings_accepted(self):
+        # lr 0 freezes a run; S == H tiles the features without overlap
+        cfg = derive_config(_fp(100, 64), overrides={"hidden_dim": 16})
+        cfg = dataclasses.replace(cfg, learning_rate=0.0, weight_decay=0.0, warmup_epochs=0,
+                                  dropout=0.0, seed=0, patience=1, stride=16)
+        assert inference_windows(cfg, 64).windows == ((0, 16), (16, 32), (32, 48), (48, 64))
 
     @pytest.mark.parametrize("field,value", [("bag_size", "abc"), ("stride", 4.0),
                                              ("learning_rate", "3e-4"), ("seed", True),

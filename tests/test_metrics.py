@@ -9,6 +9,7 @@ import pytest
 from slidemil.dataio import SurvivalRecord
 from slidemil.errors import MetricUndefinedError, ValidationError
 from slidemil.metrics import (
+    MAX_REDRAW_FACTOR,
     auc,
     balanced_accuracy,
     bootstrap_ci,
@@ -383,8 +384,8 @@ class TestBootstrap:
 
         data = (np.zeros(4), np.zeros(4))
         with pytest.raises(ValidationError):
-            bootstrap_ci(flaky, data, n_replicates=10, max_redraw_factor=5)
-        assert calls["n"] == 1 + 5 * 10
+            bootstrap_ci(flaky, data, n_replicates=10)
+        assert calls["n"] == 1 + MAX_REDRAW_FACTOR * 10 == 1 + 100 * 10
 
     def test_undefined_point_estimate_propagates(self):
         labels = np.array([1, 1, 1, 1])  # AUC undefined on the full sample

@@ -208,6 +208,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             _cls_spec(split_fractions=(0.5, 0.2, 0.2))
 
+    def test_negative_seed(self):
+        # numpy seeds generators with non-negative integers only
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            _cls_spec(seed=-1)
+
 
 class TestDiskOutput:
     def test_write_then_load_matches_generate(self, tmp_path):
