@@ -42,11 +42,17 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_run_manifest(out_dir: Path, command: str, inputs: dict, seed,
-                        config_hash: str | None) -> None:
-    doc = {"command": command, "inputs": {k: str(v) for k, v in inputs.items() if v},
-           "config_hash": config_hash, "seed": seed, "timestamp": time.time()}
-    dataio.write_json(doc, out_dir / "run_manifest.json")
+# the arguments that name a command's input files
+_INPUT_ARGS = ("spec", "manifest", "data_dir", "fingerprint", "config", "checkpoint", "predictions")
+
+
+def _write_run_manifest(args, hashed, seed) -> None:
+    """Write run_manifest.json to args.out: the command, input paths, seed and
+    the SHA-256 of the file at hashed."""
+    inputs = {k: str(getattr(args, k)) for k in _INPUT_ARGS if getattr(args, k, None)}
+    doc = {"command": args.command, "inputs": inputs, "config_hash": _sha256(hashed),
+           "seed": seed, "timestamp": time.time()}
+    dataio.write_json(doc, Path(args.out) / "run_manifest.json")
 
 
 def _seed(text: str) -> int:
@@ -99,7 +105,7 @@ def cmd_synth(args) -> int:
     spec = synthetic.SyntheticSpec.from_json(args.spec)
     out = _out_dir(args)
     synthetic.write_synthetic_dataset(spec, out)
-    _write_run_manifest(out, "synth", {"spec": args.spec}, spec.seed, _sha256(args.spec))
+    _write_run_manifest(args, args.spec, spec.seed)
     print(f"wrote synthetic dataset ({spec.task}, {spec.n_bags} bags) to {out}")
     return 0
 
@@ -110,9 +116,7 @@ def cmd_fingerprint(args) -> int:
     fp = compute_fingerprint(manifest, shapes)
     out = _out_dir(args)
     fp.to_json(out / "fingerprint.json")
-    _write_run_manifest(out, "fingerprint", {"manifest": args.manifest,
-                                             "data_dir": args.data_dir},
-                        None, _sha256(args.manifest))
+    _write_run_manifest(args, args.manifest, None)
     print(f"wrote fingerprint for {fp.n_train + fp.n_val + fp.n_test} slides to {out}")
     return 0
 
@@ -135,8 +139,7 @@ def cmd_plan(args) -> int:
     n_windows = inference.inference_windows(config, fp.embed_dim).n_chunks
     out = _out_dir(args)
     config.to_json(out / "config.json")
-    _write_run_manifest(out, "plan", {"fingerprint": args.fingerprint},
-                        config.seed, _sha256(args.fingerprint))
+    _write_run_manifest(args, args.fingerprint, config.seed)
     print(f"wrote config (M={config.bag_size}, H={config.hidden_dim}, "
           f"S={config.stride}, K={n_windows}) to {out}")
     return 0
@@ -150,10 +153,7 @@ def cmd_train(args) -> int:
     ckpt_path = out / "checkpoint.ckpt"
     checkpoint, report = train(config, manifest, bags, checkpoint_path=ckpt_path)
     dataio.write_json(report.to_dict(), out / "train_report.json")
-    _write_run_manifest(out, "train", {"manifest": args.manifest,
-                                       "data_dir": args.data_dir,
-                                       "config": args.config},
-                        config.seed, _sha256(args.config))
+    _write_run_manifest(args, args.config, config.seed)
     last = report.epochs[-1]
     print(f"trained {report.stopped_epoch} epochs "
           f"(best epoch {report.best_epoch}, final val loss {last['val_loss']}); "
@@ -224,10 +224,7 @@ def cmd_predict(args) -> int:
                    **inference.aggregate_patient(by_patient[patient_id])}
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
-    _write_run_manifest(out, "predict", {"manifest": args.manifest,
-                                         "data_dir": args.data_dir,
-                                         "checkpoint": args.checkpoint},
-                        None, _sha256(args.checkpoint))
+    _write_run_manifest(args, args.checkpoint, None)
     print(f"wrote {len(predictions)} slide predictions "
           f"({len(by_patient)} patients) to {out}")
     return 0
@@ -272,9 +269,8 @@ def cmd_evaluate(args) -> int:
     else:
         times, events = truth
         risks = _column(preds, "risk", np.float64)
-        cindex = lambda t, e, r: metrics.concordance_index(t, e, r)
         report["concordance_index"] = metrics.bootstrap_ci(
-            cindex, (times, events, risks), seed=args.seed).to_dict()
+            metrics.concordance_index, (times, events, risks), seed=args.seed).to_dict()
         median_risk = float(np.median(risks))
         high = risks > median_risk
         if high.any() and (~high).any():
@@ -298,9 +294,7 @@ def cmd_evaluate(args) -> int:
             report["logrank"] = {"undefined": "median split left one group empty"}
 
     dataio.write_json(report, out / "evaluation.json")
-    _write_run_manifest(out, "evaluate", {"manifest": args.manifest,
-                                          "predictions": args.predictions},
-                        args.seed, _sha256(args.predictions))
+    _write_run_manifest(args, args.predictions, args.seed)
     print(f"wrote evaluation ({manifest.task}, {len(entries)} slides) to {out}")
     return 0
 
@@ -344,9 +338,7 @@ def cmd_reject_curve(args) -> int:
         writer.writerow(["fraction", "value", "n_retained"])
         for row in rows:
             writer.writerow([row["fraction"], row["value"], row["n_retained"]])
-    _write_run_manifest(out, "reject-curve", {"manifest": args.manifest,
-                                              "predictions": args.predictions},
-                        None, _sha256(args.predictions))
+    _write_run_manifest(args, args.predictions, None)
     print(f"wrote rejection curve ({metric_name}, {len(rows)} points) to {out}")
     return 0
 

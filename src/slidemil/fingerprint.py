@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import BagShape, DatasetManifest, SlideBag, read_json, write_json
+from .dataio import (TASKS, BagShape, DatasetManifest, SlideBag, _is_int, label_arrays,
+                     read_json, write_json)
 from .errors import FormatError, ValidationError
 
 DEFAULT_HIDDEN_DIM = 256
@@ -39,8 +40,33 @@ def _from_fields(cls, doc, retired=()):
         raise FormatError(f"{cls.__name__}: expected a JSON object, got {type(doc).__name__}")
     try:
         return cls(**{k: v for k, v in doc.items() if k not in retired})
-    except TypeError as exc:  # a missing or unknown field, or a value of the wrong type
+    except TypeError as exc:  # a missing or unknown field
         raise ValidationError(f"{cls.__name__}: {exc}") from exc
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# what each field annotation accepts (annotations are strings here); bools are
+# not numbers, and an "X | None" annotation also accepts None
+_FIELD_TYPES = {"int": _is_int, "float": _is_real, "str": lambda v: isinstance(v, str),
+                "dict": lambda v: isinstance(v, dict),
+                "list[float]": lambda v: isinstance(v, list) and all(map(_is_real, v)),
+                "tuple[int, int]": lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
+                                              and all(map(_is_int, v)))}
+
+
+def _check_fields(record) -> None:
+    """Reject the first field of a dataclass record whose value its annotation
+    does not accept, naming it, and a task that is not one of TASKS."""
+    name = type(record).__name__
+    for f in fields(record):
+        value, kind = getattr(record, f.name), f.type.removesuffix(" | None")
+        if not (value is None and kind != f.type) and not _FIELD_TYPES[kind](value):
+            raise ValidationError(f"{name}.{f.name} must be {f.type}, got {value!r}")
+    if record.task not in TASKS:
+        raise ValidationError(f"{name}: unknown task {record.task!r}")
 
 
 @dataclass
@@ -61,11 +87,11 @@ class DataFingerprint:
     task: str = "classification"
 
     def __post_init__(self):
+        _check_fields(self)
         if not self.patch_count_p5 <= self.patch_count_median <= self.patch_count_p95:
             raise ValidationError("patch-count percentiles must be ordered p5 <= median <= p95")
-        if self.class_prevalence is not None:
-            if abs(sum(self.class_prevalence) - 1.0) > 1e-9:
-                raise ValidationError("class prevalences must sum to 1")
+        if self.class_prevalence is not None and abs(sum(self.class_prevalence) - 1.0) > 1e-9:
+            raise ValidationError("class prevalences must sum to 1")
         if self.event_rate is not None and not 0.0 <= self.event_rate <= 1.0:
             raise ValidationError("event_rate must lie in [0, 1]")
 
@@ -75,10 +101,6 @@ class DataFingerprint:
     @classmethod
     def from_json(cls, path: str | Path) -> "DataFingerprint":
         return _from_fields(cls, read_json(path), retired=("magnification",))
-
-
-# accepted value types per RunConfig annotation (annotations are strings here)
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dict": dict}
 
 
 @dataclass
@@ -99,10 +121,7 @@ class RunConfig:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ValidationError(f"RunConfig.{f.name} must be {f.type}, got {value!r}")
+        _check_fields(self)
         for name in ("bag_size", "hidden_dim", "stride", "batch_size", "max_epochs",
                      "patience"):
             if getattr(self, name) < 1:
@@ -164,7 +183,16 @@ def compute_fingerprint(manifest: DatasetManifest,
         raise ValidationError(f"train bags disagree on embedding dimension: {sorted(dims)}")
     p5, p25, med, p75, p95 = np.percentile(counts, [5, 25, 50, 75, 95], method="linear")
 
-    fp = DataFingerprint(
+    labels = label_arrays(manifest.task, train)
+    if manifest.task == "classification":
+        counts = np.bincount(labels, minlength=manifest.n_classes)
+        by_task = {"class_prevalence": (counts / len(labels)).tolist()}
+    elif manifest.task == "regression":
+        by_task = {"target_min": float(labels.min()), "target_max": float(labels.max())}
+    else:
+        times, events = labels
+        by_task = {"event_rate": float(events.mean()), "time_horizon_max": float(times.max())}
+    return DataFingerprint(
         patch_count_median=float(med),
         patch_count_iqr=float(p75 - p25),
         patch_count_p5=float(p5),
@@ -174,21 +202,8 @@ def compute_fingerprint(manifest: DatasetManifest,
         n_val=len(manifest.split_entries("val")),
         n_test=len(manifest.split_entries("test")),
         task=manifest.task,
+        **by_task,
     )
-    if manifest.task == "classification":
-        labels = np.array([e.label for e in train], dtype=np.int64)
-        counts = np.bincount(labels, minlength=manifest.n_classes)
-        fp.class_prevalence = (counts / len(labels)).tolist()
-    elif manifest.task == "regression":
-        targets = np.array([e.label for e in train], dtype=np.float64)
-        fp.target_min = float(targets.min())
-        fp.target_max = float(targets.max())
-    else:
-        events = np.array([e.label.event for e in train])
-        times = np.array([e.label.time for e in train])
-        fp.event_rate = float(events.mean())
-        fp.time_horizon_max = float(times.max())
-    return fp
 
 
 def derive_config(fp: DataFingerprint, overrides: dict | None = None) -> RunConfig:
@@ -203,10 +218,9 @@ def derive_config(fp: DataFingerprint, overrides: dict | None = None) -> RunConf
         raise ValidationError(f"the task comes from the fingerprint ({fp.task}); "
                               f"it cannot be overridden")
 
-    hidden = min(DEFAULT_HIDDEN_DIM, fp.embed_dim)
-    hidden = int(overrides.get("hidden_dim", hidden))
-    stride = max(1, hidden // 4)
-    stride = int(overrides.get("stride", stride))
+    hidden = overrides.get("hidden_dim", min(DEFAULT_HIDDEN_DIM, fp.embed_dim))
+    # a hidden_dim that is not an int is left for RunConfig to reject by name
+    stride = overrides.get("stride", max(1, hidden // 4) if _is_int(hidden) else 1)
 
     values = {
         "task": fp.task,

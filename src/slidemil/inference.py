@@ -8,7 +8,8 @@ additive uncertainty decomposition holds to near machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,6 +32,7 @@ class ChunkWindows:
 
 @dataclass
 class ClsPrediction:
+    task: ClassVar[str] = "classification"
     slide_id: str
     mean_logits: np.ndarray      # (C,)
     per_chunk_probs: np.ndarray  # (K, C)
@@ -44,6 +46,7 @@ class ClsPrediction:
 
 @dataclass
 class RegPrediction:
+    task: ClassVar[str] = "regression"
     slide_id: str
     per_chunk_values: np.ndarray  # (K,)
     mean_value: float
@@ -53,6 +56,7 @@ class RegPrediction:
 
 @dataclass
 class SurvPrediction:
+    task: ClassVar[str] = "survival"
     slide_id: str
     per_chunk_risk: np.ndarray  # (K,)
     risk: float                 # log-mean-exp over chunks
@@ -269,26 +273,17 @@ def aggregate_patient(predictions: list) -> dict:
             "unc_survival": [adjust_patient_uncertainty(float(u), n) for u in mean_unc]}
 
 
+_UNWRITTEN = ("attention", "per_chunk_survival")  # per-patch and per-window detail
+
+
 def prediction_to_json(pred) -> dict:
-    """Flatten any slide prediction into one JSON-ready record."""
-    if isinstance(pred, ClsPrediction):
-        return {"slide_id": pred.slide_id, "task": "classification",
-                "mean_logits": pred.mean_logits.tolist(),
-                "mean_probs": pred.mean_probs.tolist(),
-                "per_chunk_probs": pred.per_chunk_probs.tolist(),
-                "predicted_class": pred.predicted_class,
-                "h_total": pred.h_total, "h_aleatoric": pred.h_aleatoric,
-                "mutual_info": pred.mutual_info}
-    if isinstance(pred, RegPrediction):
-        return {"slide_id": pred.slide_id, "task": "regression",
-                "mean_value": pred.mean_value, "std_value": pred.std_value,
-                "per_chunk_values": pred.per_chunk_values.tolist()}
-    if isinstance(pred, SurvPrediction):
-        return {"slide_id": pred.slide_id, "task": "survival",
-                "risk": pred.risk, "mean_risk": pred.mean_risk,
-                "var_risk": pred.var_risk,
-                "per_chunk_risk": pred.per_chunk_risk.tolist(),
-                "eval_times": pred.eval_times.tolist(),
-                "mean_survival": pred.mean_survival.tolist(),
-                "unc_survival": pred.unc_survival.tolist()}
-    raise ValidationError(f"unknown prediction type {type(pred)!r}")
+    """Flatten a slide prediction into one JSON-ready record: its task and
+    every field but those in _UNWRITTEN, arrays as lists."""
+    if not isinstance(pred, (ClsPrediction, RegPrediction, SurvPrediction)):
+        raise ValidationError(f"unknown prediction type {type(pred)!r}")
+    doc = {"task": pred.task}
+    for f in fields(pred):
+        if f.name not in _UNWRITTEN:
+            value = getattr(pred, f.name)
+            doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc

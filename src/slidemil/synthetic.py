@@ -4,14 +4,16 @@ Classification bags plant round(signal_fraction*N) patches whose mean is
 shifted by signal_strength along one fixed random unit direction; negative
 bags contain none. Regression / survival bags shift every patch by a
 per-bag latent amount along the same direction, so the bag-mean embedding
-projected on the coefficient vector determines the target / log-hazard
-exactly. Survival times are exponential with rate exp(log-hazard);
+projected on signal_strength times that direction determines the target /
+log-hazard exactly. Survival times are exponential with rate exp(log-hazard);
 censoring times are an independent exponential calibrated to hit the
-requested censoring rate in expectation.
+requested censoring rate in expectation. Every corpus splits 60/20/20 into
+train/val/test, stratified by label (classification) or event (survival).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,14 +24,16 @@ from .dataio import (
     ManifestEntry,
     SlideBag,
     SurvivalRecord,
-    TASKS,
     read_json,
     save_manifest,
     write_embedding_file,
     write_json,
 )
 from .errors import ValidationError
-from .fingerprint import _from_fields, _round_half_up
+from .fingerprint import _check_fields, _from_fields, _round_half_up
+
+# train / val / test shares of each stratum
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 
 @dataclass
@@ -41,16 +45,12 @@ class SyntheticSpec:
     signal_fraction: float = 0.05
     signal_strength: float = 2.0
     positive_rate: float = 0.5
-    coefficients: np.ndarray | None = None  # regression/survival; default: signal_strength * direction
     censoring_rate: float = 0.3
     seed: int = 42
-    split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValidationError(f"unknown task {self.task!r}")
+        _check_fields(self)
         self.patches_per_bag_range = tuple(self.patches_per_bag_range)
-        self.split_fractions = tuple(self.split_fractions)
         lo, hi = self.patches_per_bag_range
         if not (1 <= lo <= hi):
             raise ValidationError(f"patches_per_bag_range must satisfy 1 <= lo <= hi, got {lo, hi}")
@@ -58,6 +58,8 @@ class SyntheticSpec:
             raise ValidationError("n_bags and embed_dim must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if not math.isfinite(self.signal_strength):
+            raise ValidationError(f"signal_strength must be finite, got {self.signal_strength}")
         if self.task == "classification":
             if not 0.0 < self.signal_fraction <= 1.0:
                 raise ValidationError("signal_fraction must lie in (0, 1]")
@@ -65,13 +67,6 @@ class SyntheticSpec:
                 raise ValidationError("positive_rate must lie in (0, 1)")
         if self.task == "survival" and not 0.0 <= self.censoring_rate < 1.0:
             raise ValidationError("censoring_rate must lie in [0, 1)")
-        if self.coefficients is not None:
-            coef = np.asarray(self.coefficients, dtype=np.float64)
-            if coef.shape != (self.embed_dim,):
-                raise ValidationError(f"coefficients must have shape ({self.embed_dim},)")
-            self.coefficients = coef
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9 or any(f < 0 for f in self.split_fractions):
-            raise ValidationError("split_fractions must be nonnegative and sum to 1")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticSpec":
@@ -94,18 +89,16 @@ def _calibrate_censoring_rate(hazards: np.ndarray, target: float) -> float:
     return float(np.sqrt(lo * hi))
 
 
-def _stratified_split(strata: list[np.ndarray], fractions: tuple[float, float, float],
-                      rng: np.random.Generator) -> np.ndarray:
+def _stratified_split(strata: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
     """Assign each index to a split, stratum by stratum. Returns an array of split names."""
     n_total = sum(len(s) for s in strata)
     splits = np.empty(n_total, dtype=object)
     for stratum in strata:
         order = rng.permutation(stratum)
         n = len(order)
-        n_tr = _round_half_up(fractions[0] * n)
-        n_va = _round_half_up(fractions[1] * n)
-        n_tr = min(n_tr, n)
-        n_va = min(n_va, n - n_tr)
+        # rounded shares of 0.6 and 0.2 never sum past n
+        n_tr = _round_half_up(SPLIT_FRACTIONS[0] * n)
+        n_va = _round_half_up(SPLIT_FRACTIONS[1] * n)
         for idx in order[:n_tr]:
             splits[idx] = "train"
         for idx in order[n_tr:n_tr + n_va]:
@@ -118,7 +111,16 @@ def _stratified_split(strata: list[np.ndarray], fractions: tuple[float, float, f
 def generate_synthetic_dataset(
     spec: SyntheticSpec,
 ) -> tuple[DatasetManifest, dict[str, SlideBag], dict[str, list[int]]]:
-    """Build a seeded corpus; returns (manifest, bags by slide_id, planted patch indices)."""
+    """Build a seeded corpus; returns (manifest, bags by slide_id, planted patch indices).
+    A signal_strength whose embeddings, targets or hazards overflow is rejected."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _generate(spec)
+    except FloatingPointError as exc:
+        raise ValidationError(f"signal_strength {spec.signal_strength} overflows ({exc})") from exc
+
+
+def _generate(spec: SyntheticSpec):
     rng = np.random.default_rng(spec.seed)
     d = spec.embed_dim
     direction = rng.standard_normal(d)
@@ -131,9 +133,7 @@ def generate_synthetic_dataset(
         n_pos = _round_half_up(spec.positive_rate * n)
         labels = rng.permutation(np.r_[np.ones(n_pos, dtype=int), np.zeros(n - n_pos, dtype=int)])
     else:
-        coef = spec.coefficients
-        if coef is None:
-            coef = spec.signal_strength * direction
+        coef = spec.signal_strength * direction
 
     bags: dict[str, SlideBag] = {}
     signal_indices: dict[str, list[int]] = {}
@@ -177,7 +177,7 @@ def generate_synthetic_dataset(
         strata = [s for s in strata if len(s)]
     else:
         strata = [np.arange(n)]
-    splits = _stratified_split(strata, spec.split_fractions, rng)
+    splits = _stratified_split(strata, rng)
 
     entries = []
     for i, sid in enumerate(slide_ids):

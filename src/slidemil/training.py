@@ -48,8 +48,6 @@ def lr_schedule(epoch: int, config: RunConfig) -> float:
     warm, total, base = config.warmup_epochs, config.max_epochs, config.learning_rate
     if epoch < warm:
         return base * (epoch + 1) / warm
-    if total == warm:
-        return base
     return base * 0.5 * (1.0 + math.cos(math.pi * (epoch - warm) / (total - warm)))
 
 

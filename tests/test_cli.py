@@ -640,12 +640,17 @@ class TestRemovedFlags:
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
+def _edited(path, tmp_path, **fields):
+    """Path of a copy of the JSON object at path with fields replaced."""
+    doc = json.loads(path.read_text())
+    edited = tmp_path / f"edited_{path.name}"
+    edited.write_text(json.dumps({**doc, **fields}), encoding="utf-8")
+    return edited
+
+
 def _config_with(dirs, tmp_path, **fields):
     """Path of a copy of the planned config.json with fields replaced."""
-    doc = json.loads((dirs["plan"] / "config.json").read_text())
-    path = tmp_path / "edited_config.json"
-    path.write_text(json.dumps({**doc, **fields}), encoding="utf-8")
-    return path
+    return _edited(dirs["plan"] / "config.json", tmp_path, **fields)
 
 
 def _classification_manifest(tmp_path):
@@ -669,6 +674,26 @@ _UNTRAINABLE = [
     ("seed", "-1", "seed must be >= 0"),
     ("stride", "9", "stride 9 exceeds hidden_dim 8"),
 ]
+
+# spec fields of the wrong type or out of range, or removed, and the error each gives
+_BAD_SPECS = {
+    "seed": ({"seed": 1.5}, "SyntheticSpec.seed must be int, got 1.5"),
+    "n_bags": ({"n_bags": 6.5}, "SyntheticSpec.n_bags must be int, got 6.5"),
+    "signal_strength": ({"signal_strength": "2"},
+                        "SyntheticSpec.signal_strength must be float, got '2'"),
+    "patches_per_bag_range": ({"patches_per_bag_range": [5, 10.5]},
+                              "SyntheticSpec.patches_per_bag_range must be tuple[int, int], "
+                              "got [5, 10.5]"),
+    "coefficients": ({"coefficients": [1.0] * 8},
+                     "unexpected keyword argument 'coefficients'"),
+    "split_fractions": ({"split_fractions": [0.6, 0.2, 0.2]},
+                        "unexpected keyword argument 'split_fractions'"),
+    "signal_strength-inf": ({"signal_strength": float("inf")},
+                            "signal_strength must be finite, got inf"),
+    # log-hazards of a few hundred overflow exp
+    "signal_strength-overflow": ({"task": "survival", "signal_strength": 400.0},
+                                 "signal_strength 400.0 overflows (overflow encountered in exp)"),
+}
 
 # each bad input: the command, its arguments but --out, and what the error names
 _BAD_INPUTS = {
@@ -699,6 +724,24 @@ _BAD_INPUTS = {
         "--manifest", _classification_manifest(tmp_path), "--data-dir", tmp_path / "cls",
         "--checkpoint", dirs["train"] / "checkpoint.ckpt"],
         "checkpoint task survival != manifest task classification"),
+    **{f"synth-{name}": ("synth", lambda dirs, manifest, tmp_path, fields=fields: [
+        "--spec", _write_spec(tmp_path / "spec.json", **fields)], message)
+       for name, (fields, message) in _BAD_SPECS.items()},
+    **{f"plan-fingerprint-{field}-{value}": ("plan", lambda dirs, manifest, tmp_path,
+                                             field=field, value=value: [
+        "--fingerprint", _edited(dirs["fp"] / "fingerprint.json", tmp_path, **{field: value})],
+        message)
+       for field, value, message in (
+           ("embed_dim", "8", "DataFingerprint.embed_dim must be int, got '8'"),
+           ("task", "foo", "DataFingerprint: unknown task 'foo'"))},
+    **{f"plan-override-{override}": ("plan", lambda dirs, manifest, tmp_path, override=override: [
+        "--fingerprint", dirs["fp"] / "fingerprint.json", "--override", override], message)
+       for override, message in (
+           ("hidden_dim=abc", "RunConfig.hidden_dim must be int, got 'abc'"),
+           ("stride=x", "RunConfig.stride must be int, got 'x'"),
+           ("hidden_dim=[1]", "RunConfig.hidden_dim must be int, got [1]"),
+           ("hidden_dim=8.0", "RunConfig.hidden_dim must be int, got 8.0"),
+           ("hidden_dim=null", "RunConfig.hidden_dim must be int, got None"))},
     "reject-curve-fractions-abc": ("reject-curve", lambda dirs, manifest, tmp_path: [
         "--manifest", manifest, "--predictions", dirs["pred"] / "predictions.jsonl",
         "--fractions", "0,abc"],

@@ -11,12 +11,14 @@ import pytest
 from slidemil.dataio import DatasetManifest, ManifestEntry, SlideBag, SurvivalRecord
 from slidemil.errors import ValidationError
 from slidemil.fingerprint import (
+    _FIELD_TYPES,
     DataFingerprint,
     RunConfig,
     compute_fingerprint,
     derive_config,
 )
 from slidemil.inference import inference_windows
+from slidemil.synthetic import SyntheticSpec
 
 from conftest import make_bag
 
@@ -274,3 +276,48 @@ class TestConfigSerialization:
         path = tmp_path / "fp.json"
         fp.to_json(path)
         assert DataFingerprint.from_json(path) == fp
+
+
+# the fields of a valid instance of each record the CLI reads from JSON
+_RECORDS = {
+    RunConfig: lambda: dataclasses.asdict(derive_config(_fp(100, 64))),
+    DataFingerprint: lambda: dataclasses.asdict(_fp(100, 64)),
+    SyntheticSpec: lambda: dict(task="classification", n_bags=10,
+                                patches_per_bag_range=(4, 6), embed_dim=4),
+}
+
+
+class TestRecordFieldTypes:
+    """Every field of every JSON record is type-checked: a field whose
+    annotation the checker does not know fails here, not when a file loads."""
+
+    @pytest.mark.parametrize("cls,name", [(cls, f.name) for cls in _RECORDS
+                                          for f in dataclasses.fields(cls)],
+                             ids=lambda v: getattr(v, "__name__", v))
+    def test_wrong_type_names_the_field(self, cls, name):
+        field = next(f for f in dataclasses.fields(cls) if f.name == name)
+        assert field.type.removesuffix(" | None") in _FIELD_TYPES
+        with pytest.raises(ValidationError, match=f"{cls.__name__}.{name} must be"):
+            cls(**{**_RECORDS[cls](), name: object()})
+
+    @pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda c: c.__name__)
+    def test_unknown_task_rejected(self, cls):
+        with pytest.raises(ValidationError, match="unknown task 'foo'"):
+            cls(**{**_RECORDS[cls](), "task": "foo"})
+
+    @pytest.mark.parametrize("value", [[3, 4.5], [3], [3, 4, 5], [True, 4], "34"])
+    def test_pair_of_ints_checks_length_and_elements(self, value):
+        spec = _RECORDS[SyntheticSpec]()
+        with pytest.raises(ValidationError, match="patches_per_bag_range must be"):
+            SyntheticSpec(**{**spec, "patches_per_bag_range": value})
+        # a JSON list is held as a tuple
+        assert SyntheticSpec(**{**spec, "patches_per_bag_range": [3, 4]}) \
+            .patches_per_bag_range == (3, 4)
+
+    def test_optional_fields_accept_none_and_check_elements(self):
+        doc = _RECORDS[DataFingerprint]()
+        assert DataFingerprint(**{**doc, "class_prevalence": None}).class_prevalence is None
+        with pytest.raises(ValidationError, match="class_prevalence must be"):
+            DataFingerprint(**{**doc, "class_prevalence": [0.5, "0.5"]})
+        with pytest.raises(ValidationError, match="embed_dim must be int"):
+            DataFingerprint(**{**doc, "embed_dim": None})

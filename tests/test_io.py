@@ -29,6 +29,8 @@ from slidemil.dataio import (
     write_embedding_file,
 )
 from slidemil.errors import CorruptionError, FormatError, ValidationError
+from slidemil.fingerprint import DataFingerprint, RunConfig
+from slidemil.synthetic import SyntheticSpec
 from slidemil.training import CHECKPOINT_MAGIC, load_checkpoint
 
 from conftest import make_bag
@@ -543,11 +545,15 @@ class TestCheckpointReaderFuzz:
         assert "Traceback" not in capsys.readouterr().err
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda children: (st.lists(children, max_size=3)
-                      | st.dictionaries(st.text(max_size=8), children, max_size=3)),
-    max_leaves=8)
+def _json_values(integers):
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats() | st.text(max_size=8),
+        lambda children: (st.lists(children, max_size=3)
+                          | st.dictionaries(st.text(max_size=8), children, max_size=3)),
+        max_leaves=8)
+
+
+JSON_VALUES = _json_values(st.integers())
 
 MANIFEST_DOCS = {
     "classification": {"task": "classification", "n_classes": 2, "entries": [
@@ -659,3 +665,68 @@ class TestManifestReaderFuzz:
                      "--out", str(tmp_path / "fp")])
         assert code == EXIT_CODES[error]
         assert "Traceback" not in capsys.readouterr().err
+
+
+# valid documents of the records the commands read, by the flag that names them
+RECORD_DOCS = {
+    "spec": {"task": "classification", "n_bags": 12, "patches_per_bag_range": [3, 6],
+             "embed_dim": 4, "signal_fraction": 0.5, "signal_strength": 2.0,
+             "positive_rate": 0.5, "censoring_rate": 0.3, "seed": 0},
+    "fingerprint": {"patch_count_median": 7.0, "patch_count_iqr": 2.0, "patch_count_p5": 4.0,
+                    "patch_count_p95": 9.0, "embed_dim": 8, "n_train": 12, "n_val": 4,
+                    "n_test": 4, "class_prevalence": [0.5, 0.5], "target_min": None,
+                    "target_max": None, "event_rate": None, "time_horizon_max": None,
+                    "task": "classification"},
+    "config": {"task": "classification", "bag_size": 4, "hidden_dim": 8, "stride": 2,
+               "dropout": 0.25, "batch_size": 32, "learning_rate": 3e-4,
+               "weight_decay": 1e-4, "warmup_epochs": 5, "max_epochs": 100, "patience": 10,
+               "seed": 42, "training_mode": "nnmil", "overrides": {}},
+}
+RECORD_LOADERS = {"spec": SyntheticSpec.from_json, "fingerprint": DataFingerprint.from_json,
+                  "config": RunConfig.from_json}
+
+
+@st.composite
+def edited_records(draw, kinds, values):
+    """(kind, document): a valid document of one record kind, for any task,
+    with one field replaced by a JSON value."""
+    kind = draw(st.sampled_from(kinds))
+    doc = {**RECORD_DOCS[kind], "task": draw(st.sampled_from(dataio.TASKS))}
+    doc[draw(st.sampled_from(sorted(doc)))] = draw(values)
+    return kind, doc
+
+
+class TestRecordLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(case=edited_records(sorted(RECORD_DOCS), JSON_VALUES))
+    def test_any_field_value_loads_or_is_rejected(self, tmp_path_factory, case):
+        """Whatever JSON value a field holds, each loader returns its record
+        or raises FormatError or ValidationError."""
+        kind, doc = case
+        path = tmp_path_factory.mktemp(kind) / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        try:
+            RECORD_LOADERS[kind](path)
+        except (FormatError, ValidationError):
+            pass
+
+    # Integers stay small: a spec may ask for a corpus of any size, and plan
+    # lists every window of the fingerprint's embed_dim (about 20 GB at 10**10).
+    # Bare numbers are drawn often, so that some edited documents are valid.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=edited_records(["spec", "fingerprint"], st.integers(-4, 64) | st.floats()
+                               | _json_values(st.integers(-4, 64))))
+    def test_synth_and_plan_exit_0_or_1(self, tmp_path_factory, case, capsys):
+        """synth and plan run or exit 1 with one error line, and write
+        nothing when they exit 1."""
+        kind, doc = case
+        tmp = tmp_path_factory.mktemp(kind)
+        path, out = tmp / f"{kind}.json", tmp / "out"
+        path.write_text(json.dumps(doc))
+        command = {"spec": "synth", "fingerprint": "plan"}[kind]
+        code = main([command, f"--{kind}", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1) and "Traceback" not in err
+        assert code == 0 or (err.startswith("error: ")
+                             and not (out.exists() and any(out.iterdir())))
