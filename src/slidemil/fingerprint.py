@@ -3,8 +3,9 @@
 Rules: bag size M = max(1, round(median patch count / 2)); attention hidden
 size H = min(256, D); inference stride S = max(1, H // 4); batch size 32;
 dropout 0.25; AdamW lr 3e-4 (1e-4 for survival) with weight decay 1e-4;
-5 warmup epochs, up to 100 epochs, patience 10; seed 42. The window set,
-and with it the ensemble size K, comes from ``inference.chunk_windows``.
+5 warmup epochs, up to 100 epochs, patience 10; seed 42. The window set
+comes from ``inference.chunk_windows``, and its size K from
+``inference.window_count``.
 Overrides must keep S <= H, so that the windows cover every feature.
 """
 
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (TASKS, BagShape, DatasetManifest, SlideBag, _is_int, label_arrays,
-                     read_json, write_json)
+from .dataio import (MAX_HEADER_DIM, TASKS, BagShape, DatasetManifest, SlideBag, _is_int,
+                     label_arrays, read_json, write_json)
 from .errors import FormatError, ValidationError
 
 DEFAULT_HIDDEN_DIM = 256
@@ -88,6 +89,12 @@ class DataFingerprint:
 
     def __post_init__(self):
         _check_fields(self)
+        # no embedding file holds more patches or dimensions than its header can count
+        for name in ("patch_count_median", "patch_count_iqr", "patch_count_p5",
+                     "patch_count_p95", "embed_dim"):
+            if not getattr(self, name) <= MAX_HEADER_DIM:
+                raise ValidationError(f"DataFingerprint.{name} must be at most {MAX_HEADER_DIM} "
+                                      f"(an embedding header's limit), got {getattr(self, name)!r}")
         if not self.patch_count_p5 <= self.patch_count_median <= self.patch_count_p95:
             raise ValidationError("patch-count percentiles must be ordered p5 <= median <= p95")
         if self.class_prevalence is not None and abs(sum(self.class_prevalence) - 1.0) > 1e-9:

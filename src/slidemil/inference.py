@@ -83,23 +83,35 @@ class BaselineSurvival:
         return padded[idx]
 
 
-def chunk_windows(embed_dim: int, hidden_dim: int, stride: int) -> ChunkWindows:
-    """Starts 0, S, 2S, ... D-H, plus a clamped final window when (D-H) % S != 0."""
+def window_count(embed_dim: int, hidden_dim: int, stride: int) -> int:
+    """K, the number of windows chunk_windows(embed_dim, hidden_dim, stride)
+    lists, without listing them."""
     if hidden_dim > embed_dim:
         raise ValidationError(f"window width {hidden_dim} exceeds embed_dim {embed_dim}")
     if stride < 1:
         raise ValidationError("stride must be >= 1")
-    starts = list(range(0, embed_dim - hidden_dim + 1, stride))
-    if starts[-1] != embed_dim - hidden_dim:
-        starts.append(embed_dim - hidden_dim)
+    span = embed_dim - hidden_dim
+    return span // stride + 1 + (span % stride != 0)
+
+
+def chunk_windows(embed_dim: int, hidden_dim: int, stride: int) -> ChunkWindows:
+    """Starts 0, S, 2S, ... D-H, plus a clamped final window when (D-H) % S != 0."""
+    last = embed_dim - hidden_dim
+    starts = (min(k * stride, last) for k in range(window_count(embed_dim, hidden_dim, stride)))
     return ChunkWindows(windows=tuple((s, s + hidden_dim) for s in starts))
 
 
-def inference_windows(config: RunConfig, embed_dim: int) -> ChunkWindows:
-    """Window set implied by a run config; the batch-1 ablation sees one full window."""
+def window_grid(config: RunConfig, embed_dim: int) -> tuple[int, int]:
+    """(width, stride) of the windows a run config implies; the batch-1
+    ablation sees one full window."""
     if config.training_mode == "full_bag_batch1":
-        return ChunkWindows(windows=((0, embed_dim),))
-    return chunk_windows(embed_dim, config.hidden_dim, config.stride)
+        return embed_dim, 1
+    return config.hidden_dim, config.stride
+
+
+def inference_windows(config: RunConfig, embed_dim: int) -> ChunkWindows:
+    """Window set implied by a run config."""
+    return chunk_windows(embed_dim, *window_grid(config, embed_dim))
 
 
 def ensemble_outputs(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows,

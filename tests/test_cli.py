@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from slidemil import inference
 from slidemil.cli import main
 from slidemil.dataio import load_manifest
 
@@ -424,6 +425,13 @@ class TestPlanWindowCount:
         # D=70, H=16, S=4: starts 0, 4, ..., 52 and the clamped 54
         assert "K=15" in self._plan(tmp_path, capsys)
 
+    def test_counts_without_listing_windows(self, tmp_path, capsys, monkeypatch):
+        def listed(*args):
+            raise AssertionError("plan listed the windows to count them")
+
+        monkeypatch.setattr(inference, "chunk_windows", listed)
+        assert "K=15" in self._plan(tmp_path, capsys)
+
     def test_full_bag_mode_is_one_window(self, tmp_path, capsys):
         assert "K=1)" in self._plan(tmp_path, capsys,
                                     "--override", "training_mode=full_bag_batch1")
@@ -733,7 +741,18 @@ _BAD_INPUTS = {
         message)
        for field, value, message in (
            ("embed_dim", "8", "DataFingerprint.embed_dim must be int, got '8'"),
-           ("task", "foo", "DataFingerprint: unknown task 'foo'"))},
+           ("task", "foo", "DataFingerprint: unknown task 'foo'"),
+           # an embedding header holds N and D as uint32
+           ("embed_dim", 2**32, "DataFingerprint.embed_dim must be at most 4294967295"),
+           ("patch_count_p95", 1e300,
+            "DataFingerprint.patch_count_p95 must be at most 4294967295"),
+           ("patch_count_iqr", 2.0**32,
+            "DataFingerprint.patch_count_iqr must be at most 4294967295"))},
+    "plan-fingerprint-patch-counts-1e300": ("plan", lambda dirs, manifest, tmp_path: [
+        "--fingerprint", _edited(dirs["fp"] / "fingerprint.json", tmp_path,
+                                 **dict.fromkeys(("patch_count_p5", "patch_count_median",
+                                                  "patch_count_p95"), 1e300))],
+        "DataFingerprint.patch_count_median must be at most 4294967295"),
     **{f"plan-override-{override}": ("plan", lambda dirs, manifest, tmp_path, override=override: [
         "--fingerprint", dirs["fp"] / "fingerprint.json", "--override", override], message)
        for override, message in (

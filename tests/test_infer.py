@@ -25,6 +25,7 @@ from slidemil.inference import (
     predict_regression,
     predict_survival,
     prediction_to_json,
+    window_count,
 )
 from slidemil.model import GatedAttentionMIL
 
@@ -68,6 +69,19 @@ class TestChunkWindows:
     def test_ragged_grid_general_case(self):
         cw = chunk_windows(20, 8, 5)
         assert cw.windows == ((0, 8), (5, 13), (10, 18), (12, 20))
+
+    def test_window_count_matches_listed_windows(self):
+        # every grid up to D=40, including H == D and clamped final windows
+        for d in range(1, 41):
+            for h in range(1, d + 1):
+                for s in range(1, d + 1):
+                    starts = sorted(set(range(0, d - h + 1, s)) | {d - h})
+                    assert chunk_windows(d, h, s).windows == tuple((a, a + h) for a in starts)
+                    assert window_count(d, h, s) == len(starts)
+
+    def test_window_count_at_the_largest_header_dimension(self):
+        d = 2**32 - 1  # 67,108,860 aligned starts and the clamped D - H
+        assert window_count(d, 256, 64) == (d - 256) // 64 + 2
 
     def test_window_wider_than_embedding_rejected(self):
         with pytest.raises(ValidationError):

@@ -121,11 +121,45 @@ class TestBagValidation:
         with pytest.raises(ValidationError):
             SlideBag("s", "p", np.zeros((0, 4), dtype=np.float32))
 
-    def test_rejects_nonfinite(self):
-        x = np.zeros((2, 2))
-        x[1, 1] = np.inf
-        with pytest.raises(ValidationError):
-            SlideBag("s", "p", x)
+    # with 36-byte scan blocks an 11x3 bag is scanned as rows 0-2, 3-5, 6-8
+    # and the short 9-10, and a 1x20 bag as one row wider than a block
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape,index", [
+        ((2, 2), (1, 1)),    # the whole bag in one block
+        ((11, 3), (0, 0)),   # first block
+        ((11, 3), (2, 2)),   # last value before a block boundary
+        ((11, 3), (3, 0)),   # first value after it
+        ((11, 3), (10, 2)),  # short last block
+        ((1, 20), (0, 13)),  # one row wider than a block
+    ])
+    @pytest.mark.parametrize("source", ["array", "float64", "strided", "file"])
+    def test_rejects_nonfinite(self, monkeypatch, tmp_path, shape, index, value, source):
+        monkeypatch.setattr(dataio, "SCAN_BLOCK_BYTES", 36)
+        x = np.zeros(shape, dtype=np.float32)
+        if source == "strided":
+            x = np.zeros((2 * shape[0], 2 * shape[1]), dtype=np.float32)[::2, ::2]
+            assert not x.flags.c_contiguous
+        x[index] = value
+        if source == "float64":
+            x = x.astype(np.float64)
+        if source == "file":
+            path = tmp_path / "x.emb"
+            path.write_bytes(EMBEDDING_MAGIC + struct.pack("<II", *shape) + x.tobytes())
+            with pytest.raises(ValidationError, match="non-finite"):
+                read_embedding_file(path)
+        else:
+            with pytest.raises(ValidationError, match="non-finite"):
+                SlideBag("s", "p", x)
+
+    @pytest.mark.parametrize("shape", [(11, 3), (9, 3), (1, 20)])
+    def test_accepts_finite_bag_over_several_blocks(self, monkeypatch, shape):
+        """Only the bag's own values are scanned: the NaNs between the rows and
+        columns of a strided view are not."""
+        monkeypatch.setattr(dataio, "SCAN_BLOCK_BYTES", 36)
+        wide = np.full((2 * shape[0], 2 * shape[1]), np.nan, dtype=np.float32)
+        wide[::2, ::2] = np.arange(shape[0] * shape[1]).reshape(shape)
+        bag = SlideBag("s", "p", wide[::2, ::2])
+        assert np.shares_memory(bag.embeddings, wide)
 
     def test_casts_to_float32(self):
         bag = SlideBag("s", "p", np.ones((2, 3), dtype=np.float64))
@@ -298,6 +332,19 @@ class TestMappedBags:
             tracemalloc.stop()
         assert sum(b.embeddings.nbytes for b in bags) == payload
         assert peak < 0.1 * payload, f"loading allocated {peak} bytes for a {payload}-byte payload"
+
+    def test_finiteness_scan_allocates_under_one_block(self, rng, tmp_path):
+        path = tmp_path / "big.emb"
+        write_embedding_file(make_bag(rng, 2048, 512), path)  # 4 MB
+        read_embedding_file(path)  # first call pays one-off imports
+        tracemalloc.start()
+        try:
+            bag = read_embedding_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bag.embeddings.nbytes >= 4 * dataio.SCAN_BLOCK_BYTES
+        assert peak < dataio.SCAN_BLOCK_BYTES, f"scanning a 4 MB bag allocated {peak} bytes"
 
     def test_rewrite_leaves_loaded_bag_unchanged(self, rng, tmp_path):
         path = tmp_path / "a.emb"
@@ -710,8 +757,7 @@ class TestRecordLoaderFuzz:
         except (FormatError, ValidationError):
             pass
 
-    # Integers stay small: a spec may ask for a corpus of any size, and plan
-    # lists every window of the fingerprint's embed_dim (about 20 GB at 10**10).
+    # Integers stay small: a spec may ask for a corpus of any size.
     # Bare numbers are drawn often, so that some edited documents are valid.
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
