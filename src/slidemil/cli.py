@@ -2,11 +2,12 @@
 reject-curve, gradcheck.
 
 Every command that writes artifacts drops a run_manifest.json (inputs, config
-hash, seed, timestamp) into its output directory. A corpus's seed lives in
-its spec and a run's in its config; only evaluate and gradcheck take --seed,
-since no input file holds theirs. The seed is null for fingerprint, predict
-and reject-curve, which draw no random numbers. Exit codes: 0 success,
-1 validation/usage error, 2 file-format or I/O error.
+hash, seed, timestamp, BLAS thread variables, window ensemble workers) into
+its output directory. A corpus's seed lives in its spec and a run's in its
+config; only evaluate and gradcheck take --seed, since no input file holds
+theirs. The seed is null for fingerprint, predict and reject-curve, which
+draw no random numbers. Exit codes: 0 success, 1 validation/usage error,
+2 file-format or I/O error.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -25,7 +27,7 @@ import numpy as np
 from . import dataio, inference, metrics, synthetic
 from .errors import FormatError, MetricUndefinedError, ValidationError
 from .fingerprint import DataFingerprint, RunConfig, compute_fingerprint, derive_config
-from .model import grad_check
+from .model import BLAS_THREAD_VARS, ensemble_workers, grad_check
 from .training import load_checkpoint, build_model, train
 
 
@@ -47,11 +49,14 @@ _INPUT_ARGS = ("spec", "manifest", "data_dir", "fingerprint", "config", "checkpo
 
 
 def _write_run_manifest(args, hashed, seed) -> None:
-    """Write run_manifest.json to args.out: the command, input paths, seed and
-    the SHA-256 of the file at hashed."""
+    """Write run_manifest.json to args.out: the command, input paths, seed,
+    the SHA-256 of the file at hashed, the BLAS thread variables as this
+    process saw them and the window ensemble's worker count."""
     inputs = {k: str(getattr(args, k)) for k in _INPUT_ARGS if getattr(args, k, None)}
     doc = {"command": args.command, "inputs": inputs, "config_hash": _sha256(hashed),
-           "seed": seed, "timestamp": time.time()}
+           "seed": seed, "timestamp": time.time(),
+           "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+           "ensemble_workers": ensemble_workers()}
     dataio.write_json(doc, Path(args.out) / "run_manifest.json")
 
 

@@ -13,12 +13,19 @@ The window ensemble (forward_windows) computes the attention logits of all
 windows in one pass over the bag: each window's projections are sums of
 column-block products, each block's product is computed once per row tile
 and shared by every window that contains it, and forward() then runs
-softmax, pooling and the head on the given logits.
+softmax, pooling and the head on the given logits. The row tiles run on
+ensemble_workers() threads: usable CPUs // BLAS threads, so a BLAS that
+already uses every CPU keeps the tiles on the calling thread. Each tile
+writes only its own logit columns, so the outputs are bitwise the same for
+any worker count and schedule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +84,44 @@ def _gated_attention(xi: np.ndarray, xs: np.ndarray, v_sub: np.ndarray, u_sub: n
     return alpha, pooled, (tanh_act, gate_act, keep)
 
 
-# Rows of the bag per tile in forward_windows. A tile's block products are
-# (2H, ROW_TILE) each; at H=256 in float32 a ring of four plus the activation
-# buffer is about 1.3 MB, inside a 2 MB per-core L2. 64- and 256-row tiles
-# were 10-12% slower on a 2500x1536 bag (H=256, S=64).
+# The variables that set the BLAS thread count, in the order they are read.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads() -> int | None:
+    """The first positive integer among BLAS_THREAD_VARS, or None."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            return value
+    return None
+
+
+def ensemble_workers() -> int:
+    """Threads forward_windows runs its row tiles on: usable CPUs // BLAS
+    threads, at least 1. With no BLAS thread variable set, BLAS is taken to
+    use every CPU (OpenBLAS's default), which gives 1: threads beside a BLAS
+    that already fills the CPUs were slower than one thread."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, cpus // (_blas_threads() or cpus))
+
+
+@functools.cache
+def _tile_pool(workers: int) -> ThreadPoolExecutor:
+    """The one pool of forward_windows, made on first use and kept."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="slidemil-tiles")
+
+
+# Rows of the bag per tile in forward_windows, and the unit of work its
+# threads share. A tile's block products are (2H, ROW_TILE) each; at H=256 in
+# float32 a ring of four plus the activation buffer is about 1.3 MB, inside a
+# 2 MB per-core L2. 64- and 256-row tiles were 10-12% slower on a 2500x1536
+# bag (H=256, S=64) on one thread; on two, 64 was 9-16% slower than 128 and
+# 256 no faster.
 ROW_TILE = 128
 
 MAX_BLOCKS_PER_WINDOW = 16
@@ -218,8 +259,9 @@ class GatedAttentionMIL:
         and not again here; it is never copied. Each window's projections
         x[:, window] @ [V; U/2][:, window].T are the sum of its column
         blocks' products (_window_blocks); the bag is walked in ROW_TILE-row
-        tiles, and in each tile a block's product is computed once and kept
-        in a ring while the windows that contain it pass. The
+        tiles, spread over ensemble_workers() threads, and in each tile a
+        block's product is computed once and kept in a ring while the
+        windows that contain it pass. The
         gate uses sigmoid(z) = (1 + tanh(z/2)) / 2, so one tanh covers both
         halves of a product, and the logits
         w @ (tanh(xV) * sigmoid(xU)) are [w/2; w/2] @ [t; t * tanh(xU/2)]
@@ -244,7 +286,9 @@ class GatedAttentionMIL:
         # products are taken as (2H, rows) so the tanh and gate halves are
         # contiguous: on strided (rows, H) halves the in-place passes ran 2x slower
         logits = np.empty((len(plan), n), dtype=self.dtype)
-        for t0 in range(0, n, ROW_TILE):
+
+        def tile_logits(t0: int) -> None:
+            # a tile has its own buffer and ring and writes only its columns
             xt = x[t0:t0 + ROW_TILE]
             pre = np.empty((2 * h, len(xt)), dtype=self.dtype)
             ring = {}
@@ -257,6 +301,11 @@ class GatedAttentionMIL:
                 np.tanh(pre, out=pre)
                 pre[h:] *= pre[:h]
                 np.matmul(w2, pre, out=logits[k, t0:t0 + len(xt)])
+
+        tiles = range(0, n, ROW_TILE)
+        workers = ensemble_workers()
+        run = _tile_pool(workers).map if workers > 1 and len(tiles) > 1 else map
+        list(run(tile_logits, tiles))  # reading each result re-raises a tile's error
 
         mask = np.ones((1, n), dtype=bool)
         results = [self.forward(x[None], mask, np.arange(start, end),

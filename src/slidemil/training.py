@@ -6,8 +6,9 @@ root generator is seeded from config.seed and consumed in a fixed order
 (param init, then per epoch: batch plan, per batch: patch subsets, feature
 subset, dropout), so identical runs produce bitwise-identical checkpoints.
 
-Memory: a run allocates one (batch_size, bag_size, D) float32 batch buffer,
-and sample_patches writes each step's slides straight into its rows. A
+Memory: a run allocates one (batch_size, rows, D) float32 batch buffer,
+rows = min(bag_size, largest train bag), and sample_patches writes each
+step's slides straight into its rows. A
 step's activations are, per slide, the (m, H) tanh and sigmoid branches and
 the bool dropout mask: 2H floats and H bytes per row, from which backward
 rebuilds the sampled columns, the dropout scale and the gated output. They
@@ -276,9 +277,12 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
     windows = inference.inference_windows(config, embed_dim)
 
     labels = label_arrays(task, train_entries)
-    # the one batch of the run: each step's sampled bags are written into it
+    # the one batch of the run: each step's sampled bags are written into it.
+    # A bag_size above the largest train bag draws nothing more and only
+    # pads, which forward ignores, so rows stop at that bag's length
+    rows = min(config.bag_size, max(bags[e.slide_id].n_patches for e in train_entries))
     batch_buf = (None if full_bag_mode else
-                 np.empty((config.batch_size, config.bag_size, embed_dim), dtype=np.float32))
+                 np.empty((config.batch_size, rows, embed_dim), dtype=np.float32))
 
     report = TrainReport()
     best_val = None
@@ -305,7 +309,7 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
                 mask = np.ones((1, bag.n_patches), dtype=bool)
                 feat = np.arange(embed_dim)
             else:
-                fixed = [sample_patches(bags[train_entries[i].slide_id], config.bag_size, rng,
+                fixed = [sample_patches(bags[train_entries[i].slide_id], rows, rng,
                                         out=batch_buf[j])
                          for j, i in enumerate(batch)]
                 x = batch_buf[:len(batch)]

@@ -1,9 +1,12 @@
 """Shared builders for small deterministic corpora used across test modules."""
 
+import os
+
 import numpy as np
 import pytest
 
 from slidemil.dataio import DatasetManifest, ManifestEntry, SlideBag, SurvivalRecord
+from slidemil.model import BLAS_THREAD_VARS
 
 
 # Bound on the window ensemble's distance from per-window forward(), relative
@@ -57,3 +60,11 @@ def make_survival_corpus(rng, n_bags=12, embed_dim=8, n_patches=(5, 12)):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A process with two usable CPUs and no BLAS thread variable set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from slidemil import inference
+from slidemil import model as model_module
 from slidemil.cli import main
-from slidemil.dataio import load_manifest
+from slidemil.dataio import load_bag_shapes, load_manifest
+from slidemil.model import BLAS_THREAD_VARS, ROW_TILE, ensemble_workers
 
 
 def _write_spec(path, **kw):
@@ -148,6 +150,9 @@ class TestClassificationPipeline:
             doc = json.loads((self.dirs[name] / "run_manifest.json").read_text())
             assert {"command", "inputs", "seed", "timestamp", "config_hash"} <= doc.keys()
             assert doc["seed"] == seed, name
+            # what the process saw of the BLAS thread count, and what it gave the ensemble
+            assert doc["blas_threads"] == {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+            assert doc["ensemble_workers"] == ensemble_workers() >= 1
 
     def test_predictions_are_deterministic(self, tmp_path):
         # same corpus and config, fresh train + predict: identical output bytes
@@ -289,6 +294,12 @@ class TestExitCodes:
         spec = _write_spec(tmp_path / "spec.json")
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o"),
                      "--bogus"]) == 1
+
+    def test_bag_size_beyond_every_bag_trains(self, tmp_path, pipeline_dirs):
+        # the batch stops at the largest train bag instead of asking for 10**12 rows
+        _run_through_predict(tmp_path, pipeline_dirs,
+                             plan_args=("--override", "max_epochs=1",
+                                        "--override", "bag_size=1000000000000"))
 
     def test_missing_subcommand_is_1(self):
         assert main([]) == 1
@@ -569,6 +580,53 @@ class TestSeedFlag:
                      "--data-dir", str(dirs["data"]),
                      "--config", str(dirs["plan"] / "config.json"),
                      "--mode", "full_bag_batch1", "--out", str(tmp_path / "moded")]) == 1
+
+
+class TestEnsembleWorkerCount:
+    """The window ensemble's row tiles may run on several threads; no artifact
+    may depend on how many."""
+
+    @pytest.mark.parametrize("spec_kw", [
+        {"task": "classification"},
+        {"task": "survival", "censoring_rate": 0.2, "n_bags": 24},  # plus the Breslow refit
+    ], ids=["classification", "survival"])
+    def test_artifacts_are_byte_identical_on_two_workers_and_one(self, tmp_path, monkeypatch,
+                                                                 two_cpus, spec_kw):
+        # bags of up to 300 patches span up to three row tiles
+        spec = _write_spec(tmp_path / "spec.json", patches_per_bag_range=[100, 300], **spec_kw)
+        data, plan = tmp_path / "data", tmp_path / "plan"
+        manifest = data / "manifest.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+        assert main(["fingerprint", "--manifest", str(manifest), "--data-dir", str(data),
+                     "--out", str(tmp_path / "fp")]) == 0
+        assert main(["plan", "--fingerprint", str(tmp_path / "fp" / "fingerprint.json"),
+                     "--override", "max_epochs=2", "--override", "batch_size=8",
+                     "--out", str(plan)]) == 0
+        shapes = load_bag_shapes(load_manifest(manifest), data).values()
+        assert max(shape.n_patches for shape in shapes) > ROW_TILE
+
+        pools = []
+        real_pool = model_module._tile_pool
+        monkeypatch.setattr(model_module, "_tile_pool",
+                            lambda count: pools.append(count) or real_pool(count))
+        artifacts = {}
+        for blas_threads, workers in (("1", 2), ("2", 1)):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+            pools.clear()
+            out = tmp_path / f"workers{workers}"
+            assert main(["train", "--manifest", str(manifest), "--data-dir", str(data),
+                         "--config", str(plan / "config.json"), "--out", str(out)]) == 0
+            assert main(["predict", "--manifest", str(manifest), "--data-dir", str(data),
+                         "--checkpoint", str(out / "checkpoint.ckpt"), "--split", "test",
+                         "--out", str(out)]) == 0
+            assert set(pools) == ({2} if workers == 2 else set())
+            doc = json.loads((out / "run_manifest.json").read_text())
+            assert doc["ensemble_workers"] == workers
+            assert doc["blas_threads"]["OPENBLAS_NUM_THREADS"] == blas_threads
+            artifacts[workers] = {name: (out / name).read_bytes() for name in
+                                  ("checkpoint.ckpt", "train_report.json",
+                                   "predictions.jsonl", "patients.jsonl")}
+        assert artifacts[2] == artifacts[1]
 
 
 class TestFullBagMode:

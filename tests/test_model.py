@@ -6,13 +6,17 @@ for the hand-derived backward pass.
 """
 
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slidemil import model as model_module
 from slidemil.errors import ValidationError
 from slidemil.inference import chunk_windows
 from slidemil.model import (
@@ -24,6 +28,7 @@ from slidemil.model import (
     _window_blocks,
     cox_loss,
     cross_entropy_loss,
+    ensemble_workers,
     grad_check,
     mse_loss,
 )
@@ -338,6 +343,104 @@ class TestForwardWindows:
             m.forward_windows(np.zeros((3, 5)), ((0, 4),))
         with pytest.raises(ValidationError):
             m.forward_windows(np.zeros((1, 3, 6)), ((0, 4),))
+
+
+def _windows_with(monkeypatch, workers, m, x, windows):
+    """forward_windows(x, windows) with its row tiles on the given worker count."""
+    monkeypatch.setattr(model_module, "ensemble_workers", lambda: workers)
+    return m.forward_windows(x, windows)
+
+
+class TestPooledTiles:
+    @pytest.mark.parametrize("n", [1, ROW_TILE, ROW_TILE + 1, 5 * ROW_TILE + 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("windows", [chunk_windows(26, 8, 4).windows, ((0, 26),)],
+                             ids=["clamped-final", "one-full-width"])
+    def test_two_workers_equal_one_bitwise(self, monkeypatch, n, dtype, windows):
+        # D=26, H=8, S=4: four blocks per window and the clamped final window
+        # (18, 26); or the batch-1 ablation's single window over all of D
+        m = _model(d=26, h=8, c=3, dtype=dtype)
+        x = np.random.default_rng(n).standard_normal((n, 26)).astype(dtype)
+        serial = _windows_with(monkeypatch, 1, m, x, windows)
+        pooled = _windows_with(monkeypatch, 2, m, x, windows)
+        assert np.array_equal(pooled[0], serial[0])
+        assert np.array_equal(pooled[1], serial[1])
+
+    def test_more_workers_than_cores_under_rapid_switching(self, monkeypatch):
+        # every tile writes its own logit columns; a lost or misplaced write
+        # among 4 threads switched every microsecond would change the bits
+        m = _model(d=40, h=16, c=2, dtype=np.float32)
+        x = np.random.default_rng(5).standard_normal((9 * ROW_TILE + 5, 40)).astype(np.float32)
+        windows = chunk_windows(40, 16, 4).windows
+        serial = _windows_with(monkeypatch, 1, m, x, windows)
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(4) as pool:
+            monkeypatch.setattr(model_module, "_tile_pool", lambda count: pool)
+            sys.setswitchinterval(1e-6)
+            try:
+                runs = [_windows_with(monkeypatch, 4, m, x, windows) for _ in range(5)]
+            finally:
+                sys.setswitchinterval(interval)
+        for outputs, attention in runs:
+            assert np.array_equal(outputs, serial[0]) and np.array_equal(attention, serial[1])
+
+    @pytest.mark.parametrize("workers, n, pooled", [
+        (2, 5 * ROW_TILE + 3, True),
+        (2, ROW_TILE, False),   # one tile: nothing to share
+        (1, 5 * ROW_TILE + 3, False),
+    ])
+    def test_pool_runs_only_with_tiles_and_workers_to_share(self, monkeypatch, workers, n,
+                                                            pooled):
+        pools, tile_threads = [], set()
+        real_pool, real_tanh = model_module._tile_pool, np.tanh
+
+        def pool_spy(count):
+            pools.append(count)
+            return real_pool(count)
+
+        def tanh_spy(*args, **kwargs):  # forward_windows calls tanh once per tile and window
+            tile_threads.add(threading.current_thread())
+            return real_tanh(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_tile_pool", pool_spy)
+        monkeypatch.setattr(np, "tanh", tanh_spy)
+        m = _model(d=26, h=8, c=3, dtype=np.float32)
+        x = np.random.default_rng(0).standard_normal((n, 26)).astype(np.float32)
+        _windows_with(monkeypatch, workers, m, x, chunk_windows(26, 8, 4).windows)
+        assert pools == ([2] if pooled else [])
+        assert (threading.current_thread() not in tile_threads) == pooled
+
+
+class TestEnsembleWorkers:
+    @pytest.mark.parametrize("env, workers", [
+        ({}, 1),  # BLAS is taken to use both CPUs
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 1),
+        ({"MKL_NUM_THREADS": "1"}, 2),
+        ({"OMP_NUM_THREADS": "1"}, 2),
+        # the first variable holding a positive integer wins
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ])
+    def test_usable_cpus_over_blas_threads(self, monkeypatch, two_cpus, env, workers):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert ensemble_workers() == workers
+
+    def test_unset_blas_threads_keep_the_tiles_on_the_calling_thread(self, monkeypatch,
+                                                                     two_cpus):
+        def no_pool(count):
+            pytest.fail(f"a pool of {count} workers was asked for")
+
+        monkeypatch.setattr(model_module, "_tile_pool", no_pool)
+        m = _model(d=26, h=8, c=3, dtype=np.float32)
+        x = np.random.default_rng(0).standard_normal((5 * ROW_TILE, 26)).astype(np.float32)
+        outputs, _ = m.forward_windows(x, chunk_windows(26, 8, 4).windows)
+        assert np.isfinite(outputs).all()
 
 
 class TestAttentionLogits:

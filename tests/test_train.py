@@ -13,6 +13,7 @@ from slidemil import inference, training
 from slidemil.errors import CorruptionError, FormatError, ValidationError
 from slidemil.fingerprint import RunConfig
 from slidemil.model import PARAM_NAMES, cox_loss
+from slidemil.sampling import sample_patches
 from slidemil.synthetic import SyntheticSpec, generate_synthetic_dataset
 from slidemil.training import (
     _validation_loss,
@@ -277,6 +278,28 @@ class TestTrain:
                        for m in (16, 23))
         for name in PARAM_NAMES:
             assert np.array_equal(short.params[name], long.params[name]), name
+
+    def test_bag_size_beyond_every_bag_stops_at_the_largest(self, tmp_path, monkeypatch):
+        # a bag_size of 10**12 would ask for a 10**12-row batch; the batch and
+        # every draw stop at the largest train bag, so the run is that of
+        # bag_size = the largest train bag, to the byte
+        manifest, bags = make_classification_corpus(np.random.default_rng(3), n_bags=28,
+                                                    n_patches=(3, 15))
+        largest = max(bags[e.slide_id].n_patches for e in manifest.split_entries("train"))
+        rows = []
+
+        def spy(bag, bag_size, rng, out):
+            rows.append((bag_size, out.shape[0]))
+            return sample_patches(bag, bag_size, rng, out=out)
+
+        monkeypatch.setattr(training, "sample_patches", spy)
+        huge, _ = train(tiny_config(bag_size=10**12, max_epochs=3), manifest, bags)
+        assert set(rows) == {(largest, largest)}
+        exact = tiny_config(bag_size=largest, max_epochs=3)
+        train(exact, manifest, bags, checkpoint_path=tmp_path / "exact.ckpt")
+        save_checkpoint(training.Checkpoint(params=huge.params, config=exact),
+                        tmp_path / "huge.ckpt")
+        assert (tmp_path / "huge.ckpt").read_bytes() == (tmp_path / "exact.ckpt").read_bytes()
 
     def test_peak_memory_is_one_batch_and_one_step(self):
         # per row, a batch holds D floats and a step's activations 2H floats
