@@ -13,12 +13,12 @@ from .inference import (BaselineSurvival, ChunkWindows, ClsPrediction,
                         aggregate_patient, chunk_windows, decompose_uncertainty,
                         estimate_baseline_survival, predict_classification,
                         predict_regression, predict_survival)
-from .model import GatedAttentionMIL, cox_loss, cross_entropy_loss, grad_check, mse_loss
+from .model import GatedAttentionMIL, cox_loss, cross_entropy_loss, mse_loss
 from .sampling import (BatchPlan, FixedBag, balanced_batches, plain_batches,
                        regression_batches, sample_feature_indices, sample_patches,
                        survival_batches)
 from .synthetic import SyntheticSpec, generate_synthetic_dataset, write_synthetic_dataset
-from .training import (Checkpoint, TrainReport, adamw_step, build_model,
+from .training import (Checkpoint, TrainReport, adamw_step, build_model, grad_check,
                        load_checkpoint, lr_schedule, save_checkpoint, train)
 
 __version__ = "0.1.0"

@@ -27,8 +27,8 @@ import numpy as np
 from . import dataio, inference, metrics, synthetic
 from .errors import FormatError, MetricUndefinedError, ValidationError
 from .fingerprint import DataFingerprint, RunConfig, compute_fingerprint, derive_config
-from .model import BLAS_THREAD_VARS, ensemble_workers, grad_check
-from .training import load_checkpoint, build_model, train
+from .model import BLAS_THREAD_VARS, ensemble_workers
+from .training import build_model, grad_check, load_checkpoint, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,21 +74,21 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _read_predictions(path) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"bad JSON on predictions line {i + 1}: {exc}") from exc
-            if not (isinstance(record, dict) and isinstance(record.get("slide_id"), str)):
-                raise FormatError(f"predictions line {i + 1} is not an object "
-                                  f"with a string 'slide_id'")
-            records.append(record)
+def _read_predictions(path) -> dict[str, dict]:
+    """The records of a predictions file, one JSON object per nonblank line,
+    keyed by their 'slide_id', a string no two records share."""
+    records = {}
+    for i, line in enumerate(Path(path).read_bytes().splitlines()):
+        if not line.strip():
+            continue
+        record = dataio.parse_json(line, f"{path} line {i + 1}")
+        if not (isinstance(record, dict) and isinstance(record.get("slide_id"), str)):
+            raise FormatError(f"predictions line {i + 1} is not an object "
+                              f"with a string 'slide_id'")
+        if record["slide_id"] in records:
+            raise FormatError(f"predictions line {i + 1} repeats slide_id "
+                              f"{record['slide_id']!r}")
+        records[record["slide_id"]] = record
     if not records:
         raise ValidationError(f"no predictions in {path}")
     return records
@@ -132,7 +132,7 @@ def _parse_override(text: str) -> tuple[str, object]:
     key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer too long for int(): kept as text
         value = raw
     return key, value
 
@@ -189,6 +189,9 @@ def cmd_predict(args) -> int:
     config = checkpoint.config
     if config.task != manifest.task:
         raise ValidationError(f"checkpoint task {config.task} != manifest task {manifest.task}")
+    if model.n_outputs != manifest.n_outputs:
+        raise ValidationError(f"checkpoint head has {model.n_outputs} outputs, but the "
+                              f"manifest's {manifest.task} task needs {manifest.n_outputs}")
     windows = inference.inference_windows(config, model.embed_dim)
     entries = manifest.split_entries(args.split)
     if not entries:
@@ -237,7 +240,7 @@ def cmd_predict(args) -> int:
 
 
 def _aligned_predictions(manifest, args) -> tuple[list, list[dict]]:
-    records = {r["slide_id"]: r for r in _read_predictions(args.predictions)}
+    records = _read_predictions(args.predictions)
     entries = manifest.split_entries(args.split)
     if not entries:
         raise ValidationError(f"split {args.split!r} is empty")

@@ -1,4 +1,5 @@
-"""On-disk and in-memory representation of embedding bags and dataset manifests.
+"""On-disk and in-memory representation of embedding bags and dataset manifests,
+and the one JSON parser and field checker of every JSON record the commands read.
 
 Embedding file layout (little-endian throughout):
     bytes 0-7    magic ASCII "NNMILEB1"
@@ -18,10 +19,11 @@ replaces files by renaming, which leaves mapped bags as they were.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import struct
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +182,11 @@ class DatasetManifest:
             raise ValidationError(f"unknown split {split!r}")
         return [e for e in self.entries if e.split == split]
 
+    @property
+    def n_outputs(self) -> int:
+        """Width of a model head for this task: one output per class, else one."""
+        return self.n_classes if self.task == "classification" else 1
+
 
 def label_arrays(task: str, entries):
     """Labels of entries as arrays: int classes, float targets, or survival (times, events)."""
@@ -260,13 +267,45 @@ def _is_int(value) -> bool:
 
 
 def _as_real(value):
-    """value as a float when it is a JSON number a float holds, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """value as a float when it is a real number (not a bool) a float holds, else None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return None
     try:
         return float(value)
     except OverflowError:
         return None
+
+
+# what each field annotation accepts (annotations are strings here); bools are
+# not numbers, and an "X | None" annotation also accepts None
+_FIELD_TYPES = {"int": _is_int, "float": lambda v: _as_real(v) is not None,
+                "str": lambda v: isinstance(v, str), "dict": lambda v: isinstance(v, dict),
+                "list[float]": lambda v: (isinstance(v, list)
+                                          and all(_as_real(x) is not None for x in v)),
+                "tuple[int, int]": lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
+                                              and all(map(_is_int, v)))}
+
+
+def _check_fields(record) -> None:
+    """Reject the first field of a dataclass record whose value its annotation
+    does not accept, naming it, and a task that is not one of TASKS."""
+    name = type(record).__name__
+    for f in fields(record):
+        value, kind = getattr(record, f.name), f.type.removesuffix(" | None")
+        if not (value is None and kind != f.type) and not _FIELD_TYPES[kind](value):
+            raise ValidationError(f"{name}.{f.name} must be {f.type}, got {value!r}")
+    if record.task not in TASKS:
+        raise ValidationError(f"{name}: unknown task {record.task!r}")
+
+
+def _from_fields(cls, doc):
+    """cls(**doc) for a parsed JSON object; a missing or unknown field is named."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{cls.__name__}: expected a JSON object, got {type(doc).__name__}")
+    try:
+        return cls(**doc)
+    except TypeError as exc:  # a missing or unknown field
+        raise ValidationError(f"{cls.__name__}: {exc}") from exc
 
 
 def _label_from_json(raw, task: str, slide_id: str):
@@ -286,18 +325,18 @@ def _label_from_json(raw, task: str, slide_id: str):
     return SurvivalRecord(time=float(raw["time"]), event=raw["event"])
 
 
-def _label_to_json(label, task: str):
-    if task == "survival":
-        return {"time": label.time, "event": label.event}
-    return label
+def parse_json(raw: bytes, where):
+    """Parse UTF-8 JSON bytes; FormatError naming where when they are not UTF-8
+    JSON, or hold an integer too long for int() (more than 4,300 digits)."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+        raise FormatError(f"{where}: not valid JSON ({exc})") from exc
 
 
 def read_json(path: str | Path):
     """Parse a UTF-8 JSON file; FormatError when it is not JSON."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    return parse_json(Path(path).read_bytes(), path)
 
 
 def write_json(doc, path: str | Path) -> None:
@@ -337,22 +376,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    doc = {
-        "task": manifest.task,
-        "n_classes": manifest.n_classes,
-        "entries": [
-            {
-                "slide_id": e.slide_id,
-                "patient_id": e.patient_id,
-                "embedding_path": e.embedding_path,
-                "split": e.split,
-                "label": _label_to_json(e.label, manifest.task),
-            }
-            for e in manifest.entries
-        ],
-    }
-    if manifest.task != "classification":
-        del doc["n_classes"]
+    doc = {"task": manifest.task, "entries": [asdict(e) for e in manifest.entries]}
+    if manifest.task == "classification":
+        doc["n_classes"] = manifest.n_classes
     write_json(doc, path)
 
 

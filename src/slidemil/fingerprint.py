@@ -12,15 +12,14 @@ Overrides must keep S <= H, so that the windows cover every feature.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import (MAX_HEADER_DIM, TASKS, BagShape, DatasetManifest, SlideBag, _is_int,
-                     label_arrays, read_json, write_json)
-from .errors import FormatError, ValidationError
+from .dataio import (MAX_HEADER_DIM, BagShape, DatasetManifest, SlideBag, _check_fields,
+                     _from_fields, _is_int, label_arrays, read_json, write_json)
+from .errors import ValidationError
 
 DEFAULT_HIDDEN_DIM = 256
 DEFAULT_BATCH_SIZE = 32
@@ -32,42 +31,6 @@ TRAINING_MODES = ("nnmil", "full_bag_batch1")
 
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
-
-
-def _from_fields(cls, doc, retired=()):
-    """cls(**doc) for a parsed JSON object. Keys in retired name fields since
-    removed, so files written while they existed still load; they are dropped."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"{cls.__name__}: expected a JSON object, got {type(doc).__name__}")
-    try:
-        return cls(**{k: v for k, v in doc.items() if k not in retired})
-    except TypeError as exc:  # a missing or unknown field
-        raise ValidationError(f"{cls.__name__}: {exc}") from exc
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-# what each field annotation accepts (annotations are strings here); bools are
-# not numbers, and an "X | None" annotation also accepts None
-_FIELD_TYPES = {"int": _is_int, "float": _is_real, "str": lambda v: isinstance(v, str),
-                "dict": lambda v: isinstance(v, dict),
-                "list[float]": lambda v: isinstance(v, list) and all(map(_is_real, v)),
-                "tuple[int, int]": lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
-                                              and all(map(_is_int, v)))}
-
-
-def _check_fields(record) -> None:
-    """Reject the first field of a dataclass record whose value its annotation
-    does not accept, naming it, and a task that is not one of TASKS."""
-    name = type(record).__name__
-    for f in fields(record):
-        value, kind = getattr(record, f.name), f.type.removesuffix(" | None")
-        if not (value is None and kind != f.type) and not _FIELD_TYPES[kind](value):
-            raise ValidationError(f"{name}.{f.name} must be {f.type}, got {value!r}")
-    if record.task not in TASKS:
-        raise ValidationError(f"{name}: unknown task {record.task!r}")
 
 
 @dataclass
@@ -107,7 +70,7 @@ class DataFingerprint:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DataFingerprint":
-        return _from_fields(cls, read_json(path), retired=("magnification",))
+        return _from_fields(cls, read_json(path))
 
 
 @dataclass
@@ -163,7 +126,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        return _from_fields(cls, doc, retired=("ensemble_chunks",))
+        return _from_fields(cls, doc)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":

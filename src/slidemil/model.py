@@ -442,60 +442,3 @@ def _perturbed_losses(task: str, params: dict[str, np.ndarray], x, mask, feat,
         shift = at_risk.max(axis=-1)
         loss = loss + shift + np.log(np.exp(at_risk - shift[:, None]).sum(axis=-1)) - eta[:, i]
     return loss / events.sum()
-
-
-def grad_check(task: str, embed_dim: int = 8, hidden_dim: int = 4, n_classes: int = 3,
-               n_slides: int = 3, bag_size: int = 4, seed: int = 0,
-               eps: float = 1e-5) -> dict:
-    """Compare 64-bit analytic parameter gradients against central finite
-    differences of every scalar; returns per-parameter and overall max
-    relative error."""
-    rng = np.random.default_rng(seed)
-    n_out = n_classes if task == "classification" else 1
-    model = GatedAttentionMIL(embed_dim, hidden_dim, n_out, dropout=0.0, dtype=np.float64)
-    model.init_params(rng)
-
-    x = rng.standard_normal((n_slides, bag_size, embed_dim))
-    mask = rng.random((n_slides, bag_size)) < 0.75
-    mask[:, 0] = True
-    if hidden_dim < embed_dim:
-        feat = np.sort(rng.choice(embed_dim, size=hidden_dim, replace=False))
-    else:
-        feat = np.arange(embed_dim)
-    if task == "classification":
-        targets = rng.integers(n_classes, size=n_slides)
-    elif task == "regression":
-        targets = rng.standard_normal(n_slides)
-    else:
-        times = rng.uniform(0.5, 3.0, size=n_slides)
-        events = rng.integers(0, 2, size=n_slides)
-        events[0] = 1
-        targets = (times, events)
-
-    result = model.forward(x, mask, feat)
-    if task == "classification":
-        _, d_out = cross_entropy_loss(result.outputs, targets)
-    elif task == "regression":
-        _, d_pred = mse_loss(result.outputs[:, 0], targets)
-        d_out = d_pred[:, None]
-    else:
-        _, d_pred = cox_loss(result.outputs[:, 0], *targets)
-        d_out = d_pred[:, None]
-    analytic = model.backward(result.cache, d_out)
-
-    # every scalar of one tensor moved by +eps and by -eps, all in one pass
-    per_param = {}
-    shared = {name: p[None] for name, p in model.params.items()}
-    for name in PARAM_NAMES:
-        p = model.params[name]
-        steps = (eps * np.eye(p.size)).reshape(p.size, *p.shape)
-        losses = _perturbed_losses(task, {**shared, name: p + np.concatenate([steps, -steps])},
-                                   x, mask, feat, targets)
-        fd = (losses[:p.size] - losses[p.size:]) / (2.0 * eps)
-        an = analytic[name].reshape(-1)
-        scale = np.maximum(np.abs(an), np.abs(fd))
-        rel = np.where(scale > 1e-10, np.abs(an - fd) / np.maximum(scale, 1e-8), 0.0)
-        per_param[name] = float(rel.max())
-    worst = max(per_param.values())
-    return {"max_rel_err": worst, "per_param": per_param, "task": task,
-            "embed_dim": embed_dim, "hidden_dim": hidden_dim}

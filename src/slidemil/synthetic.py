@@ -24,13 +24,15 @@ from .dataio import (
     ManifestEntry,
     SlideBag,
     SurvivalRecord,
+    _check_fields,
+    _from_fields,
     read_json,
     save_manifest,
     write_embedding_file,
     write_json,
 )
 from .errors import ValidationError
-from .fingerprint import _check_fields, _from_fields, _round_half_up
+from .fingerprint import _round_half_up
 
 # train / val / test shares of each stratum
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)

@@ -1,5 +1,6 @@
 """Optimization loop: AdamW with decoupled decay, warmup-cosine schedule,
-task-aware batch plans, early stopping on validation loss, checkpointing.
+task-aware batch plans, early stopping on validation loss, checkpointing,
+and grad_check, which checks backward through the training loss dispatch.
 
 Training is a deterministic function of (config, manifest, bag bytes): one
 root generator is seeded from config.seed and consumed in a fixed order
@@ -30,10 +31,11 @@ import numpy as np
 # inference.slide_outputs looks ensemble_outputs up in its module, so a
 # wrapper set there (perfbench/tracing.py) also sees the validation ensemble
 from . import inference
-from .dataio import DatasetManifest, SlideBag, label_arrays
+from .dataio import DatasetManifest, SlideBag, _is_int, label_arrays, parse_json
 from .errors import CorruptionError, FormatError, ValidationError
 from .fingerprint import RunConfig
-from .model import PARAM_NAMES, GatedAttentionMIL, cox_loss, cross_entropy_loss, mse_loss
+from .model import (PARAM_NAMES, GatedAttentionMIL, _perturbed_losses, cox_loss,
+                    cross_entropy_loss, mse_loss)
 from .sampling import (balanced_batches, plain_batches, regression_batches,
                        sample_feature_indices, sample_patches, survival_batches)
 
@@ -156,10 +158,6 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         fh.write(payload)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _check_model_tensors(params: dict[str, np.ndarray]) -> None:
     """The tensors must be one model's parameters, in shapes that agree with
     each other."""
@@ -178,9 +176,8 @@ def _check_model_tensors(params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint. Files written while checkpoints carried the AdamW
-    state also hold an 'opt_step' key and an adam_m./adam_v. moment per
-    parameter; the moments are checked like every tensor, then dropped."""
+    """Read a checkpoint: its tensors must tile the payload, hold finite
+    values and be exactly the model's parameters."""
     raw = Path(path).read_bytes()
     if len(raw) < len(CHECKPOINT_MAGIC) + 8:
         raise FormatError("checkpoint file too short for its header")
@@ -190,10 +187,7 @@ def load_checkpoint(path) -> Checkpoint:
     header_end = 16 + header_len
     if len(raw) < header_end:
         raise CorruptionError("checkpoint header truncated")
-    try:
-        header = json.loads(raw[16:header_end].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"unreadable checkpoint header: {exc}") from exc
+    header = parse_json(raw[16:header_end], f"{path}: checkpoint header")
     payload = raw[header_end:]
     tensors = header.get("tensors") if isinstance(header, dict) else None
     if not (isinstance(tensors, dict) and isinstance(header.get("config"), dict)):
@@ -203,7 +197,7 @@ def load_checkpoint(path) -> Checkpoint:
     for name, meta in tensors.items():
         meta = meta if isinstance(meta, dict) else {}
         shape, start = meta.get("shape"), meta.get("offset")
-        if not (isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(start)):
+        if not (isinstance(shape, list) and all(_is_int(v) and v >= 0 for v in (*shape, start))):
             raise FormatError(f"tensor {name}: shape and offset must be non-negative integers")
         layout.append((start, name, shape))
 
@@ -224,9 +218,8 @@ def load_checkpoint(path) -> Checkpoint:
     if end != len(payload):
         raise CorruptionError("checkpoint payload length mismatch")
 
-    params = {k: v for k, v in arrays.items() if not k.startswith(("adam_m.", "adam_v."))}
-    _check_model_tensors(params)
-    return Checkpoint(params=params, config=RunConfig.from_dict(header["config"]))
+    _check_model_tensors(arrays)
+    return Checkpoint(params=arrays, config=RunConfig.from_dict(header["config"]))
 
 
 def _loss_and_grad(task: str, outputs: np.ndarray, targets):
@@ -237,6 +230,56 @@ def _loss_and_grad(task: str, outputs: np.ndarray, targets):
         return loss, d_pred[:, None].astype(outputs.dtype)
     loss, d_pred = cox_loss(outputs[:, 0], *targets)
     return loss, d_pred[:, None].astype(outputs.dtype)
+
+
+def grad_check(task: str, embed_dim: int = 8, hidden_dim: int = 4, n_classes: int = 3,
+               n_slides: int = 3, bag_size: int = 4, seed: int = 0,
+               eps: float = 1e-5) -> dict:
+    """Compare 64-bit analytic parameter gradients against central finite
+    differences of every scalar; returns per-parameter and overall max
+    relative error."""
+    rng = np.random.default_rng(seed)
+    n_out = n_classes if task == "classification" else 1
+    model = GatedAttentionMIL(embed_dim, hidden_dim, n_out, dropout=0.0, dtype=np.float64)
+    model.init_params(rng)
+
+    x = rng.standard_normal((n_slides, bag_size, embed_dim))
+    mask = rng.random((n_slides, bag_size)) < 0.75
+    mask[:, 0] = True
+    if hidden_dim < embed_dim:
+        feat = np.sort(rng.choice(embed_dim, size=hidden_dim, replace=False))
+    else:
+        feat = np.arange(embed_dim)
+    if task == "classification":
+        targets = rng.integers(n_classes, size=n_slides)
+    elif task == "regression":
+        targets = rng.standard_normal(n_slides)
+    else:
+        times = rng.uniform(0.5, 3.0, size=n_slides)
+        events = rng.integers(0, 2, size=n_slides)
+        events[0] = 1
+        targets = (times, events)
+
+    result = model.forward(x, mask, feat)
+    _, d_out = _loss_and_grad(task, result.outputs, targets)
+    analytic = model.backward(result.cache, d_out)
+
+    # every scalar of one tensor moved by +eps and by -eps, all in one pass
+    per_param = {}
+    shared = {name: p[None] for name, p in model.params.items()}
+    for name in PARAM_NAMES:
+        p = model.params[name]
+        steps = (eps * np.eye(p.size)).reshape(p.size, *p.shape)
+        losses = _perturbed_losses(task, {**shared, name: p + np.concatenate([steps, -steps])},
+                                   x, mask, feat, targets)
+        fd = (losses[:p.size] - losses[p.size:]) / (2.0 * eps)
+        an = analytic[name].reshape(-1)
+        scale = np.maximum(np.abs(an), np.abs(fd))
+        rel = np.where(scale > 1e-10, np.abs(an - fd) / np.maximum(scale, 1e-8), 0.0)
+        per_param[name] = float(rel.max())
+    worst = max(per_param.values())
+    return {"max_rel_err": worst, "per_param": per_param, "task": task,
+            "embed_dim": embed_dim, "hidden_dim": hidden_dim}
 
 
 def _validation_loss(model, task, val_entries, bags, windows) -> float | None:
@@ -268,10 +311,10 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
 
     task = config.task
     full_bag_mode = config.training_mode == "full_bag_batch1"
-    n_out = manifest.n_classes if task == "classification" else 1
 
     rng = np.random.default_rng(config.seed)
-    model = GatedAttentionMIL(embed_dim, config.hidden_dim, n_out, dropout=config.dropout)
+    model = GatedAttentionMIL(embed_dim, config.hidden_dim, manifest.n_outputs,
+                              dropout=config.dropout)
     model.init_params(rng)
     state = init_adam_state(model.params)
     windows = inference.inference_windows(config, embed_dim)

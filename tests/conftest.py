@@ -1,12 +1,14 @@
 """Shared builders for small deterministic corpora used across test modules."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from slidemil.dataio import DatasetManifest, ManifestEntry, SlideBag, SurvivalRecord
-from slidemil.model import BLAS_THREAD_VARS
+from slidemil.model import BLAS_THREAD_VARS, PARAM_NAMES
 
 
 # Bound on the window ensemble's distance from per-window forward(), relative
@@ -55,6 +57,24 @@ def make_survival_corpus(rng, n_bags=12, embed_dim=8, n_patches=(5, 12)):
                                      embedding_path=f"{sid}.emb", split=splits[i],
                                      label=rec))
     return DatasetManifest(entries=entries, task="survival"), bags
+
+
+def write_old_layout(ckpt, path, moment_fill=0.5):
+    """A checkpoint as written while checkpoints carried the AdamW state: the
+    parameters and an adam_m./adam_v. moment of each, in sorted name order,
+    and an opt_step in the header. Such files no longer load."""
+    tensors = {name: ckpt.params[name] for name in PARAM_NAMES}
+    for moment in ("adam_m", "adam_v"):
+        tensors.update({f"{moment}.{name}": np.full_like(ckpt.params[name], moment_fill)
+                        for name in PARAM_NAMES})
+    meta, payload = {}, b""
+    for name in sorted(tensors):
+        meta[name] = {"shape": list(tensors[name].shape), "offset": len(payload)}
+        payload += np.ascontiguousarray(tensors[name], dtype="<f4").tobytes()
+    header = {"format_version": 1, "config": ckpt.config.to_dict(), "tensors": meta,
+              "opt_step": 16}
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(b"NNMILCK1" + struct.pack("<Q", len(text)) + text + payload)
 
 
 @pytest.fixture

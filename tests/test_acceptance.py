@@ -27,10 +27,10 @@ from slidemil.metrics import (
     logrank_test,
     rejection_curve,
 )
-from slidemil.model import GatedAttentionMIL, cox_loss, grad_check
+from slidemil.model import GatedAttentionMIL, cox_loss
 from slidemil.sampling import balanced_batches, survival_batches
 from slidemil.synthetic import SyntheticSpec, generate_synthetic_dataset
-from slidemil.training import build_model, load_checkpoint, save_checkpoint, train
+from slidemil.training import build_model, grad_check, load_checkpoint, save_checkpoint, train
 
 
 def _fit(spec, overrides=None):

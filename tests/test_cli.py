@@ -15,6 +15,9 @@ from slidemil import model as model_module
 from slidemil.cli import main
 from slidemil.dataio import load_bag_shapes, load_manifest
 from slidemil.model import BLAS_THREAD_VARS, ROW_TILE, ensemble_workers
+from slidemil.training import load_checkpoint
+
+from conftest import write_old_layout
 
 
 def _write_spec(path, **kw):
@@ -134,14 +137,47 @@ class TestClassificationPipeline:
             "text predicted_class": [json.dumps({**r, "predicted_class": "x"}) for r in good],
             "list predicted_class": [json.dumps({**r, "predicted_class": [0, 1]})
                                      for r in good],
+            # written as the bytes ff fe, which no UTF-8 text holds
+            "non-UTF-8 line": [json.dumps(good[0]), "\udcff\udcfe"],
         }
         for name, lines in damaged.items():
             path = tmp_path / "predictions.jsonl"
-            path.write_text("\n".join(lines) + "\n")
+            path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
             code = main([command, "--manifest", str(self.manifest), "--predictions", str(path),
                          "--split", "test", "--out", str(tmp_path / "out")])
             assert code == 2, name
-            assert "Traceback" not in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, name
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "reject-curve"])
+    def test_repeated_slide_id_is_2(self, tmp_path, command, capsys):
+        # a second, flipped record for one slide must not replace the first
+        lines = (self.dirs["pred"] / "predictions.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        flipped = {**first, "predicted_class": 1 - first["predicted_class"]}
+        path = tmp_path / "predictions.jsonl"
+        path.write_text("\n".join([*lines, json.dumps(flipped)]) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--manifest", str(self.manifest), "--predictions", str(path),
+                     "--split", "test", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: predictions line {len(lines) + 1} repeats slide_id "
+                       f"{first['slide_id']!r}\n")
+        assert not out.exists()
+
+    def test_checkpoint_head_that_does_not_fit_the_manifest_is_1(self, tmp_path, capsys):
+        # the checkpoint has two outputs, the edited manifest three classes
+        manifest = _edited(self.manifest, tmp_path, n_classes=3)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["predict", "--manifest", str(manifest), "--data-dir", str(self.dirs["data"]),
+                     "--checkpoint", str(self.dirs["train"] / "checkpoint.ckpt"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: checkpoint head has 2 outputs, but the "
+                                           "manifest's classification task needs 3\n")
+        assert not out.exists()
 
     def test_run_manifests_written_everywhere(self):
         # the seed is the one the command used; null where it draws nothing
@@ -497,17 +533,29 @@ class TestLoaderExitCodes:
         elif damage == "unknown-field":
             assert "bogus_field" in capsys.readouterr().err
 
-    def test_retired_keys_still_load(self, tmp_path):
-        # files written while fingerprints had magnification and configs had
-        # ensemble_chunks
-        fp = json.loads((self.dirs["fp"] / "fingerprint.json").read_text())
-        old_fp = tmp_path / "old_fingerprint.json"
-        old_fp.write_text(json.dumps({**fp, "magnification": None}), encoding="utf-8")
-        assert self._plan(old_fp) == 0
-        config = json.loads((self.dirs["plan"] / "config.json").read_text())
-        old_config = tmp_path / "old_config.json"
-        old_config.write_text(json.dumps({**config, "ensemble_chunks": 1}), encoding="utf-8")
-        assert self._train(old_config) == 0
+    @pytest.mark.parametrize("kind,name,code", [("checkpoint", "adam_m.attention_u", 2),
+                                                ("config", "ensemble_chunks", 1),
+                                                ("fingerprint", "magnification", 1)])
+    def test_retired_layout_is_rejected(self, kind, name, code, tmp_path, capsys):
+        # files written while checkpoints carried AdamW moments, configs
+        # ensemble_chunks and fingerprints magnification no longer load
+        if kind == "checkpoint":
+            assert self._train(self.dirs["plan"] / "config.json") == 0
+            old = tmp_path / "old.ckpt"
+            write_old_layout(load_checkpoint(self.dirs["train"] / "checkpoint.ckpt"), old)
+            capsys.readouterr()
+            got = main(["predict", "--manifest", str(self.dirs["data"] / "manifest.json"),
+                        "--data-dir", str(self.dirs["data"]), "--checkpoint", str(old),
+                        "--out", str(tmp_path / "pred")])
+        elif kind == "config":
+            got = self._train(_edited(self.dirs["plan"] / "config.json", tmp_path,
+                                      ensemble_chunks=1))
+        else:
+            got = self._plan(_edited(self.dirs["fp"] / "fingerprint.json", tmp_path,
+                                     magnification=None))
+        err = capsys.readouterr().err
+        assert got == code
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
 
 
 class TestGradcheckCommand:
@@ -756,6 +804,8 @@ _BAD_SPECS = {
                         "unexpected keyword argument 'split_fractions'"),
     "signal_strength-inf": ({"signal_strength": float("inf")},
                             "signal_strength must be finite, got inf"),
+    "signal_strength-10**400": ({"signal_strength": 10**400},
+                                "SyntheticSpec.signal_strength must be float, got 1000"),
     # log-hazards of a few hundred overflow exp
     "signal_strength-overflow": ({"task": "survival", "signal_strength": 400.0},
                                  "signal_strength 400.0 overflows (overflow encountered in exp)"),
@@ -811,6 +861,14 @@ _BAD_INPUTS = {
                                  **dict.fromkeys(("patch_count_p5", "patch_count_median",
                                                   "patch_count_p95"), 1e300))],
         "DataFingerprint.patch_count_median must be at most 4294967295"),
+    "plan-fingerprint-class_prevalence-10**400": ("plan", lambda dirs, manifest, tmp_path: [
+        "--fingerprint", _edited(dirs["fp"] / "fingerprint.json", tmp_path,
+                                 class_prevalence=[10**400, 0])],
+        "DataFingerprint.class_prevalence must be list[float] | None, got [1000"),
+    "plan-override-learning_rate-10**400": ("plan", lambda dirs, manifest, tmp_path: [
+        "--fingerprint", dirs["fp"] / "fingerprint.json",
+        "--override", f"learning_rate={10**400}"],
+        "RunConfig.learning_rate must be float, got 1000"),
     **{f"plan-override-{override}": ("plan", lambda dirs, manifest, tmp_path, override=override: [
         "--fingerprint", dirs["fp"] / "fingerprint.json", "--override", override], message)
        for override, message in (
@@ -826,9 +884,57 @@ _BAD_INPUTS = {
 }
 
 
+# an integer of 5,000 digits, past the 4,300 json.loads reads
+_LONG_INT = "9" * 5000
+
+
+def _long_int_text(doc, key) -> str:
+    """JSON text of the object doc with key set to _LONG_INT."""
+    return json.dumps({**doc, key: "LONG_INT"}).replace('"LONG_INT"', _LONG_INT)
+
+
+def _long_int_file(doc, key, path):
+    """path, holding the JSON object doc with key set to _LONG_INT."""
+    path.write_text(_long_int_text(doc, key), encoding="utf-8")
+    return path
+
+
+def _long_int_checkpoint(dirs, tmp_path):
+    """Copy of the trained checkpoint whose header's format_version is _LONG_INT."""
+    raw = (dirs["train"] / "checkpoint.ckpt").read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    text = _long_int_text(json.loads(raw[16:16 + n]), "format_version").encode("utf-8")
+    path = tmp_path / "long.ckpt"
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + n:])
+    return path
+
+
+# each input holding _LONG_INT: the command and its arguments but --out
+_LONG_INT_INPUTS = {
+    "config": lambda dirs, manifest, tmp_path: [
+        "train", "--manifest", manifest, "--data-dir", dirs["data"], "--config",
+        _long_int_file(json.loads((dirs["plan"] / "config.json").read_text()), "seed",
+                       tmp_path / "config.json")],
+    "manifest": lambda dirs, manifest, tmp_path: [
+        "fingerprint", "--data-dir", dirs["data"], "--manifest",
+        _long_int_file(json.loads(manifest.read_text()), "n_classes",
+                       tmp_path / "manifest.json")],
+    "predictions": lambda dirs, manifest, tmp_path: [
+        "evaluate", "--manifest", manifest, "--predictions",
+        _long_int_file({"slide_id": "x"}, "risk", tmp_path / "predictions.jsonl")],
+    "checkpoint": lambda dirs, manifest, tmp_path: [
+        "predict", "--manifest", manifest, "--data-dir", dirs["data"],
+        "--checkpoint", _long_int_checkpoint(dirs, tmp_path)],
+    "override": lambda dirs, manifest, tmp_path: [
+        "plan", "--fingerprint", dirs["fp"] / "fingerprint.json",
+        "--override", f"seed={_LONG_INT}"],
+}
+
+
 class TestBadInputs:
-    """Inputs no command can act on exit 1 with a one-line error, write nothing
-    and raise no exception out of main."""
+    """Inputs no command can act on exit 1 (2 for a file that is not readable
+    JSON) with a one-line error, write nothing and raise no exception out of
+    main."""
 
     @pytest.fixture(scope="class")
     def survival_run(self, tmp_path_factory):
@@ -848,6 +954,22 @@ class TestBadInputs:
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("where,code", [("config", 2), ("manifest", 2), ("predictions", 2),
+                                            ("checkpoint", 2), ("override", 1)])
+    def test_integer_past_the_digit_limit(self, survival_run, where, code, tmp_path, capsys):
+        # json.loads reads integers of at most 4,300 digits and json.dumps
+        # writes none longer, so the documents are edited as text; the file
+        # is not readable JSON (2), and an override that is not JSON is text (1)
+        dirs, manifest = survival_run
+        out = tmp_path / "out"
+        argv = _LONG_INT_INPUTS[where](dirs, manifest, tmp_path)
+        capsys.readouterr()
+        assert main([*map(str, argv), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())

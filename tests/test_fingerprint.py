@@ -8,10 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from slidemil.dataio import DatasetManifest, ManifestEntry, SlideBag, SurvivalRecord
+from slidemil.dataio import _FIELD_TYPES, DatasetManifest, ManifestEntry, SlideBag, SurvivalRecord
 from slidemil.errors import ValidationError
 from slidemil.fingerprint import (
-    _FIELD_TYPES,
     DataFingerprint,
     RunConfig,
     compute_fingerprint,
@@ -261,7 +260,10 @@ class TestConfigSerialization:
 
     @pytest.mark.parametrize("field,value", [("bag_size", "abc"), ("stride", 4.0),
                                              ("learning_rate", "3e-4"), ("seed", True),
-                                             ("task", 1), ("overrides", [])])
+                                             ("task", 1), ("overrides", []),
+                                             # past float range: float() cannot hold it
+                                             pytest.param("learning_rate", 10**400,
+                                                          id="learning_rate-10**400")])
     def test_wrongly_typed_field_names_it(self, field, value):
         cfg = derive_config(_fp(100, 64))
         with pytest.raises(ValidationError, match=field):

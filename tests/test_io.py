@@ -600,7 +600,8 @@ def _json_values(integers):
         max_leaves=8)
 
 
-JSON_VALUES = _json_values(st.integers())
+# integers past float range too: float() cannot hold +-10**400
+JSON_VALUES = _json_values(st.integers() | st.sampled_from([10**400, -10**400]))
 
 MANIFEST_DOCS = {
     "classification": {"task": "classification", "n_classes": 2, "entries": [

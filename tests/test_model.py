@@ -29,9 +29,9 @@ from slidemil.model import (
     cox_loss,
     cross_entropy_loss,
     ensemble_workers,
-    grad_check,
     mse_loss,
 )
+from slidemil.training import grad_check
 
 from conftest import assert_window_close
 

@@ -25,7 +25,7 @@ from slidemil.training import (
     train,
 )
 
-from conftest import make_classification_corpus, make_survival_corpus
+from conftest import make_classification_corpus, make_survival_corpus, write_old_layout
 
 
 def tiny_config(**kw):
@@ -381,25 +381,6 @@ def _header(path) -> dict:
     return json.loads(path.read_bytes()[16:16 + _header_len(path)])
 
 
-def _write_old_layout(ckpt, path, opt_step, moment_fill=0.5):
-    """A checkpoint as written while checkpoints carried the AdamW state: the
-    parameters and an adam_m./adam_v. moment of each, in sorted name order,
-    and an opt_step in the header (left out when opt_step is None)."""
-    tensors = {name: ckpt.params[name] for name in PARAM_NAMES}
-    for moment in ("adam_m", "adam_v"):
-        tensors.update({f"{moment}.{name}": np.full_like(ckpt.params[name], moment_fill)
-                        for name in PARAM_NAMES})
-    meta, payload = {}, b""
-    for name in sorted(tensors):
-        meta[name] = {"shape": list(tensors[name].shape), "offset": len(payload)}
-        payload += np.ascontiguousarray(tensors[name], dtype="<f4").tobytes()
-    header = {"format_version": 1, "config": ckpt.config.to_dict(), "tensors": meta}
-    if opt_step is not None:
-        header["opt_step"] = opt_step
-    text = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(b"NNMILCK1" + struct.pack("<Q", len(text)) + text + payload)
-
-
 class TestCheckpointIO:
     def _trained(self, tmp_path):
         manifest, bags = _signal_corpus(n_bags=12)
@@ -426,33 +407,10 @@ class TestCheckpointIO:
         n_floats = sum(ckpt.params[name].size for name in PARAM_NAMES)
         assert path.stat().st_size == 16 + _header_len(path) + 4 * n_floats
 
-    def test_old_layout_with_moments_loads_to_the_same_model(self, tmp_path):
-        # files written while checkpoints carried the AdamW state hold an
-        # opt_step and two moments per parameter besides the parameters
-        ckpt, path = self._trained(tmp_path)
-        old = tmp_path / "old.ckpt"
-        _write_old_layout(ckpt, old, opt_step=16)
-        loaded = load_checkpoint(old)
-        assert loaded.config == ckpt.config
-        assert loaded.params.keys() == set(PARAM_NAMES)
-        for name in PARAM_NAMES:
-            np.testing.assert_array_equal(loaded.params[name],
-                                          np.asarray(ckpt.params[name], dtype=np.float32))
-        again = tmp_path / "again.ckpt"
-        save_checkpoint(loaded, again)
-        assert again.read_bytes() == path.read_bytes()
-
-    @pytest.mark.parametrize("opt_step", [None, "3", -1, 1.5, True])
-    def test_old_opt_step_of_any_value_is_ignored(self, tmp_path, opt_step):
-        ckpt, _ = self._trained(tmp_path)
-        old = tmp_path / "old.ckpt"
-        _write_old_layout(ckpt, old, opt_step=opt_step)
-        assert load_checkpoint(old).config == ckpt.config
-
     def test_old_layout_moments_are_still_checked(self, tmp_path):
         ckpt, _ = self._trained(tmp_path)
         old = tmp_path / "old.ckpt"
-        _write_old_layout(ckpt, old, opt_step=16, moment_fill=np.nan)
+        write_old_layout(ckpt, old, moment_fill=np.nan)
         with pytest.raises(CorruptionError, match="adam_"):
             load_checkpoint(old)
 
@@ -527,12 +485,6 @@ class TestCheckpointIO:
         _, path = self._trained(tmp_path)
         with pytest.raises(FormatError):
             load_checkpoint(self._with_header(path, tmp_path, edit))
-
-    def test_retired_ensemble_chunks_key_still_loads(self, tmp_path):
-        ckpt, path = self._trained(tmp_path)
-        old = self._with_header_config(path, tmp_path,
-                                       lambda cfg: {**cfg, "ensemble_chunks": 1})
-        assert load_checkpoint(old).config == ckpt.config
 
     def test_header_config_not_an_object_is_format_error(self, tmp_path):
         _, path = self._trained(tmp_path)
