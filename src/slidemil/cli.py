@@ -51,7 +51,8 @@ _INPUT_ARGS = ("spec", "manifest", "data_dir", "fingerprint", "config", "checkpo
 def _write_run_manifest(args, hashed, seed) -> None:
     """Write run_manifest.json to args.out: the command, input paths, seed,
     the SHA-256 of the file at hashed, the BLAS thread variables as this
-    process saw them and the window ensemble's worker count."""
+    process saw them and the worker count of the window ensemble and the
+    training step (ensemble_workers)."""
     inputs = {k: str(getattr(args, k)) for k in _INPUT_ARGS if getattr(args, k, None)}
     doc = {"command": args.command, "inputs": inputs, "config_hash": _sha256(hashed),
            "seed": seed, "timestamp": time.time(),

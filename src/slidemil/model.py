@@ -7,7 +7,19 @@ view. Attention projections operate on the weight columns and embedding
 features at the given sorted feature indices (a sampled subset, a feature
 window, or every feature); the pooled representation and the output head
 always use the full embedding.
-One kernel, _gated_attention, serves training batches and forward().
+
+A training step (forward with the cache, then backward) runs one body per
+slide, _forward_slide and _backward_slide, on ensemble_workers() threads
+(usable CPUs // BLAS threads; with one worker the bodies run in a loop on
+the calling thread). forward draws every slide's dropout mask on the
+calling thread, in slide order, before any body runs, so the generator's
+stream does not depend on the workers, and each forward body writes only its
+own pooled row and attention row. Each backward body returns its slide's
+three products for the attention gradients, and the calling thread adds
+them in slide order, the floating-point operations of a serial loop. The
+step is therefore bitwise the same for any worker count and schedule. The
+bodies work in place, in their activations' own buffers and a few (m, H)
+scratch arrays, so two slides in flight add little to a step's memory.
 
 The window ensemble (forward_windows) computes the attention logits of all
 windows in one pass over the bag: each window's projections are sums of
@@ -25,6 +37,8 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -53,35 +67,77 @@ def _gated_output(tanh_act: np.ndarray, gate_act: np.ndarray, keep: np.ndarray |
                   dropout: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Gated activations tanh_act * gate_act (m, H) with the dropout mask keep
     applied, and the scale keep / (1 - dropout) that applies it (None when
-    keep is None). forward and backward both build them here, so backward's
-    rebuild is bit-identical to the forward pass."""
-    gated = tanh_act * gate_act
+    keep is None): one new (m, H) array each, the rest in place. forward and
+    backward both build them here, so backward's rebuild is bit-identical to
+    the forward pass."""
+    out = tanh_act * gate_act
     if keep is None:
-        return gated, None
-    drop = keep.astype(gated.dtype) / gated.dtype.type(1.0 - dropout)
-    gated *= drop
-    return gated, drop
+        return out, None
+    drop = keep.astype(out.dtype)
+    drop /= out.dtype.type(1.0 - dropout)
+    out *= drop
+    return out, drop
 
 
-def _gated_attention(xi: np.ndarray, xs: np.ndarray, v_sub: np.ndarray, u_sub: np.ndarray,
-                     w: np.ndarray, dropout: float = 0.0,
-                     rng: np.random.Generator | None = None, noise: np.ndarray | None = None):
-    """Attention weights and pooled vector of one slide.
+def _forward_slide(xi: np.ndarray, feat: np.ndarray, v_sub: np.ndarray, u_sub: np.ndarray,
+                   w: np.ndarray, keep: np.ndarray | None, dropout: float,
+                   tanh_act: np.ndarray, gate_act: np.ndarray):
+    """Attention weights and pooled vector of one slide in a training batch.
 
-    xi (m, D) is pooled, xs (m, F) feeds the projections v_sub, u_sub (H, F).
-    With dropout > 0 the mask is drawn from rng into the first m rows of
-    noise, a float64 buffer of H columns. Returns (alpha (m,), pooled (D,),
-    (tanh_act, gate_act, keep)), where keep is the bool dropout mask or None
-    without dropout.
+    xi (m, D) is pooled, its columns feat feed the projections v_sub, u_sub
+    (H, F), and keep is the slide's bool (m, H) dropout mask, drawn by the
+    caller, or None. The activations backward needs are computed in place in
+    tanh_act and gate_act, (m, H) buffers from the caller; the gated output
+    and the dropout scale take two more (m, H) arrays. Returns (alpha (m,),
+    pooled (D,), tanh_act, gate_act).
     """
-    tanh_act = np.tanh(xs @ v_sub.T)      # (m, H)
+    xs = np.take(xi, feat, axis=1)         # (m, F)
+    np.matmul(xs, v_sub.T, out=tanh_act)
+    np.tanh(tanh_act, out=tanh_act)
+    np.matmul(xs, u_sub.T, out=gate_act)
+    del xs
     with np.errstate(over="ignore"):      # exp overflows to inf; 1 / (1 + inf) is 0
-        gate_act = 1.0 / (1.0 + np.exp(-(xs @ u_sub.T)))
-    keep = rng.random(out=noise[:len(xs)]) >= dropout if dropout > 0.0 else None
+        np.exp(np.negative(gate_act, out=gate_act), out=gate_act)
+    gate_act += 1.0
+    np.divide(1.0, gate_act, out=gate_act)
     gated_out, _ = _gated_output(tanh_act, gate_act, keep, dropout)
     logits = gated_out @ w                # (m,)
     alpha, pooled = _softmax_pool(logits, xi)
-    return alpha, pooled, (tanh_act, gate_act, keep)
+    return alpha, pooled, tanh_act, gate_act
+
+
+def _backward_slide(xi: np.ndarray, feat: np.ndarray, tanh_act: np.ndarray,
+                    gate_act: np.ndarray, keep: np.ndarray | None, alpha: np.ndarray,
+                    d_pooled: np.ndarray, w: np.ndarray, dropout: float):
+    """One slide's terms of the attention gradients: (gated_out.T @ d_logits
+    (H,), d_pre_t.T @ xs (H, F), d_pre_g.T @ xs (H, F)), from its forward
+    cache and d_pooled (D,), the loss gradient at its pooled vector.
+
+    The sampled columns xs, the dropout scale and the gated output are
+    rebuilt with the operations forward used. Three (m, H) buffers serve
+    every elementwise step, each product in the formulas' order: one holds
+    the gated output, then d_pre_t; one d_gated, then d_pre_g in place; one
+    the dropout scale, then 1 - tanh_act ** 2, then 1 - gate_act.
+    """
+    xs = np.take(xi, feat, axis=1)
+    gated_out, scratch = _gated_output(tanh_act, gate_act, keep, dropout)
+    d_alpha = xi @ d_pooled                 # (m,)
+    # softmax Jacobian: d_logits = alpha * (d_alpha - <alpha, d_alpha>)
+    d_logits = alpha * (d_alpha - alpha @ d_alpha)
+    d_w = gated_out.T @ d_logits
+    d_gated = np.outer(d_logits, w, out=np.empty_like(tanh_act))  # (m, H)
+    if scratch is not None:
+        d_gated *= scratch
+    scratch = np.square(tanh_act, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    d_pre_t = np.multiply(d_gated, gate_act, out=gated_out)
+    d_pre_t *= scratch
+    d_v = d_pre_t.T @ xs
+    d_pre_g = d_gated
+    d_pre_g *= tanh_act
+    d_pre_g *= gate_act
+    d_pre_g *= np.subtract(1.0, gate_act, out=scratch)
+    return d_w, d_v, d_pre_g.T @ xs
 
 
 # The variables that set the BLAS thread count, in the order they are read.
@@ -101,19 +157,45 @@ def _blas_threads() -> int | None:
 
 
 def ensemble_workers() -> int:
-    """Threads forward_windows runs its row tiles on: usable CPUs // BLAS
-    threads, at least 1. With no BLAS thread variable set, BLAS is taken to
-    use every CPU (OpenBLAS's default), which gives 1: threads beside a BLAS
-    that already fills the CPUs were slower than one thread."""
+    """Threads that forward_windows' row tiles and a training step's per-slide
+    forward and backward bodies run on: usable CPUs // BLAS threads, at
+    least 1. With no BLAS thread variable set, BLAS is taken to use every CPU
+    (OpenBLAS's default), which gives 1: threads beside a BLAS that already
+    fills the CPUs were slower than one thread."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return max(1, cpus // (_blas_threads() or cpus))
 
 
 @functools.cache
-def _tile_pool(workers: int) -> ThreadPoolExecutor:
-    """The one pool of forward_windows, made on first use and kept."""
-    return ThreadPoolExecutor(workers, thread_name_prefix="slidemil-tiles")
+def _worker_pool(workers: int) -> ThreadPoolExecutor:
+    """The one pool of the model's threads, made on first use and kept."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="slidemil-worker")
+
+
+def _map(fn: Callable, items: Sequence) -> Iterator:
+    """fn over items, yielding results in item order: on the shared pool when
+    ensemble_workers() > 1 and there is more than one item, otherwise on the
+    calling thread as the results are read. The pool runs at most two items
+    per worker ahead of the reader, so results the reader has not taken do
+    not pile up. Reading a result re-raises its body's error; closing the
+    iterator cancels the items not yet started."""
+    workers = ensemble_workers()
+    if workers == 1 or len(items) < 2:
+        yield from map(fn, items)
+        return
+    pool = _worker_pool(workers)
+    pending = deque()
+    try:
+        for item in items:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 # Rows of the bag per tile in forward_windows, and the unit of work its
@@ -202,7 +284,8 @@ class GatedAttentionMIL:
         gate_act the (m, H) activations and keep the bool dropout mask or
         None. backward rebuilds the sampled columns, the dropout scale and
         the gated output from these. Each call draws its dropout masks
-        through one (bag_size, H) float64 buffer.
+        through one (bag_size, H) float64 buffer, all before the per-slide
+        bodies run on ensemble_workers() threads.
         The embeddings must be finite; that is checked once, when a SlideBag
         is built, and not here.
         """
@@ -228,26 +311,42 @@ class GatedAttentionMIL:
         n_slides, bag_size, _ = x.shape
         attention = np.zeros((n_slides, bag_size), dtype=self.dtype)
         pooled = np.empty((n_slides, self.embed_dim), dtype=self.dtype)
-        cache = [] if need_cache else None
-        noise = np.empty((bag_size, self.hidden_dim)) if dropout > 0.0 else None
-
-        for i in range(n_slides):
-            valid = np.flatnonzero(mask[i])
+        valids = [np.flatnonzero(row) for row in mask]
+        for i, valid in enumerate(valids):
             if len(valid) == 0:
                 raise ValidationError(f"slide {i} has no valid patches")
-            xi = x[i] if len(valid) == bag_size else x[i, valid]  # (m, D)
-            if need_cache:
-                xs = np.take(xi, feat, axis=1)
-                alpha, pooled[i], acts = _gated_attention(xi, xs, v_sub, u_sub, w,
-                                                          dropout, rng, noise)
-                cache.append((valid, xi, *acts, alpha))
-            else:
-                alpha, pooled[i] = _softmax_pool(attention_logits[i, valid], xi)
-            attention[i, valid] = alpha
+
+        def rows(i: int) -> np.ndarray:  # (m, D)
+            return x[i] if len(valids[i]) == bag_size else x[i, valids[i]]
+
+        if need_cache:
+            # every mask is drawn here, in slide order, so the rng stream does
+            # not depend on the workers; a slide's body writes only its rows
+            noise = np.empty((bag_size, self.hidden_dim)) if dropout > 0.0 else None
+            keeps = [rng.random(out=noise[:len(valid)]) >= dropout if dropout > 0.0 else None
+                     for valid in valids]
+
+            # the activations outlive the bodies: taken from the calling
+            # thread's heap, not a worker's, they left survival-cox's peak
+            # RSS 2 MB lower
+            acts = [np.empty((2, len(valid), len(w)), dtype=self.dtype) for valid in valids]
+
+            def slide(i: int) -> tuple:
+                xi = rows(i)
+                alpha, pooled[i], tanh_act, gate_act = _forward_slide(xi, feat, v_sub, u_sub,
+                                                                      w, keeps[i], dropout,
+                                                                      *acts[i])
+                attention[i, valids[i]] = alpha
+                return valids[i], xi, tanh_act, gate_act, keeps[i], alpha
+
+            cache = [("batch", pooled, feat), *_map(slide, range(n_slides))]
+        else:
+            cache = None
+            for i, valid in enumerate(valids):
+                alpha, pooled[i] = _softmax_pool(attention_logits[i, valid], rows(i))
+                attention[i, valid] = alpha
 
         outputs = pooled @ self.params["head_weight"].T + self.params["head_bias"]
-        if need_cache:
-            cache = [("batch", pooled, feat)] + cache
         return ForwardResult(outputs=outputs, attention=attention, cache=cache)
 
     def forward_windows(self, embeddings: np.ndarray,
@@ -302,10 +401,7 @@ class GatedAttentionMIL:
                 pre[h:] *= pre[:h]
                 np.matmul(w2, pre, out=logits[k, t0:t0 + len(xt)])
 
-        tiles = range(0, n, ROW_TILE)
-        workers = ensemble_workers()
-        run = _tile_pool(workers).map if workers > 1 and len(tiles) > 1 else map
-        list(run(tile_logits, tiles))  # reading each result re-raises a tile's error
+        list(_map(tile_logits, range(0, n, ROW_TILE)))  # re-raises a tile's error
 
         mask = np.ones((1, n), dtype=bool)
         results = [self.forward(x[None], mask, np.arange(start, end),
@@ -319,9 +415,10 @@ class GatedAttentionMIL:
 
         Per slide the cache keeps only tanh_act, gate_act and the bool dropout
         mask (see forward); the sampled columns xs, the dropout scale and the
-        gated output are rebuilt here, one slide at a time, with the
-        operations the forward pass used, so the gradients are those of the
-        full-activation formulas to the last bit.
+        gated output are rebuilt by each slide's body (_backward_slide) with
+        the operations the forward pass used, and the bodies' products are
+        summed in slide order, so the gradients are those of the
+        full-activation formulas to the last bit for any worker count.
         """
         _, pooled, feat = cache[0]
         d_out = np.asarray(d_outputs, dtype=self.dtype)
@@ -335,20 +432,17 @@ class GatedAttentionMIL:
 
         d_v_sub = np.zeros((len(w), len(feat)), dtype=w.dtype)
         d_u_sub = np.zeros_like(d_v_sub)
-        for i, (valid, xi, tanh_act, gate_act, keep, alpha) in enumerate(cache[1:]):
-            xs = np.take(xi, feat, axis=1)
-            gated_out, drop = _gated_output(tanh_act, gate_act, keep, self.dropout)
-            dhi = d_pooled[i]                       # (D,)
-            d_alpha = xi @ dhi                      # (m,)
-            # softmax Jacobian: d_logits = alpha * (d_alpha - <alpha, d_alpha>)
-            d_logits = alpha * (d_alpha - alpha @ d_alpha)
-            grads["attention_w"] += gated_out.T @ d_logits
-            d_gated_out = np.outer(d_logits, w)     # (m, H)
-            d_gated = d_gated_out if drop is None else d_gated_out * drop
-            d_pre_t = d_gated * gate_act * (1.0 - tanh_act ** 2)
-            d_pre_g = d_gated * tanh_act * gate_act * (1.0 - gate_act)
-            d_v_sub += d_pre_t.T @ xs
-            d_u_sub += d_pre_g.T @ xs
+
+        def slide(i: int) -> tuple:
+            _, xi, tanh_act, gate_act, keep, alpha = cache[1 + i]
+            return _backward_slide(xi, feat, tanh_act, gate_act, keep, alpha, d_pooled[i], w,
+                                   self.dropout)
+
+        # the products are added here, in slide order, as the serial loop did
+        for d_w, d_v, d_u in _map(slide, range(len(cache) - 1)):
+            grads["attention_w"] += d_w
+            d_v_sub += d_v
+            d_u_sub += d_u
 
         grads["attention_v"][:, feat] = d_v_sub
         grads["attention_u"][:, feat] = d_u_sub

@@ -6,6 +6,10 @@ Training is a deterministic function of (config, manifest, bag bytes): one
 root generator is seeded from config.seed and consumed in a fixed order
 (param init, then per epoch: batch plan, per batch: patch subsets, feature
 subset, dropout), so identical runs produce bitwise-identical checkpoints.
+A step's per-slide forward and backward bodies run on
+model.ensemble_workers() threads (usable CPUs // BLAS threads); the
+dropout masks are drawn before they start and their gradient terms are
+summed in slide order, so checkpoints do not depend on the worker count.
 
 Memory: a run allocates one (batch_size, rows, D) float32 batch buffer,
 rows = min(bag_size, largest train bag), and sample_patches writes each
@@ -15,6 +19,11 @@ the bool dropout mask: 2H floats and H bytes per row, from which backward
 rebuilds the sampled columns, the dropout scale and the gated output. They
 are released once the step's update is applied, so besides the mapped train
 and val bags training holds one batch and one step's activations at a time.
+On top of them, each slide body in flight holds its own temporaries, in
+place where it can: forward the (m, F) sampled columns, the gated output and
+the dropout scale; backward the sampled columns and three (m, H) buffers.
+The pool runs at most two slides per worker ahead of the thread that adds
+their gradient terms, so at most that many (H, F) pairs wait unread.
 AdamW updates in place through two scratch buffers allocated once per run.
 """
 
@@ -40,6 +49,8 @@ from .sampling import (balanced_batches, plain_batches, regression_batches,
                        sample_feature_indices, sample_patches, survival_batches)
 
 CHECKPOINT_MAGIC = b"NNMILCK1"
+CHECKPOINT_VERSION = 1
+CHECKPOINT_HEADER_KEYS = {"format_version", "config", "tensors"}
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
@@ -146,7 +157,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         meta_tensors[name] = {"shape": list(arr.shape), "offset": len(payload)}
         payload.extend(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     header = {
-        "format_version": 1,
+        "format_version": CHECKPOINT_VERSION,
         "config": checkpoint.config.to_dict(),
         "tensors": meta_tensors,
     }
@@ -176,8 +187,9 @@ def _check_model_tensors(params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint: its tensors must tile the payload, hold finite
-    values and be exactly the model's parameters."""
+    """Read a checkpoint: its header must hold exactly format_version 1, the
+    config and the tensors, and its tensors must tile the payload, hold
+    finite values and be exactly the model's parameters."""
     raw = Path(path).read_bytes()
     if len(raw) < len(CHECKPOINT_MAGIC) + 8:
         raise FormatError("checkpoint file too short for its header")
@@ -192,6 +204,10 @@ def load_checkpoint(path) -> Checkpoint:
     tensors = header.get("tensors") if isinstance(header, dict) else None
     if not (isinstance(tensors, dict) and isinstance(header.get("config"), dict)):
         raise FormatError("checkpoint header needs an object 'tensors' and an object 'config'")
+    version = header.get("format_version")
+    if not (_is_int(version) and version == CHECKPOINT_VERSION):
+        raise FormatError(f"checkpoint format_version {json.dumps(version)} is not "
+                          f"{CHECKPOINT_VERSION}")
 
     layout = []
     for name, meta in tensors.items():
@@ -219,6 +235,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptionError("checkpoint payload length mismatch")
 
     _check_model_tensors(arrays)
+    # after the tensors, so that a retired layout (with its opt_step key) is
+    # named by its tensors
+    unknown = sorted(header.keys() - CHECKPOINT_HEADER_KEYS)
+    if unknown:
+        raise FormatError(f"checkpoint header has unknown keys {unknown}")
     return Checkpoint(params=arrays, config=RunConfig.from_dict(header["config"]))
 
 

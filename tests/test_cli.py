@@ -557,6 +557,37 @@ class TestLoaderExitCodes:
         assert got == code
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
 
+    @pytest.mark.parametrize("edit,message", [
+        ({"format_version": 2}, "format_version 2 "),
+        ({"format_version": "x"}, 'format_version "x" '),
+        ({"format_version": True}, "format_version true "),
+        ({"format_version": 1.0}, "format_version 1.0 "),
+        ({"format_version": None}, "format_version null "),
+        ({"bogus": 0}, "unknown keys ['bogus']"),
+        ({"bogus": 0, "opt_step": 16}, "unknown keys ['bogus', 'opt_step']"),
+    ], ids=["version-2", "version-string", "version-bool", "version-float", "version-null",
+            "bogus-key", "two-unknown-keys"])
+    def test_checkpoint_header_is_checked(self, edit, message, tmp_path, capsys):
+        # the header holds format_version 1, config and tensors and nothing else
+        assert self._train(self.dirs["plan"] / "config.json") == 0
+        raw = (self.dirs["train"] / "checkpoint.ckpt").read_bytes()
+        (n,) = struct.unpack("<Q", raw[8:16])
+        text = json.dumps({**json.loads(raw[16:16 + n]), **edit}).encode("utf-8")
+        edited = tmp_path / "edited.ckpt"
+        edited.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + n:])
+
+        def predict(checkpoint, out):
+            return main(["predict", "--manifest", str(self.dirs["data"] / "manifest.json"),
+                         "--data-dir", str(self.dirs["data"]), "--checkpoint", str(checkpoint),
+                         "--out", str(tmp_path / out)])
+
+        assert predict(self.dirs["train"] / "checkpoint.ckpt", "good") == 0
+        capsys.readouterr()
+        assert predict(edited, "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "bad" / "predictions.jsonl").exists()
+
 
 class TestGradcheckCommand:
     def test_passes_exit_0(self, capsys):
@@ -631,13 +662,14 @@ class TestSeedFlag:
 
 
 class TestEnsembleWorkerCount:
-    """The window ensemble's row tiles may run on several threads; no artifact
-    may depend on how many."""
+    """The window ensemble's row tiles and a training step's per-slide bodies
+    may run on several threads; no artifact may depend on how many."""
 
     @pytest.mark.parametrize("spec_kw", [
         {"task": "classification"},
+        {"task": "regression", "signal_strength": 1.0},
         {"task": "survival", "censoring_rate": 0.2, "n_bags": 24},  # plus the Breslow refit
-    ], ids=["classification", "survival"])
+    ], ids=["classification", "regression", "survival"])
     def test_artifacts_are_byte_identical_on_two_workers_and_one(self, tmp_path, monkeypatch,
                                                                  two_cpus, spec_kw):
         # bags of up to 300 patches span up to three row tiles
@@ -654,8 +686,8 @@ class TestEnsembleWorkerCount:
         assert max(shape.n_patches for shape in shapes) > ROW_TILE
 
         pools = []
-        real_pool = model_module._tile_pool
-        monkeypatch.setattr(model_module, "_tile_pool",
+        real_pool = model_module._worker_pool
+        monkeypatch.setattr(model_module, "_worker_pool",
                             lambda count: pools.append(count) or real_pool(count))
         artifacts = {}
         for blas_threads, workers in (("1", 2), ("2", 1)):

@@ -8,6 +8,7 @@ for the hand-derived backward pass.
 import math
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -375,7 +376,7 @@ class TestPooledTiles:
         serial = _windows_with(monkeypatch, 1, m, x, windows)
         interval = sys.getswitchinterval()
         with ThreadPoolExecutor(4) as pool:
-            monkeypatch.setattr(model_module, "_tile_pool", lambda count: pool)
+            monkeypatch.setattr(model_module, "_worker_pool", lambda count: pool)
             sys.setswitchinterval(1e-6)
             try:
                 runs = [_windows_with(monkeypatch, 4, m, x, windows) for _ in range(5)]
@@ -392,7 +393,7 @@ class TestPooledTiles:
     def test_pool_runs_only_with_tiles_and_workers_to_share(self, monkeypatch, workers, n,
                                                             pooled):
         pools, tile_threads = [], set()
-        real_pool, real_tanh = model_module._tile_pool, np.tanh
+        real_pool, real_tanh = model_module._worker_pool, np.tanh
 
         def pool_spy(count):
             pools.append(count)
@@ -402,7 +403,7 @@ class TestPooledTiles:
             tile_threads.add(threading.current_thread())
             return real_tanh(*args, **kwargs)
 
-        monkeypatch.setattr(model_module, "_tile_pool", pool_spy)
+        monkeypatch.setattr(model_module, "_worker_pool", pool_spy)
         monkeypatch.setattr(np, "tanh", tanh_spy)
         m = _model(d=26, h=8, c=3, dtype=np.float32)
         x = np.random.default_rng(0).standard_normal((n, 26)).astype(np.float32)
@@ -436,7 +437,7 @@ class TestEnsembleWorkers:
         def no_pool(count):
             pytest.fail(f"a pool of {count} workers was asked for")
 
-        monkeypatch.setattr(model_module, "_tile_pool", no_pool)
+        monkeypatch.setattr(model_module, "_worker_pool", no_pool)
         m = _model(d=26, h=8, c=3, dtype=np.float32)
         x = np.random.default_rng(0).standard_normal((5 * ROW_TILE, 26)).astype(np.float32)
         outputs, _ = m.forward_windows(x, chunk_windows(26, 8, 4).windows)
@@ -705,6 +706,126 @@ class TestSlimCache:
                 assert keep is None
             else:
                 assert keep.dtype == bool and keep.shape == (n_valid, 4)
+
+
+def _step_with(monkeypatch, workers, m, x, mask, feat, d_out):
+    """Outputs, attention and the five gradients of one training step (forward
+    with dropout drawn from a generator seeded 9, then backward) with its
+    per-slide bodies on the given worker count, and the generator's next draw."""
+    monkeypatch.setattr(model_module, "ensemble_workers", lambda: workers)
+    rng = np.random.default_rng(9)
+    res = m.forward(x, mask, feat, rng=rng)
+    grads = m.backward(res.cache, d_out)
+    return [res.outputs, res.attention, *(grads[name] for name in PARAM_NAMES)], rng.random()
+
+
+class TestPooledStep:
+    """A training step's per-slide forward and backward bodies may run on
+    several threads; no output, attention entry, gradient or draw of the
+    generator may depend on how many."""
+
+    @staticmethod
+    def _case(n, dtype, dropout, padded):
+        m = _model(d=12, h=5, c=3, dropout=dropout, dtype=dtype)
+        data = np.random.default_rng(n)
+        # every other slide is padded, to a different length each
+        x, mask = _batch(data, n=n, m=9, d=12,
+                         n_valid=[1 + i % 9 if i % 2 == 0 else 9 for i in range(n)]
+                         if padded else None)
+        d_out = data.standard_normal((n, 3)).astype(dtype)
+        return m, x.astype(dtype), mask, np.array([0, 3, 4, 8, 11]), d_out
+
+    @pytest.mark.parametrize("n", [1, 2, 33])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    @pytest.mark.parametrize("padded", [False, True], ids=["full", "padded"])
+    def test_two_workers_equal_one_bitwise(self, monkeypatch, n, dtype, dropout, padded):
+        m, x, mask, feat, d_out = self._case(n, dtype, dropout, padded)
+        serial, serial_draw = _step_with(monkeypatch, 1, m, x, mask, feat, d_out)
+        pooled, pooled_draw = _step_with(monkeypatch, 2, m, x, mask, feat, d_out)
+        for a, b in zip(serial, pooled):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
+        assert serial_draw == pooled_draw
+        # and both are the full-activation formulas, drawn from the same stream
+        ref_outputs, ref_grads = _full_activation_pass(m, x, mask, feat, d_out,
+                                                       np.random.default_rng(9))
+        assert np.array_equal(pooled[0], ref_outputs)
+        for name, grad in zip(PARAM_NAMES, pooled[2:]):
+            assert np.array_equal(grad, ref_grads[name]), name
+
+    def test_more_workers_than_cores_under_rapid_switching(self, monkeypatch):
+        # a slide's body writes only its own pooled row and attention row and
+        # returns its gradient terms; a lost or misplaced write among 4 threads
+        # switched every microsecond would change the bits
+        m, x, mask, feat, d_out = self._case(33, np.float32, 0.25, True)
+        serial, _ = _step_with(monkeypatch, 1, m, x, mask, feat, d_out)
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(4) as pool:
+            monkeypatch.setattr(model_module, "_worker_pool", lambda count: pool)
+            sys.setswitchinterval(1e-6)
+            try:
+                runs = [_step_with(monkeypatch, 4, m, x, mask, feat, d_out)[0] for _ in range(5)]
+            finally:
+                sys.setswitchinterval(interval)
+        for run in runs:
+            assert all(np.array_equal(a, b) for a, b in zip(serial, run))
+
+    @pytest.mark.parametrize("workers, n, pooled", [
+        (2, 4, True),
+        (2, 1, False),   # one slide: nothing to share
+        (1, 4, False),
+    ])
+    def test_pool_runs_only_with_slides_and_workers_to_share(self, monkeypatch, workers, n,
+                                                             pooled):
+        pools, body_threads = [], set()
+        real_pool = model_module._worker_pool
+        monkeypatch.setattr(model_module, "_worker_pool",
+                            lambda count: pools.append(count) or real_pool(count))
+        for name in ("_forward_slide", "_backward_slide"):
+            body = getattr(model_module, name)
+
+            def spy(*args, _body=body):
+                body_threads.add(threading.current_thread())
+                return _body(*args)
+
+            monkeypatch.setattr(model_module, name, spy)
+        m, x, mask, feat, d_out = self._case(n, np.float32, 0.25, False)
+        _step_with(monkeypatch, workers, m, x, mask, feat, d_out)
+        assert pools == ([2, 2] if pooled else [])
+        assert (threading.current_thread() not in body_threads) == pooled
+
+    @pytest.mark.parametrize("name", ["_forward_slide", "_backward_slide"])
+    def test_error_in_a_slide_body_reaches_the_caller(self, monkeypatch, name):
+        body = getattr(model_module, name)
+
+        def failing(xi, *args):
+            if len(xi) == 3:  # the third slide, padded to 3 rows
+                raise ValidationError("slide body failed")
+            return body(xi, *args)
+
+        m, x, mask, feat, d_out = self._case(8, np.float64, 0.25, True)
+        before, _ = _step_with(monkeypatch, 2, m, x, mask, feat, d_out)
+        monkeypatch.setattr(model_module, name, failing)
+        with pytest.raises(ValidationError, match="slide body failed"):
+            _step_with(monkeypatch, 2, m, x, mask, feat, d_out)
+        # the pool is left as it was: the next step runs and gives the same bits
+        monkeypatch.setattr(model_module, name, body)
+        again, _ = _step_with(monkeypatch, 2, m, x, mask, feat, d_out)
+        assert all(np.array_equal(a, b) for a, b in zip(before, again))
+
+    def test_pool_runs_at_most_two_items_per_worker_ahead_of_the_reader(self, monkeypatch):
+        # unread backward products would otherwise pile up while the calling
+        # thread adds the earlier ones; a slow reader gives the pool every
+        # chance to run ahead
+        monkeypatch.setattr(model_module, "ensemble_workers", lambda: 2)
+        started = []
+        results = model_module._map(lambda i: started.append(i) or i, range(40))
+        for k, result in enumerate(results):
+            assert result == k
+            assert max(started) < k + 4
+            time.sleep(0.002)
+        assert sorted(started) == list(range(40))
 
 
 class TestGradCheck:

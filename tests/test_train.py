@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from slidemil import inference, training
+from slidemil import model as model_module
 from slidemil.errors import CorruptionError, FormatError, ValidationError
 from slidemil.fingerprint import RunConfig
 from slidemil.model import PARAM_NAMES, cox_loss
@@ -301,15 +302,21 @@ class TestTrain:
                         tmp_path / "huge.ckpt")
         assert (tmp_path / "huge.ckpt").read_bytes() == (tmp_path / "exact.ckpt").read_bytes()
 
-    def test_peak_memory_is_one_batch_and_one_step(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_is_one_batch_and_one_step(self, monkeypatch, workers):
         # per row, a batch holds D floats and a step's activations 2H floats
         # and H bytes (tanh, gate, bool dropout mask). On top of one batch the
-        # peak measured 2.11 x act (during backward): the activations, 0.52
+        # serial step peaked at 2.11 x act (during backward, with per-slide
+        # temporaries not yet in place): the activations, 0.52
         # x act of parameters, Adam state and run bookkeeping, and 0.59 x act
         # of forward outputs, gradients and per-slide temporaries. The full
         # activations (F + 4H floats per row) peaked at 3.17 x act; a second
         # batch or the last step's activations kept alive would each add
-        # more than the 0.49 x act of slack
+        # more than the 0.49 x act of slack. With in-place per-slide bodies
+        # the peak reads 2.04 x act on one worker and 2.19 on two, where
+        # several slides' temporaries and gradient terms are in flight; a
+        # pool that ran every slide ahead of the reader read 2.53
+        monkeypatch.setattr(model_module, "ensemble_workers", lambda: workers)
         manifest, bags = make_classification_corpus(np.random.default_rng(4), n_bags=36,
                                                     embed_dim=128, n_patches=(80, 120))
         cfg = tiny_config(bag_size=64, batch_size=16, hidden_dim=32, stride=8, max_epochs=2)
