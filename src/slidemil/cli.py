@@ -2,12 +2,12 @@
 reject-curve, gradcheck.
 
 Every command that writes artifacts drops a run_manifest.json (inputs, config
-hash, seed, timestamp, BLAS thread variables, window ensemble workers) into
-its output directory. A corpus's seed lives in its spec and a run's in its
-config; only evaluate and gradcheck take --seed, since no input file holds
-theirs. The seed is null for fingerprint, predict and reject-curve, which
-draw no random numbers. Exit codes: 0 success, 1 validation/usage error,
-2 file-format or I/O error.
+hash, seed, timestamp, BLAS thread variables, window ensemble workers, and the
+slidemil, Python, numpy and BLAS versions) into its output directory. A
+corpus's seed lives in its spec and a run's in its config; only evaluate and
+gradcheck take --seed, since no input file holds theirs. The seed is null for
+fingerprint, predict and reject-curve, which draw no random numbers. Exit
+codes: 0 success, 1 validation/usage error, 2 file-format or I/O error.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import dataio, inference, metrics, synthetic
+from . import __version__, dataio, inference, metrics, synthetic
 from .errors import FormatError, MetricUndefinedError, ValidationError
 from .fingerprint import DataFingerprint, RunConfig, compute_fingerprint, derive_config
 from .model import BLAS_THREAD_VARS, ensemble_workers
@@ -51,13 +52,17 @@ _INPUT_ARGS = ("spec", "manifest", "data_dir", "fingerprint", "config", "checkpo
 def _write_run_manifest(args, hashed, seed) -> None:
     """Write run_manifest.json to args.out: the command, input paths, seed,
     the SHA-256 of the file at hashed, the BLAS thread variables as this
-    process saw them and the worker count of the window ensemble and the
-    training step (ensemble_workers)."""
+    process saw them, the worker count of the window ensemble and the
+    training step (ensemble_workers) and the software that ran."""
     inputs = {k: str(getattr(args, k)) for k in _INPUT_ARGS if getattr(args, k, None)}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = {"command": args.command, "inputs": inputs, "config_hash": _sha256(hashed),
            "seed": seed, "timestamp": time.time(),
            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-           "ensemble_workers": ensemble_workers()}
+           "ensemble_workers": ensemble_workers(),
+           "software": {"slidemil": __version__, "python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "blas": {"name": blas.get("name"), "version": blas.get("version")}}}
     dataio.write_json(doc, Path(args.out) / "run_manifest.json")
 
 
@@ -163,8 +168,8 @@ def cmd_train(args) -> int:
     _write_run_manifest(args, args.config, config.seed)
     last = report.epochs[-1]
     print(f"trained {report.stopped_epoch} epochs "
-          f"(best epoch {report.best_epoch}, final val loss {last['val_loss']}); "
-          f"checkpoint at {ckpt_path}")
+          f"(best epoch {report.best_epoch}, saved epoch {report.saved_epoch}, "
+          f"final val loss {last['val_loss']}); checkpoint at {ckpt_path}")
     return 0
 
 
@@ -291,10 +296,7 @@ def cmd_evaluate(args) -> int:
             except MetricUndefinedError as exc:
                 report["logrank"] = {"undefined": str(exc)}
             for name, group_mask in (("high", high), ("low", ~high)):
-                try:
-                    curve = metrics.km_curve(times[group_mask], events[group_mask])
-                except MetricUndefinedError:
-                    continue
+                curve = metrics.km_curve(times[group_mask], events[group_mask])
                 with open(out / f"km_{name}.csv", "w", newline="", encoding="utf-8") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["time", "survival", "at_risk"])

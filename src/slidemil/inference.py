@@ -4,6 +4,8 @@ Inference always sees the full bag (every patch participates); the ensemble
 is over contiguous feature windows of width H at stride S. All probability
 and entropy arithmetic runs in 64-bit regardless of the model dtype so the
 additive uncertainty decomposition holds to near machine precision.
+Every survival curve is BaselineSurvival.at's exp(-exp(log H_0(t) + eta)),
+in which a constant added to every train and slide risk cancels.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .dataio import SlideBag, SurvivalRecord
 from .errors import ValidationError
 from .fingerprint import RunConfig
+from .metrics import risk_sets
 from .model import GatedAttentionMIL
 
 MI_CLAMP_TOLERANCE = 1e-9
@@ -71,16 +74,21 @@ class SurvPrediction:
 
 @dataclass
 class BaselineSurvival:
-    """Breslow baseline: step function S_0(t), right-continuous, S_0(0) = 1."""
+    """Breslow baseline: log H_0(t), right-continuous, -inf before the first event."""
 
-    event_times: np.ndarray  # ascending distinct event times
-    survival: np.ndarray     # S_0 evaluated at each event time
+    event_times: np.ndarray     # ascending distinct event times
+    log_cum_hazard: np.ndarray  # log H_0 at each event time
 
-    def at(self, times) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(times, dtype=np.float64))
-        idx = np.searchsorted(self.event_times, t, side="right")
-        padded = np.concatenate([[1.0], self.survival])
-        return padded[idx]
+    def at(self, times, risks=0.0) -> np.ndarray:
+        """S(t | eta) at each time: (T,) for a scalar risk, (K, T) for K risks."""
+        idx = np.searchsorted(self.event_times, np.atleast_1d(times), side="right")
+        log_h = np.concatenate([[-np.inf], self.log_cum_hazard])[idx]
+        with np.errstate(over="ignore"):  # exp overflows to inf, and S to exactly 0
+            return np.exp(-np.exp(log_h + np.asarray(risks, dtype=np.float64)[..., None]))
+
+    @property
+    def survival(self) -> np.ndarray:  # S_0 at each event time
+        return self.at(self.event_times)
 
 
 def window_count(embed_dim: int, hidden_dim: int, stride: int) -> int:
@@ -206,7 +214,7 @@ def slide_outputs(model: GatedAttentionMIL, task: str, bags: dict[str, SlideBag]
 
 def estimate_baseline_survival(train_risks: np.ndarray,
                                train_records: list[SurvivalRecord]) -> BaselineSurvival:
-    """Breslow estimator: H_0(t) = sum over event times <= t of d_i / sum_{at risk} exp(eta)."""
+    """Breslow log H_0: H_0(t) = sum over event times <= t of d_i / sum_{at risk} exp(eta)."""
     eta = np.asarray(train_risks, dtype=np.float64)
     times = np.array([r.time for r in train_records], dtype=np.float64)
     events = np.array([r.event for r in train_records], dtype=int)
@@ -214,16 +222,11 @@ def estimate_baseline_survival(train_risks: np.ndarray,
         raise ValidationError("risks and records must align")
     if events.sum() == 0:
         raise ValidationError("baseline survival needs at least one event")
-    exp_eta = np.exp(eta)
+    shift = eta.max()  # weights exp(eta - shift) <= 1 cannot overflow
     event_times = np.unique(times[events == 1])
-    cum_hazard = np.empty(len(event_times), dtype=np.float64)
-    running = 0.0
-    for i, t in enumerate(event_times):
-        d = int(np.sum((times == t) & (events == 1)))
-        at_risk = exp_eta[times >= t].sum()
-        running += d / at_risk
-        cum_hazard[i] = running
-    return BaselineSurvival(event_times=event_times, survival=np.exp(-cum_hazard))
+    at_risk, deaths = risk_sets(times, events, event_times, weights=np.exp(eta - shift))
+    return BaselineSurvival(event_times=event_times,
+                            log_cum_hazard=np.log(np.cumsum(deaths / at_risk)) - shift)
 
 
 def predict_survival(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows,
@@ -231,8 +234,7 @@ def predict_survival(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWind
     raw, attention = ensemble_outputs(model, bag, windows, return_attention=True)
     eta = raw[:, 0]
     eval_times = np.atleast_1d(np.asarray(eval_times, dtype=np.float64))
-    s0 = baseline.at(eval_times)  # (T,)
-    per_chunk_surv = s0[None, :] ** np.exp(eta)[:, None]  # (K, T)
+    per_chunk_surv = baseline.at(eval_times, eta)  # (K, T)
     return SurvPrediction(
         slide_id=bag.slide_id, per_chunk_risk=eta,
         risk=float(slide_output("survival", raw)[0]), mean_risk=float(eta.mean()),

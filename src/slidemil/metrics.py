@@ -3,6 +3,7 @@ log-rank, bootstrap CIs, rejection curves.
 
 Every rank statistic counts wins and ties as integers before a single final
 division, so values agree bit-for-bit with brute-force pair enumeration.
+Kaplan-Meier, log-rank and the Breslow baseline count risk sets in risk_sets.
 """
 
 from __future__ import annotations
@@ -134,6 +135,19 @@ def concordance_index(times, events, risks) -> float:
     return (wins + 0.5 * ties) / n_pairs
 
 
+def risk_sets(times, events, at, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """The risk-set table at each query time t in at: the number of subjects
+    with time >= t (the sum of their weights when weights are given) and the
+    number of events at exactly t, from one sort of the times."""
+    order = np.argsort(times, kind="stable")
+    sorted_times = np.asarray(times, dtype=np.float64)[order]
+    first, past = (np.searchsorted(sorted_times, at, side=s) for s in ("left", "right"))
+    w = np.ones(len(order), dtype=int) if weights is None else np.asarray(weights)[order]
+    events_before = np.append(0, np.cumsum(np.asarray(events)[order] == 1))
+    at_risk = np.append(np.cumsum(w[::-1])[::-1], 0)[first]
+    return at_risk, events_before[past] - events_before[first]
+
+
 def km_curve(times, events) -> KMCurve:
     """Product-limit survival estimate over the distinct event times."""
     times = np.asarray(times, dtype=np.float64)
@@ -141,16 +155,9 @@ def km_curve(times, events) -> KMCurve:
     if times.size == 0:
         raise MetricUndefinedError("empty survival sample")
     event_times = np.unique(times[events == 1])
-    survival = np.empty(len(event_times), dtype=np.float64)
-    at_risk = np.empty(len(event_times), dtype=int)
-    s = 1.0
-    for i, t in enumerate(event_times):
-        n_risk = int((times >= t).sum())
-        d = int(((times == t) & (events == 1)).sum())
-        s *= 1.0 - d / n_risk
-        survival[i] = s
-        at_risk[i] = n_risk
-    return KMCurve(times=event_times, survival=survival, at_risk=at_risk)
+    at_risk, deaths = risk_sets(times, events, event_times)
+    return KMCurve(times=event_times, survival=np.cumprod(1.0 - deaths / at_risk),
+                   at_risk=at_risk)
 
 
 def logrank_test(times, events, in_group_a) -> tuple[float, float]:
@@ -163,25 +170,16 @@ def logrank_test(times, events, in_group_a) -> tuple[float, float]:
         raise ValidationError("log-rank needs aligned 1-D times, events and group arrays")
     if in_a.all() or not in_a.any():
         raise MetricUndefinedError("both groups must be nonempty")
-    times_a, events_a = times[in_a], events[in_a]
-    times_b, events_b = times[~in_a], events[~in_a]
     event_times = np.unique(times[events == 1])
     if len(event_times) == 0:
         raise MetricUndefinedError("log-rank needs at least one event")
-
-    observed_minus_expected = 0.0
-    variance = 0.0
-    for t in event_times:
-        n_a = int((times_a >= t).sum())
-        n_b = int((times_b >= t).sum())
-        n_tot = n_a + n_b
-        d_a = int(((times_a == t) & (events_a == 1)).sum())
-        d_tot = d_a + int(((times_b == t) & (events_b == 1)).sum())
-        expected_a = d_tot * n_a / n_tot
-        observed_minus_expected += d_a - expected_a
-        if n_tot > 1:
-            variance += (d_tot * (n_a / n_tot) * (n_b / n_tot)
-                         * (n_tot - d_tot) / (n_tot - 1))
+    n_a, d_a = risk_sets(times[in_a], events[in_a], event_times)
+    n_tot, d_tot = risk_sets(times, events, event_times)
+    observed_minus_expected = float(np.sum(d_a - d_tot * n_a / n_tot))
+    several = n_tot > 1  # a lone subject at risk adds no variance
+    n_a, n_tot, d_tot = n_a[several], n_tot[several], d_tot[several]
+    variance = float(np.sum(d_tot * (n_a / n_tot) * ((n_tot - n_a) / n_tot)
+                            * (n_tot - d_tot) / (n_tot - 1)))
     if variance == 0.0:
         raise MetricUndefinedError("log-rank variance is zero")
     statistic = observed_minus_expected ** 2 / variance

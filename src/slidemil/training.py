@@ -127,6 +127,7 @@ class TrainReport:
     epochs: list[dict] = field(default_factory=list)
     stopped_epoch: int = 0
     best_epoch: int | None = None
+    saved_epoch: int | None = None  # whose parameters the checkpoint holds
     best_val_loss: float | None = None
     notes: list[str] = field(default_factory=list)
 
@@ -410,6 +411,7 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
         report.notes.append("validation split has no events; early stopping disabled")
     report.best_epoch = best_epoch
     report.best_val_loss = best_val
+    report.saved_epoch = report.epochs[-1]["epoch"]  # the last epoch run
 
     checkpoint = Checkpoint(params=model.params, config=config)
     if checkpoint_path is not None:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import slidemil
 from slidemil import inference
 from slidemil import model as model_module
 from slidemil.cli import main
@@ -189,6 +191,24 @@ class TestClassificationPipeline:
             # what the process saw of the BLAS thread count, and what it gave the ensemble
             assert doc["blas_threads"] == {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
             assert doc["ensemble_workers"] == ensemble_workers() >= 1
+            # and the software that ran
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert doc["software"] == {
+                "slidemil": slidemil.__version__, "python": platform.python_version(),
+                "numpy": np.__version__,
+                "blas": {"name": blas["name"], "version": blas["version"]}}
+            assert all(isinstance(v, str) and v for v in doc["software"]["blas"].values())
+
+    def test_train_report_and_summary_name_the_saved_epoch(self, tmp_path, capsys):
+        report = json.loads((self.dirs["train"] / "train_report.json").read_text())
+        assert report["saved_epoch"] == report["epochs"][-1]["epoch"] == 2
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(self.manifest),
+                     "--data-dir", str(self.dirs["data"]),
+                     "--config", str(self.dirs["plan"] / "config.json"),
+                     "--out", str(tmp_path / "again")]) == 0
+        assert (f"(best epoch {report['best_epoch']}, saved epoch 2, "
+                in capsys.readouterr().out)
 
     def test_predictions_are_deterministic(self, tmp_path):
         # same corpus and config, fresh train + predict: identical output bytes

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -379,6 +380,41 @@ class TestPredictSurvival:
         pred = predict_survival(m, bag, chunk_windows(8, 4, 2), base,
                                 [0.0, 1.0, 2.0, 3.0, 10.0])
         assert (pred.mean_survival >= 0).all() and (pred.mean_survival <= 1).all()
+
+
+class TestRiskShift:
+    """A Cox model fixes its risks only up to one added constant: adding it to
+    every train risk and to the slide's risks (through the head bias) must
+    leave the survival curves where they are, however large it is."""
+
+    TIMES = [0.5, 1.0, 2.5, 3.0, 4.0, 9.0]  # before, at, between and after the events
+
+    @classmethod
+    def _predict(cls, shift):
+        m = _model(c=1, dtype=np.float64)
+        m.params["head_bias"] = m.params["head_bias"] + shift
+        records = [SurvivalRecord(time=t, event=e) for t, e in
+                   [(1.0, 1), (1.0, 1), (2.0, 0), (3.0, 1), (3.0, 0), (4.0, 1), (5.0, 0)]]
+        train_risks = np.random.default_rng(3).normal(0.0, 1.0, len(records)) + shift
+        base = estimate_baseline_survival(train_risks, records)
+        bag = make_bag(np.random.default_rng(4), 6, 8)
+        return predict_survival(m, bag, chunk_windows(8, 4, 2), base, cls.TIMES)
+
+    @pytest.mark.parametrize("shift", [-700.0, 700.0])
+    def test_curves_do_not_move(self, shift):
+        ref, moved = self._predict(0.0), self._predict(shift)
+        assert ((ref.per_chunk_survival > 0.05) & (ref.per_chunk_survival < 0.95)).any()
+        for name in ("per_chunk_survival", "mean_survival", "unc_survival"):
+            np.testing.assert_allclose(getattr(moved, name), getattr(ref, name),
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("shift", [-800.0, 800.0])
+    def test_no_warning_past_exp_overflow(self, shift):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = self._predict(shift)
+        assert np.isfinite(pred.per_chunk_survival).all()
+        assert (pred.per_chunk_survival[:, 0] == 1.0).all()  # before the first event
 
 
 class TestPredictionAttention:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidemil.dataio import SurvivalRecord
 from slidemil.errors import MetricUndefinedError, ValidationError
@@ -20,6 +22,7 @@ from slidemil.metrics import (
     mean_squared_error,
     pearson_r,
     rejection_curve,
+    risk_sets,
 )
 
 
@@ -221,6 +224,42 @@ class TestConcordance:
     def test_no_events_undefined(self):
         with pytest.raises(MetricUndefinedError):
             concordance_index([1.0, 2.0], [0, 0], [1.0, 2.0])
+
+
+# survival times on a grid of halves, so that ties are common, and query
+# times from below the smallest to above the largest, on the grid and off it
+_GRID_TIMES = st.integers(1, 12).map(lambda k: k / 2)
+_QUERY_TIMES = st.one_of(_GRID_TIMES, st.floats(-1.0, 8.0, allow_nan=False))
+
+
+class TestRiskSets:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_brute_force_loops(self, data):
+        n = data.draw(st.integers(0, 25))
+        times = data.draw(st.lists(_GRID_TIMES, min_size=n, max_size=n))
+        events = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        at = data.draw(st.lists(_QUERY_TIMES, max_size=10))
+        weights = data.draw(st.none() | st.lists(
+            st.floats(0.0, 1e3, allow_nan=False), min_size=n, max_size=n))
+        at_risk, n_events = risk_sets(times, events, at, weights)
+        assert at_risk.shape == n_events.shape == (len(at),)
+        assert n_events.dtype.kind == "i"
+        w = [1] * n if weights is None else weights
+        for k, t in enumerate(at):
+            assert n_events[k] == sum(e for s, e in zip(times, events) if s == t)
+            want = sum(wi for s, wi in zip(times, w) if s >= t)
+            if weights is None:
+                assert at_risk.dtype.kind == "i" and at_risk[k] == want
+            else:
+                assert at_risk[k] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_hand_table(self):
+        # times 1, 2, 2+, 3 with weights 1, 2, 4, 8
+        at_risk, n_events = risk_sets([2.0, 1.0, 3.0, 2.0], [1, 1, 1, 0], [0.5, 2.0, 2.5, 4.0],
+                                      weights=[2.0, 1.0, 8.0, 4.0])
+        np.testing.assert_array_equal(at_risk, [15.0, 14.0, 8.0, 0.0])
+        np.testing.assert_array_equal(n_events, [0, 1, 0, 0])
 
 
 class TestKaplanMeier:

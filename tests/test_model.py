@@ -9,6 +9,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -826,6 +827,51 @@ class TestPooledStep:
             assert max(started) < k + 4
             time.sleep(0.002)
         assert sorted(started) == list(range(40))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepBodyMemory:
+    """The per-slide bodies work in place in buffers the caller owns; a body
+    that builds fresh (m, H) temporaries instead peaks at 6 to 7 (m, H)
+    arrays in backward and 3 in forward."""
+
+    M, D, H = 1250, 512, 256  # F = H columns of D feed the projections
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    def test_peaks_stay_within_the_in_place_working_set(self, dropout):
+        m, d, h = self.M, self.D, self.H
+        rng = np.random.default_rng(0)
+        xi = rng.standard_normal((m, d)).astype(np.float32)
+        feat = np.sort(rng.choice(d, h, replace=False))
+        v, u = (rng.standard_normal((2, h, h)) * 0.05).astype(np.float32)
+        w = (rng.standard_normal(h) * 0.05).astype(np.float32)
+        keep = rng.random((m, h)) >= dropout if dropout else None
+        acts = np.empty((2, m, h), dtype=np.float32)
+        d_pooled = rng.standard_normal(d).astype(np.float32)
+        forward_args = (xi, feat, v, u, w, keep, dropout, acts[0], acts[1])
+        model_module._forward_slide(*forward_args)  # one-off allocations
+        (alpha, _, tanh_act, gate_act), forward_peak = _traced_peak(
+            model_module._forward_slide, *forward_args)
+        backward_args = (xi, feat, tanh_act, gate_act, keep, alpha, d_pooled, w, dropout)
+        model_module._backward_slide(*backward_args)
+        _, backward_peak = _traced_peak(model_module._backward_slide, *backward_args)
+
+        mh = mf = m * h * 4  # one (m, H) and one (m, F) float32 array
+        # forward: xs (m, F) is freed before the gated output (m, H) and,
+        # under dropout, its scale (m, H) are made; read 1.01 and 2.01 (m, H)
+        assert forward_peak < max(mf, (2 if dropout else 1) * mh) + mh / 2, forward_peak / mh
+        # backward: xs and three (m, H) buffers, with one (m, H) of slack for
+        # the two returned (H, F) terms and the (m,) vectors; read 4.42 (m, H)
+        assert backward_peak < 3 * mh + mf + mh, backward_peak / mh
 
 
 class TestGradCheck:

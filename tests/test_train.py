@@ -198,6 +198,7 @@ class TestTrain:
         _, report = train(cfg, manifest, bags)
         assert report.stopped_epoch == 11
         assert report.best_epoch == 0
+        assert report.saved_epoch == 10  # the checkpoint holds the last epoch run
         vals = {row["val_loss"] for row in report.epochs}
         assert len(vals) == 1
 
@@ -207,6 +208,7 @@ class TestTrain:
         _, report = train(cfg, manifest, bags)
         assert report.stopped_epoch == 3
         assert len(report.epochs) == 3
+        assert report.saved_epoch == 2
 
     def test_task_mismatch_rejected(self, rng):
         manifest, bags = make_survival_corpus(rng)
