@@ -18,7 +18,7 @@ import numpy as np
 from .dataio import SlideBag, SurvivalRecord
 from .errors import ValidationError
 from .fingerprint import RunConfig
-from .metrics import risk_sets
+from .metrics import BreslowTable, breslow_table
 from .model import GatedAttentionMIL
 
 MI_CLAMP_TOLERANCE = 1e-9
@@ -72,17 +72,12 @@ class SurvPrediction:
     attention: np.ndarray | None = None
 
 
-@dataclass
-class BaselineSurvival:
-    """Breslow baseline: log H_0(t), right-continuous, -inf before the first event."""
-
-    event_times: np.ndarray     # ascending distinct event times
-    log_cum_hazard: np.ndarray  # log H_0 at each event time
+class BaselineSurvival(BreslowTable):
+    """Breslow's table of the train risks as a baseline survival function."""
 
     def at(self, times, risks=0.0) -> np.ndarray:
         """S(t | eta) at each time: (T,) for a scalar risk, (K, T) for K risks."""
-        idx = np.searchsorted(self.event_times, np.atleast_1d(times), side="right")
-        log_h = np.concatenate([[-np.inf], self.log_cum_hazard])[idx]
+        log_h = self.log_cum_hazard_at(np.atleast_1d(times))
         with np.errstate(over="ignore"):  # exp overflows to inf, and S to exactly 0
             return np.exp(-np.exp(log_h + np.asarray(risks, dtype=np.float64)[..., None]))
 
@@ -214,19 +209,15 @@ def slide_outputs(model: GatedAttentionMIL, task: str, bags: dict[str, SlideBag]
 
 def estimate_baseline_survival(train_risks: np.ndarray,
                                train_records: list[SurvivalRecord]) -> BaselineSurvival:
-    """Breslow log H_0: H_0(t) = sum over event times <= t of d_i / sum_{at risk} exp(eta)."""
-    eta = np.asarray(train_risks, dtype=np.float64)
+    """Breslow's log H_0 (metrics.breslow_table), summed in log space, so the
+    train risks may spread by any amount."""
     times = np.array([r.time for r in train_records], dtype=np.float64)
     events = np.array([r.event for r in train_records], dtype=int)
-    if len(eta) != len(times):
+    if len(train_risks) != len(times):
         raise ValidationError("risks and records must align")
     if events.sum() == 0:
         raise ValidationError("baseline survival needs at least one event")
-    shift = eta.max()  # weights exp(eta - shift) <= 1 cannot overflow
-    event_times = np.unique(times[events == 1])
-    at_risk, deaths = risk_sets(times, events, event_times, weights=np.exp(eta - shift))
-    return BaselineSurvival(event_times=event_times,
-                            log_cum_hazard=np.log(np.cumsum(deaths / at_risk)) - shift)
+    return BaselineSurvival(**vars(breslow_table(times, events, train_risks)))
 
 
 def predict_survival(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows,

@@ -3,7 +3,8 @@ log-rank, bootstrap CIs, rejection curves.
 
 Every rank statistic counts wins and ties as integers before a single final
 division, so values agree bit-for-bit with brute-force pair enumeration.
-Kaplan-Meier, log-rank and the Breslow baseline count risk sets in risk_sets.
+Kaplan-Meier, log-rank and breslow_table (the Cox loss and the Breslow
+baseline) count risk sets in risk_sets.
 """
 
 from __future__ import annotations
@@ -37,6 +38,19 @@ class KMCurve:
     times: np.ndarray     # distinct event times, ascending
     survival: np.ndarray  # product-limit estimate after each time
     at_risk: np.ndarray   # subjects at risk just before each time
+
+
+@dataclass
+class BreslowTable:
+    event_times: np.ndarray     # distinct event times, ascending
+    deaths: np.ndarray          # events at each time
+    log_at_risk: np.ndarray     # log R(t), R(t) = sum over t_j >= t of exp(eta_j)
+    log_cum_hazard: np.ndarray  # log H_0(t), H_0(t) = sum over s <= t of d(s) / R(s)
+
+    def log_cum_hazard_at(self, times) -> np.ndarray:
+        """log H_0 at each time: right-continuous, -inf before the first event."""
+        idx = np.searchsorted(self.event_times, times, side="right")
+        return np.append(-np.inf, self.log_cum_hazard)[idx]
 
 
 def balanced_accuracy(true_labels, predicted_labels) -> float:
@@ -135,17 +149,29 @@ def concordance_index(times, events, risks) -> float:
     return (wins + 0.5 * ties) / n_pairs
 
 
-def risk_sets(times, events, at, weights=None) -> tuple[np.ndarray, np.ndarray]:
+def risk_sets(times, events, at, log_weights=None) -> tuple[np.ndarray, np.ndarray]:
     """The risk-set table at each query time t in at: the number of subjects
-    with time >= t (the sum of their weights when weights are given) and the
-    number of events at exactly t, from one sort of the times."""
+    with time >= t (with log_weights, log sum exp(log_weights) over them, summed
+    in log space, -inf for none) and the number of events at exactly t."""
     order = np.argsort(times, kind="stable")
     sorted_times = np.asarray(times, dtype=np.float64)[order]
     first, past = (np.searchsorted(sorted_times, at, side=s) for s in ("left", "right"))
-    w = np.ones(len(order), dtype=int) if weights is None else np.asarray(weights)[order]
     events_before = np.append(0, np.cumsum(np.asarray(events)[order] == 1))
-    at_risk = np.append(np.cumsum(w[::-1])[::-1], 0)[first]
+    if log_weights is None:
+        at_risk = len(order) - first
+    else:
+        w = np.asarray(log_weights, dtype=np.float64)[order]
+        at_risk = np.append(np.logaddexp.accumulate(w[::-1])[::-1], -np.inf)[first]
     return at_risk, events_before[past] - events_before[first]
+
+
+def breslow_table(times, events, risks) -> BreslowTable:
+    """Breslow's table at the distinct event times, from one risk_sets sum with
+    log weights eta and a logaddexp accumulation, so any spread of eta holds."""
+    event_times = np.unique(np.asarray(times, dtype=np.float64)[np.asarray(events) == 1])
+    log_at_risk, deaths = risk_sets(times, events, event_times, log_weights=risks)
+    return BreslowTable(event_times, deaths, log_at_risk,
+                        np.logaddexp.accumulate(np.log(deaths) - log_at_risk))
 
 
 def km_curve(times, events) -> KMCurve:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .metrics import breslow_table
 
 PARAM_NAMES = ("attention_v", "attention_u", "attention_w", "head_weight", "head_bias")
 
@@ -471,26 +472,19 @@ def mse_loss(preds: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]
 
 def cox_loss(risk_scores: np.ndarray, times: np.ndarray,
              events: np.ndarray) -> tuple[float, np.ndarray]:
-    """Negative Cox partial log-likelihood, averaged over events, with ties
-    handled by keeping tied times inside each other's risk set."""
+    """Negative Cox partial log-likelihood, averaged over the E events, with
+    ties handled by keeping tied times inside each other's risk set. From
+    metrics.breslow_table: the loss is (sum_s d(s) log R(s) - sum_events eta) / E
+    and its gradient Breslow's martingale residual (exp(eta) H_0(t) - delta) / E,
+    where exp(eta + log H_0(t)) <= E cannot overflow."""
     eta = np.asarray(risk_scores, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events).astype(int)
     n_events = int(events.sum())
     if n_events == 0:
         raise ValidationError("Cox loss needs at least one event in the batch")
-    loss = 0.0
-    d_eta = np.zeros_like(eta)
-    for i in np.flatnonzero(events):
-        at_risk = times >= times[i]
-        shift = eta[at_risk].max()
-        lse = shift + np.log(np.exp(eta[at_risk] - shift).sum())
-        loss += lse - eta[i]
-        soft = np.where(at_risk, np.exp(eta - lse), 0.0)
-        d_eta += soft
-        d_eta[i] -= 1.0
-    loss /= n_events
-    d_eta /= n_events
+    table = breslow_table(times, events, eta)
+    loss = (table.deaths @ table.log_at_risk - eta[events == 1].sum()) / n_events
+    d_eta = (np.exp(eta + table.log_cum_hazard_at(times)) - events) / n_events
     return float(loss), d_eta.astype(risk_scores.dtype)
 
 

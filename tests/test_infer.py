@@ -333,6 +333,15 @@ class TestBaselineSurvival:
         base = estimate_baseline_survival(np.zeros(3), records)
         np.testing.assert_allclose(base.survival, [math.exp(-2 / 3)], atol=1e-15)
 
+    def test_risks_800_apart_fit_without_warning(self):
+        # exp(eta - max eta) underflows to 0 at eta = -800; the log-space
+        # at-risk sums keep log R(2) = -800, so log H_0(2) = log(1 + e^800)
+        records = [SurvivalRecord(time=1.0, event=1),
+                   SurvivalRecord(time=2.0, event=1)]
+        base = estimate_baseline_survival(np.array([0.0, -800.0]), records)
+        np.testing.assert_allclose(base.log_cum_hazard, [0.0, 800.0], rtol=1e-15)
+        assert base.at(2.0, -800.0)[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+
     def test_no_events_rejected(self):
         with pytest.raises(ValidationError):
             estimate_baseline_survival(np.zeros(2),

@@ -232,6 +232,21 @@ _GRID_TIMES = st.integers(1, 12).map(lambda k: k / 2)
 _QUERY_TIMES = st.one_of(_GRID_TIMES, st.floats(-1.0, 8.0, allow_nan=False))
 
 
+def _log_sum_exp(log_weights):
+    """log(sum(exp(w))) by brute force: the largest term factored out, and
+    the rest summed exactly by fsum inside log1p; -inf for no mass."""
+    if not log_weights or max(log_weights) == -math.inf:
+        return -math.inf
+    rest = sorted(log_weights)
+    top = rest.pop()
+    return top + math.log1p(math.fsum(math.exp(w - top) for w in rest))
+
+
+# log weights over a range whose exp would overflow and underflow, and -inf
+# for a zero weight
+_LOG_WEIGHTS = st.one_of(st.just(-math.inf), st.floats(-800.0, 800.0, allow_nan=False))
+
+
 class TestRiskSets:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -240,25 +255,26 @@ class TestRiskSets:
         times = data.draw(st.lists(_GRID_TIMES, min_size=n, max_size=n))
         events = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         at = data.draw(st.lists(_QUERY_TIMES, max_size=10))
-        weights = data.draw(st.none() | st.lists(
-            st.floats(0.0, 1e3, allow_nan=False), min_size=n, max_size=n))
-        at_risk, n_events = risk_sets(times, events, at, weights)
+        log_weights = data.draw(st.none() | st.lists(_LOG_WEIGHTS, min_size=n, max_size=n))
+        at_risk, n_events = risk_sets(times, events, at, log_weights)
         assert at_risk.shape == n_events.shape == (len(at),)
         assert n_events.dtype.kind == "i"
-        w = [1] * n if weights is None else weights
         for k, t in enumerate(at):
             assert n_events[k] == sum(e for s, e in zip(times, events) if s == t)
-            want = sum(wi for s, wi in zip(times, w) if s >= t)
-            if weights is None:
+            if log_weights is None:
+                want = sum(1 for s in times if s >= t)
                 assert at_risk.dtype.kind == "i" and at_risk[k] == want
             else:
+                want = _log_sum_exp([w for s, w in zip(times, log_weights) if s >= t])
                 assert at_risk[k] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_hand_table(self):
-        # times 1, 2, 2+, 3 with weights 1, 2, 4, 8
-        at_risk, n_events = risk_sets([2.0, 1.0, 3.0, 2.0], [1, 1, 1, 0], [0.5, 2.0, 2.5, 4.0],
-                                      weights=[2.0, 1.0, 8.0, 4.0])
-        np.testing.assert_array_equal(at_risk, [15.0, 14.0, 8.0, 0.0])
+        # times 1, 2, 2+, 3, 3+ with weights 1, 2, 4, 8, 0
+        at_risk, n_events = risk_sets(
+            [2.0, 1.0, 3.0, 2.0, 3.0], [1, 1, 1, 0, 0], [0.5, 2.0, 2.5, 4.0],
+            log_weights=[math.log(2.0), 0.0, math.log(8.0), math.log(4.0), -math.inf])
+        np.testing.assert_allclose(at_risk, [math.log(15.0), math.log(14.0), math.log(8.0),
+                                             -math.inf], rtol=1e-15)
         np.testing.assert_array_equal(n_events, [0, 1, 0, 0])
 
 

@@ -521,15 +521,20 @@ class TestMse:
 
 
 def _cox_reference(eta, times, events):
-    """Straight-line Breslow partial likelihood, mean over events."""
+    """Straight-line Breslow partial likelihood, mean over events, and its
+    gradient: per event, the softmax over its risk set, minus 1 at the event."""
     eta = np.asarray(eta, dtype=np.float64)
     terms = []
+    grad = np.zeros_like(eta)
     for i in range(len(eta)):
         if events[i] != 1:
             continue
-        risk_set = eta[times >= times[i]]
-        terms.append(eta[i] - math.log(np.exp(risk_set).sum()))
-    return -float(np.mean(terms))
+        at_risk = times >= times[i]
+        mass = np.exp(eta[at_risk])
+        terms.append(eta[i] - math.log(mass.sum()))
+        grad[at_risk] += mass / mass.sum()
+        grad[i] -= 1.0
+    return -float(np.mean(terms)), grad / len(terms)
 
 
 class TestCoxLoss:
@@ -541,17 +546,33 @@ class TestCoxLoss:
         loss, _ = cox_loss(np.zeros(4), times, events)
         assert loss == pytest.approx(math.log(4), abs=1e-12)
 
-    def test_matches_reference_loops(self):
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_reference_loops(self, tied):
         rng = np.random.default_rng(5)
         for _ in range(25):
             n = int(rng.integers(2, 30))
             eta = rng.standard_normal(n)
             times = rng.exponential(1.0, n) + 0.01
+            if tied:
+                times = np.round(times, 1)
             events = (rng.random(n) < 0.6).astype(int)
             if events.sum() == 0:
                 events[int(rng.integers(n))] = 1
-            loss, _ = cox_loss(eta, times, events)
-            assert loss == pytest.approx(_cox_reference(eta, times, events), abs=1e-10)
+            loss, grad = cox_loss(eta, times, events)
+            want_loss, want_grad = _cox_reference(eta, times, events)
+            assert loss == pytest.approx(want_loss, abs=1e-10)
+            np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+
+    def test_risks_2000_apart_without_warning(self):
+        # the event at t=1 has eta = 1000, so a later risk set's log-sum sits
+        # 1000 below it and exp(eta - log-sum) would overflow; the gradient is
+        # exp(eta + log H_0(t)) <= E instead
+        eta = np.array([1000.0, -1000.0, 3.0, 0.0])
+        loss, grad = cox_loss(eta, np.arange(1.0, 5.0), np.array([1, 1, 0, 1]))
+        e3 = math.exp(3.0)
+        assert loss == pytest.approx((1000.0 + math.log(e3 + 1.0)) / 3, rel=1e-15)  # 334.3495...
+        np.testing.assert_allclose(grad, [0.0, -1 / 3, e3 / (e3 + 1) / 3, 1 / (e3 + 1) / 3],
+                                   rtol=1e-14, atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
