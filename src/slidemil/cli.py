@@ -21,6 +21,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -147,8 +148,7 @@ def cmd_plan(args) -> int:
     fp = DataFingerprint.from_json(args.fingerprint)
     overrides = dict(_parse_override(o) for o in args.override or [])
     config = derive_config(fp, overrides=overrides)
-    width, stride = inference.window_grid(config, fp.embed_dim)
-    n_windows = inference.window_count(fp.embed_dim, width, stride)
+    n_windows = inference.inference_windows(config, fp.embed_dim).n_chunks
     out = _out_dir(args)
     config.to_json(out / "config.json")
     _write_run_manifest(args, args.fingerprint, config.seed)
@@ -164,7 +164,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     ckpt_path = out / "checkpoint.ckpt"
     checkpoint, report = train(config, manifest, bags, checkpoint_path=ckpt_path)
-    dataio.write_json(report.to_dict(), out / "train_report.json")
+    dataio.write_json(asdict(report), out / "train_report.json")
     _write_run_manifest(args, args.config, config.seed)
     last = report.epochs[-1]
     print(f"trained {report.stopped_epoch} epochs "
@@ -265,27 +265,27 @@ def cmd_evaluate(args) -> int:
 
     if manifest.task == "classification":
         pred_cls = _column(preds, "predicted_class", int)
-        report["balanced_accuracy"] = metrics.bootstrap_ci(
-            metrics.balanced_accuracy, (truth, pred_cls), seed=args.seed).to_dict()
+        report["balanced_accuracy"] = asdict(metrics.bootstrap_ci(
+            metrics.balanced_accuracy, (truth, pred_cls), seed=args.seed))
         kappa = lambda t, p: metrics.cohens_kappa(t, p, weighting=args.kappa_weighting)
-        report["cohens_kappa"] = metrics.bootstrap_ci(kappa, (truth, pred_cls),
-                                                      seed=args.seed).to_dict()
+        report["cohens_kappa"] = asdict(metrics.bootstrap_ci(kappa, (truth, pred_cls),
+                                                             seed=args.seed))
         report["kappa_weighting"] = args.kappa_weighting
         if manifest.n_classes == 2:
             scores = _column(preds, "mean_probs", np.float64, index=1)
-            report["auc"] = metrics.bootstrap_ci(metrics.auc, (truth, scores),
-                                                 seed=args.seed).to_dict()
+            report["auc"] = asdict(metrics.bootstrap_ci(metrics.auc, (truth, scores),
+                                                        seed=args.seed))
     elif manifest.task == "regression":
         pred_val = _column(preds, "mean_value", np.float64)
-        report["pearson_r"] = metrics.bootstrap_ci(metrics.pearson_r, (truth, pred_val),
-                                                   seed=args.seed).to_dict()
-        report["mse"] = metrics.bootstrap_ci(metrics.mean_squared_error,
-                                             (truth, pred_val), seed=args.seed).to_dict()
+        report["pearson_r"] = asdict(metrics.bootstrap_ci(metrics.pearson_r, (truth, pred_val),
+                                                          seed=args.seed))
+        report["mse"] = asdict(metrics.bootstrap_ci(metrics.mean_squared_error,
+                                                    (truth, pred_val), seed=args.seed))
     else:
         times, events = truth
         risks = _column(preds, "risk", np.float64)
-        report["concordance_index"] = metrics.bootstrap_ci(
-            metrics.concordance_index, (times, events, risks), seed=args.seed).to_dict()
+        report["concordance_index"] = asdict(metrics.bootstrap_ci(
+            metrics.concordance_index, (times, events, risks), seed=args.seed))
         median_risk = float(np.median(risks))
         high = risks > median_risk
         if high.any() and (~high).any():

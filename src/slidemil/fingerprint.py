@@ -3,9 +3,9 @@
 Rules: bag size M = max(1, round(median patch count / 2)); attention hidden
 size H = min(256, D); inference stride S = max(1, H // 4); batch size 32;
 dropout 0.25; AdamW lr 3e-4 (1e-4 for survival) with weight decay 1e-4;
-5 warmup epochs, up to 100 epochs, patience 10; seed 42. The window set
-comes from ``inference.chunk_windows``, and its size K from
-``inference.window_count``.
+5 warmup epochs, up to 100 epochs, patience 10; seed 42. The windows and
+their number K come from the grid ``inference.inference_windows`` returns
+(``model.ChunkWindows``).
 Overrides must keep S <= H, so that the windows cover every feature.
 """
 

@@ -19,18 +19,9 @@ from .dataio import SlideBag, SurvivalRecord
 from .errors import ValidationError
 from .fingerprint import RunConfig
 from .metrics import BreslowTable, breslow_table
-from .model import GatedAttentionMIL
+from .model import ChunkWindows, GatedAttentionMIL
 
 MI_CLAMP_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class ChunkWindows:
-    windows: tuple[tuple[int, int], ...]  # ordered [start, end) ranges
-
-    @property
-    def n_chunks(self) -> int:
-        return len(self.windows)
 
 
 @dataclass
@@ -81,40 +72,18 @@ class BaselineSurvival(BreslowTable):
         with np.errstate(over="ignore"):  # exp overflows to inf, and S to exactly 0
             return np.exp(-np.exp(log_h + np.asarray(risks, dtype=np.float64)[..., None]))
 
-    @property
-    def survival(self) -> np.ndarray:  # S_0 at each event time
-        return self.at(self.event_times)
-
-
-def window_count(embed_dim: int, hidden_dim: int, stride: int) -> int:
-    """K, the number of windows chunk_windows(embed_dim, hidden_dim, stride)
-    lists, without listing them."""
-    if hidden_dim > embed_dim:
-        raise ValidationError(f"window width {hidden_dim} exceeds embed_dim {embed_dim}")
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
-    span = embed_dim - hidden_dim
-    return span // stride + 1 + (span % stride != 0)
-
 
 def chunk_windows(embed_dim: int, hidden_dim: int, stride: int) -> ChunkWindows:
-    """Starts 0, S, 2S, ... D-H, plus a clamped final window when (D-H) % S != 0."""
-    last = embed_dim - hidden_dim
-    starts = (min(k * stride, last) for k in range(window_count(embed_dim, hidden_dim, stride)))
-    return ChunkWindows(windows=tuple((s, s + hidden_dim) for s in starts))
-
-
-def window_grid(config: RunConfig, embed_dim: int) -> tuple[int, int]:
-    """(width, stride) of the windows a run config implies; the batch-1
-    ablation sees one full window."""
-    if config.training_mode == "full_bag_batch1":
-        return embed_dim, 1
-    return config.hidden_dim, config.stride
+    """The grid of windows of width hidden_dim at the given stride over embed_dim features."""
+    return ChunkWindows(embed_dim, hidden_dim, stride)
 
 
 def inference_windows(config: RunConfig, embed_dim: int) -> ChunkWindows:
-    """Window set implied by a run config."""
-    return chunk_windows(embed_dim, *window_grid(config, embed_dim))
+    """The window grid a run config implies; the batch-1 ablation sees one
+    full window."""
+    if config.training_mode == "full_bag_batch1":
+        return ChunkWindows(embed_dim, embed_dim, 1)
+    return ChunkWindows(embed_dim, config.hidden_dim, config.stride)
 
 
 def ensemble_outputs(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows,
@@ -122,7 +91,7 @@ def ensemble_outputs(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWind
     """Raw per-window head outputs (K, n_outputs) on the full bag, dropout off.
 
     forward_windows rejects a bag whose embed_dim is not the model's."""
-    outputs, attention = model.forward_windows(bag.embeddings, windows.windows)
+    outputs, attention = model.forward_windows(bag.embeddings, windows)
     outputs = outputs.astype(np.float64)
     if return_attention:
         return outputs, attention.mean(axis=0, dtype=np.float64)

@@ -10,7 +10,7 @@ baseline) count risk sets in risk_sets.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +28,6 @@ class BootstrapResult:
     ci_low: float
     ci_high: float
     n_replicates: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -53,17 +50,25 @@ class BreslowTable:
         return np.append(-np.inf, self.log_cum_hazard)[idx]
 
 
-def balanced_accuracy(true_labels, predicted_labels) -> float:
-    """Mean per-class recall over the classes present in the truth."""
+def confusion_counts(true_labels, predicted_labels) -> np.ndarray:
+    """Counts (C, C) of each (true, predicted) pair, rows = truth, over the C
+    categories that occur in either array, in ascending order."""
     truth = np.asarray(true_labels, dtype=int)
     pred = np.asarray(predicted_labels, dtype=int)
     if truth.shape != pred.shape or truth.size == 0:
         raise MetricUndefinedError("need aligned, nonempty label arrays")
-    recalls = []
-    for c in np.unique(truth):
-        in_class = truth == c
-        recalls.append(np.mean(pred[in_class] == c))
-    return float(np.mean(recalls))
+    cats, codes = np.unique(np.concatenate([truth.ravel(), pred.ravel()]), return_inverse=True)
+    n_cat = len(cats)
+    pairs = codes[:truth.size] * n_cat + codes[truth.size:]
+    return np.bincount(pairs, minlength=n_cat * n_cat).reshape(n_cat, n_cat)
+
+
+def balanced_accuracy(true_labels, predicted_labels) -> float:
+    """Mean per-class recall over the classes present in the truth."""
+    counts = confusion_counts(true_labels, predicted_labels)
+    support = counts.sum(axis=1)
+    present = support > 0
+    return float(np.mean(np.diag(counts)[present] / support[present]))
 
 
 def auc(labels, scores) -> float:
@@ -86,17 +91,9 @@ def cohens_kappa(true_labels, predicted_labels, weighting: str = "none") -> floa
     """Agreement beyond chance; weighting 'none' or 'quadratic'."""
     if weighting not in ("none", "quadratic"):
         raise ValidationError(f"unknown kappa weighting {weighting!r}")
-    truth = np.asarray(true_labels, dtype=int)
-    pred = np.asarray(predicted_labels, dtype=int)
-    if truth.shape != pred.shape or truth.size == 0:
-        raise MetricUndefinedError("need aligned, nonempty label arrays")
-    cats = np.unique(np.concatenate([truth, pred]))
-    n_cat = len(cats)
-    index = {c: i for i, c in enumerate(cats)}
-    observed = np.zeros((n_cat, n_cat), dtype=np.float64)
-    for t, p in zip(truth, pred):
-        observed[index[t], index[p]] += 1.0
-    observed /= truth.size
+    counts = confusion_counts(true_labels, predicted_labels)
+    n_cat = len(counts)
+    observed = counts / counts.sum()
     expected = np.outer(observed.sum(axis=1), observed.sum(axis=0))
     if weighting == "none":
         weights = 1.0 - np.eye(n_cat)

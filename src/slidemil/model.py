@@ -210,27 +210,55 @@ ROW_TILE = 128
 MAX_BLOCKS_PER_WINDOW = 16
 
 
-def _window_blocks(windows) -> list[tuple[tuple[int, int], ...]]:
-    """Column blocks [b, e) whose sum makes up each window [start, end).
+@dataclass(frozen=True)
+class ChunkWindows:
+    """The window grid: feature windows [start, end) of width H (width) at
+    stride S over D (embed_dim) features, starting at 0, S, 2S, ... D-H, plus
+    a clamped final window at D-H when (D-H) % S != 0."""
+    embed_dim: int
+    width: int
+    stride: int
 
-    The block width g is gcd(width, step) of the first window and the step
-    between the first two starts. A window whose start and width are
-    multiples of g is split into g-wide blocks; any other window (a clamped
-    final window, a lone full-width window) is one block of its own width,
-    and so is every window when the split gives more than
-    MAX_BLOCKS_PER_WINDOW blocks. That cutoff is timed: on one 2500x1536
-    float32 bag with H=256 (one BLAS thread, 2 MB L2), forward_windows with
-    block sums against one block per window ran 1.5x faster at S=128
-    (2 blocks), 1.7x at S=64 (4), 1.6x at S=32 (8), 1.4x at S=16 (16) and
-    0.83x at S=8 (32), where the adds outweigh the products they save.
-    """
-    start, end = windows[0]
-    g = math.gcd(end - start, windows[1][0] - start) if len(windows) > 1 else end - start
-    if (end - start) // g > MAX_BLOCKS_PER_WINDOW:
-        g = end - start
-    return [tuple((b, b + g) for b in range(s, e, g)) if s % g == 0 and (e - s) % g == 0
-            else ((s, e),)
-            for s, e in windows]
+    def __post_init__(self):
+        if self.width > self.embed_dim:
+            raise ValidationError(f"window width {self.width} exceeds embed_dim {self.embed_dim}")
+        if self.stride < 1:
+            raise ValidationError("stride must be >= 1")
+
+    @property
+    def n_chunks(self) -> int:
+        """K, counted without listing the windows."""
+        span = self.embed_dim - self.width
+        return span // self.stride + 1 + (span % self.stride != 0)
+
+    @functools.cached_property
+    def windows(self) -> tuple[tuple[int, int], ...]:
+        last = self.embed_dim - self.width
+        return tuple((s, s + self.width)
+                     for s in (min(k * self.stride, last) for k in range(self.n_chunks)))
+
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Column blocks [b, e) whose sum makes up each window, in window order.
+
+        The block width g is gcd(width, step), where step = min(stride,
+        embed_dim - width) is the distance between the first two starts. A
+        window whose start is a multiple of g is split into g-wide blocks;
+        any other window (a clamped final window) is one block of its own
+        width, and so is every window when there is only one or the split
+        gives more than MAX_BLOCKS_PER_WINDOW blocks. That cutoff is timed:
+        on one 2500x1536 float32 bag with H=256 (one BLAS thread, 2 MB L2),
+        forward_windows with block sums against one block per window ran
+        1.5x faster at S=128 (2 blocks), 1.7x at S=64 (4), 1.6x at S=32 (8),
+        1.4x at S=16 (16) and 0.83x at S=8 (32), where the adds outweigh the
+        products they save.
+        """
+        h = self.width
+        g = math.gcd(h, min(self.stride, self.embed_dim - h)) if self.n_chunks > 1 else h
+        if h // g > MAX_BLOCKS_PER_WINDOW:
+            g = h
+        return tuple(tuple((b, b + g) for b in range(s, e, g)) if s % g == 0 else ((s, e),)
+                     for s, e in self.windows)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple, dtype) -> np.ndarray:
@@ -351,19 +379,19 @@ class GatedAttentionMIL:
         return ForwardResult(outputs=outputs, attention=attention, cache=cache)
 
     def forward_windows(self, embeddings: np.ndarray,
-                        windows) -> tuple[np.ndarray, np.ndarray]:
+                        windows: ChunkWindows) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode outputs (K, n_outputs) and attention (K, N) of one full bag
-        (N, D) under each feature window [start, end).
+        (N, D) under each feature window [start, end) of the grid.
 
         The bag must be finite, which is checked when its SlideBag is built
         and not again here; it is never copied. Each window's projections
         x[:, window] @ [V; U/2][:, window].T are the sum of its column
-        blocks' products (_window_blocks); the bag is walked in ROW_TILE-row
-        tiles, spread over ensemble_workers() threads, and in each tile a
-        block's product is computed once and kept in a ring while the
-        windows that contain it pass. The
-        gate uses sigmoid(z) = (1 + tanh(z/2)) / 2, so one tanh covers both
-        halves of a product, and the logits
+        blocks' products, in the block plan the grid builds once
+        (ChunkWindows.blocks); the bag is walked in ROW_TILE-row tiles,
+        spread over ensemble_workers() threads, and in each tile a block's
+        product is computed once and kept in a ring while the windows that
+        contain it pass. The gate uses sigmoid(z) = (1 + tanh(z/2)) / 2, so
+        one tanh covers both halves of a product, and the logits
         w @ (tanh(xV) * sigmoid(xU)) are [w/2; w/2] @ [t; t * tanh(xU/2)]
         with t = tanh(xV): one GEMV, no exp, nothing to overflow. Halving is
         exact in binary floating point. Block sums and the tanh form round
@@ -378,7 +406,7 @@ class GatedAttentionMIL:
         half = self.dtype.type(0.5)
         w2 = np.concatenate([self.params["attention_w"], self.params["attention_w"]]) * half
         v, u = self.params["attention_v"], self.params["attention_u"]
-        plan = _window_blocks(windows)
+        plan = windows.blocks
         # each distinct block of [V; U/2] is built once, without the whole matrix
         block_weights = {b: np.concatenate([v[:, b[0]:b[1]], u[:, b[0]:b[1]] * half])
                          for b in dict.fromkeys(b for blocks in plan for b in blocks)}
@@ -407,7 +435,7 @@ class GatedAttentionMIL:
         mask = np.ones((1, n), dtype=bool)
         results = [self.forward(x[None], mask, np.arange(start, end),
                                 attention_logits=logits[k][None])
-                   for k, (start, end) in enumerate(windows)]
+                   for k, (start, end) in enumerate(windows.windows)]
         return (np.concatenate([r.outputs for r in results]),
                 np.concatenate([r.attention for r in results]))
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +130,6 @@ class TrainReport:
     saved_epoch: int | None = None  # whose parameters the checkpoint holds
     best_val_loss: float | None = None
     notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def build_model(checkpoint: Checkpoint) -> GatedAttentionMIL:

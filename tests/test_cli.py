@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import slidemil
-from slidemil import inference
 from slidemil import model as model_module
 from slidemil.cli import main
 from slidemil.dataio import load_bag_shapes, load_manifest
@@ -492,12 +491,24 @@ class TestPlanWindowCount:
         # D=70, H=16, S=4: starts 0, 4, ..., 52 and the clamped 54
         assert "K=15" in self._plan(tmp_path, capsys)
 
-    def test_counts_without_listing_windows(self, tmp_path, capsys, monkeypatch):
-        def listed(*args):
-            raise AssertionError("plan listed the windows to count them")
+    def _never_list(self, monkeypatch):
+        monkeypatch.setattr(model_module.ChunkWindows, "windows", property(
+            lambda grid: pytest.fail("plan listed the windows to count them")))
 
-        monkeypatch.setattr(inference, "chunk_windows", listed)
+    def test_counts_without_listing_windows(self, tmp_path, capsys, monkeypatch):
+        self._never_list(monkeypatch)
         assert "K=15" in self._plan(tmp_path, capsys)
+
+    def test_counts_at_the_largest_header_dimension(self, tmp_path, capsys, monkeypatch):
+        # H=256, S=64: 67,108,860 aligned starts and the clamped D - H, which
+        # would take minutes and gigabytes to list
+        self._plan(tmp_path, capsys)
+        fingerprint = _edited(tmp_path / "fp" / "fingerprint.json", tmp_path,
+                              embed_dim=2**32 - 1)
+        self._never_list(monkeypatch)
+        assert main(["plan", "--fingerprint", str(fingerprint),
+                     "--out", str(tmp_path / "wide")]) == 0
+        assert "H=256, S=64, K=67108861)" in capsys.readouterr().out
 
     def test_full_bag_mode_is_one_window(self, tmp_path, capsys):
         assert "K=1)" in self._plan(tmp_path, capsys,
@@ -727,6 +738,41 @@ class TestEnsembleWorkerCount:
                                   ("checkpoint.ckpt", "train_report.json",
                                    "predictions.jsonl", "patients.jsonl")}
         assert artifacts[2] == artifacts[1]
+
+    def test_train_bytes_do_not_depend_on_the_blas_thread_setting(self, tmp_path):
+        # each train runs in its own process, so BLAS itself starts with the
+        # thread count set, and the worker count follows from it
+        spec = _write_spec(tmp_path / "spec.json", task="survival", n_bags=40,
+                           patches_per_bag_range=[200, 300], embed_dim=256,
+                           censoring_rate=0.3)
+        data, plan = tmp_path / "data", tmp_path / "plan"
+        manifest = data / "manifest.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+        assert main(["fingerprint", "--manifest", str(manifest), "--data-dir", str(data),
+                     "--out", str(tmp_path / "fp")]) == 0
+        assert main(["plan", "--fingerprint", str(tmp_path / "fp" / "fingerprint.json"),
+                     "--override", "max_epochs=3", "--override", "batch_size=8",
+                     "--out", str(plan)]) == 0
+        runs = {}
+        for blas_threads in ("1", "2", None):
+            env = {var: value for var, value in os.environ.items()
+                   if var not in BLAS_THREAD_VARS}
+            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            if blas_threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas_threads
+            out = tmp_path / f"blas{blas_threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "slidemil", "train", "--manifest", str(manifest),
+                 "--data-dir", str(data), "--config", str(plan / "config.json"),
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            workers = json.loads((out / "run_manifest.json").read_text())["ensemble_workers"]
+            runs[blas_threads] = workers, [(out / name).read_bytes() for name in
+                                           ("checkpoint.ckpt", "train_report.json")]
+        if len(os.sched_getaffinity(0)) > 1:  # one CPU gives one worker in every run
+            assert len({workers for workers, _ in runs.values()}) > 1
+        assert runs["1"][1] == runs["2"][1] == runs[None][1]
 
 
 class TestFullBagMode:

@@ -26,7 +26,6 @@ from slidemil.inference import (
     predict_regression,
     predict_survival,
     prediction_to_json,
-    window_count,
 )
 from slidemil.model import GatedAttentionMIL
 
@@ -71,18 +70,20 @@ class TestChunkWindows:
         cw = chunk_windows(20, 8, 5)
         assert cw.windows == ((0, 8), (5, 13), (10, 18), (12, 20))
 
-    def test_window_count_matches_listed_windows(self):
+    def test_n_chunks_matches_listed_windows(self):
         # every grid up to D=40, including H == D and clamped final windows
         for d in range(1, 41):
             for h in range(1, d + 1):
                 for s in range(1, d + 1):
                     starts = sorted(set(range(0, d - h + 1, s)) | {d - h})
                     assert chunk_windows(d, h, s).windows == tuple((a, a + h) for a in starts)
-                    assert window_count(d, h, s) == len(starts)
+                    assert chunk_windows(d, h, s).n_chunks == len(starts)
 
-    def test_window_count_at_the_largest_header_dimension(self):
+    def test_n_chunks_at_the_largest_header_dimension(self):
         d = 2**32 - 1  # 67,108,860 aligned starts and the clamped D - H
-        assert window_count(d, 256, 64) == (d - 256) // 64 + 2
+        grid = chunk_windows(d, 256, 64)
+        assert grid.n_chunks == (d - 256) // 64 + 2
+        assert "windows" not in vars(grid)  # counted, not listed
 
     def test_window_wider_than_embedding_rejected(self):
         with pytest.raises(ValidationError):
@@ -179,6 +180,15 @@ class TestEnsembleOutputs:
                        for s, e in wins.windows], axis=0, dtype=np.float64)
         assert_window_close(att, ref, m.dtype)
 
+    def test_one_grid_keeps_one_block_plan(self, rng):
+        m = _model()
+        wins = chunk_windows(8, 4, 2)
+        assert "blocks" not in vars(wins)
+        ensemble_outputs(m, make_bag(rng, 5, 8), wins)
+        plan = vars(wins)["blocks"]  # built by the first bag's pass
+        ensemble_outputs(m, make_bag(rng, 6, 8), wins)
+        assert vars(wins)["blocks"] is plan
+
     def test_dim_mismatch_rejected(self, rng):
         m = _model(d=8)
         bag = make_bag(rng, 5, 6)
@@ -218,7 +228,8 @@ class TestPredictClassification:
                               2: np.array([-1.0, 1.0]),
                               4: np.array([-1.0, 1.0])}
                 _, attention = super().forward_windows(x, windows)
-                return np.stack([logit_rows[start] for start, _ in windows]), attention
+                return (np.stack([logit_rows[start] for start, _ in windows.windows]),
+                        attention)
 
         stub = Stub(6, 2, 2)
         stub.init_params(np.random.default_rng(0))
@@ -298,7 +309,7 @@ class TestBaselineSurvival:
                    SurvivalRecord(time=3.0, event=0)]
         base = estimate_baseline_survival(np.zeros(3), records)
         np.testing.assert_array_equal(base.event_times, [1.0, 2.0])
-        np.testing.assert_allclose(base.survival,
+        np.testing.assert_allclose(base.at(base.event_times),
                                    [math.exp(-1 / 3), math.exp(-(1 / 3 + 1 / 2))],
                                    atol=1e-15)
 
@@ -308,7 +319,7 @@ class TestBaselineSurvival:
         eta = np.array([math.log(2.0), math.log(3.0)])
         base = estimate_baseline_survival(eta, records)
         # at-risk mass at t=1 is 2 + 3 = 5
-        np.testing.assert_allclose(base.survival, [math.exp(-1 / 5)], atol=1e-15)
+        np.testing.assert_allclose(base.at(base.event_times), [math.exp(-1 / 5)], atol=1e-15)
 
     def test_before_first_event_survival_is_one(self):
         records = [SurvivalRecord(time=5.0, event=1)]
@@ -331,7 +342,7 @@ class TestBaselineSurvival:
                    SurvivalRecord(time=1.0, event=1),
                    SurvivalRecord(time=2.0, event=0)]
         base = estimate_baseline_survival(np.zeros(3), records)
-        np.testing.assert_allclose(base.survival, [math.exp(-2 / 3)], atol=1e-15)
+        np.testing.assert_allclose(base.at(base.event_times), [math.exp(-2 / 3)], atol=1e-15)
 
     def test_risks_800_apart_fit_without_warning(self):
         # exp(eta - max eta) underflows to 0 at eta = -800; the log-space
@@ -439,7 +450,7 @@ class TestPredictionAttention:
         else:
             base = estimate_baseline_survival(np.zeros(1), [SurvivalRecord(time=1.0, event=1)])
             pred = predict_survival(m, bag, wins, base, [1.0])
-        _, attention = m.forward_windows(bag.embeddings, wins.windows)
+        _, attention = m.forward_windows(bag.embeddings, wins)
         assert np.array_equal(pred.attention, attention.mean(axis=0, dtype=np.float64))
         np.testing.assert_allclose(pred.attention.sum(), 1.0, atol=1e-12)
 

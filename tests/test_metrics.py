@@ -17,6 +17,7 @@ from slidemil.metrics import (
     bootstrap_ci,
     cohens_kappa,
     concordance_index,
+    confusion_counts,
     km_curve,
     logrank_test,
     mean_squared_error,
@@ -84,6 +85,26 @@ class TestBalancedAccuracy:
     def test_empty_undefined(self):
         with pytest.raises(MetricUndefinedError):
             balanced_accuracy([], [])
+
+    def test_matches_per_class_loop(self, rng):
+        # categories may be missing from either side
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            truth = rng.integers(0, 5, n)
+            pred = rng.integers(-1, 4, n)
+            recalls = [np.mean(pred[truth == c] == c) for c in np.unique(truth)]
+            assert balanced_accuracy(truth, pred) == float(np.mean(recalls))
+
+
+class TestConfusionCounts:
+    def test_hand_table(self):
+        # categories 0, 2, 5 in ascending order; 5 occurs only as a prediction
+        counts = confusion_counts([0, 2, 2, 2], [2, 2, 5, 2])
+        np.testing.assert_array_equal(counts, [[0, 1, 0], [0, 2, 1], [0, 0, 0]])
+
+    def test_misaligned_undefined(self):
+        with pytest.raises(MetricUndefinedError):
+            confusion_counts([0, 1], [0])
 
 
 def _kappa_reference(truth, pred, weighting):

@@ -27,7 +27,6 @@ from slidemil.model import (
     ROW_TILE,
     GatedAttentionMIL,
     _perturbed_losses,
-    _window_blocks,
     cox_loss,
     cross_entropy_loss,
     ensemble_workers,
@@ -240,8 +239,8 @@ class TestForward:
 
 @st.composite
 def _window_cases(draw):
-    """(model, bag (N, D), windows): N down to 1, H <= D, any stride S, so the
-    final window is clamped whenever (D - H) % S != 0."""
+    """(model, bag (N, D), window grid): N down to 1, H <= D, any stride S, so
+    the final window is clamped whenever (D - H) % S != 0."""
     d = draw(st.integers(1, 40))
     h = draw(st.integers(1, d))
     stride = draw(st.integers(1, d))
@@ -251,13 +250,13 @@ def _window_cases(draw):
     m = GatedAttentionMIL(d, h, draw(st.integers(1, 3)), dtype=dtype)
     m.init_params(rng)
     x = (rng.standard_normal((n, d)) * draw(st.sampled_from([0.1, 1.0, 10.0]))).astype(dtype)
-    return m, x, chunk_windows(d, h, stride).windows
+    return m, x, chunk_windows(d, h, stride)
 
 
 def _per_window_forward(m, x, windows):
-    """(outputs (K, C), attention (K, N)) of one forward() call per window."""
+    """(outputs (K, C), attention (K, N)) of one forward() call per window of the grid."""
     mask = np.ones((1, x.shape[0]), dtype=bool)
-    refs = [m.forward(x[None], mask, np.arange(start, end)) for start, end in windows]
+    refs = [m.forward(x[None], mask, np.arange(start, end)) for start, end in windows.windows]
     return (np.concatenate([r.outputs for r in refs]),
             np.concatenate([r.attention for r in refs]))
 
@@ -270,7 +269,7 @@ class TestForwardWindows:
         outputs, attention = m.forward_windows(x, windows)
         ref_outputs, ref_attention = _per_window_forward(m, x, windows)
         assert outputs.shape == ref_outputs.shape and attention.shape == ref_attention.shape
-        for k in range(len(windows)):
+        for k in range(windows.n_chunks):
             assert_window_close(outputs[k], ref_outputs[k], m.dtype)
             assert_window_close(attention[k], ref_attention[k], m.dtype)
 
@@ -279,10 +278,10 @@ class TestForwardWindows:
     def test_block_split_covers_each_window_once(self, d, data):
         h = data.draw(st.integers(1, d))
         stride = data.draw(st.integers(1, d))
-        for windows in (chunk_windows(d, h, stride).windows, ((0, d),)):
-            plan = _window_blocks(windows)
-            assert len(plan) == len(windows)
-            for (start, end), blocks in zip(windows, plan):
+        for grid in (chunk_windows(d, h, stride), chunk_windows(d, d, 1)):
+            plan = grid.blocks
+            assert len(plan) == grid.n_chunks
+            for (start, end), blocks in zip(grid.windows, plan):
                 cols = np.concatenate([np.arange(b, e) for b, e in blocks])
                 assert np.array_equal(cols, np.arange(start, end))
                 assert len(blocks) <= MAX_BLOCKS_PER_WINDOW
@@ -290,14 +289,14 @@ class TestForwardWindows:
     def test_block_split_shares_blocks_and_isolates_clamped_window(self):
         # D=70, H=16, S=4: g=4, four blocks per window; the clamped start 54
         # is not a multiple of g, so that window is one block
-        plan = _window_blocks(chunk_windows(70, 16, 4).windows)
+        plan = chunk_windows(70, 16, 4).blocks
         assert plan[0] == ((0, 4), (4, 8), (8, 12), (12, 16))
         assert plan[1] == ((4, 8), (8, 12), (12, 16), (16, 20))
         assert plan[-1] == ((54, 70),)
         # D=32, H=12, S=8: g=4, and the clamped start 20 is a multiple of it
-        assert _window_blocks(chunk_windows(32, 12, 8).windows)[-1] == ((20, 24), (24, 28), (28, 32))
+        assert chunk_windows(32, 12, 8).blocks[-1] == ((20, 24), (24, 28), (28, 32))
         # S=2 would give 32 blocks per window, more than the cutoff
-        assert all(len(b) == 1 for b in _window_blocks(chunk_windows(70, 64, 2).windows))
+        assert all(len(b) == 1 for b in chunk_windows(70, 64, 2).blocks)
 
     @pytest.mark.parametrize("n", [1, ROW_TILE, ROW_TILE + 1])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -305,8 +304,8 @@ class TestForwardWindows:
         # D=26, H=8, S=2: four blocks per window and a clamped final window
         m = _model(d=26, h=8, c=3, dtype=dtype)
         x = np.random.default_rng(n).standard_normal((n, 26)).astype(dtype)
-        windows = chunk_windows(26, 8, 4).windows
-        assert windows[-1] == (18, 26)
+        windows = chunk_windows(26, 8, 4)
+        assert windows.windows[-1] == (18, 26)
         outputs, attention = m.forward_windows(x, windows)
         ref_outputs, ref_attention = _per_window_forward(m, x, windows)
         assert_window_close(outputs, ref_outputs, dtype)
@@ -315,7 +314,7 @@ class TestForwardWindows:
     def test_repeated_calls_are_bitwise_equal(self):
         m = _model(d=40, h=16, c=2, dtype=np.float32)
         x = np.random.default_rng(3).standard_normal((ROW_TILE + 7, 40)).astype(np.float32)
-        windows = chunk_windows(40, 16, 4).windows
+        windows = chunk_windows(40, 16, 4)
         first = m.forward_windows(x, windows)
         again = m.forward_windows(x, windows)
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
@@ -325,15 +324,15 @@ class TestForwardWindows:
     def test_attention_rows_sum_to_one(self, case):
         m, x, windows = case
         _, attention = m.forward_windows(x, windows)
-        assert attention.shape == (len(windows), x.shape[0])
+        assert attention.shape == (windows.n_chunks, x.shape[0])
         assert (attention >= 0).all()
         np.testing.assert_allclose(attention.sum(axis=1), 1.0, rtol=1e-5)
 
     def test_clamped_final_window(self):
         # D=10, H=4, S=4: starts 0, 4, then the clamped start 6
         m = _model(d=10, h=4, c=2)
-        windows = chunk_windows(10, 4, 4).windows
-        assert windows == ((0, 4), (4, 8), (6, 10))
+        windows = chunk_windows(10, 4, 4)
+        assert windows.windows == ((0, 4), (4, 8), (6, 10))
         x = np.random.default_rng(1).standard_normal((7, 10))
         outputs, _ = m.forward_windows(x, windows)
         ref = m.forward(x[None], np.ones((1, 7), dtype=bool), np.arange(6, 10))
@@ -342,9 +341,9 @@ class TestForwardWindows:
     def test_wrong_shape_rejected(self):
         m = _model(d=6)
         with pytest.raises(ValidationError):
-            m.forward_windows(np.zeros((3, 5)), ((0, 4),))
+            m.forward_windows(np.zeros((3, 5)), chunk_windows(6, 4, 2))
         with pytest.raises(ValidationError):
-            m.forward_windows(np.zeros((1, 3, 6)), ((0, 4),))
+            m.forward_windows(np.zeros((1, 3, 6)), chunk_windows(6, 4, 2))
 
 
 def _windows_with(monkeypatch, workers, m, x, windows):
@@ -356,7 +355,7 @@ def _windows_with(monkeypatch, workers, m, x, windows):
 class TestPooledTiles:
     @pytest.mark.parametrize("n", [1, ROW_TILE, ROW_TILE + 1, 5 * ROW_TILE + 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("windows", [chunk_windows(26, 8, 4).windows, ((0, 26),)],
+    @pytest.mark.parametrize("windows", [chunk_windows(26, 8, 4), chunk_windows(26, 26, 1)],
                              ids=["clamped-final", "one-full-width"])
     def test_two_workers_equal_one_bitwise(self, monkeypatch, n, dtype, windows):
         # D=26, H=8, S=4: four blocks per window and the clamped final window
@@ -373,7 +372,7 @@ class TestPooledTiles:
         # among 4 threads switched every microsecond would change the bits
         m = _model(d=40, h=16, c=2, dtype=np.float32)
         x = np.random.default_rng(5).standard_normal((9 * ROW_TILE + 5, 40)).astype(np.float32)
-        windows = chunk_windows(40, 16, 4).windows
+        windows = chunk_windows(40, 16, 4)
         serial = _windows_with(monkeypatch, 1, m, x, windows)
         interval = sys.getswitchinterval()
         with ThreadPoolExecutor(4) as pool:
@@ -408,7 +407,7 @@ class TestPooledTiles:
         monkeypatch.setattr(np, "tanh", tanh_spy)
         m = _model(d=26, h=8, c=3, dtype=np.float32)
         x = np.random.default_rng(0).standard_normal((n, 26)).astype(np.float32)
-        _windows_with(monkeypatch, workers, m, x, chunk_windows(26, 8, 4).windows)
+        _windows_with(monkeypatch, workers, m, x, chunk_windows(26, 8, 4))
         assert pools == ([2] if pooled else [])
         assert (threading.current_thread() not in tile_threads) == pooled
 
@@ -441,7 +440,7 @@ class TestEnsembleWorkers:
         monkeypatch.setattr(model_module, "_worker_pool", no_pool)
         m = _model(d=26, h=8, c=3, dtype=np.float32)
         x = np.random.default_rng(0).standard_normal((5 * ROW_TILE, 26)).astype(np.float32)
-        outputs, _ = m.forward_windows(x, chunk_windows(26, 8, 4).windows)
+        outputs, _ = m.forward_windows(x, chunk_windows(26, 8, 4))
         assert np.isfinite(outputs).all()
 
 
@@ -968,7 +967,7 @@ class TestSaturatedGate:
             warnings.simplefilter("error")
             result = m.forward(x, mask, feat, rng=rng)
             grads = m.backward(result.cache, np.ones_like(result.outputs))
-            outputs, attention = m.forward_windows(x[0], chunk_windows(8, 4, 2).windows)
+            outputs, attention = m.forward_windows(x[0], chunk_windows(8, 4, 2))
         assert all(np.isfinite(g).all() for g in grads.values())
         assert np.isfinite(result.outputs).all() and np.isfinite(outputs).all()
         np.testing.assert_allclose(attention.sum(axis=1), 1.0, rtol=1e-5)

@@ -179,7 +179,7 @@ class TestTrain:
         cfg = tiny_config(max_epochs=4)
         ck1, rep1 = train(cfg, manifest, bags, checkpoint_path=tmp_path / "a.ckpt")
         ck2, rep2 = train(cfg, manifest, bags, checkpoint_path=tmp_path / "b.ckpt")
-        assert rep1.to_dict() == rep2.to_dict()
+        assert dataclasses.asdict(rep1) == dataclasses.asdict(rep2)
         for name in PARAM_NAMES:
             assert np.array_equal(ck1.params[name], ck2.params[name])
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
