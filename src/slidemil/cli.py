@@ -32,6 +32,11 @@ from .fingerprint import DataFingerprint, RunConfig, compute_fingerprint, derive
 from .model import BLAS_THREAD_VARS, ensemble_workers
 from .training import build_model, grad_check, load_checkpoint, train
 
+try:
+    import resource
+except ImportError:  # not on Windows; run manifests then record a null peak_rss_mb
+    resource = None
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 (not 2) on usage errors, per the CLI contract."""
@@ -50,17 +55,27 @@ def _sha256(path) -> str:
 _INPUT_ARGS = ("spec", "manifest", "data_dir", "fingerprint", "config", "checkpoint", "predictions")
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's resident-memory high-water mark in MB (ru_maxrss, in
+    KB on Linux and bytes on macOS), or None where resource is missing."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _write_run_manifest(args, hashed, seed) -> None:
     """Write run_manifest.json to args.out: the command, input paths, seed,
     the SHA-256 of the file at hashed, the BLAS thread variables as this
     process saw them, the worker count of the window ensemble and the
-    training step (ensemble_workers) and the software that ran."""
+    training step (ensemble_workers), the software that ran and the
+    process's peak resident memory so far (peak_rss_mb)."""
     inputs = {k: str(getattr(args, k)) for k in _INPUT_ARGS if getattr(args, k, None)}
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = {"command": args.command, "inputs": inputs, "config_hash": _sha256(hashed),
            "seed": seed, "timestamp": time.time(),
            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-           "ensemble_workers": ensemble_workers(),
+           "ensemble_workers": ensemble_workers(), "peak_rss_mb": _peak_rss_mb(),
            "software": {"slidemil": __version__, "python": platform.python_version(),
                         "numpy": np.__version__,
                         "blas": {"name": blas.get("name"), "version": blas.get("version")}}}

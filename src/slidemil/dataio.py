@@ -9,8 +9,13 @@ Embedding file layout (little-endian throughout):
 
 Loaded bags are read-only memory maps of their files' payloads: loading
 copies nothing, and the operating system may evict clean pages of a corpus
-larger than memory. Each loaded bag holds one open file descriptor until it
-is freed, and load_bags raises the process's soft descriptor limit to fit.
+larger than memory. A bag's pages are released from the process
+(release_pages) once each use of them is over: after its load-time scan in
+load_bags, after training samples it and after each window-ensemble pass
+over it. The page cache keeps the data, so the process's resident memory
+holds the bags in use, not the corpus. Each loaded bag holds one open file
+descriptor until it is freed, and load_bags raises the process's soft
+descriptor limit to fit.
 A file must not be modified in place while a bag maps it (truncating it
 under the mapping ends the process with SIGBUS); write_embedding_file
 replaces files by renaming, which leaves mapped bags as they were.
@@ -19,6 +24,7 @@ replaces files by renaming, which leaves mapped bags as they were.
 from __future__ import annotations
 
 import json
+import mmap
 import numbers
 import os
 import struct
@@ -240,6 +246,27 @@ def read_embedding_file(path: str | Path, slide_id: str = "", patient_id: str = 
                     embeddings=emb)
 
 
+# madvise advice that drops a range's page-table entries, or None where the
+# platform or Python lacks it (release_pages then does nothing)
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None) if hasattr(mmap.mmap, "madvise") else None
+
+
+def release_pages(array: np.ndarray) -> None:
+    """Drop this process's resident pages of the read-only file map under
+    array (found through its .base chain); a no-op for arrays held in memory.
+
+    MADV_DONTNEED on a read-only, file-backed map removes only the process's
+    page-table entries: the page cache keeps the data, and the next read
+    maps the same bytes again. A writable map is left alone, since dropping
+    its pages could drop writes not yet in the file."""
+    owner, base = array, getattr(array, "base", None)
+    while base is not None and not isinstance(base, mmap.mmap):
+        owner, base = base, getattr(base, "base", None)
+    if base is None or _DONTNEED is None or owner.flags.writeable:
+        return
+    base.madvise(_DONTNEED)
+
+
 def write_embedding_file(bag: SlideBag, path: str | Path) -> None:
     """Write a SlideBag in the bit-exact on-disk format. No file is emitted on invalid input.
 
@@ -390,13 +417,18 @@ def _entry_path(entry: ManifestEntry, data_dir: Path) -> Path:
 def load_bags(manifest: DatasetManifest, data_dir: str | Path,
               splits=SPLITS) -> dict[str, SlideBag]:
     """Load the embedding files of the entries in the given splits, keyed by
-    slide_id. Each bag maps its file and holds one open file descriptor."""
+    slide_id. Each bag maps its file and holds one open file descriptor; its
+    pages are released once its finiteness scan has read them."""
     data_dir = Path(data_dir)
     entries = [e for e in manifest.entries if e.split in splits]
     _reserve_file_descriptors(len(entries))
-    return {e.slide_id: read_embedding_file(_entry_path(e, data_dir), slide_id=e.slide_id,
-                                            patient_id=e.patient_id)
-            for e in entries}
+    bags = {}
+    for e in entries:
+        bag = read_embedding_file(_entry_path(e, data_dir), slide_id=e.slide_id,
+                                  patient_id=e.patient_id)
+        release_pages(bag.embeddings)
+        bags[e.slide_id] = bag
+    return bags
 
 
 def _reserve_file_descriptors(count: int) -> None:

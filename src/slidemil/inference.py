@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataio import SlideBag, SurvivalRecord
+from .dataio import SlideBag, SurvivalRecord, release_pages
 from .errors import ValidationError
 from .fingerprint import RunConfig
 from .metrics import BreslowTable, breslow_table
@@ -88,10 +88,12 @@ def inference_windows(config: RunConfig, embed_dim: int) -> ChunkWindows:
 
 def ensemble_outputs(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows,
                      return_attention: bool = False):
-    """Raw per-window head outputs (K, n_outputs) on the full bag, dropout off.
+    """Raw per-window head outputs (K, n_outputs) on the full bag, dropout off;
+    the bag's mapped pages are released after the pass.
 
     forward_windows rejects a bag whose embed_dim is not the model's."""
     outputs, attention = model.forward_windows(bag.embeddings, windows)
+    release_pages(bag.embeddings)
     outputs = outputs.astype(np.float64)
     if return_attention:
         return outputs, attention.mean(axis=0, dtype=np.float64)

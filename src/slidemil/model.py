@@ -220,6 +220,8 @@ class ChunkWindows:
     stride: int
 
     def __post_init__(self):
+        if self.width < 1:
+            raise ValidationError(f"window width must be >= 1, got {self.width}")
         if self.width > self.embed_dim:
             raise ValidationError(f"window width {self.width} exceeds embed_dim {self.embed_dim}")
         if self.stride < 1:

@@ -17,8 +17,11 @@ step's slides straight into its rows. A
 step's activations are, per slide, the (m, H) tanh and sigmoid branches and
 the bool dropout mask: 2H floats and H bytes per row, from which backward
 rebuilds the sampled columns, the dropout scale and the gated output. They
-are released once the step's update is applied, so besides the mapped train
-and val bags training holds one batch and one step's activations at a time.
+are released once the step's update is applied, so training holds one
+batch and one step's activations at a time. A bag's mapped pages are
+released once sample_patches has copied its rows into the batch (in
+full_bag_batch1, once the step that reads the bag in place is over), and
+the validation ensemble releases each val bag after its pass.
 On top of them, each slide body in flight holds its own temporaries, in
 place where it can: forward the (m, F) sampled columns, the gated output and
 the dropout scale; backward the sampled columns and three (m, H) buffers.
@@ -40,7 +43,7 @@ import numpy as np
 # inference.slide_outputs looks ensemble_outputs up in its module, so a
 # wrapper set there (perfbench/tracing.py) also sees the validation ensemble
 from . import inference
-from .dataio import DatasetManifest, SlideBag, _is_int, label_arrays, parse_json
+from .dataio import DatasetManifest, SlideBag, _is_int, label_arrays, parse_json, release_pages
 from .errors import CorruptionError, FormatError, ValidationError
 from .fingerprint import RunConfig
 from .model import (PARAM_NAMES, GatedAttentionMIL, _perturbed_losses, cox_loss,
@@ -371,9 +374,11 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
                 mask = np.ones((1, bag.n_patches), dtype=bool)
                 feat = np.arange(embed_dim)
             else:
-                fixed = [sample_patches(bags[train_entries[i].slide_id], rows, rng,
-                                        out=batch_buf[j])
-                         for j, i in enumerate(batch)]
+                fixed = []
+                for j, i in enumerate(batch):
+                    bag = bags[train_entries[i].slide_id]
+                    fixed.append(sample_patches(bag, rows, rng, out=batch_buf[j]))
+                    release_pages(bag.embeddings)  # its rows are in the batch now
                 x = batch_buf[:len(batch)]
                 mask = np.stack([f.valid_mask for f in fixed])
                 feat = sample_feature_indices(embed_dim, config.hidden_dim, rng)
@@ -385,6 +390,8 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
             # the activations (and the cache's views of x) are not kept through
             # validation or the next step's sampling and forward
             del result, grads
+            if full_bag_mode:  # forward and backward read the bag's map itself
+                release_pages(bag.embeddings)
             loss_sum += loss * len(batch)
             n_seen += len(batch)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import slidemil
+from slidemil import cli, dataio
 from slidemil import model as model_module
 from slidemil.cli import main
 from slidemil.dataio import load_bag_shapes, load_manifest
@@ -183,6 +184,7 @@ class TestClassificationPipeline:
     def test_run_manifests_written_everywhere(self):
         # the seed is the one the command used; null where it draws nothing
         seeds = {"data": 0, "fp": None, "plan": 42, "train": 42, "pred": None}
+        peaks = []
         for name, seed in seeds.items():
             doc = json.loads((self.dirs[name] / "run_manifest.json").read_text())
             assert {"command", "inputs", "seed", "timestamp", "config_hash"} <= doc.keys()
@@ -190,6 +192,9 @@ class TestClassificationPipeline:
             # what the process saw of the BLAS thread count, and what it gave the ensemble
             assert doc["blas_threads"] == {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
             assert doc["ensemble_workers"] == ensemble_workers() >= 1
+            # this process's high-water mark when the command finished, in MB
+            assert isinstance(doc["peak_rss_mb"], float) and doc["peak_rss_mb"] > 0
+            peaks.append(doc["peak_rss_mb"])
             # and the software that ran
             blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
             assert doc["software"] == {
@@ -197,6 +202,14 @@ class TestClassificationPipeline:
                 "numpy": np.__version__,
                 "blas": {"name": blas["name"], "version": blas["version"]}}
             assert all(isinstance(v, str) and v for v in doc["software"]["blas"].values())
+        # the commands ran in order in one process, whose peak never falls
+        assert peaks == sorted(peaks)
+
+    def test_peak_rss_is_null_without_resource(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "resource", None)
+        assert main(["plan", "--fingerprint", str(self.dirs["fp"] / "fingerprint.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["peak_rss_mb"] is None
 
     def test_train_report_and_summary_name_the_saved_epoch(self, tmp_path, capsys):
         report = json.loads((self.dirs["train"] / "train_report.json").read_text())
@@ -773,6 +786,53 @@ class TestEnsembleWorkerCount:
         if len(os.sched_getaffinity(0)) > 1:  # one CPU gives one worker in every run
             assert len({workers for workers, _ in runs.values()}) > 1
         assert runs["1"][1] == runs["2"][1] == runs[None][1]
+
+
+class TestReleasedPages:
+    """Each use of a mapped bag releases its pages (dataio.release_pages),
+    and the next use maps the same bytes again: no artifact may differ from
+    a run on the same bags held in memory, where the release does nothing."""
+
+    @pytest.mark.parametrize("spec_kw,plan_args", [
+        ({"task": "classification"}, ()),
+        ({"task": "survival", "censoring_rate": 0.2, "n_bags": 24}, ()),  # plus the Breslow refit
+        ({"task": "classification"}, ("--override", "training_mode=full_bag_batch1")),
+    ], ids=["classification", "survival", "full_bag_batch1"])
+    def test_artifacts_match_bags_held_in_memory(self, tmp_path, monkeypatch, spec_kw,
+                                                 plan_args):
+        spec = _write_spec(tmp_path / "spec.json", patches_per_bag_range=[100, 300],
+                           embed_dim=64, **spec_kw)  # bags of 25-75 KB, many pages each
+        data, plan = tmp_path / "data", tmp_path / "plan"
+        manifest = data / "manifest.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+        assert main(["fingerprint", "--manifest", str(manifest), "--data-dir", str(data),
+                     "--out", str(tmp_path / "fp")]) == 0
+        assert main(["plan", "--fingerprint", str(tmp_path / "fp" / "fingerprint.json"),
+                     "--override", "max_epochs=2", "--override", "batch_size=8", *plan_args,
+                     "--out", str(plan)]) == 0
+
+        def in_memory(*args, **kwargs):
+            bags = mapped_load(*args, **kwargs)
+            for bag in bags.values():
+                assert isinstance(bag.embeddings.base, np.memmap)
+                bag.embeddings = np.array(bag.embeddings)
+            return bags
+
+        mapped_load = dataio.load_bags
+        artifacts = {}
+        for held in ("mapped", "memory"):
+            if held == "memory":
+                monkeypatch.setattr(dataio, "load_bags", in_memory)
+            out = tmp_path / held
+            assert main(["train", "--manifest", str(manifest), "--data-dir", str(data),
+                         "--config", str(plan / "config.json"), "--out", str(out)]) == 0
+            assert main(["predict", "--manifest", str(manifest), "--data-dir", str(data),
+                         "--checkpoint", str(out / "checkpoint.ckpt"), "--split", "test",
+                         "--out", str(out)]) == 0
+            artifacts[held] = {name: (out / name).read_bytes() for name in
+                               ("checkpoint.ckpt", "train_report.json",
+                                "predictions.jsonl", "patients.jsonl")}
+        assert artifacts["mapped"] == artifacts["memory"]
 
 
 class TestFullBagMode:

@@ -93,6 +93,12 @@ class TestChunkWindows:
         with pytest.raises(ValidationError):
             chunk_windows(128, 64, 0)
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_width_below_one_rejected(self, width):
+        # a zero width would list empty windows and an empty block plan
+        with pytest.raises(ValidationError, match="window width must be >= 1"):
+            chunk_windows(8, width, 2)
+
     def test_config_window_count_includes_clamped_tail(self):
         # the aligned grid has (300 - 256) // 64 + 1 = 1 window; K counts the
         # clamped tail window the remainder adds

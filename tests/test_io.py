@@ -21,6 +21,7 @@ from slidemil.dataio import (
     ManifestEntry,
     SlideBag,
     SurvivalRecord,
+    load_bag_shapes,
     load_bags,
     load_manifest,
     read_embedding_file,
@@ -30,7 +31,7 @@ from slidemil.dataio import (
 )
 from slidemil.errors import CorruptionError, FormatError, ValidationError
 from slidemil.fingerprint import DataFingerprint, RunConfig
-from slidemil.synthetic import SyntheticSpec
+from slidemil.synthetic import SyntheticSpec, write_synthetic_dataset
 from slidemil.training import CHECKPOINT_MAGIC, load_checkpoint
 
 from conftest import make_bag
@@ -346,6 +347,31 @@ class TestMappedBags:
         assert bag.embeddings.nbytes >= 4 * dataio.SCAN_BLOCK_BYTES
         assert peak < dataio.SCAN_BLOCK_BYTES, f"scanning a 4 MB bag allocated {peak} bytes"
 
+    def test_release_pages_is_a_no_op_in_memory(self, rng):
+        bag = make_bag(rng, 64, 16)
+        before = bag.embeddings.copy()
+        dataio.release_pages(bag.embeddings)
+        dataio.release_pages(bag.embeddings[None])
+        assert np.array_equal(bag.embeddings, before)
+
+    def test_released_bag_reads_the_same_values(self, rng, tmp_path):
+        written = make_bag(rng, 3000, 64)  # 750 KB: many pages
+        write_embedding_file(written, tmp_path / "a.emb")
+        bag = read_embedding_file(tmp_path / "a.emb")
+        for view in (bag.embeddings, bag.embeddings[None], bag.embeddings[5:9]):
+            dataio.release_pages(view)
+            assert np.array_equal(bag.embeddings.view(np.uint32),
+                                  written.embeddings.view(np.uint32))
+
+    def test_release_pages_leaves_a_writable_map_alone(self, rng, tmp_path):
+        # a copy-on-write map's changes live only in its private pages
+        write_embedding_file(make_bag(rng, 3000, 64), tmp_path / "a.emb")
+        cow = np.memmap(tmp_path / "a.emb", dtype="<f4", mode="c",
+                        offset=dataio.HEADER_SIZE, shape=(3000, 64))
+        cow[::64] = 7.0
+        dataio.release_pages(cow)
+        assert (cow[::64] == 7.0).all()
+
     def test_rewrite_leaves_loaded_bag_unchanged(self, rng, tmp_path):
         path = tmp_path / "a.emb"
         first = make_bag(rng, 7, 5)
@@ -425,6 +451,68 @@ class TestDescriptorBudget:
         assert f"loading {self.N_BAGS} embedding files" in done.stdout
         assert f"hard limit of {hard}" in done.stdout
         assert "soft limit 64" in done.stdout
+
+
+_RSS_CHILD = """
+import json, sys
+import numpy as np
+from slidemil import dataio, inference, training
+from slidemil.fingerprint import RunConfig
+from slidemil.model import GatedAttentionMIL
+
+def rss_mb():
+    with open("/proc/self/status") as f:
+        return next(int(l.split()[1]) for l in f if l.startswith("VmRSS:")) / 1024
+
+manifest = dataio.load_manifest(sys.argv[1])
+config = RunConfig(**json.loads(sys.argv[3]))
+full_bag = RunConfig(**{**config.to_dict(), "training_mode": "full_bag_batch1", "batch_size": 1})
+model = GatedAttentionMIL(256, config.hidden_dim, manifest.n_outputs, dropout=config.dropout)
+model.init_params(np.random.default_rng(0))
+windows = inference.inference_windows(config, 256)
+for run in range(2):  # the first run warms the heap and BLAS; the second is measured
+    growth, last = {}, rss_mb()
+    def stage(name):
+        global last
+        now = rss_mb()
+        growth[name], last = now - last, now
+    bags = dataio.load_bags(manifest, sys.argv[2])
+    stage("load_bags")
+    inference.slide_outputs(model, manifest.task, bags, manifest.entries, windows)
+    stage("slide_outputs")
+    training.train(config, manifest, bags)
+    stage("train")
+    training.train(full_bag, manifest, bags)
+    stage("train full_bag_batch1")
+    del bags
+print(json.dumps(growth))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc")
+def test_resident_memory_stays_at_one_bag(tmp_path):
+    """Loading, scoring and training on a mapped corpus leaves at most one bag
+    (plus the batch buffer) resident: each use releases the bag's pages."""
+    spec = SyntheticSpec(task="classification", n_bags=24, patches_per_bag_range=(1900, 2100),
+                         embed_dim=256, seed=3)  # 2 MB bags, 48 MB in all
+    write_synthetic_dataset(spec, tmp_path)
+    config = dict(task="classification", bag_size=64, hidden_dim=64, stride=32, dropout=0.25,
+                  batch_size=8, learning_rate=1e-3, weight_decay=1e-4, warmup_epochs=0,
+                  max_epochs=1, patience=5, seed=0)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(tmp_path / "manifest.json"),
+                           str(tmp_path), json.dumps(config)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    growth = json.loads(done.stdout)
+    shapes = load_bag_shapes(load_manifest(tmp_path / "manifest.json"), tmp_path)
+    one_bag = max(4 * s.n_patches * s.embed_dim for s in shapes.values()) / 2**20
+    batch = 4 * config["batch_size"] * config["bag_size"] * spec.embed_dim / 2**20
+    slack = 4.0  # MB: interpreter and allocator noise, far below the 48 MB corpus
+    bounds = {"load_bags": one_bag, "slide_outputs": one_bag, "train": one_bag + batch,
+              "train full_bag_batch1": one_bag}
+    for name, bound in bounds.items():
+        assert growth[name] < bound + slack, f"{name} grew VmRSS by {growth[name]:.1f} MB"
 
 
 @st.composite
