@@ -8,8 +8,8 @@ from .dataio import (DatasetManifest, ManifestEntry, SlideBag, SurvivalRecord,
 from .errors import (CorruptionError, FormatError, MetricUndefinedError,
                      SlidemilError, ValidationError)
 from .fingerprint import DataFingerprint, RunConfig, compute_fingerprint, derive_config
-from .inference import (BaselineSurvival, ChunkWindows, ClsPrediction,
-                        RegPrediction, SurvPrediction, adjust_patient_uncertainty,
+from .inference import (ChunkWindows, ClsPrediction, RegPrediction,
+                        SurvPrediction, adjust_patient_uncertainty,
                         aggregate_patient, chunk_windows, decompose_uncertainty,
                         estimate_baseline_survival, predict_classification,
                         predict_regression, predict_survival)

@@ -116,16 +116,24 @@ def _read_predictions(path) -> dict[str, dict]:
     return records
 
 
+def _is_finite_real(value) -> bool:
+    real = dataio._as_real(value)
+    return real is not None and math.isfinite(real)
+
+
 def _column(records: list[dict], key: str, dtype, index: int | None = None) -> np.ndarray:
-    """The numeric field key of every record, or element index of it, as a 1-D array."""
+    """The field key of every record, or element index of it, as a 1-D array:
+    JSON integers for dtype int, finite reals for any other dtype."""
+    kind, accepts = (("an integer", dataio._is_int) if dtype is int
+                     else ("a finite numeric", _is_finite_real))
+    message = f"every prediction record needs {kind} {key!r}"
     try:
-        column = np.array([r[key] if index is None else r[key][index] for r in records],
-                          dtype=dtype)
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"every prediction record needs a numeric {key!r}") from exc
-    if column.ndim != 1:
-        raise FormatError(f"every prediction record needs a numeric {key!r}")
-    return column
+        values = [r[key] if index is None else r[key][index] for r in records]
+        if all(map(accepts, values)):
+            return np.array(values, dtype=dtype)  # OverflowError past int64
+    except (KeyError, IndexError, TypeError, OverflowError) as exc:
+        raise FormatError(message) from exc
+    raise FormatError(message)
 
 
 def cmd_synth(args) -> int:

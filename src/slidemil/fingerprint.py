@@ -60,6 +60,11 @@ class DataFingerprint:
                                       f"(an embedding header's limit), got {getattr(self, name)!r}")
         if not self.patch_count_p5 <= self.patch_count_median <= self.patch_count_p95:
             raise ValidationError("patch-count percentiles must be ordered p5 <= median <= p95")
+        # a NaN would pass the sum check below, and plans are derived from these
+        for name in ("class_prevalence", "target_min", "target_max", "time_horizon_max"):
+            value = getattr(self, name)
+            if value is not None and not all(map(math.isfinite, np.atleast_1d(value))):
+                raise ValidationError(f"DataFingerprint.{name} must be finite, got {value!r}")
         if self.class_prevalence is not None and abs(sum(self.class_prevalence) - 1.0) > 1e-9:
             raise ValidationError("class prevalences must sum to 1")
         if self.event_rate is not None and not 0.0 <= self.event_rate <= 1.0:

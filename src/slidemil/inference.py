@@ -4,7 +4,8 @@ Inference always sees the full bag (every patch participates); the ensemble
 is over contiguous feature windows of width H at stride S. All probability
 and entropy arithmetic runs in 64-bit regardless of the model dtype so the
 additive uncertainty decomposition holds to near machine precision.
-Every survival curve is BaselineSurvival.at's exp(-exp(log H_0(t) + eta)),
+_class_summary summarizes a slide's windows and a patient's slides. Every
+survival curve is metrics.BreslowTable.at's exp(-exp(log H_0(t) + eta)),
 in which a constant added to every train and slide risk cancels.
 """
 
@@ -61,16 +62,6 @@ class SurvPrediction:
     mean_survival: np.ndarray       # (T,)
     unc_survival: np.ndarray        # (T,)
     attention: np.ndarray | None = None
-
-
-class BaselineSurvival(BreslowTable):
-    """Breslow's table of the train risks as a baseline survival function."""
-
-    def at(self, times, risks=0.0) -> np.ndarray:
-        """S(t | eta) at each time: (T,) for a scalar risk, (K, T) for K risks."""
-        log_h = self.log_cum_hazard_at(np.atleast_1d(times))
-        with np.errstate(over="ignore"):  # exp overflows to inf, and S to exactly 0
-            return np.exp(-np.exp(log_h + np.asarray(risks, dtype=np.float64)[..., None]))
 
 
 def chunk_windows(embed_dim: int, hidden_dim: int, stride: int) -> ChunkWindows:
@@ -131,19 +122,22 @@ def decompose_uncertainty(per_chunk_probs: np.ndarray) -> tuple[float, float, fl
     return h_total, h_aleatoric, mi
 
 
+def _class_summary(logits: np.ndarray, probs: np.ndarray) -> dict:
+    """The ensemble summary of (n, C) member logits and probabilities: their
+    means, the class of the mean logits and the uncertainty decomposition."""
+    h_total, h_aleatoric, mi = decompose_uncertainty(probs)
+    mean_logits = logits.mean(axis=0)
+    return {"mean_logits": mean_logits, "mean_probs": probs.mean(axis=0),
+            "predicted_class": int(np.argmax(mean_logits)),
+            "h_total": h_total, "h_aleatoric": h_aleatoric, "mutual_info": mi}
+
+
 def predict_classification(model: GatedAttentionMIL, bag: SlideBag,
                            windows: ChunkWindows) -> ClsPrediction:
     logits, attention = ensemble_outputs(model, bag, windows, return_attention=True)
     per_chunk_probs = _softmax64(logits)
-    mean_logits = slide_output("classification", logits)
-    mean_probs = per_chunk_probs.mean(axis=0)
-    h_total, h_aleatoric, mi = decompose_uncertainty(per_chunk_probs)
-    return ClsPrediction(
-        slide_id=bag.slide_id, mean_logits=mean_logits,
-        per_chunk_probs=per_chunk_probs, mean_probs=mean_probs,
-        predicted_class=int(np.argmax(mean_logits)),
-        h_total=h_total, h_aleatoric=h_aleatoric, mutual_info=mi,
-        attention=attention)
+    return ClsPrediction(slide_id=bag.slide_id, per_chunk_probs=per_chunk_probs,
+                         attention=attention, **_class_summary(logits, per_chunk_probs))
 
 
 def predict_regression(model: GatedAttentionMIL, bag: SlideBag,
@@ -179,7 +173,7 @@ def slide_outputs(model: GatedAttentionMIL, task: str, bags: dict[str, SlideBag]
 
 
 def estimate_baseline_survival(train_risks: np.ndarray,
-                               train_records: list[SurvivalRecord]) -> BaselineSurvival:
+                               train_records: list[SurvivalRecord]) -> BreslowTable:
     """Breslow's log H_0 (metrics.breslow_table), summed in log space, so the
     train risks may spread by any amount."""
     times = np.array([r.time for r in train_records], dtype=np.float64)
@@ -188,11 +182,11 @@ def estimate_baseline_survival(train_risks: np.ndarray,
         raise ValidationError("risks and records must align")
     if events.sum() == 0:
         raise ValidationError("baseline survival needs at least one event")
-    return BaselineSurvival(**vars(breslow_table(times, events, train_risks)))
+    return breslow_table(times, events, train_risks)
 
 
 def predict_survival(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows,
-                     baseline: BaselineSurvival, eval_times) -> SurvPrediction:
+                     baseline: BreslowTable, eval_times) -> SurvPrediction:
     raw, attention = ensemble_outputs(model, bag, windows, return_attention=True)
     eta = raw[:, 0]
     eval_times = np.atleast_1d(np.asarray(eval_times, dtype=np.float64))
@@ -224,19 +218,17 @@ def median_event_time(records: list[SurvivalRecord]) -> float:
 
 
 def aggregate_patient(predictions: list) -> dict:
-    """Combine one patient's slide predictions; uncertainty shrinks by sqrt(n_wsi)."""
+    """Combine one patient's slide predictions: _class_summary over the slides,
+    or means whose uncertainty shrinks by sqrt(n_wsi)."""
     if not predictions:
         raise ValidationError("patient aggregation needs at least one slide")
     n = len(predictions)
     first = predictions[0]
     if isinstance(first, ClsPrediction):
-        mean_logits = np.mean([p.mean_logits for p in predictions], axis=0)
-        slide_probs = np.stack([p.mean_probs for p in predictions])
-        h_total, h_aleatoric, mi = decompose_uncertainty(slide_probs)
-        return {"n_wsi": n, "mean_logits": mean_logits.tolist(),
-                "mean_probs": slide_probs.mean(axis=0).tolist(),
-                "predicted_class": int(np.argmax(mean_logits)),
-                "h_total": h_total, "h_aleatoric": h_aleatoric, "mutual_info": mi}
+        summary = _class_summary(np.stack([p.mean_logits for p in predictions]),
+                                 np.stack([p.mean_probs for p in predictions]))
+        return {"n_wsi": n, **{k: v.tolist() if isinstance(v, np.ndarray) else v
+                               for k, v in summary.items()}}
     if isinstance(first, RegPrediction):
         mean_value = float(np.mean([p.mean_value for p in predictions]))
         unc = float(np.mean([p.std_value for p in predictions]))

@@ -49,6 +49,13 @@ class BreslowTable:
         idx = np.searchsorted(self.event_times, times, side="right")
         return np.append(-np.inf, self.log_cum_hazard)[idx]
 
+    def at(self, times, risks=0.0) -> np.ndarray:
+        """Survival S(t | eta) = exp(-exp(log H_0(t) + eta)) at each time: (T,)
+        for a scalar risk, (K, T) for K risks."""
+        log_h = self.log_cum_hazard_at(np.atleast_1d(times))
+        with np.errstate(over="ignore"):  # exp overflows to inf, and S to exactly 0
+            return np.exp(-np.exp(log_h + np.asarray(risks, dtype=np.float64)[..., None]))
+
 
 def confusion_counts(true_labels, predicted_labels) -> np.ndarray:
     """Counts (C, C) of each (true, predicted) pair, rows = truth, over the C

@@ -1,13 +1,15 @@
 """Patch-level bag normalization, feature-subspace sampling, task-aware batch samplers.
 
 All samplers are pure functions of (inputs, rng state): reseeding the
-generator reproduces the exact same plan. Batch plans are built per epoch;
-minority pools refill by resampling with replacement so every batch is
-full-size, while epoch length stays anchored to ceil(n / B).
+generator reproduces the exact same plan. Batch plans are built per epoch
+by one loop, _quota_batches: quotas of draws per group (class, quantile bin,
+or event and censored), from pools that refill with replacement, so every
+batch is full-size while epoch length stays anchored to ceil(n / B).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,35 +75,32 @@ def sample_feature_indices(embed_dim: int, hidden_dim: int,
     return np.sort(rng.choice(embed_dim, size=hidden_dim, replace=False))
 
 
-class _Pool:
-    """Without-replacement draws from a shuffled group; falls back to replacement when exhausted."""
-
-    def __init__(self, members: np.ndarray, order: np.ndarray, rng: np.random.Generator):
-        self.members = members
-        self.queue = list(order)
-        self.pos = 0
-        self.rng = rng
-
-    def draw(self) -> int:
-        if self.pos < len(self.queue):
-            out = self.queue[self.pos]
-            self.pos += 1
-            return int(out)
-        return int(self.members[self.rng.integers(len(self.members))])
+def _pool(members: np.ndarray, order: np.ndarray, rng: np.random.Generator):
+    """Draws from a group: its members in the given order, then with replacement."""
+    yield from map(int, order)
+    while True:
+        yield int(members[rng.integers(len(members))])
 
 
-def _quota_batches(pools: list[_Pool], base: int, remainder: int, n_total: int,
-                   batch_size: int, rng: np.random.Generator) -> BatchPlan:
-    """Fill ceil(n/B) batches with per-group quotas; the remainder rotates round-robin."""
-    n_groups = len(pools)
+def _equal_quotas(n_groups: int, batch_size: int, rng: np.random.Generator):
+    """Quotas of batch_size // n_groups per group; the remainder's extra draws
+    rotate round-robin from a random first group."""
+    base, remainder = divmod(batch_size, n_groups)
     offset = int(rng.integers(n_groups))
+
+    def quotas(b: int) -> list[int]:
+        extra = {(offset + b * remainder + j) % n_groups for j in range(remainder)}
+        return [base + (g in extra) for g in range(n_groups)]
+    return quotas
+
+
+def _quota_batches(pools: list, quotas, n_total: int, batch_size: int,
+                   rng: np.random.Generator) -> BatchPlan:
+    """Fill ceil(n/B) batches: batch b takes quotas(b)[g] draws from pool g, then shuffles."""
     batches = []
     for b in range(math.ceil(n_total / batch_size)):
-        extra = {(offset + b * remainder + j) % n_groups for j in range(remainder)}
-        batch: list[int] = []
-        for g, pool in enumerate(pools):
-            take = base + (1 if g in extra else 0)
-            batch.extend(pool.draw() for _ in range(take))
+        batch = [draw for pool, take in zip(pools, quotas(b))
+                 for draw in itertools.islice(pool, take)]
         rng.shuffle(batch)
         batches.append(batch)
     return BatchPlan(batches=batches)
@@ -124,18 +123,15 @@ def balanced_batches(class_labels: np.ndarray, batch_size: int,
     n_classes = len(classes)
     if batch_size < n_classes:
         raise ValidationError(f"batch_size {batch_size} < number of classes {n_classes}")
-    pools = []
-    for c in classes:
-        members = np.flatnonzero(labels == c)
-        pools.append(_Pool(members, rng.permutation(members), rng))
-    base, remainder = divmod(batch_size, n_classes)
-    return _quota_batches(pools, base, remainder, n, batch_size, rng)
+    groups = [np.flatnonzero(labels == c) for c in classes]
+    pools = [_pool(g, rng.permutation(g), rng) for g in groups]
+    return _quota_batches(pools, _equal_quotas(n_classes, batch_size, rng), n, batch_size, rng)
 
 
 def regression_batches(targets: np.ndarray, batch_size: int,
                        rng: np.random.Generator) -> BatchPlan:
     """Regression sampler: quantile-bin the targets into min(10, n, batch_size)
-    bins, then fill per-bin quotas per batch."""
+    bins, then balance the occupied bins as classes."""
     targets = np.asarray(targets, dtype=np.float64)
     n = len(targets)
     if n == 0 or not np.all(np.isfinite(targets)):
@@ -145,12 +141,9 @@ def regression_batches(targets: np.ndarray, batch_size: int,
     if n_bins == 1 or len(edges) < 3:
         # constant targets (or a single bin) degenerate to plain shuffled batching
         return plain_batches(n, batch_size, rng)
-    bins = np.searchsorted(edges[1:-1], targets, side="right")
-    groups = [np.flatnonzero(bins == g) for g in range(len(edges) - 1)]
-    groups = [g for g in groups if len(g)]
-    pools = [_Pool(g, rng.permutation(g), rng) for g in groups]
-    base, remainder = divmod(batch_size, len(pools))
-    return _quota_batches(pools, base, remainder, n, batch_size, rng)
+    # at most n_bins <= batch_size bins are occupied, so no class check fails
+    return balanced_batches(np.searchsorted(edges[1:-1], targets, side="right"),
+                            batch_size, rng)
 
 
 def _temporal_order(members: np.ndarray, times: np.ndarray,
@@ -183,20 +176,11 @@ def survival_batches(records: list[SurvivalRecord], batch_size: int,
     event_idx = np.flatnonzero(events == 1)
     censor_idx = np.flatnonzero(events == 0)
 
-    event_pool = _Pool(event_idx, _temporal_order(event_idx, times, rng), rng)
-    if len(censor_idx) == 0:
-        quota_events = batch_size
-        censor_pool = None
-    else:
+    pools = [_pool(event_idx, _temporal_order(event_idx, times, rng), rng)]
+    quota = (batch_size,)
+    if len(censor_idx):
         rate = len(event_idx) / n
         quota_events = min(max(_round_half_up(batch_size * rate), 1), batch_size - 1)
-        censor_pool = _Pool(censor_idx, _temporal_order(censor_idx, times, rng), rng)
-
-    batches = []
-    for _ in range(math.ceil(n / batch_size)):
-        batch = [event_pool.draw() for _ in range(quota_events)]
-        if censor_pool is not None:
-            batch.extend(censor_pool.draw() for _ in range(batch_size - quota_events))
-        rng.shuffle(batch)
-        batches.append(batch)
-    return BatchPlan(batches=batches)
+        pools.append(_pool(censor_idx, _temporal_order(censor_idx, times, rng), rng))
+        quota = (quota_events, batch_size - quota_events)
+    return _quota_batches(pools, lambda b: quota, n, batch_size, rng)

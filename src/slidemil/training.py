@@ -247,11 +247,10 @@ def load_checkpoint(path) -> Checkpoint:
 def _loss_and_grad(task: str, outputs: np.ndarray, targets):
     if task == "classification":
         return cross_entropy_loss(outputs, targets)
-    if task == "regression":
-        loss, d_pred = mse_loss(outputs[:, 0], targets)
-        return loss, d_pred[:, None].astype(outputs.dtype)
-    loss, d_pred = cox_loss(outputs[:, 0], *targets)
-    return loss, d_pred[:, None].astype(outputs.dtype)
+    # a scalar head; both losses return d_pred in the outputs' dtype
+    loss_fn, args = (mse_loss, (targets,)) if task == "regression" else (cox_loss, targets)
+    loss, d_pred = loss_fn(outputs[:, 0], *args)
+    return loss, d_pred[:, None]
 
 
 def grad_check(task: str, embed_dim: int = 8, hidden_dim: int = 4, n_classes: int = 3,

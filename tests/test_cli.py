@@ -343,6 +343,68 @@ class TestRegressionPipeline:
         assert {"pearson_r", "mse"} <= evaluation.keys()
 
 
+def _good_records(task, manifest):
+    """Well-formed records of the manifest's test slides, with the fields
+    evaluate and reject-curve read, as predict writes them."""
+    records = []
+    for i, entry in enumerate(load_manifest(manifest).split_entries("test")):
+        p = (i + 1) / 8
+        fields = {"classification": {"predicted_class": i % 2, "mean_probs": [1 - p, p],
+                                     "h_aleatoric": p},
+                  "regression": {"mean_value": p, "std_value": p},
+                  "survival": {"risk": p, "unc_survival": [p]}}[task]
+        records.append({"slide_id": entry.slide_id, **fields})
+    return records
+
+
+# one field of one record replaced by a value of the wrong kind: the task,
+# the field, the value, and the commands that read that field
+_BAD_FIELDS = [
+    ("classification", "predicted_class", 1.7, ("evaluate", "reject-curve")),
+    ("classification", "predicted_class", "1", ("evaluate", "reject-curve")),
+    ("classification", "predicted_class", True, ("evaluate", "reject-curve")),
+    ("classification", "mean_probs", [0.5, float("nan")], ("evaluate",)),
+    ("classification", "h_aleatoric", float("nan"), ("reject-curve",)),
+    ("regression", "mean_value", float("nan"), ("evaluate", "reject-curve")),
+    ("regression", "mean_value", float("inf"), ("evaluate", "reject-curve")),
+    ("regression", "std_value", float("-inf"), ("reject-curve",)),
+    ("survival", "risk", float("nan"), ("evaluate", "reject-curve")),
+    ("survival", "unc_survival", [float("inf")], ("reject-curve",)),
+]
+
+
+class TestPredictionFieldTypes:
+    """evaluate and reject-curve read predicted_class as a JSON integer and
+    every other field as a finite number; any other value exits 2, names the
+    field and writes no report."""
+
+    @pytest.fixture(scope="class")
+    def manifests(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("corpora")
+        out = {}
+        for task in ("classification", "regression", "survival"):
+            spec = _write_spec(tmp / f"{task}_spec.json", task=task)
+            assert main(["synth", "--spec", str(spec), "--out", str(tmp / task)]) == 0
+            out[task] = tmp / task / "manifest.json"
+        return out
+
+    @pytest.mark.parametrize("task,field,value,command", [
+        (task, field, value, command) for task, field, value, commands in _BAD_FIELDS
+        for command in commands])
+    def test_wrong_kind_is_2(self, manifests, task, field, value, command, tmp_path, capsys):
+        records = _good_records(task, manifests[task])
+        records[-1][field] = value
+        path = tmp_path / "predictions.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--manifest", str(manifests[task]), "--predictions", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(field) in err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["synth", "--spec", str(tmp_path / "nope.json"),
@@ -1013,7 +1075,14 @@ _BAD_INPUTS = {
            ("patch_count_p95", 1e300,
             "DataFingerprint.patch_count_p95 must be at most 4294967295"),
            ("patch_count_iqr", 2.0**32,
-            "DataFingerprint.patch_count_iqr must be at most 4294967295"))},
+            "DataFingerprint.patch_count_iqr must be at most 4294967295"),
+           # NaN passes the prevalences' sum check, which compares against it
+           ("class_prevalence", [float("nan")] * 2,
+            "DataFingerprint.class_prevalence must be finite, got [nan, nan]"),
+           ("target_min", float("-inf"), "DataFingerprint.target_min must be finite, got -inf"),
+           ("target_max", float("inf"), "DataFingerprint.target_max must be finite, got inf"),
+           ("time_horizon_max", float("nan"),
+            "DataFingerprint.time_horizon_max must be finite, got nan"))},
     "plan-fingerprint-patch-counts-1e300": ("plan", lambda dirs, manifest, tmp_path: [
         "--fingerprint", _edited(dirs["fp"] / "fingerprint.json", tmp_path,
                                  **dict.fromkeys(("patch_count_p5", "patch_count_median",

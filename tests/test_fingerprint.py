@@ -323,3 +323,10 @@ class TestRecordFieldTypes:
             DataFingerprint(**{**doc, "class_prevalence": [0.5, "0.5"]})
         with pytest.raises(ValidationError, match="embed_dim must be int"):
             DataFingerprint(**{**doc, "embed_dim": None})
+
+    @pytest.mark.parametrize("name,value", [
+        ("class_prevalence", [math.nan, math.nan]), ("class_prevalence", [1.0, math.inf]),
+        ("target_min", -math.inf), ("target_max", math.inf), ("time_horizon_max", math.nan)])
+    def test_fingerprint_statistics_must_be_finite(self, name, value):
+        with pytest.raises(ValidationError, match=f"DataFingerprint.{name} must be finite"):
+            DataFingerprint(**{**_RECORDS[DataFingerprint](), name: value})

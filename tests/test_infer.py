@@ -11,7 +11,6 @@ from slidemil.dataio import SlideBag, SurvivalRecord
 from slidemil.errors import ValidationError
 from slidemil.fingerprint import RunConfig
 from slidemil.inference import (
-    BaselineSurvival,
     aggregate_patient,
     adjust_patient_uncertainty,
     chunk_windows,

@@ -299,3 +299,35 @@ class TestPlainBatches:
     def test_batch_size_one(self, rng):
         plan = plain_batches(7, 1, rng)
         assert [len(b) for b in plan.batches] == [1] * 7
+
+
+_GOLDEN_TIMES = [5.0, 1.0, 3.0, 8.0, 2.0, 6.0, 4.0, 7.0, 9.0, 2.5]
+
+# plans written by the samplers at a fixed seed, including with-replacement
+# draws and the rotating remainder; a change to the draw order shows here,
+# where a test comparing two runs of the same code cannot see it
+_GOLDEN_PLANS = {
+    # 3 classes of 6, 3 and 2 in batches of 4: base 1, remainder 1
+    "balanced": (lambda rng: balanced_batches(
+        np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2]), 4, rng), 0,
+        [[3, 7, 10, 6], [2, 9, 8, 10], [4, 6, 10, 5]]),
+    # 5 bins asked for; the quantile edges 0, 0, 0, 1, 2.8, 5 tie down to 3 bins
+    "regression": (lambda rng: regression_batches(
+        np.array([0.0] * 6 + [1.0, 1.0, 2.0, 3.0, 4.0, 5.0]), 5, rng), 1,
+        [[6, 4, 7, 10, 11], [0, 2, 7, 9, 8], [5, 10, 11, 8, 1]]),
+    # 6 events of 10 in batches of 4: 2 events and 2 censored per batch
+    "survival": (lambda rng: survival_batches(
+        _records(_GOLDEN_TIMES, [1, 0, 1, 1, 0, 1, 0, 1, 0, 1]), 4, rng), 2,
+        [[9, 6, 5, 1], [3, 8, 4, 2], [6, 7, 8, 0]]),
+    "survival-uncensored": (lambda rng: survival_batches(
+        _records(_GOLDEN_TIMES[:7], [1] * 7), 3, rng), 3,
+        [[2, 6, 5], [3, 0, 4], [0, 1, 0]]),
+    "plain": (lambda rng: plain_batches(10, 4, rng), 4,
+              [[1, 0, 7, 2], [9, 8, 6, 4], [3, 5]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_PLANS))
+def test_plan_matches_golden(name):
+    make_plan, seed, expected = _GOLDEN_PLANS[name]
+    assert make_plan(np.random.default_rng(seed)).batches == expected
