@@ -355,13 +355,13 @@ def cmd_reject_curve(args) -> int:
         metric = lambda t, p: -metrics.mean_squared_error(t, p)
         metric_name = "neg_mse"
     else:
-        truth = np.column_stack(truth)
         pred = _column(preds, "risk", np.float64)
         unc = _column(preds, "unc_survival", np.float64, index=0)
-        metric = lambda t, r: metrics.concordance_index(t[:, 0], t[:, 1], r)
+        metric = metrics.concordance_index
         metric_name = "concordance_index"
 
-    curve = metrics.rejection_curve(metric, truth, pred, unc, fractions)
+    data = (*truth, pred) if manifest.task == "survival" else (truth, pred)
+    curve = metrics.rejection_curve(metric, data, unc, fractions)
     out = _out_dir(args)
     n = len(entries)
     rows = [{"fraction": q, "value": v,

@@ -178,8 +178,6 @@ def estimate_baseline_survival(train_risks: np.ndarray,
     train risks may spread by any amount."""
     times = np.array([r.time for r in train_records], dtype=np.float64)
     events = np.array([r.event for r in train_records], dtype=int)
-    if len(train_risks) != len(times):
-        raise ValidationError("risks and records must align")
     if events.sum() == 0:
         raise ValidationError("baseline survival needs at least one event")
     return breslow_table(times, events, train_risks)

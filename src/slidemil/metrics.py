@@ -1,6 +1,11 @@
 """Evaluation statistics: BACC, AUC, kappa, Pearson, C-index, Kaplan-Meier,
 log-rank, bootstrap CIs, rejection curves.
 
+Per-slide arrays, here and in model's losses, are cast and checked in
+per_slide: arrays not 1-D and of one length raise ValidationError, so
+MetricUndefinedError means undefined on aligned data (empty input, one class,
+no comparable pair, constant input).
+
 Every rank statistic counts wins and ties as integers before a single final
 division, so values agree bit-for-bit with brute-force pair enumeration.
 Kaplan-Meier, log-rank and breslow_table (the Cox loss and the Breslow
@@ -57,14 +62,24 @@ class BreslowTable:
             return np.exp(-np.exp(log_h + np.asarray(risks, dtype=np.float64)[..., None]))
 
 
+def per_slide(*columns, dtypes=None) -> list[np.ndarray]:
+    """The columns as arrays cast to dtypes (None keeps a dtype); ValidationError,
+    naming the shapes, unless all are 1-D and of one length."""
+    arrays = [np.asarray(c, dtype=t)
+              for c, t in zip(columns, dtypes or [None] * len(columns), strict=True)]
+    shapes = [a.shape for a in arrays]
+    if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
+        raise ValidationError(f"per-slide arrays must be 1-D of one length, got shapes {shapes}")
+    return arrays
+
+
 def confusion_counts(true_labels, predicted_labels) -> np.ndarray:
     """Counts (C, C) of each (true, predicted) pair, rows = truth, over the C
     categories that occur in either array, in ascending order."""
-    truth = np.asarray(true_labels, dtype=int)
-    pred = np.asarray(predicted_labels, dtype=int)
-    if truth.shape != pred.shape or truth.size == 0:
-        raise MetricUndefinedError("need aligned, nonempty label arrays")
-    cats, codes = np.unique(np.concatenate([truth.ravel(), pred.ravel()]), return_inverse=True)
+    truth, pred = per_slide(true_labels, predicted_labels, dtypes=(int, int))
+    if truth.size == 0:
+        raise MetricUndefinedError("need nonempty label arrays")
+    cats, codes = np.unique(np.concatenate([truth, pred]), return_inverse=True)
     n_cat = len(cats)
     pairs = codes[:truth.size] * n_cat + codes[truth.size:]
     return np.bincount(pairs, minlength=n_cat * n_cat).reshape(n_cat, n_cat)
@@ -81,8 +96,7 @@ def balanced_accuracy(true_labels, predicted_labels) -> float:
 def auc(labels, scores) -> float:
     """Binary AUC as the Mann-Whitney statistic: wins + half-ties over all
     positive/negative pairs, counted exactly."""
-    labels = np.asarray(labels, dtype=int)
-    scores = np.asarray(scores, dtype=np.float64)
+    labels, scores = per_slide(labels, scores, dtypes=(int, np.float64))
     pos = scores[labels == 1]
     neg = scores[labels == 0]
     if len(pos) == 0 or len(neg) == 0:
@@ -117,10 +131,9 @@ def cohens_kappa(true_labels, predicted_labels, weighting: str = "none") -> floa
 
 
 def pearson_r(x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.size < 2:
-        raise MetricUndefinedError("Pearson r needs >= 2 aligned points")
+    x, y = per_slide(x, y, dtypes=(np.float64, np.float64))
+    if x.size < 2:
+        raise MetricUndefinedError("Pearson r needs >= 2 points")
     xc = x - x.mean()
     yc = y - y.mean()
     denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
@@ -130,20 +143,16 @@ def pearson_r(x, y) -> float:
 
 
 def mean_squared_error(truth, pred) -> float:
-    truth = np.asarray(truth, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    if truth.shape != pred.shape or truth.size == 0:
-        raise MetricUndefinedError("need aligned, nonempty arrays")
+    truth, pred = per_slide(truth, pred, dtypes=(np.float64, np.float64))
+    if truth.size == 0:
+        raise MetricUndefinedError("need nonempty arrays")
     return float(np.mean((truth - pred) ** 2))
 
 
 def concordance_index(times, events, risks) -> float:
     """Harrell's C: over pairs (i, j) with t_i < t_j and event at i, count
     risk_i > risk_j as a win and equal risks as half."""
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=int)
-    risks = np.asarray(risks, dtype=np.float64)
-    n = len(times)
+    times, events, risks = per_slide(times, events, risks, dtypes=(np.float64, int, np.float64))
     comparable = (times[:, None] < times[None, :]) & (events[:, None] == 1)
     n_pairs = int(comparable.sum())
     if n_pairs == 0:
@@ -172,7 +181,8 @@ def risk_sets(times, events, at, log_weights=None) -> tuple[np.ndarray, np.ndarr
 def breslow_table(times, events, risks) -> BreslowTable:
     """Breslow's table at the distinct event times, from one risk_sets sum with
     log weights eta and a logaddexp accumulation, so any spread of eta holds."""
-    event_times = np.unique(np.asarray(times, dtype=np.float64)[np.asarray(events) == 1])
+    times, events, risks = per_slide(times, events, risks, dtypes=(np.float64, int, np.float64))
+    event_times = np.unique(times[events == 1])
     log_at_risk, deaths = risk_sets(times, events, event_times, log_weights=risks)
     return BreslowTable(event_times, deaths, log_at_risk,
                         np.logaddexp.accumulate(np.log(deaths) - log_at_risk))
@@ -180,8 +190,7 @@ def breslow_table(times, events, risks) -> BreslowTable:
 
 def km_curve(times, events) -> KMCurve:
     """Product-limit survival estimate over the distinct event times."""
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=int)
+    times, events = per_slide(times, events, dtypes=(np.float64, int))
     if times.size == 0:
         raise MetricUndefinedError("empty survival sample")
     event_times = np.unique(times[events == 1])
@@ -193,11 +202,7 @@ def km_curve(times, events) -> KMCurve:
 def logrank_test(times, events, in_group_a) -> tuple[float, float]:
     """Two-group log-rank test of the subjects in group a (in_group_a True)
     against the rest; returns (chi-square statistic, p-value) at 1 dof."""
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=int)
-    in_a = np.asarray(in_group_a, dtype=bool)
-    if not times.shape == events.shape == in_a.shape or times.ndim != 1:
-        raise ValidationError("log-rank needs aligned 1-D times, events and group arrays")
+    times, events, in_a = per_slide(times, events, in_group_a, dtypes=(np.float64, int, bool))
     if in_a.all() or not in_a.any():
         raise MetricUndefinedError("both groups must be nonempty")
     event_times = np.unique(times[events == 1])
@@ -223,10 +228,10 @@ def bootstrap_ci(metric, data: tuple, n_replicates: int = 1000,
 
     Resamples that violate the metric's preconditions are redrawn; total draws
     are capped at MAX_REDRAW_FACTOR * n_replicates."""
-    arrays = [np.asarray(a) for a in data]
+    arrays = per_slide(*data)
     n = len(arrays[0])
-    if n == 0 or any(len(a) != n for a in arrays):
-        raise ValidationError("bootstrap needs aligned, nonempty data arrays")
+    if n == 0:
+        raise ValidationError("bootstrap needs nonempty data arrays")
     point = float(metric(*arrays))
     rng = np.random.default_rng(seed)
     values = np.empty(n_replicates, dtype=np.float64)
@@ -249,16 +254,14 @@ def bootstrap_ci(metric, data: tuple, n_replicates: int = 1000,
                            ci_high=float(hi), n_replicates=n_replicates)
 
 
-def rejection_curve(metric, truth, pred, uncertainties,
+def rejection_curve(metric, data: tuple, uncertainties,
                     fractions) -> list[tuple[float, float | None]]:
-    """Recompute metric(truth, pred) after dropping the ceil(qN) highest-uncertainty
+    """Recompute metric(*data) after dropping the ceil(qN) highest-uncertainty
     samples for each fraction q; ties in uncertainty break by stable sample order."""
-    truth = np.asarray(truth)
-    pred = np.asarray(pred)
-    unc = np.asarray(uncertainties, dtype=np.float64)
+    *arrays, unc = per_slide(*data, uncertainties, dtypes=[None] * len(data) + [np.float64])
     n = len(unc)
-    if not (len(truth) == len(pred) == n) or n == 0:
-        raise ValidationError("rejection curve needs aligned, nonempty arrays")
+    if n == 0:
+        raise ValidationError("rejection curve needs nonempty arrays")
     for q in fractions:
         if not 0.0 <= q < 1.0:
             raise ValidationError(f"rejection fraction {q} outside [0, 1)")
@@ -269,7 +272,7 @@ def rejection_curve(metric, truth, pred, uncertainties,
         keep = np.ones(n, dtype=bool)
         keep[drop_order[:k]] = False
         try:
-            value = float(metric(truth[keep], pred[keep]))
+            value = float(metric(*(a[keep] for a in arrays)))
         except MetricUndefinedError:
             value = None
         curve.append((float(q), value))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import breslow_table
+from .metrics import breslow_table, per_slide
 
 PARAM_NAMES = ("attention_v", "attention_u", "attention_w", "head_weight", "head_bias")
 
@@ -482,6 +482,7 @@ class GatedAttentionMIL:
 
 def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy; returns (loss, d_logits)."""
+    _, labels = per_slide(logits[:, 0], labels, dtypes=(None, int))  # a label per row
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp_l = np.exp(shifted)
@@ -495,7 +496,8 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, n
 
 def mse_loss(preds: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error over 1-D predictions; returns (loss, d_preds)."""
-    diff = preds - np.asarray(targets, dtype=preds.dtype)
+    preds, targets = per_slide(preds, targets, dtypes=(None, preds.dtype))
+    diff = preds - targets
     loss = float(np.mean(diff ** 2))
     return loss, 2.0 * diff / len(diff)
 
@@ -507,8 +509,8 @@ def cox_loss(risk_scores: np.ndarray, times: np.ndarray,
     metrics.breslow_table: the loss is (sum_s d(s) log R(s) - sum_events eta) / E
     and its gradient Breslow's martingale residual (exp(eta) H_0(t) - delta) / E,
     where exp(eta + log H_0(t)) <= E cannot overflow."""
-    eta = np.asarray(risk_scores, dtype=np.float64)
-    events = np.asarray(events).astype(int)
+    eta, times, events = per_slide(risk_scores, times, events,
+                                   dtypes=(np.float64, np.float64, int))
     n_events = int(events.sum())
     if n_events == 0:
         raise ValidationError("Cox loss needs at least one event in the batch")

@@ -107,6 +107,8 @@ def _quota_batches(pools: list, quotas, n_total: int, batch_size: int,
 
 
 def plain_batches(n: int, batch_size: int, rng: np.random.Generator) -> BatchPlan:
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     order = rng.permutation(n)
     batches = [list(map(int, order[i:i + batch_size])) for i in range(0, n, batch_size)]
     return BatchPlan(batches=batches)

@@ -104,15 +104,10 @@ def test_criterion_03_window_counts_for_reference_dimensions():
         assert got == expected, f"D={embed_dim}, H=256, S=64: {got} windows, expected {expected}"
 
 
-def _planted_mixture_ceiling(manifest, bags, signal, spec):
-    """Held-out AUC of the exact bag-level likelihood ratio for the planted
-    mixture. Each patch of a positive bag is planted with probability f and
-    shifted by s along a unit direction u, so its density ratio against a null
-    patch is (1-f) + f*exp(s*(x.u) - s^2/2); the bag log-likelihood ratio is
-    the sum over patches. No scorer has a better ROC than the likelihood
-    ratio, so this is a ceiling for any trained model. The corpus builder
-    draws u as the first variate from its seed; replay it and self-check it
-    against the planted annotations before trusting it."""
+def _planted_direction(manifest, bags, signal, spec):
+    """The unit direction u along which the corpus builder shifts planted
+    patches. It draws u as the first variate from its seed; replay it and
+    self-check it against the planted annotations before trusting it."""
     rng = np.random.default_rng(spec.seed)
     direction = rng.standard_normal(spec.embed_dim)
     direction /= np.linalg.norm(direction)
@@ -133,13 +128,33 @@ def _planted_mixture_ceiling(manifest, bags, signal, spec):
     assert abs(gap - spec.signal_strength) < 0.1, (
         f"replayed direction is off the planted annotations (projection gap {gap:.3f}, "
         f"expected about {spec.signal_strength})")
+    return direction
+
+
+def _held_out_auc(manifest, bags, score):
+    """Held-out AUC of score(float64 embeddings of a bag)."""
+    entries = manifest.split_entries("test")
+    return auc([e.label for e in entries],
+               [score(bags[e.slide_id].embeddings.astype(np.float64)) for e in entries])
+
+
+def _planted_mixture_ceiling(manifest, bags, spec, direction):
+    """Held-out AUC of the exact bag-level likelihood ratio for the planted
+    mixture. Each patch of a positive bag is planted with probability f and
+    shifted by s along the unit direction u, so its density ratio against a
+    null patch is (1-f) + f*exp(s*(x.u) - s^2/2); the bag log-likelihood ratio
+    is the sum over patches. No scorer has a better ROC than the likelihood
+    ratio, so this is a ceiling for any trained model."""
     s, f = spec.signal_strength, spec.signal_fraction
-    labels, scores = [], []
-    for entry in manifest.split_entries("test"):
-        proj = bags[entry.slide_id].embeddings.astype(np.float64) @ direction
-        labels.append(entry.label)
-        scores.append(float(np.log((1.0 - f) + f * np.exp(s * proj - 0.5 * s * s)).sum()))
-    return auc(labels, scores)
+    return _held_out_auc(manifest, bags, lambda emb: float(
+        np.log((1.0 - f) + f * np.exp(s * (emb @ direction) - 0.5 * s * s)).sum()))
+
+
+def _mean_pooling_rung(manifest, bags, direction):
+    """Held-out AUC of each bag's mean embedding projected on u: uniform
+    pooling with the planted direction known, a rung below the ceiling that a
+    trained attention model should clear."""
+    return _held_out_auc(manifest, bags, lambda emb: float(emb.mean(axis=0) @ direction))
 
 
 def test_criterion_04_planted_signal_training_hits_auc_and_attention_targets():
@@ -171,7 +186,9 @@ def test_criterion_04_planted_signal_training_hits_auc_and_attention_targets():
 
     assert runtime < 120.0, f"trained for {runtime:.1f}s, budget is 120s"
     if test_auc < 0.95 or ratio < 3.0:
-        ceiling = _planted_mixture_ceiling(manifest, bags, signal, spec)
+        direction = _planted_direction(manifest, bags, signal, spec)
+        ceiling = _planted_mixture_ceiling(manifest, bags, spec, direction)
+        pooled = _mean_pooling_rung(manifest, bags, direction)
         pytest.fail(
             f"held-out AUC {test_auc:.4f} (target >= 0.95) with attention mass on planted "
             f"patches {ratio:.2f}x their uniform share (target >= 3x) after "
@@ -180,6 +197,9 @@ def test_criterion_04_planted_signal_training_hits_auc_and_attention_targets():
             f"planted-mixture likelihood ratio (true signal direction replayed from the "
             f"corpus seed, strength 2.0, 5% planted rate) yields AUC {ceiling:.4f} on the "
             f"same split, and no trained scorer beats the likelihood ratio in expectation. "
+            f"Uniform pooling on that direction (each held-out bag's mean embedding "
+            f"projected on it) yields AUC {pooled:.4f}, so the trained model scores "
+            f"{'below' if test_auc < pooled else 'at or above'} plain mean pooling. "
             f"The pipeline itself trains and evaluates end to end; the figures above are "
             f"its measured output.")
 
@@ -225,7 +245,7 @@ def test_criterion_06_rejecting_uncertain_slides_raises_balanced_accuracy():
             truth.append(entry.label)
             pred.append(p.predicted_class)
             unc.append(p.h_aleatoric)
-        curve = dict(rejection_curve(balanced_accuracy, truth, pred, unc, fractions=(0.0, 0.2)))
+        curve = dict(rejection_curve(balanced_accuracy, (truth, pred), unc, fractions=(0.0, 0.2)))
         details.append((seed, curve[0.0], curve[0.2]))
         if curve[0.2] is not None and curve[0.2] >= curve[0.0]:
             wins += 1

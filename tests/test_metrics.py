@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from slidemil.dataio import SurvivalRecord
 from slidemil.errors import MetricUndefinedError, ValidationError
+from slidemil.inference import estimate_baseline_survival
 from slidemil.metrics import (
     MAX_REDRAW_FACTOR,
     auc,
     balanced_accuracy,
     bootstrap_ci,
+    breslow_table,
     cohens_kappa,
     concordance_index,
     confusion_counts,
@@ -25,6 +27,7 @@ from slidemil.metrics import (
     rejection_curve,
     risk_sets,
 )
+from slidemil.model import cox_loss, cross_entropy_loss, mse_loss
 
 
 def _auc_pairs(labels, scores):
@@ -102,8 +105,8 @@ class TestConfusionCounts:
         counts = confusion_counts([0, 2, 2, 2], [2, 2, 5, 2])
         np.testing.assert_array_equal(counts, [[0, 1, 0], [0, 2, 1], [0, 0, 0]])
 
-    def test_misaligned_undefined(self):
-        with pytest.raises(MetricUndefinedError):
+    def test_misaligned_rejected(self):
+        with pytest.raises(ValidationError):
             confusion_counts([0, 1], [0])
 
 
@@ -479,7 +482,7 @@ class TestRejectionCurve:
         truth = np.array([0, 1, 0, 1])
         pred = np.array([0, 1, 1, 0])  # wrong on the last two
         unc = np.array([0.1, 0.2, 0.9, 0.8])
-        curve = dict(rejection_curve(balanced_accuracy, truth, pred, unc,
+        curve = dict(rejection_curve(balanced_accuracy, (truth, pred), unc,
                                      [0.0, 0.25, 0.5]))
         assert curve[0.0] == 0.5
         # dropping the single most uncertain sample removes one error
@@ -497,7 +500,7 @@ class TestRejectionCurve:
             seen[len(t)] = True
             return balanced_accuracy(t, p)
 
-        rejection_curve(probe, truth, pred, unc, [0.1, 0.2, 0.5])
+        rejection_curve(probe, (truth, pred), unc, [0.1, 0.2, 0.5])
         # ceil(0.5) = 1, ceil(1.0) = 1, ceil(2.5) = 3 samples dropped
         assert set(seen) == {4, 2}
 
@@ -511,11 +514,11 @@ class TestRejectionCurve:
             dropped.append(len(t))
             return 0.0
 
-        rejection_curve(probe, truth, pred, unc, [0.25, 0.5])
+        rejection_curve(probe, (truth, pred), unc, [0.25, 0.5])
         assert dropped == [3, 2]
         # with all-equal uncertainty the stable order drops index 0 first:
         # the wrong prediction at index 0 disappears at q = 0.25
-        curve = dict(rejection_curve(balanced_accuracy, truth, pred, unc, [0.25]))
+        curve = dict(rejection_curve(balanced_accuracy, (truth, pred), unc, [0.25]))
         assert curve[0.25] == 1.0
 
     def test_undefined_tail_reported_as_none(self):
@@ -523,14 +526,49 @@ class TestRejectionCurve:
         truth = np.array([1, 0, 0, 0])
         pred = np.array([0.9, 0.1, 0.2, 0.3])
         unc = np.array([9.0, 1.0, 1.0, 1.0])  # the only positive drops first
-        curve = dict(rejection_curve(auc, truth, pred, unc, [0.0, 0.25]))
+        curve = dict(rejection_curve(auc, (truth, pred), unc, [0.0, 0.25]))
         assert curve[0.0] == 1.0
         assert curve[0.25] is None
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValidationError):
-            rejection_curve(balanced_accuracy, [0, 1], [0, 1], [0.1, 0.2], [1.0])
+            rejection_curve(balanced_accuracy, ([0, 1], [0, 1]), [0.1, 0.2], [1.0])
 
     def test_misaligned_rejected(self):
         with pytest.raises(ValidationError):
-            rejection_curve(balanced_accuracy, [0, 1], [0], [0.1, 0.2], [0.0])
+            rejection_curve(balanced_accuracy, ([0, 1], [0]), [0.1, 0.2], [0.0])
+
+
+_RECORDS = [SurvivalRecord(time=t, event=1) for t in (1.0, 2.0, 3.0)]
+
+# each call passes one per-slide column of length 1 beside columns of length 3
+_MISALIGNED = {
+    "confusion_counts": lambda: confusion_counts([0, 1, 0], [1]),
+    "balanced_accuracy": lambda: balanced_accuracy([0], [0, 1, 0]),
+    "cohens_kappa": lambda: cohens_kappa([0, 1, 0], [1]),
+    "auc": lambda: auc([0, 1, 0], [0.5]),
+    "pearson_r": lambda: pearson_r([1.0], [1.0, 2.0, 3.0]),
+    "mean_squared_error": lambda: mean_squared_error([1.0, 2.0, 3.0], [1.0]),
+    "concordance_index-risks": lambda: concordance_index([1, 2, 3], [1, 1, 1], [0.5]),
+    "concordance_index-events": lambda: concordance_index([1, 2, 3], [1], [0.3, 0.2, 0.1]),
+    "km_curve": lambda: km_curve([1.0, 2.0, 3.0], [1]),
+    "logrank_test": lambda: logrank_test([1.0, 2.0, 3.0], [1, 1, 1], [True]),
+    "logrank_test-2d": lambda: logrank_test([[1.0, 2.0, 3.0]], [[1, 1, 1]],
+                                            [[True, False, True]]),
+    "breslow_table": lambda: breslow_table([1.0, 2.0, 3.0], [1, 1, 1], [0.5]),
+    "bootstrap_ci": lambda: bootstrap_ci(auc, ([0, 1, 0], [0.5]), n_replicates=10),
+    "rejection_curve": lambda: rejection_curve(auc, ([0, 1, 0], [0.1, 0.2, 0.3]), [0.5],
+                                               [0.0]),
+    "cross_entropy_loss": lambda: cross_entropy_loss(np.zeros((3, 2)), np.array([1])),
+    "mse_loss": lambda: mse_loss(np.zeros(3), np.array([1.0])),
+    "cox_loss": lambda: cox_loss(np.zeros(3), np.array([1.0, 2.0, 3.0]), np.array([1])),
+    "estimate_baseline_survival": lambda: estimate_baseline_survival(np.zeros(1), _RECORDS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISALIGNED))
+def test_misaligned_per_slide_arrays_rejected(name):
+    """Per-slide arrays that are not 1-D or differ in length raise
+    ValidationError: not a value, an IndexError or MetricUndefinedError."""
+    with pytest.raises(ValidationError, match="per-slide arrays"):
+        _MISALIGNED[name]()

@@ -301,6 +301,19 @@ class TestPlainBatches:
         assert [len(b) for b in plan.batches] == [1] * 7
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("make_plan", [
+    lambda batch_size, rng: plain_batches(5, batch_size, rng),
+    # any batch_size <= 0 sends regression_batches to plain_batches
+    lambda batch_size, rng: regression_batches(np.arange(5.0), batch_size, rng),
+], ids=["plain", "regression"])
+def test_batch_size_below_one_rejected_before_any_draw(make_plan, batch_size):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError):
+        make_plan(batch_size, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 _GOLDEN_TIMES = [5.0, 1.0, 3.0, 8.0, 2.0, 6.0, 4.0, 7.0, 9.0, 2.5]
 
 # plans written by the samplers at a fixed seed, including with-replacement
