@@ -116,16 +116,11 @@ def _read_predictions(path) -> dict[str, dict]:
     return records
 
 
-def _is_finite_real(value) -> bool:
-    real = dataio._as_real(value)
-    return real is not None and math.isfinite(real)
-
-
 def _column(records: list[dict], key: str, dtype, index: int | None = None) -> np.ndarray:
     """The field key of every record, or element index of it, as a 1-D array:
     JSON integers for dtype int, finite reals for any other dtype."""
     kind, accepts = (("an integer", dataio._is_int) if dtype is int
-                     else ("a finite numeric", _is_finite_real))
+                     else ("a finite numeric", lambda v: dataio._as_real(v) is not None))
     message = f"every prediction record needs {kind} {key!r}"
     try:
         values = [r[key] if index is None else r[key][index] for r in records]

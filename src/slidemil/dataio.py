@@ -1,5 +1,7 @@
 """On-disk and in-memory representation of embedding bags and dataset manifests,
-and the one JSON parser and field checker of every JSON record the commands read.
+the one JSON parser and field checker of every JSON record the commands read,
+and the one real-number predicate (_as_real) of every real they read, which
+rejects NaN and +-Infinity: Python's json reads them, though JSON has neither.
 
 Embedding file layout (little-endian throughout):
     bytes 0-7    magic ASCII "NNMILEB1"
@@ -24,6 +26,7 @@ replaces files by renaming, which leaves mapped bags as they were.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import numbers
 import os
@@ -114,10 +117,10 @@ class SurvivalRecord:
     event: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.time) and self.time > 0):
-            raise ValidationError(f"survival time must be a positive real, got {self.time}")
-        if self.event not in (0, 1):
-            raise ValidationError(f"event indicator must be 0 or 1, got {self.event}")
+        time = _as_real(self.time)
+        if time is None or time <= 0 or not (_is_int(self.event) and self.event in (0, 1)):
+            raise ValidationError(f"survival label must be a positive finite time and an event "
+                                  f"of 0 or 1, got time={self.time!r}, event={self.event!r}")
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,12 @@ class DatasetManifest:
                 raise ValidationError(f"duplicate slide_id {e.slide_id!r}")
             seen.add(e.slide_id)
         if self.task == "classification":
-            labels = [e.label for e in self.entries]
-            if not all(_is_int(l) for l in labels):
-                raise ValidationError("classification labels must be integer class indices")
+            for e in self.entries:
+                if not _is_int(e.label):
+                    raise ValidationError(f"entry {e.slide_id}: classification label must be "
+                                          f"an integer, got {e.label!r}")
             if self.n_classes is None:
-                self.n_classes = int(max(labels)) + 1 if labels else 0
+                self.n_classes = max((int(e.label) + 1 for e in self.entries), default=0)
             # fingerprinting and the head scale with n_classes, declared or
             # inferred from the largest label, not with the data
             if self.n_classes > len(self.entries):
@@ -167,10 +171,9 @@ class DatasetManifest:
                     )
         elif self.task == "regression":
             for e in self.entries:
-                if not isinstance(e.label, (float, int, np.floating, np.integer)) or isinstance(e.label, bool):
-                    raise ValidationError(f"entry {e.slide_id}: regression target must be a real number")
-                if not np.isfinite(e.label):
-                    raise ValidationError(f"entry {e.slide_id}: regression target must be finite")
+                if _as_real(e.label) is None:
+                    raise ValidationError(f"entry {e.slide_id}: regression label must be a "
+                                          f"finite real number, got {e.label!r}")
             if self.n_classes is not None:
                 raise ValidationError("n_classes is only valid for classification")
         else:  # survival
@@ -273,9 +276,10 @@ def write_embedding_file(bag: SlideBag, path: str | Path) -> None:
     The bytes go to a new file in the same directory, which then replaces
     path in one rename: readers see the old file or the new one, never a
     partial one, and bags mapped from the old file keep their values."""
-    emb = np.ascontiguousarray(bag.embeddings, dtype="<f4")
-    if not np.all(np.isfinite(emb)):
-        raise ValidationError(f"bag {bag.slide_id}: refusing to write non-finite embeddings")
+    # a bag's embeddings may have been written to since it was built, so its
+    # checks (shape, and the blocked finiteness scan) run again
+    checked = SlideBag(bag.slide_id, bag.patient_id, bag.embeddings)
+    emb = np.ascontiguousarray(checked.embeddings, dtype="<f4")
     n, d = emb.shape
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
@@ -294,13 +298,15 @@ def _is_int(value) -> bool:
 
 
 def _as_real(value):
-    """value as a float when it is a real number (not a bool) a float holds, else None."""
+    """value as a float when it is a finite real number (not a bool), else None:
+    NaN, +-Infinity and integers past float range are None."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return None
     try:
-        return float(value)
+        real = float(value)
     except OverflowError:
         return None
+    return real if math.isfinite(real) else None
 
 
 # what each field annotation accepts (annotations are strings here); bools are
@@ -311,6 +317,8 @@ _FIELD_TYPES = {"int": _is_int, "float": lambda v: _as_real(v) is not None,
                                           and all(_as_real(x) is not None for x in v)),
                 "tuple[int, int]": lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
                                               and all(map(_is_int, v)))}
+# how an error names what a float annotation accepts
+_FINITE = {"float": "a finite float", "list[float]": "a list of finite floats"}
 
 
 def _check_fields(record) -> None:
@@ -320,7 +328,8 @@ def _check_fields(record) -> None:
     for f in fields(record):
         value, kind = getattr(record, f.name), f.type.removesuffix(" | None")
         if not (value is None and kind != f.type) and not _FIELD_TYPES[kind](value):
-            raise ValidationError(f"{name}.{f.name} must be {f.type}, got {value!r}")
+            expected = _FINITE.get(kind, kind) + (" or None" if kind != f.type else "")
+            raise ValidationError(f"{name}.{f.name} must be {expected}, got {value!r}")
     if record.task not in TASKS:
         raise ValidationError(f"{name}: unknown task {record.task!r}")
 
@@ -335,21 +344,25 @@ def _from_fields(cls, doc):
         raise ValidationError(f"{cls.__name__}: {exc}") from exc
 
 
+def _float_if_real(value):
+    """value as a float if _as_real accepts it, else as it is (for its record to reject)."""
+    real = _as_real(value)
+    return value if real is None else real
+
+
 def _label_from_json(raw, task: str, slide_id: str):
-    if task == "classification":
-        if not _is_int(raw):
-            raise ValidationError(f"entry {slide_id}: classification label must be an integer, got {raw!r}")
-        return raw
-    if task == "regression":
-        value = _as_real(raw)
-        if value is None:
-            raise ValidationError(f"entry {slide_id}: regression label must be a number, got {raw!r}")
-        return value
-    if not (isinstance(raw, dict) and set(raw) == {"time", "event"}
-            and _as_real(raw["time"]) is not None and _is_int(raw["event"])):
+    """A manifest entry's JSON label as the entry holds it: a regression
+    target as a float, a survival {"time", "event"} object as a SurvivalRecord
+    with a float time. DatasetManifest and SurvivalRecord check the values."""
+    if task != "survival":
+        return _float_if_real(raw) if task == "regression" else raw
+    if not (isinstance(raw, dict) and set(raw) == {"time", "event"}):
         raise ValidationError(f"entry {slide_id}: survival label must be {{'time': number, "
                               f"'event': integer}}, got {raw!r}")
-    return SurvivalRecord(time=float(raw["time"]), event=raw["event"])
+    try:
+        return SurvivalRecord(time=_float_if_real(raw["time"]), event=raw["event"])
+    except ValidationError as exc:
+        raise ValidationError(f"entry {slide_id}: {exc}") from None
 
 
 def parse_json(raw: bytes, where):
@@ -377,8 +390,6 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if not isinstance(doc, dict) or "task" not in doc or "entries" not in doc:
         raise FormatError(f"{path}: manifest must be an object with 'task' and 'entries'")
     task = doc["task"]
-    if task not in TASKS:
-        raise ValidationError(f"{path}: unknown task {task!r}")
     if not isinstance(doc["entries"], list):
         raise FormatError(f"{path}: 'entries' must be a list")
     entries = []

@@ -11,7 +11,6 @@ Overrides must keep S <= H, so that the windows cover every feature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -60,11 +59,6 @@ class DataFingerprint:
                                       f"(an embedding header's limit), got {getattr(self, name)!r}")
         if not self.patch_count_p5 <= self.patch_count_median <= self.patch_count_p95:
             raise ValidationError("patch-count percentiles must be ordered p5 <= median <= p95")
-        # a NaN would pass the sum check below, and plans are derived from these
-        for name in ("class_prevalence", "target_min", "target_max", "time_horizon_max"):
-            value = getattr(self, name)
-            if value is not None and not all(map(math.isfinite, np.atleast_1d(value))):
-                raise ValidationError(f"DataFingerprint.{name} must be finite, got {value!r}")
         if self.class_prevalence is not None and abs(sum(self.class_prevalence) - 1.0) > 1e-9:
             raise ValidationError("class prevalences must sum to 1")
         if self.event_rate is not None and not 0.0 <= self.event_rate <= 1.0:
@@ -101,14 +95,10 @@ class RunConfig:
                      "patience"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        for name in ("warmup_epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
         # a learning rate of 0 is legal: it freezes the parameters
-        for name in ("learning_rate", "weight_decay"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("warmup_epochs", "seed", "learning_rate", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout}")
         # windows of width H at stride S > H would skip the features between them

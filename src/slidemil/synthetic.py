@@ -13,7 +13,6 @@ train/val/test, stratified by label (classification) or event (survival).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,8 +59,6 @@ class SyntheticSpec:
             raise ValidationError("n_bags and embed_dim must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if not math.isfinite(self.signal_strength):
-            raise ValidationError(f"signal_strength must be finite, got {self.signal_strength}")
         if self.task == "classification":
             if not 0.0 < self.signal_fraction <= 1.0:
                 raise ValidationError("signal_fraction must lie in (0, 1]")

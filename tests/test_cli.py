@@ -997,11 +997,11 @@ def _classification_manifest(tmp_path):
 # error each gives; the corpus below has D = H = 8
 _UNTRAINABLE = [
     ("patience", "0", "patience must be >= 1"),
-    ("learning_rate", "-0.001", "learning_rate must be finite and >= 0"),
-    ("learning_rate", "NaN", "learning_rate must be finite and >= 0"),
-    ("learning_rate", "Infinity", "learning_rate must be finite and >= 0"),
-    ("weight_decay", "-0.0001", "weight_decay must be finite and >= 0"),
-    ("weight_decay", "NaN", "weight_decay must be finite and >= 0"),
+    ("learning_rate", "-0.001", "learning_rate must be >= 0, got -0.001"),
+    ("learning_rate", "NaN", "RunConfig.learning_rate must be a finite float, got nan"),
+    ("learning_rate", "Infinity", "RunConfig.learning_rate must be a finite float, got inf"),
+    ("weight_decay", "-0.0001", "weight_decay must be >= 0, got -0.0001"),
+    ("weight_decay", "NaN", "RunConfig.weight_decay must be a finite float, got nan"),
     ("warmup_epochs", "-1", "warmup_epochs must be >= 0"),
     ("dropout", "1.0", "dropout must lie in [0, 1)"),
     ("dropout", "-0.1", "dropout must lie in [0, 1)"),
@@ -1014,7 +1014,7 @@ _BAD_SPECS = {
     "seed": ({"seed": 1.5}, "SyntheticSpec.seed must be int, got 1.5"),
     "n_bags": ({"n_bags": 6.5}, "SyntheticSpec.n_bags must be int, got 6.5"),
     "signal_strength": ({"signal_strength": "2"},
-                        "SyntheticSpec.signal_strength must be float, got '2'"),
+                        "SyntheticSpec.signal_strength must be a finite float, got '2'"),
     "patches_per_bag_range": ({"patches_per_bag_range": [5, 10.5]},
                               "SyntheticSpec.patches_per_bag_range must be tuple[int, int], "
                               "got [5, 10.5]"),
@@ -1023,9 +1023,9 @@ _BAD_SPECS = {
     "split_fractions": ({"split_fractions": [0.6, 0.2, 0.2]},
                         "unexpected keyword argument 'split_fractions'"),
     "signal_strength-inf": ({"signal_strength": float("inf")},
-                            "signal_strength must be finite, got inf"),
+                            "SyntheticSpec.signal_strength must be a finite float, got inf"),
     "signal_strength-10**400": ({"signal_strength": 10**400},
-                                "SyntheticSpec.signal_strength must be float, got 1000"),
+                                "SyntheticSpec.signal_strength must be a finite float, got 1000"),
     # log-hazards of a few hundred overflow exp
     "signal_strength-overflow": ({"task": "survival", "signal_strength": 400.0},
                                  "signal_strength 400.0 overflows (overflow encountered in exp)"),
@@ -1078,11 +1078,14 @@ _BAD_INPUTS = {
             "DataFingerprint.patch_count_iqr must be at most 4294967295"),
            # NaN passes the prevalences' sum check, which compares against it
            ("class_prevalence", [float("nan")] * 2,
-            "DataFingerprint.class_prevalence must be finite, got [nan, nan]"),
-           ("target_min", float("-inf"), "DataFingerprint.target_min must be finite, got -inf"),
-           ("target_max", float("inf"), "DataFingerprint.target_max must be finite, got inf"),
+            "DataFingerprint.class_prevalence must be a list of finite floats or None, "
+            "got [nan, nan]"),
+           ("target_min", float("-inf"),
+            "DataFingerprint.target_min must be a finite float or None, got -inf"),
+           ("target_max", float("inf"),
+            "DataFingerprint.target_max must be a finite float or None, got inf"),
            ("time_horizon_max", float("nan"),
-            "DataFingerprint.time_horizon_max must be finite, got nan"))},
+            "DataFingerprint.time_horizon_max must be a finite float or None, got nan"))},
     "plan-fingerprint-patch-counts-1e300": ("plan", lambda dirs, manifest, tmp_path: [
         "--fingerprint", _edited(dirs["fp"] / "fingerprint.json", tmp_path,
                                  **dict.fromkeys(("patch_count_p5", "patch_count_median",
@@ -1091,11 +1094,11 @@ _BAD_INPUTS = {
     "plan-fingerprint-class_prevalence-10**400": ("plan", lambda dirs, manifest, tmp_path: [
         "--fingerprint", _edited(dirs["fp"] / "fingerprint.json", tmp_path,
                                  class_prevalence=[10**400, 0])],
-        "DataFingerprint.class_prevalence must be list[float] | None, got [1000"),
+        "DataFingerprint.class_prevalence must be a list of finite floats or None, got [1000"),
     "plan-override-learning_rate-10**400": ("plan", lambda dirs, manifest, tmp_path: [
         "--fingerprint", dirs["fp"] / "fingerprint.json",
         "--override", f"learning_rate={10**400}"],
-        "RunConfig.learning_rate must be float, got 1000"),
+        "RunConfig.learning_rate must be a finite float, got 1000"),
     **{f"plan-override-{override}": ("plan", lambda dirs, manifest, tmp_path, override=override: [
         "--fingerprint", dirs["fp"] / "fingerprint.json", "--override", override], message)
        for override, message in (

@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from slidemil.dataio import _FIELD_TYPES, DatasetManifest, ManifestEntry, SlideBag, SurvivalRecord
+from slidemil.dataio import (_FIELD_TYPES, TASKS, DatasetManifest, ManifestEntry, SlideBag,
+                             SurvivalRecord)
 from slidemil.errors import ValidationError
 from slidemil.fingerprint import (
     DataFingerprint,
@@ -193,15 +194,15 @@ class TestDeriveConfig:
 
 # config settings no run can train with, and the error each gives (H = 16)
 _UNTRAINABLE = [
-    ("learning_rate", -1e-3, "learning_rate must be finite and >= 0"),
-    ("learning_rate", math.nan, "learning_rate must be finite and >= 0"),
-    ("learning_rate", math.inf, "learning_rate must be finite and >= 0"),
-    ("weight_decay", -1e-4, "weight_decay must be finite and >= 0"),
-    ("weight_decay", math.nan, "weight_decay must be finite and >= 0"),
+    ("learning_rate", -1e-3, "learning_rate must be >= 0, got -0.001"),
+    ("learning_rate", math.nan, "RunConfig.learning_rate must be a finite float, got nan"),
+    ("learning_rate", math.inf, "RunConfig.learning_rate must be a finite float, got inf"),
+    ("weight_decay", -1e-4, "weight_decay must be >= 0, got -0.0001"),
+    ("weight_decay", math.nan, "RunConfig.weight_decay must be a finite float, got nan"),
     ("warmup_epochs", -1, "warmup_epochs must be >= 0"),
     ("dropout", 1.0, "dropout must lie in [0, 1)"),
     ("dropout", -0.1, "dropout must lie in [0, 1)"),
-    ("dropout", math.nan, "dropout must lie in [0, 1)"),
+    ("dropout", math.nan, "RunConfig.dropout must be a finite float, got nan"),
     ("seed", -1, "seed must be >= 0"),
     ("stride", 17, "stride 17 exceeds hidden_dim 16"),
 ]
@@ -324,9 +325,23 @@ class TestRecordFieldTypes:
         with pytest.raises(ValidationError, match="embed_dim must be int"):
             DataFingerprint(**{**doc, "embed_dim": None})
 
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("cls,name", [(cls, f.name) for cls in _RECORDS
+                                          for f in dataclasses.fields(cls)
+                                          if f.type.removesuffix(" | None")
+                                          in ("float", "list[float]")],
+                             ids=lambda v: getattr(v, "__name__", v))
+    def test_every_real_field_must_be_finite(self, cls, name, value, task):
+        # whether or not the task reads the field
+        kind = next(f.type for f in dataclasses.fields(cls) if f.name == name)
+        bad = [value] if kind.startswith("list") else value
+        with pytest.raises(ValidationError, match=f"{cls.__name__}.{name} must be a .*finite"):
+            cls(**{**_RECORDS[cls](), "task": task, name: bad})
+
     @pytest.mark.parametrize("name,value", [
         ("class_prevalence", [math.nan, math.nan]), ("class_prevalence", [1.0, math.inf]),
         ("target_min", -math.inf), ("target_max", math.inf), ("time_horizon_max", math.nan)])
     def test_fingerprint_statistics_must_be_finite(self, name, value):
-        with pytest.raises(ValidationError, match=f"DataFingerprint.{name} must be finite"):
+        with pytest.raises(ValidationError, match=f"DataFingerprint.{name} must be a .*finite"):
             DataFingerprint(**{**_RECORDS[DataFingerprint](), name: value})

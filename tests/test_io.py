@@ -1,5 +1,6 @@
 """Binary embedding-file format and manifest validation."""
 
+import dataclasses
 import json
 import math
 import os
@@ -173,7 +174,9 @@ class TestSurvivalRecord:
         r = SurvivalRecord(time=1.5, event=0)
         assert r.time == 1.5 and r.event == 0
 
-    @pytest.mark.parametrize("time", [0.0, -1.0, float("nan"), float("inf")])
+    # a time past float range, and a bool, as the Python API may pass them
+    @pytest.mark.parametrize("time", [0.0, -1.0, float("nan"), float("inf"), 10**400, True],
+                             ids=["0.0", "-1.0", "nan", "inf", "10**400", "True"])
     def test_rejects_bad_time(self, time):
         with pytest.raises(ValidationError):
             SurvivalRecord(time=time, event=1)
@@ -181,6 +184,11 @@ class TestSurvivalRecord:
     def test_rejects_bad_event(self):
         with pytest.raises(ValidationError):
             SurvivalRecord(time=1.0, event=2)
+
+    @pytest.mark.parametrize("event", [True, 1.0])
+    def test_rejects_event_that_is_not_an_int(self, event):
+        with pytest.raises(ValidationError, match="event of 0 or 1"):
+            SurvivalRecord(time=1.0, event=event)
 
 
 def _entry(sid, split="train", label=0, pid=None):
@@ -232,6 +240,29 @@ class TestManifest:
             DatasetManifest(entries=[_entry("a", label=0.5)], task="classification")
         with pytest.raises(ValidationError):
             DatasetManifest(entries=[_entry("a", label=1)], task="survival")
+
+    @pytest.mark.parametrize("label", [10**400, True], ids=["10**400", "True"])
+    def test_regression_label_must_be_a_finite_real(self, label):
+        with pytest.raises(ValidationError, match="entry b: regression label must be"):
+            DatasetManifest(entries=[_entry("a", label=1.5), _entry("b", label=label)],
+                            task="regression")
+
+    @pytest.mark.parametrize("task,label,held", [
+        ("regression", 3, 3.0), ("regression", -2, -2.0),
+        ("survival", {"time": 4, "event": 1}, {"time": 4.0, "event": 1})])
+    def test_integer_valued_labels_round_trip_as_floats(self, tmp_path, task, label, held):
+        # JSON integers are held as floats, so a saved manifest writes 3.0, not 3
+        def doc(label):
+            return {"task": task, "entries": [{"slide_id": "a", "patient_id": "a",
+                                               "embedding_path": "a.emb", "split": "train",
+                                               "label": label}]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc(label)))
+        manifest = load_manifest(path)
+        real = manifest.entries[0].label
+        assert type(real.time if task == "survival" else real) is float
+        save_manifest(manifest, path)
+        assert path.read_text() == json.dumps(doc(held), indent=2, sort_keys=True) + "\n"
 
     def test_survival_train_needs_an_event(self):
         rec = SurvivalRecord(time=1.0, event=0)
@@ -786,9 +817,11 @@ class TestManifestReaderFuzz:
         path = tmp_path_factory.mktemp("manifest") / "manifest.json"
         path.write_text(json.dumps(doc))
         try:
-            load_manifest(path)
+            manifest = load_manifest(path)
         except (FormatError, ValidationError):
-            pass
+            return
+        labels = [e.label.time if task == "survival" else e.label for e in manifest.entries]
+        assert all(map(math.isfinite, labels))
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -842,9 +875,13 @@ class TestRecordLoaderFuzz:
         path = tmp_path_factory.mktemp(kind) / f"{kind}.json"
         path.write_text(json.dumps(doc))
         try:
-            RECORD_LOADERS[kind](path)
+            record = RECORD_LOADERS[kind](path)
         except (FormatError, ValidationError):
-            pass
+            return
+        for f in dataclasses.fields(record):
+            value = getattr(record, f.name)
+            if f.type.startswith(("float", "list[float]")):
+                assert value is None or all(map(math.isfinite, np.atleast_1d(value)))
 
     # Integers stay small: a spec may ask for a corpus of any size.
     # Bare numbers are drawn often, so that some edited documents are valid.
