@@ -16,7 +16,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -192,18 +191,16 @@ def cmd_train(args) -> int:
 
 
 def _survival_eval_times(args, manifest) -> np.ndarray:
-    train_records = [e.label for e in manifest.split_entries("train")]
+    """--eval-time: the train split's median event time (labels only), or a
+    number that SurvivalRecord accepts as a survival time."""
     if args.eval_time == "median":
+        train_records = [e.label for e in manifest.split_entries("train")]
         return np.array([inference.median_event_time(train_records)])
     try:
-        value = float(args.eval_time)
-    except ValueError:
-        value = math.nan
-    # the condition SurvivalRecord puts on a survival time
-    if not (math.isfinite(value) and value > 0):
+        return np.array([dataio.SurvivalRecord(time=float(args.eval_time), event=0).time])
+    except (ValueError, ValidationError) as exc:
         raise ValidationError(f"--eval-time must be 'median' or a finite positive number, "
-                              f"got {args.eval_time!r}")
-    return np.array([value])
+                              f"got {args.eval_time!r}") from exc
 
 
 def cmd_predict(args) -> int:
@@ -220,17 +217,9 @@ def cmd_predict(args) -> int:
     entries = manifest.split_entries(args.split)
     if not entries:
         raise ValidationError(f"split {args.split!r} is empty")
-    # survival also reads the train split, to fit the Breslow baseline
-    splits = (args.split, "train") if config.task == "survival" else (args.split,)
-    bags = dataio.load_bags(manifest, args.data_dir, splits)
-
+    bags = dataio.load_bags(manifest, args.data_dir, (args.split,))
     if config.task == "survival":
         eval_times = _survival_eval_times(args, manifest)
-        train_entries = manifest.split_entries("train")
-        train_risks = inference.slide_outputs(model, "survival", bags, train_entries,
-                                              windows)[:, 0]
-        baseline = inference.estimate_baseline_survival(
-            train_risks, [e.label for e in train_entries])
 
     predictions = []
     for entry in entries:
@@ -241,7 +230,7 @@ def cmd_predict(args) -> int:
             predictions.append(inference.predict_regression(model, bag, windows))
         else:
             predictions.append(inference.predict_survival(model, bag, windows,
-                                                          baseline, eval_times))
+                                                          checkpoint.baseline, eval_times))
 
     out = _out_dir(args)
     with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:

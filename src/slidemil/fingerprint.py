@@ -51,6 +51,15 @@ class DataFingerprint:
 
     def __post_init__(self):
         _check_fields(self)
+        for name in ("n_train", "n_val", "n_test", "embed_dim", "patch_count_median",
+                     "patch_count_iqr", "patch_count_p5", "patch_count_p95"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"DataFingerprint.{name} must be >= 0, "
+                                      f"got {getattr(self, name)!r}")
+        if self.class_prevalence is not None and not all(
+                0.0 <= p <= 1.0 for p in self.class_prevalence):
+            raise ValidationError(f"DataFingerprint.class_prevalence must lie in [0, 1], "
+                                  f"got {self.class_prevalence!r}")
         # no embedding file holds more patches or dimensions than its header can count
         for name in ("patch_count_median", "patch_count_iqr", "patch_count_p5",
                      "patch_count_p95", "embed_dim"):

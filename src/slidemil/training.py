@@ -21,7 +21,9 @@ are released once the step's update is applied, so training holds one
 batch and one step's activations at a time. A bag's mapped pages are
 released once sample_patches has copied its rows into the batch (in
 full_bag_batch1, once the step that reads the bag in place is over), and
-the validation ensemble releases each val bag after its pass.
+the validation ensemble releases each val bag after its pass. A survival
+run ends with one more ensemble pass, over the train split, to fit the
+Breslow baseline that the checkpoint stores.
 On top of them, each slide body in flight holds its own temporaries, in
 place where it can: forward the (m, F) sampled columns, the gated output and
 the dropout scale; backward the sampled columns and three (m, H) buffers.
@@ -35,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +45,11 @@ import numpy as np
 # inference.slide_outputs looks ensemble_outputs up in its module, so a
 # wrapper set there (perfbench/tracing.py) also sees the validation ensemble
 from . import inference
-from .dataio import DatasetManifest, SlideBag, _is_int, label_arrays, parse_json, release_pages
+from .dataio import (DatasetManifest, SlideBag, _as_real, _is_int, label_arrays, parse_json,
+                     release_pages)
 from .errors import CorruptionError, FormatError, ValidationError
 from .fingerprint import RunConfig
+from .metrics import BreslowTable
 from .model import (PARAM_NAMES, GatedAttentionMIL, _perturbed_losses, cox_loss,
                     cross_entropy_loss, mse_loss)
 from .sampling import (balanced_batches, plain_batches, regression_batches,
@@ -53,7 +57,8 @@ from .sampling import (balanced_batches, plain_batches, regression_batches,
 
 CHECKPOINT_MAGIC = b"NNMILCK1"
 CHECKPOINT_VERSION = 1
-CHECKPOINT_HEADER_KEYS = {"format_version", "config", "tensors"}
+# "baseline" is in the header of a survival checkpoint, and only there
+CHECKPOINT_HEADER_KEYS = {"format_version", "config", "tensors", "baseline"}
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
@@ -119,10 +124,19 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], stat
 
 @dataclass
 class Checkpoint:
-    """The trained model: its parameters and the config that made them. The
-    AdamW state lives only as long as the run that updates with it."""
+    """The trained model: its parameters, the config that made them and, for
+    survival, the Breslow baseline fitted on the train split with those
+    parameters. The AdamW state lives only as long as the run that updates
+    with it."""
     params: dict[str, np.ndarray]
     config: RunConfig
+    baseline: BreslowTable | None = None
+
+    def __post_init__(self):
+        if (self.baseline is None) == (self.config.task == "survival"):
+            raise ValidationError("a survival checkpoint holds a Breslow baseline, and no "
+                                  f"other does; this {self.config.task} checkpoint "
+                                  f"{'lacks' if self.baseline is None else 'has'} one")
 
 
 @dataclass
@@ -162,6 +176,10 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "config": checkpoint.config.to_dict(),
         "tensors": meta_tensors,
     }
+    if checkpoint.baseline is not None:
+        # JSON numbers hold a float64's repr, which reads back to the same bits
+        header["baseline"] = {f.name: getattr(checkpoint.baseline, f.name).tolist()
+                              for f in fields(BreslowTable)}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -187,10 +205,36 @@ def _check_model_tensors(params: dict[str, np.ndarray]) -> None:
                               f"not {list(shape)}")
 
 
+def _baseline_from_header(doc) -> BreslowTable:
+    """The header's Breslow table: one list per BreslowTable field, all of one
+    nonzero length, of finite numbers (positive int64 integers for deaths)
+    at ascending event times."""
+    names = [f.name for f in fields(BreslowTable)]
+    if not (isinstance(doc, dict) and doc.keys() == set(names)):
+        raise FormatError(f"checkpoint baseline must be an object with the keys {names}")
+    columns = {}
+    for name in names:
+        values = doc[name]
+        if name == "deaths":
+            ok, dtype = (lambda v: _is_int(v) and 1 <= v <= np.iinfo(np.int64).max), np.int64
+        else:
+            ok, dtype = (lambda v: _as_real(v) is not None), np.float64
+        if not (isinstance(values, list) and values and all(map(ok, values))):
+            kind = "positive int64 integers" if name == "deaths" else "finite numbers"
+            raise FormatError(f"checkpoint baseline {name} must be a nonempty list of {kind}")
+        columns[name] = np.array(values, dtype=dtype)
+    if len({len(c) for c in columns.values()}) != 1:
+        raise FormatError("checkpoint baseline lists differ in length")
+    if not np.all(np.diff(columns["event_times"]) > 0):
+        raise FormatError("checkpoint baseline event_times must ascend")
+    return BreslowTable(**columns)
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint: its header must hold exactly format_version 1, the
-    config and the tensors, and its tensors must tile the payload, hold
-    finite values and be exactly the model's parameters."""
+    config, the tensors and, for survival only, the Breslow baseline; its
+    tensors must tile the payload, hold finite values and be exactly the
+    model's parameters."""
     raw = Path(path).read_bytes()
     if len(raw) < len(CHECKPOINT_MAGIC) + 8:
         raise FormatError("checkpoint file too short for its header")
@@ -241,7 +285,12 @@ def load_checkpoint(path) -> Checkpoint:
     unknown = sorted(header.keys() - CHECKPOINT_HEADER_KEYS)
     if unknown:
         raise FormatError(f"checkpoint header has unknown keys {unknown}")
-    return Checkpoint(params=arrays, config=RunConfig.from_dict(header["config"]))
+    config = RunConfig.from_dict(header["config"])
+    baseline = _baseline_from_header(header["baseline"]) if "baseline" in header else None
+    try:
+        return Checkpoint(params=arrays, config=config, baseline=baseline)
+    except ValidationError as exc:  # a baseline where the task has none, or none for survival
+        raise FormatError(str(exc)) from exc
 
 
 def _loss_and_grad(task: str, outputs: np.ndarray, targets):
@@ -314,7 +363,8 @@ def _validation_loss(model, task, val_entries, bags, windows) -> float | None:
 
 def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag],
           checkpoint_path=None) -> tuple[Checkpoint, TrainReport]:
-    """Train per the run config; returns the latest-epoch checkpoint and a report."""
+    """Train per the run config; returns the latest-epoch checkpoint (with its
+    Breslow baseline, for survival) and a report."""
     if config.task != manifest.task:
         raise ValidationError(f"config task {config.task} != manifest task {manifest.task}")
     train_entries = manifest.split_entries("train")
@@ -416,7 +466,14 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
     report.best_val_loss = best_val
     report.saved_epoch = report.epochs[-1]["epoch"]  # the last epoch run
 
-    checkpoint = Checkpoint(params=model.params, config=config)
+    baseline = None
+    if task == "survival":
+        # Breslow's baseline is a function of the saved parameters' train
+        # risks, so it is fitted once, here, and every predict reads it
+        train_risks = inference.slide_outputs(model, task, bags, train_entries, windows)[:, 0]
+        baseline = inference.estimate_baseline_survival(
+            train_risks, [e.label for e in train_entries])
+    checkpoint = Checkpoint(params=model.params, config=config, baseline=baseline)
     if checkpoint_path is not None:
         save_checkpoint(checkpoint, checkpoint_path)
     return checkpoint, report

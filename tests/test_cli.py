@@ -66,6 +66,15 @@ def _copy_without(dirs, manifest, splits, out):
     return data
 
 
+def _with_header(checkpoint, out, edit):
+    """A copy at out of the checkpoint whose JSON header is edit(header)."""
+    raw = checkpoint.read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    text = json.dumps(edit(json.loads(raw[16:16 + n]))).encode("utf-8")
+    out.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + n:])
+    return out
+
+
 def _predict_without(dirs, manifest, splits, out):
     """Exit code of predict on a copy of the corpus whose embedding files of
     the given splits are deleted."""
@@ -297,13 +306,35 @@ class TestSurvivalPipeline:
         rejection = json.loads((dirs["rej"] / "rejection.json").read_text())
         assert rejection["metric"] == "concordance_index"
 
-        # the Breslow baseline needs the train split, never the val split
-        no_val = tmp_path / "no_val"
-        assert _predict_without(dirs, manifest, ("val",), no_val) == 0
-        assert (no_val / "predictions.jsonl").read_bytes() == \
-            (dirs["pred"] / "predictions.jsonl").read_bytes()
-        assert _predict_without(dirs, manifest, ("train",), tmp_path / "no_train") == 2
+        # the Breslow baseline is in the checkpoint, so predict reads the
+        # embedding files of the split it scores and of no other
+        for split in ("val", "train"):
+            out = tmp_path / f"no_{split}"
+            assert _predict_without(dirs, manifest, (split,), out) == 0
+            for name in ("predictions.jsonl", "patients.jsonl"):
+                assert (out / name).read_bytes() == (dirs["pred"] / name).read_bytes()
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda header: {k: v for k, v in header.items() if k != "baseline"}, "lacks one"),
+        (lambda header: {**header, "config": {**header["config"], "task": "classification"}},
+         "classification checkpoint has one"),
+        (lambda header: {**header, "baseline": {**header["baseline"],
+                                                "deaths": header["baseline"]["deaths"][1:]}},
+         "baseline lists differ in length"),
+    ], ids=["survival-without-baseline", "classification-with-baseline", "unequal-lengths"])
+    def test_checkpoint_baseline_defect_is_2(self, edit, message, tmp_path, pipeline_dirs,
+                                             capsys):
+        dirs = pipeline_dirs
+        manifest = _run_through_predict(
+            tmp_path, dirs, spec_kw={"task": "survival", "censoring_rate": 0.2, "n_bags": 24},
+            plan_args=("--override", "max_epochs=1", "--override", "batch_size=8"))
+        bad = _with_header(dirs["train"] / "checkpoint.ckpt", tmp_path / "bad.ckpt", edit)
+        capsys.readouterr()
+        assert main(["predict", "--manifest", str(manifest), "--data-dir", str(dirs["data"]),
+                     "--checkpoint", str(bad), "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "bad" / "predictions.jsonl").exists()
 
     def test_batch_of_one_is_1(self, tmp_path, pipeline_dirs, capsys):
         # every planned batch was censored at B=1, so train skipped every step
@@ -492,13 +523,8 @@ class TestExitCodes:
         dirs = pipeline_dirs
         _run_through_predict(tmp_path, pipeline_dirs,
                              plan_args=("--override", "max_epochs=1"))
-        raw = (dirs["train"] / "checkpoint.ckpt").read_bytes()
-        (n,) = struct.unpack("<Q", raw[8:16])
-        header = json.loads(raw[16:16 + n])
-        del header["tensors"]
-        text = json.dumps(header).encode("utf-8")
-        bad = tmp_path / "no_tensors.ckpt"
-        bad.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + n:])
+        bad = _with_header(dirs["train"] / "checkpoint.ckpt", tmp_path / "no_tensors.ckpt",
+                           lambda header: {k: v for k, v in header.items() if k != "tensors"})
         assert main(["predict", "--manifest", str(dirs["data"] / "manifest.json"),
                      "--data-dir", str(dirs["data"]),
                      "--checkpoint", str(bad),
@@ -676,11 +702,8 @@ class TestLoaderExitCodes:
     def test_checkpoint_header_is_checked(self, edit, message, tmp_path, capsys):
         # the header holds format_version 1, config and tensors and nothing else
         assert self._train(self.dirs["plan"] / "config.json") == 0
-        raw = (self.dirs["train"] / "checkpoint.ckpt").read_bytes()
-        (n,) = struct.unpack("<Q", raw[8:16])
-        text = json.dumps({**json.loads(raw[16:16 + n]), **edit}).encode("utf-8")
-        edited = tmp_path / "edited.ckpt"
-        edited.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + n:])
+        edited = _with_header(self.dirs["train"] / "checkpoint.ckpt", tmp_path / "edited.ckpt",
+                              lambda header: {**header, **edit})
 
         def predict(checkpoint, out):
             return main(["predict", "--manifest", str(self.dirs["data"] / "manifest.json"),
@@ -774,7 +797,7 @@ class TestEnsembleWorkerCount:
     @pytest.mark.parametrize("spec_kw", [
         {"task": "classification"},
         {"task": "regression", "signal_strength": 1.0},
-        {"task": "survival", "censoring_rate": 0.2, "n_bags": 24},  # plus the Breslow refit
+        {"task": "survival", "censoring_rate": 0.2, "n_bags": 24},  # plus train's Breslow fit
     ], ids=["classification", "regression", "survival"])
     def test_artifacts_are_byte_identical_on_two_workers_and_one(self, tmp_path, monkeypatch,
                                                                  two_cpus, spec_kw):
@@ -857,7 +880,7 @@ class TestReleasedPages:
 
     @pytest.mark.parametrize("spec_kw,plan_args", [
         ({"task": "classification"}, ()),
-        ({"task": "survival", "censoring_rate": 0.2, "n_bags": 24}, ()),  # plus the Breslow refit
+        ({"task": "survival", "censoring_rate": 0.2, "n_bags": 24}, ()),  # plus train's Breslow fit
         ({"task": "classification"}, ("--override", "training_mode=full_bag_batch1")),
     ], ids=["classification", "survival", "full_bag_batch1"])
     def test_artifacts_match_bags_held_in_memory(self, tmp_path, monkeypatch, spec_kw,
@@ -1047,7 +1070,7 @@ _BAD_INPUTS = {
         "--manifest", manifest, "--data-dir", dirs["data"],
         "--checkpoint", dirs["train"] / "checkpoint.ckpt", "--eval-time", value],
         "--eval-time must be 'median' or a finite positive number")
-       for value in ("nan", "inf", "-1", "0", "soon")},
+       for value in ("nan", "inf", "-1", "0", "soon", "1e400")},
     **{f"{command}-{field}-{value}": (command, lambda dirs, manifest, tmp_path, command=command,
                                       field=field, value=value: [
         "--fingerprint", dirs["fp"] / "fingerprint.json", "--override", f"{field}={value}"]
@@ -1085,7 +1108,12 @@ _BAD_INPUTS = {
            ("target_max", float("inf"),
             "DataFingerprint.target_max must be a finite float or None, got inf"),
            ("time_horizon_max", float("nan"),
-            "DataFingerprint.time_horizon_max must be a finite float or None, got nan"))},
+            "DataFingerprint.time_horizon_max must be a finite float or None, got nan"),
+           # counts, patch-count statistics and prevalences are never negative
+           ("n_train", -12, "DataFingerprint.n_train must be >= 0, got -12"),
+           ("patch_count_p5", -4.0, "DataFingerprint.patch_count_p5 must be >= 0, got -4.0"),
+           ("class_prevalence", [1.5, -0.5],
+            "DataFingerprint.class_prevalence must lie in [0, 1], got [1.5, -0.5]"))},
     "plan-fingerprint-patch-counts-1e300": ("plan", lambda dirs, manifest, tmp_path: [
         "--fingerprint", _edited(dirs["fp"] / "fingerprint.json", tmp_path,
                                  **dict.fromkeys(("patch_count_p5", "patch_count_median",

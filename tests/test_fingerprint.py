@@ -345,3 +345,34 @@ class TestRecordFieldTypes:
     def test_fingerprint_statistics_must_be_finite(self, name, value):
         with pytest.raises(ValidationError, match=f"DataFingerprint.{name} must be a .*finite"):
             DataFingerprint(**{**_RECORDS[DataFingerprint](), name: value})
+
+
+class TestFingerprintRanges:
+    """Counts, patch-count statistics and class prevalences are never
+    negative, and a prevalence is at most 1; the error names the field."""
+
+    @pytest.mark.parametrize("name", ["n_train", "n_val", "n_test", "embed_dim"])
+    def test_negative_count_names_the_field(self, name):
+        with pytest.raises(ValidationError, match=f"DataFingerprint.{name} must be >= 0, got -1"):
+            DataFingerprint(**{**_RECORDS[DataFingerprint](), name: -1})
+
+    @pytest.mark.parametrize("name", ["patch_count_median", "patch_count_iqr",
+                                      "patch_count_p5", "patch_count_p95"])
+    def test_negative_patch_count_statistic_names_the_field(self, name):
+        # the sign is checked before the percentiles' order, so the error
+        # names the field; derive_config planned bag size 1 from a median of -7
+        with pytest.raises(ValidationError,
+                           match=f"DataFingerprint.{name} must be >= 0, got -7.0"):
+            DataFingerprint(**{**_RECORDS[DataFingerprint](), name: -7.0})
+
+    @pytest.mark.parametrize("prevalence", [[1.5, -0.5], [-0.25, 1.25], [0.5, 0.75, -0.25]])
+    def test_prevalence_outside_unit_interval_rejected(self, prevalence):
+        # each sums to 1, so the sum check alone let them through
+        with pytest.raises(ValidationError,
+                           match=re.escape("DataFingerprint.class_prevalence must lie in [0, 1]")):
+            DataFingerprint(**{**_RECORDS[DataFingerprint](), "class_prevalence": prevalence})
+
+    def test_zero_is_accepted(self):
+        fp = DataFingerprint(**{**_RECORDS[DataFingerprint](), "n_val": 0, "n_test": 0,
+                                "patch_count_iqr": 0.0, "class_prevalence": [1.0, 0.0]})
+        assert (fp.n_val, fp.n_test, fp.class_prevalence) == (0, 0, [1.0, 0.0])

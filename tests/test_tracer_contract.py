@@ -89,5 +89,8 @@ def test_every_reached_patch_point_records_a_span(task, tmp_path):
     assert ("model.forward", "inference.ensemble_outputs") in parents
     # the validation ensemble is counted as training.validation_s
     assert ("inference.ensemble_outputs", "training.train") in parents
-    # the Breslow fit's ensemble is counted as inference.baseline_s
-    assert (("inference.ensemble_outputs", "cli.predict") in parents) == (task == "survival")
+    # predict runs the ensemble only inside predict_*: the Breslow baseline is
+    # fitted once, in train, and read from the checkpoint
+    assert ("inference.ensemble_outputs", "cli.predict") not in parents
+    if task == "survival":
+        assert ("inference.baseline_fit", "training.train") in parents

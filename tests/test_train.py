@@ -382,6 +382,12 @@ def _tensor_meta(edit):
     return apply
 
 
+def _baseline_column(name, edit):
+    """Header edit that replaces the baseline's list name with edit(list)."""
+    return lambda header: {**header, "baseline": {**header["baseline"],
+                                                  name: edit(header["baseline"][name])}}
+
+
 def _header_len(path) -> int:
     return struct.unpack("<Q", path.read_bytes()[8:16])[0]
 
@@ -515,6 +521,73 @@ class TestCheckpointIO:
                                    lambda header: {**header, "tensors": edit(header["tensors"])})
         with pytest.raises(FormatError) as info:
             load_checkpoint(edited)
+        assert type(info.value) is FormatError
+
+    def _trained_survival(self, tmp_path):
+        manifest, bags = make_survival_corpus(np.random.default_rng(0), n_bags=16)
+        cfg = tiny_config(task="survival", learning_rate=1e-4, max_epochs=2)
+        path = tmp_path / "survival.ckpt"
+        ckpt, _ = train(cfg, manifest, bags, checkpoint_path=path)
+        return ckpt, path, manifest, bags
+
+    def test_survival_baseline_is_fitted_once_and_stored_exactly(self, tmp_path):
+        ckpt, path, manifest, bags = self._trained_survival(tmp_path)
+        loaded = load_checkpoint(path)
+        # a refit from the loaded parameters gives the stored table, bit for bit
+        model = training.build_model(loaded)
+        windows = inference.inference_windows(loaded.config, model.embed_dim)
+        entries = manifest.split_entries("train")
+        refit = inference.estimate_baseline_survival(
+            inference.slide_outputs(model, "survival", bags, entries, windows)[:, 0],
+            [e.label for e in entries])
+        for f in dataclasses.fields(loaded.baseline):
+            stored = getattr(loaded.baseline, f.name)
+            assert np.array_equal(stored, getattr(ckpt.baseline, f.name)), f.name
+            assert np.array_equal(stored, getattr(refit, f.name)), f.name
+            assert stored.dtype == getattr(ckpt.baseline, f.name).dtype, f.name
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert _header(path).keys() == {"baseline", "config", "format_version", "tensors"}
+
+    def test_baseline_belongs_to_survival_checkpoints_only(self, tmp_path):
+        ckpt, _, _, _ = self._trained_survival(tmp_path)
+        with pytest.raises(ValidationError, match="lacks"):
+            training.Checkpoint(params=ckpt.params, config=ckpt.config)
+        cls_ckpt, _ = self._trained(tmp_path)
+        with pytest.raises(ValidationError, match="has one"):
+            training.Checkpoint(params=cls_ckpt.params, config=cls_ckpt.config,
+                                baseline=ckpt.baseline)
+
+    def test_classification_header_with_a_baseline_is_format_error(self, tmp_path):
+        _, survival_path, _, _ = self._trained_survival(tmp_path)
+        _, path = self._trained(tmp_path)
+        table = _header(survival_path)["baseline"]
+        with pytest.raises(FormatError, match="has one"):
+            load_checkpoint(self._with_header(path, tmp_path, _setting("baseline", table)))
+
+    @pytest.mark.parametrize("edit", [
+        _without("baseline"),
+        _setting("baseline", []),
+        lambda h: {**h, "baseline": {k: v for k, v in h["baseline"].items() if k != "deaths"}},
+        lambda h: {**h, "baseline": {**h["baseline"], "extra": [1.0]}},
+        _baseline_column("deaths", lambda col: col[:-1]),
+        _baseline_column("log_at_risk", lambda col: []),
+        _baseline_column("log_at_risk", lambda col: "0.5"),
+        _baseline_column("log_cum_hazard", lambda col: [math.nan, *col[1:]]),
+        _baseline_column("event_times", lambda col: [math.inf, *col[1:]]),
+        _baseline_column("log_at_risk", lambda col: [True, *col[1:]]),
+        _baseline_column("deaths", lambda col: [0, *col[1:]]),
+        _baseline_column("deaths", lambda col: [1.0, *col[1:]]),
+        _baseline_column("deaths", lambda col: [10**400, *col[1:]]),
+        _baseline_column("event_times", lambda col: col[::-1]),
+    ], ids=["missing", "array", "missing-field", "extra-field", "unequal-lengths", "empty",
+            "string", "nan", "infinity", "bool", "zero-deaths", "float-deaths",
+            "deaths-10**400", "descending-times"])
+    def test_malformed_survival_baseline_is_format_error(self, tmp_path, edit):
+        _, path, _, _ = self._trained_survival(tmp_path)
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(self._with_header(path, tmp_path, edit))
         assert type(info.value) is FormatError
 
     def test_tiny_file_is_format_error(self, tmp_path):
