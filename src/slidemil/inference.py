@@ -11,6 +11,8 @@ in which a constant added to every train and slide risk cancels.
 
 from __future__ import annotations
 
+import contextlib
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -20,7 +22,7 @@ from .dataio import SlideBag, SurvivalRecord, release_pages
 from .errors import ValidationError
 from .fingerprint import RunConfig
 from .metrics import BreslowTable, breslow_table
-from .model import ChunkWindows, GatedAttentionMIL
+from .model import ChunkWindows, GatedAttentionMIL, TileSummaries
 
 MI_CLAMP_TOLERANCE = 1e-9
 
@@ -78,12 +80,16 @@ def inference_windows(config: RunConfig, embed_dim: int) -> ChunkWindows:
 
 
 def ensemble_outputs(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows,
-                     return_attention: bool = False):
+                     return_attention: bool = False,
+                     tiles: Callable[[], TileSummaries] | None = None):
     """Raw per-window head outputs (K, n_outputs) on the full bag, dropout off;
     the bag's mapped pages are released after the pass.
 
-    forward_windows rejects a bag whose embed_dim is not the model's."""
-    outputs, attention = model.forward_windows(bag.embeddings, windows)
+    tiles, handed out by a pass over many bags (slide_outputs), waits for
+    the worker that computes this bag's tile summaries; the windows' finish
+    runs here, on the calling thread. forward_windows rejects a bag whose
+    embed_dim is not the model's."""
+    outputs, attention = model.forward_windows(bag.embeddings, windows, tiles)
     release_pages(bag.embeddings)
     outputs = outputs.astype(np.float64)
     if return_attention:
@@ -167,9 +173,13 @@ def slide_output(task: str, window_outputs: np.ndarray) -> np.ndarray:
 def slide_outputs(model: GatedAttentionMIL, task: str, bags: dict[str, SlideBag], entries,
                   windows: ChunkWindows) -> np.ndarray:
     """Slide-level outputs (n_entries, n_out) of the window ensemble on each
-    entry's bag, in entry order."""
-    return np.stack([slide_output(task, ensemble_outputs(model, bags[e.slide_id], windows))
-                     for e in entries])
+    entry's bag, in entry order: one model.window_pass, a bag per worker,
+    each bag finished in its own ensemble_outputs call. An error in a bag
+    is raised from that call, and the bags not yet started are cancelled."""
+    slides = [bags[e.slide_id] for e in entries]
+    with contextlib.closing(model.window_pass([b.embeddings for b in slides], windows)) as tiles:
+        return np.stack([slide_output(task, ensemble_outputs(model, bag, windows, tiles=get))
+                         for bag, get in zip(slides, tiles)])
 
 
 def estimate_baseline_survival(train_risks: np.ndarray,

@@ -21,26 +21,36 @@ step is therefore bitwise the same for any worker count and schedule. The
 bodies work in place, in their activations' own buffers and a few (m, H)
 scratch arrays, so two slides in flight add little to a step's memory.
 
-The window ensemble (forward_windows) computes the attention logits of all
-windows in one pass over the bag: each window's projections are sums of
-column-block products, each block's product is computed once per row tile
-and shared by every window that contains it, and forward() then runs
-softmax, pooling and the head on the given logits. The row tiles run on
-ensemble_workers() threads: usable CPUs // BLAS threads, so a BLAS that
-already uses every CPU keeps the tiles on the calling thread. Each tile
-writes only its own logit columns, so the outputs are bitwise the same for
-any worker count and schedule.
+The window ensemble (forward_windows) reads the bag once for all K windows.
+It walks the bag in row tiles (window_tiles). In each tile, each window's
+projections are sums of column-block products, each block's product is
+computed once and shared by every window that contains it, and the tile
+then pools its own rows under every window: their softmax weights, their
+weighted mean and the log-sum-exp of their logits. Each window's finish is
+one forward() call over the T tiles' pooled vectors, with their
+log-sum-exps as the logits, which equals pooling over the whole bag (_softmax_pool). A single
+bag's tiles run on ensemble_workers() threads: usable CPUs // BLAS
+threads, so a BLAS that already uses every CPU keeps the tiles on the
+calling thread. A pass over many bags (window_pass) builds the weight
+blocks once and runs each bag's tiles serially on one worker, a bag per
+worker, while the calling thread finishes the bags in order. Every item of
+the pool runs its nested work on its own thread (_ahead), so there is one
+worker budget. Each tile writes only its own slots, so the outputs are
+bitwise the same for any worker count and schedule.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
+import threading
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,11 +67,20 @@ class ForwardResult:
     cache: list | None
 
 
-def _softmax_pool(logits: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attention weights (m,) from logits (m,) and the pooled vector alpha @ xi."""
-    exp_l = np.exp(logits - logits.max())
-    alpha = exp_l / exp_l.sum()
-    return alpha, alpha @ xi
+def _softmax_pool(logits: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax weights alpha over the last axis of logits, (m,) or (K, m), the
+    pooled alpha @ xi, (D,) or (K, D), and the logits' log-sum-exp, a scalar
+    or (K,).
+
+    Pooling m rows equals pooling the pooled vectors of any split of them
+    into blocks, with each block's log-sum-exp as its logit; the block's own
+    weights times the weight of its block are the rows' weights. The window
+    ensemble pools that way (GatedAttentionMIL.forward_windows)."""
+    top = logits.max(axis=-1, keepdims=True)
+    exp_l = np.exp(logits - top)
+    total = exp_l.sum(axis=-1, keepdims=True)
+    alpha = exp_l / total
+    return alpha, alpha @ xi, (top + np.log(total))[..., 0]
 
 
 def _gated_output(tanh_act: np.ndarray, gate_act: np.ndarray, keep: np.ndarray | None,
@@ -103,7 +122,7 @@ def _forward_slide(xi: np.ndarray, feat: np.ndarray, v_sub: np.ndarray, u_sub: n
     np.divide(1.0, gate_act, out=gate_act)
     gated_out, _ = _gated_output(tanh_act, gate_act, keep, dropout)
     logits = gated_out @ w                # (m,)
-    alpha, pooled = _softmax_pool(logits, xi)
+    alpha, pooled, _ = _softmax_pool(logits, xi)
     return alpha, pooled, tanh_act, gate_act
 
 
@@ -158,8 +177,8 @@ def _blas_threads() -> int | None:
 
 
 def ensemble_workers() -> int:
-    """Threads that forward_windows' row tiles and a training step's per-slide
-    forward and backward bodies run on: usable CPUs // BLAS threads, at
+    """Threads that a window pass's bags, a single bag's row tiles and a
+    training step's per-slide forward and backward bodies run on: usable CPUs // BLAS threads, at
     least 1. With no BLAS thread variable set, BLAS is taken to use every CPU
     (OpenBLAS's default), which gives 1: threads beside a BLAS that already
     fills the CPUs were slower than one thread."""
@@ -174,35 +193,61 @@ def _worker_pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="slidemil-worker")
 
 
-def _map(fn: Callable, items: Sequence) -> Iterator:
-    """fn over items, yielding results in item order: on the shared pool when
-    ensemble_workers() > 1 and there is more than one item, otherwise on the
-    calling thread as the results are read. The pool runs at most two items
-    per worker ahead of the reader, so results the reader has not taken do
-    not pile up. Reading a result re-raises its body's error; closing the
-    iterator cancels the items not yet started."""
+# on_pool is True on a thread while it runs an item of the pool
+_thread = threading.local()
+
+
+def _pool_item(fn: Callable, item):
+    _thread.on_pool = True
+    try:
+        return fn(item)
+    finally:
+        _thread.on_pool = False
+
+
+def _ahead(fn: Callable, items: Sequence) -> Iterator[Callable[[], object]]:
+    """One zero-argument callable per item, in item order, that returns
+    fn(item) and re-raises its error. The items run on the shared pool when
+    ensemble_workers() > 1, there is more than one item and the caller is
+    not itself running an item of the pool; otherwise each runs on the
+    calling thread when its callable is called. A pool item never submits to
+    the pool, so there is one worker budget and no wait on a queue the
+    waiting thread would have to drain. The pool runs at most two items per
+    worker ahead of the item last handed out, so results the reader has not
+    taken do not pile up. Closing the iterator cancels the items not yet
+    started."""
     workers = ensemble_workers()
-    if workers == 1 or len(items) < 2:
-        yield from map(fn, items)
+    if workers == 1 or len(items) < 2 or getattr(_thread, "on_pool", False):
+        for item in items:
+            yield functools.partial(fn, item)
         return
     pool = _worker_pool(workers)
     pending = deque()
     try:
         for item in items:
             if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
+                yield pending.popleft().result
+            pending.append(pool.submit(_pool_item, fn, item))
         while pending:
-            yield pending.popleft().result()
+            yield pending.popleft().result
     finally:
         for future in pending:
             future.cancel()
 
 
-# Rows of the bag per tile in forward_windows, and the unit of work its
-# threads share. A tile's block products are (2H, ROW_TILE) each; at H=256 in
-# float32 a ring of four plus the activation buffer is about 1.3 MB, inside a
-# 2 MB per-core L2. 64- and 256-row tiles were 10-12% slower on a 2500x1536
+def _map(fn: Callable, items: Sequence) -> Iterator:
+    """fn over items, yielding results in item order, scheduled by _ahead.
+    Reading a result re-raises its body's error; closing the iterator
+    cancels the items not yet started."""
+    with contextlib.closing(_ahead(fn, items)) as results:
+        for result in results:
+            yield result()
+
+
+# Rows of the bag per tile in window_tiles, and the unit of work a single
+# bag's threads share. A tile's block products are (2H, ROW_TILE) each; at
+# H=256 in float32 a ring of four plus the activation buffer is about 1.3 MB,
+# inside a 2 MB per-core L2. 64- and 256-row tiles were 10-12% slower on a 2500x1536
 # bag (H=256, S=64) on one thread; on two, 64 was 9-16% slower than 128 and
 # 256 no faster.
 ROW_TILE = 128
@@ -261,6 +306,24 @@ class ChunkWindows:
             g = h
         return tuple(tuple((b, b + g) for b in range(s, e, g)) if s % g == 0 else ((s, e),)
                      for s, e in self.windows)
+
+
+class WindowWeights(NamedTuple):
+    """GatedAttentionMIL.window_weights: the grid, its distinct column blocks
+    of [V; U/2] (2H, width), keyed by block, and [w/2; w/2] (2H,)."""
+    windows: ChunkWindows
+    blocks: dict
+    w2: np.ndarray
+
+
+class TileSummaries(NamedTuple):
+    """One bag's tiles under the K windows of a grid (window_tiles): per
+    window k and tile t, the tile's pooled rows pooled[k, t] (D,) and its
+    logits' log-sum-exp lse[k, t]; alpha[k] (N,) holds each row's softmax
+    weight within its tile."""
+    pooled: np.ndarray  # (K, T, D)
+    lse: np.ndarray     # (K, T)
+    alpha: np.ndarray   # (K, N)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple, dtype) -> np.ndarray:
@@ -374,53 +437,63 @@ class GatedAttentionMIL:
         else:
             cache = None
             for i, valid in enumerate(valids):
-                alpha, pooled[i] = _softmax_pool(attention_logits[i, valid], rows(i))
+                alpha, pooled[i], _ = _softmax_pool(attention_logits[i, valid], rows(i))
                 attention[i, valid] = alpha
 
         outputs = pooled @ self.params["head_weight"].T + self.params["head_bias"]
         return ForwardResult(outputs=outputs, attention=attention, cache=cache)
 
-    def forward_windows(self, embeddings: np.ndarray,
-                        windows: ChunkWindows) -> tuple[np.ndarray, np.ndarray]:
-        """Eval-mode outputs (K, n_outputs) and attention (K, N) of one full bag
-        (N, D) under each feature window [start, end) of the grid.
+    def window_weights(self, windows: ChunkWindows) -> WindowWeights:
+        """The window ensemble's weights under the current parameters: each
+        distinct column block of [V; U/2] in the grid's block plan, built
+        without the whole matrix, and [w/2; w/2]. A pass over many bags
+        builds them once (window_pass)."""
+        half = self.dtype.type(0.5)
+        v, u = self.params["attention_v"], self.params["attention_u"]
+        blocks = {b: np.concatenate([v[:, b[0]:b[1]], u[:, b[0]:b[1]] * half])
+                  for b in dict.fromkeys(b for blocks in windows.blocks for b in blocks)}
+        w2 = np.concatenate([self.params["attention_w"], self.params["attention_w"]]) * half
+        return WindowWeights(windows, blocks, w2)
+
+    def window_tiles(self, embeddings: np.ndarray, weights: WindowWeights) -> TileSummaries:
+        """The tile summaries of one full bag (N, D) under every window of
+        weights' grid: the bag is walked in ROW_TILE-row tiles, spread by _map
+        over ensemble_workers() threads, and each tile writes only its own
+        slots.
 
         The bag must be finite, which is checked when its SlideBag is built
         and not again here; it is never copied. Each window's projections
         x[:, window] @ [V; U/2][:, window].T are the sum of its column
         blocks' products, in the block plan the grid builds once
-        (ChunkWindows.blocks); the bag is walked in ROW_TILE-row tiles,
-        spread over ensemble_workers() threads, and in each tile a block's
-        product is computed once and kept in a ring while the windows that
-        contain it pass. The gate uses sigmoid(z) = (1 + tanh(z/2)) / 2, so
-        one tanh covers both halves of a product, and the logits
-        w @ (tanh(xV) * sigmoid(xU)) are [w/2; w/2] @ [t; t * tanh(xU/2)]
-        with t = tanh(xV): one GEMV, no exp, nothing to overflow. Halving is
-        exact in binary floating point. Block sums and the tanh form round
-        differently from per-window forward(), so outputs differ from it in
-        their low bits. forward() then runs softmax, pooling and the head on
-        each window's logits.
+        (ChunkWindows.blocks); in each tile a block's product is computed
+        once and kept in a ring while the windows that contain it pass. The
+        gate uses sigmoid(z) = (1 + tanh(z/2)) / 2, so one tanh covers both
+        halves of a product, and the logits w @ (tanh(xV) * sigmoid(xU)) are
+        [w/2; w/2] @ [t; t * tanh(xU/2)] with t = tanh(xV): one GEMV, no
+        exp, nothing to overflow. Halving is exact in binary floating point.
+        The tile then pools its own rows under all K windows at once
+        (_softmax_pool over its (K, rows) logits: one (K, rows) @ (rows, D)
+        GEMM while the tile is still in cache).
         """
         x = np.asarray(embeddings, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.embed_dim:
             raise ValidationError(f"expected (n, {self.embed_dim}) embeddings")
         h, n = self.hidden_dim, x.shape[0]
-        half = self.dtype.type(0.5)
-        w2 = np.concatenate([self.params["attention_w"], self.params["attention_w"]]) * half
-        v, u = self.params["attention_v"], self.params["attention_u"]
+        windows, block_weights, w2 = weights
         plan = windows.blocks
-        # each distinct block of [V; U/2] is built once, without the whole matrix
-        block_weights = {b: np.concatenate([v[:, b[0]:b[1]], u[:, b[0]:b[1]] * half])
-                         for b in dict.fromkeys(b for blocks in plan for b in blocks)}
+        n_tiles = -(-n // ROW_TILE)
+        pooled = np.empty((len(plan), n_tiles, self.embed_dim), dtype=self.dtype)
+        lse = np.empty((len(plan), n_tiles), dtype=self.dtype)
+        alpha = np.empty((len(plan), n), dtype=self.dtype)
 
         # products are taken as (2H, rows) so the tanh and gate halves are
         # contiguous: on strided (rows, H) halves the in-place passes ran 2x slower
-        logits = np.empty((len(plan), n), dtype=self.dtype)
-
-        def tile_logits(t0: int) -> None:
-            # a tile has its own buffer and ring and writes only its columns
-            xt = x[t0:t0 + ROW_TILE]
+        def tile(j: int) -> None:
+            # a tile has its own buffers and ring and writes only its slots
+            rows = slice(j * ROW_TILE, (j + 1) * ROW_TILE)
+            xt = x[rows]
             pre = np.empty((2 * h, len(xt)), dtype=self.dtype)
+            logits = np.empty((len(plan), len(xt)), dtype=self.dtype)
             ring = {}
             for k, blocks in enumerate(plan):
                 ring = {b: ring[b] if b in ring else block_weights[b] @ xt[:, b[0]:b[1]].T
@@ -430,16 +503,49 @@ class GatedAttentionMIL:
                     pre += ring[b]
                 np.tanh(pre, out=pre)
                 pre[h:] *= pre[:h]
-                np.matmul(w2, pre, out=logits[k, t0:t0 + len(xt)])
+                np.matmul(w2, pre, out=logits[k])
+            alpha[:, rows], pooled[:, j], lse[:, j] = _softmax_pool(logits, xt)
 
-        list(_map(tile_logits, range(0, n, ROW_TILE)))  # re-raises a tile's error
+        list(_map(tile, range(n_tiles)))  # re-raises a tile's error
+        return TileSummaries(pooled, lse, alpha)
 
-        mask = np.ones((1, n), dtype=bool)
-        results = [self.forward(x[None], mask, np.arange(start, end),
-                                attention_logits=logits[k][None])
+    def window_pass(self, bags: Sequence[np.ndarray],
+                    windows: ChunkWindows) -> Iterator[Callable[[], TileSummaries]]:
+        """One zero-argument callable per bag, in bag order, that returns its
+        tile summaries (window_tiles) under weights built once for the pass.
+        Each bag's tiles run serially on one worker, the bags spread over
+        ensemble_workers() threads at most two per worker ahead of the bag
+        last handed out; calling a bag's callable waits for it. A single bag
+        runs on the calling thread, its tiles spread over the workers.
+        Close the iterator to cancel the bags not yet started."""
+        weights = self.window_weights(windows)
+        return _ahead(lambda x: self.window_tiles(x, weights), bags)
+
+    def forward_windows(self, embeddings: np.ndarray, windows: ChunkWindows,
+                        tiles: Callable[[], TileSummaries] | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Eval-mode outputs (K, n_outputs) and attention (K, N) of one full bag
+        (N, D) under each feature window [start, end) of the grid.
+
+        tiles, a callable that returns the bag's tile summaries (one of a
+        window_pass's), waits for them; without it they are computed here
+        (window_tiles). Each window then runs forward() once, on the calling
+        thread: softmax, pooling and the head over the T tiles' pooled rows,
+        with the tiles' log-sum-exps as the logits. A row's attention is its
+        weight in its tile times its tile's weight. Block sums, the tanh
+        form and pooling by tiles round differently from per-window
+        forward() on the bag, so outputs differ from it in their low bits.
+        """
+        summary = (self.window_tiles(embeddings, self.window_weights(windows))
+                   if tiles is None else tiles())
+        n_tiles, n = summary.lse.shape[1], summary.alpha.shape[1]
+        mask = np.ones((1, n_tiles), dtype=bool)
+        results = [self.forward(summary.pooled[k][None], mask, np.arange(start, end),
+                                attention_logits=summary.lse[k][None])
                    for k, (start, end) in enumerate(windows.windows)]
-        return (np.concatenate([r.outputs for r in results]),
-                np.concatenate([r.attention for r in results]))
+        tile_weights = np.concatenate([r.attention for r in results])  # (K, T)
+        attention = summary.alpha * np.repeat(tile_weights, ROW_TILE, axis=1)[:, :n]
+        return np.concatenate([r.outputs for r in results]), attention
 
     def backward(self, cache: list, d_outputs: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients for the cached forward pass; d_outputs is (n_slides, n_outputs).

@@ -21,9 +21,12 @@ are released once the step's update is applied, so training holds one
 batch and one step's activations at a time. A bag's mapped pages are
 released once sample_patches has copied its rows into the batch (in
 full_bag_batch1, once the step that reads the bag in place is over), and
-the validation ensemble releases each val bag after its pass. A survival
-run ends with one more ensemble pass, over the train split, to fit the
-Breslow baseline that the checkpoint stores.
+the validation ensemble releases each val bag after its pass. A validation
+pass (inference.slide_outputs) runs a bag per worker and has at most two
+bags per worker in flight, the one it finishes among them, so it holds up
+to 2 x workers bags mapped in, each with its (K, T, D) tile summaries. A survival run ends
+with one more such pass, over the train split, to fit the Breslow
+baseline that the checkpoint stores.
 On top of them, each slide body in flight holds its own temporaries, in
 place where it can: forward the (m, F) sampled columns, the gated output and
 the dropout scale; backward the sampled columns and three (m, H) buffers.

@@ -794,10 +794,12 @@ class TestEnsembleWorkerCount:
     """The window ensemble's row tiles and a training step's per-slide bodies
     may run on several threads; no artifact may depend on how many."""
 
+    # 30 bags split 60/20/20: the val and train passes hold more bags than
+    # the two workers' look-ahead of four, so each pass's look-ahead wraps
     @pytest.mark.parametrize("spec_kw", [
-        {"task": "classification"},
-        {"task": "regression", "signal_strength": 1.0},
-        {"task": "survival", "censoring_rate": 0.2, "n_bags": 24},  # plus train's Breslow fit
+        {"task": "classification", "n_bags": 30},
+        {"task": "regression", "signal_strength": 1.0, "n_bags": 30},
+        {"task": "survival", "censoring_rate": 0.2, "n_bags": 30},  # plus train's Breslow fit
     ], ids=["classification", "regression", "survival"])
     def test_artifacts_are_byte_identical_on_two_workers_and_one(self, tmp_path, monkeypatch,
                                                                  two_cpus, spec_kw):
@@ -813,6 +815,8 @@ class TestEnsembleWorkerCount:
                      "--out", str(plan)]) == 0
         shapes = load_bag_shapes(load_manifest(manifest), data).values()
         assert max(shape.n_patches for shape in shapes) > ROW_TILE
+        for split in ("train", "val"):
+            assert len(load_manifest(manifest).split_entries(split)) > 2 * 2
 
         pools = []
         real_pool = model_module._worker_pool

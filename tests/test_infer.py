@@ -1,13 +1,17 @@
 """Sliding-window ensemble inference and the uncertainty decomposition."""
 
 import math
+import threading
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from slidemil.dataio import SlideBag, SurvivalRecord
+from slidemil import inference
+from slidemil import model as model_module
+from slidemil.dataio import ManifestEntry, SlideBag, SurvivalRecord
 from slidemil.errors import ValidationError
 from slidemil.fingerprint import RunConfig
 from slidemil.inference import (
@@ -25,8 +29,10 @@ from slidemil.inference import (
     predict_regression,
     predict_survival,
     prediction_to_json,
+    slide_output,
+    slide_outputs,
 )
-from slidemil.model import GatedAttentionMIL
+from slidemil.model import ROW_TILE, GatedAttentionMIL
 
 from conftest import assert_window_close, make_bag
 
@@ -161,17 +167,22 @@ class TestEntropyDecomposition:
 
 
 class TestEnsembleOutputs:
-    def test_matches_manual_per_window_forward(self, rng):
+    # one row, fewer rows than a tile, an exact multiple of it, a ragged last tile
+    @pytest.mark.parametrize("n", [1, 6, 2 * ROW_TILE, 2 * ROW_TILE + 17])
+    @pytest.mark.parametrize("grid", [(4, 2), (8, 1)], ids=["nnmil", "full-bag-batch1"])
+    def test_matches_manual_per_window_forward(self, rng, n, grid):
         m = _model()
-        bag = make_bag(rng, 6, 8)
-        wins = chunk_windows(8, 4, 2)
-        out = ensemble_outputs(m, bag, wins)
+        bag = make_bag(rng, n, 8)
+        wins = chunk_windows(8, *grid)
+        out, att = ensemble_outputs(m, bag, wins, return_attention=True)
         assert out.shape == (wins.n_chunks, 3)
         x = bag.embeddings[None]
-        mask = np.ones((1, 6), dtype=bool)
-        for k, (s, e) in enumerate(wins.windows):
-            ref = m.forward(x, mask, np.arange(s, e)).outputs[0]
-            assert_window_close(out[k], ref, m.dtype)
+        mask = np.ones((1, n), dtype=bool)
+        refs = [m.forward(x, mask, np.arange(s, e)) for s, e in wins.windows]
+        for k, ref in enumerate(refs):
+            assert_window_close(out[k], ref.outputs[0], m.dtype)
+        assert_window_close(att, np.mean([r.attention[0] for r in refs], axis=0,
+                                         dtype=np.float64), m.dtype)
 
     def test_attention_is_mean_over_windows(self, rng):
         m = _model()
@@ -219,6 +230,86 @@ class TestEnsembleOutputs:
         assert ratio < 0.75, f"ensemble peak is {ratio:.2f}x the bag's bytes"
 
 
+def _entries(bags):
+    return [ManifestEntry(slide_id=sid, patient_id=sid, embedding_path=f"{sid}.emb",
+                          split="val", label=0) for sid in bags]
+
+
+def _pass_with(monkeypatch, workers, m, bags, wins):
+    monkeypatch.setattr(model_module, "ensemble_workers", lambda: workers)
+    return slide_outputs(m, "classification", bags, _entries(bags), wins)
+
+
+class TestWindowPass:
+    """slide_outputs runs one window pass: a bag per worker, each finished in
+    its own ensemble_outputs call on the calling thread."""
+
+    @staticmethod
+    def _bags(n_bags=9, bad=None):
+        data = np.random.default_rng(7)
+        # bag i has 5 + 40 i rows, up to three row tiles
+        return {f"b{i}": make_bag(data, 5 + 40 * i, 6 if i == bad else 8, f"b{i}")
+                for i in range(n_bags)}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pass_equals_one_bag_at_a_time_bitwise(self, monkeypatch, workers):
+        m, wins, bags = _model(), chunk_windows(8, 4, 2), self._bags()
+        got = _pass_with(monkeypatch, workers, m, bags, wins)
+        one_by_one = np.stack([slide_output("classification", ensemble_outputs(m, bag, wins))
+                               for bag in bags.values()])
+        assert np.array_equal(got, one_by_one)
+
+    def test_each_bag_finishes_on_the_calling_thread(self, monkeypatch):
+        m, wins, bags = _model(), chunk_windows(8, 4, 2), self._bags()
+        tile_threads, finish_threads = set(), []
+        real_tiles, real_forward = m.window_tiles, m.forward
+        monkeypatch.setattr(m, "window_tiles", lambda *a: tile_threads.add(
+            threading.get_ident()) or real_tiles(*a))
+        monkeypatch.setattr(m, "forward", lambda *a, **kw: finish_threads.append(
+            threading.get_ident()) or real_forward(*a, **kw))
+        _pass_with(monkeypatch, 2, m, bags, wins)
+        assert finish_threads == [threading.get_ident()] * (len(bags) * wins.n_chunks)
+        assert tile_threads and threading.get_ident() not in tile_threads
+
+    def test_a_bad_bag_raises_from_its_own_call_and_cancels_the_rest(self, monkeypatch):
+        started = []
+
+        class Slow(GatedAttentionMIL):
+            def window_tiles(self, x, weights):
+                i = (len(x) - 5) // 40
+                started.append(i)
+                if i >= 3:  # the bags after the bad one outlast the reader's cancel
+                    time.sleep(0.3)
+                return super().window_tiles(x, weights)
+
+        m = Slow(8, 4, 3)
+        m.init_params(np.random.default_rng(0))
+        wins = chunk_windows(8, 4, 2)
+        calls = []
+
+        def spy(model, bag, windows, return_attention=False, tiles=None):
+            calls.append(bag.slide_id)
+            return ensemble_outputs(model, bag, windows, return_attention, tiles)
+
+        monkeypatch.setattr(inference, "ensemble_outputs", spy)
+        with pytest.raises(ValidationError, match=r"expected \(n, 8\)"):
+            _pass_with(monkeypatch, 2, m, self._bags(20, bad=2), wins)
+        assert calls == ["b0", "b1", "b2"]
+        # once both workers are idle at the same time, every item the pool
+        # had queued before has run; the bags the pass cancelled never do
+        barrier = threading.Barrier(2)
+        drain = [model_module._worker_pool(2).submit(barrier.wait, 20) for _ in range(2)]
+        for future in drain:
+            future.result(timeout=30)
+        # the pass handed out bag 2 with bags 3-5 queued: the two workers
+        # may have started 3 and 4 before the cancel, and never 5 or later
+        assert {0, 1, 2} <= set(started) <= {0, 1, 2, 3, 4}
+        # the next pass on the same pool is a single worker's, bit for bit
+        bags = self._bags()
+        assert np.array_equal(_pass_with(monkeypatch, 2, m, bags, wins),
+                              _pass_with(monkeypatch, 1, m, bags, wins))
+
+
 class TestPredictClassification:
     def test_predicted_class_follows_mean_logits(self):
         # craft per-chunk logits where argmax of mean logits disagrees with
@@ -228,11 +319,11 @@ class TestPredictClassification:
         assert wins.n_chunks == 3
 
         class Stub(GatedAttentionMIL):
-            def forward_windows(self, x, windows):
+            def forward_windows(self, x, windows, tiles=None):
                 logit_rows = {0: np.array([30.0, 0.0]),
                               2: np.array([-1.0, 1.0]),
                               4: np.array([-1.0, 1.0])}
-                _, attention = super().forward_windows(x, windows)
+                _, attention = super().forward_windows(x, windows, tiles)
                 return (np.stack([logit_rows[start] for start, _ in windows.windows]),
                         attention)
 

@@ -298,16 +298,21 @@ class TestForwardWindows:
         # S=2 would give 32 blocks per window, more than the cutoff
         assert all(len(b) == 1 for b in chunk_windows(70, 64, 2).blocks)
 
-    @pytest.mark.parametrize("n", [1, ROW_TILE, ROW_TILE + 1])
+    # one row, fewer rows than a tile, one full tile, a ragged last tile, an
+    # exact multiple of the tile
+    @pytest.mark.parametrize("n", [1, ROW_TILE - 5, ROW_TILE, ROW_TILE + 1,
+                                   2 * ROW_TILE + 17, 2 * ROW_TILE])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_row_tile_edges(self, n, dtype):
-        # D=26, H=8, S=2: four blocks per window and a clamped final window
+    @pytest.mark.parametrize("windows", [chunk_windows(26, 8, 4), chunk_windows(26, 26, 1)],
+                             ids=["clamped-final", "full-bag-batch1"])
+    def test_row_tile_edges(self, n, dtype, windows):
+        # D=26, H=8, S=4: four blocks per window and the clamped final window
+        # (18, 26); or the K=1 grid of full_bag_batch1
         m = _model(d=26, h=8, c=3, dtype=dtype)
         x = np.random.default_rng(n).standard_normal((n, 26)).astype(dtype)
-        windows = chunk_windows(26, 8, 4)
-        assert windows.windows[-1] == (18, 26)
         outputs, attention = m.forward_windows(x, windows)
         ref_outputs, ref_attention = _per_window_forward(m, x, windows)
+        assert outputs.dtype == attention.dtype == dtype
         assert_window_close(outputs, ref_outputs, dtype)
         assert_window_close(attention, ref_attention, dtype)
 
@@ -344,6 +349,62 @@ class TestForwardWindows:
             m.forward_windows(np.zeros((3, 5)), chunk_windows(6, 4, 2))
         with pytest.raises(ValidationError):
             m.forward_windows(np.zeros((1, 3, 6)), chunk_windows(6, 4, 2))
+
+
+class TestTilePooling:
+    """Each row tile pools its own rows under every window; a window's finish
+    pools the tiles' pooled vectors with their log-sum-exps as the logits."""
+
+    @pytest.mark.parametrize("n", [1, ROW_TILE - 5, 2 * ROW_TILE, 2 * ROW_TILE + 17])
+    def test_tile_summaries_pool_each_tile_on_its_own(self, n):
+        m = _model(d=26, h=8, c=3, dtype=np.float64)
+        x = np.random.default_rng(n).standard_normal((n, 26))
+        windows = chunk_windows(26, 8, 4)
+        tiles = m.window_tiles(x, m.window_weights(windows))
+        n_tiles = -(-n // ROW_TILE)
+        assert tiles.pooled.shape == (windows.n_chunks, n_tiles, 26)
+        assert tiles.lse.shape == (windows.n_chunks, n_tiles)
+        mask = np.ones((1, n), dtype=bool)
+        for k, (start, end) in enumerate(windows.windows):
+            # the gated output without dropout is tanh_act * gate_act
+            _, _, tanh_act, gate_act, _, _ = m.forward(x[None], mask,
+                                                       np.arange(start, end)).cache[1]
+            logits = (tanh_act * gate_act) @ m.params["attention_w"]
+            for t in range(n_tiles):
+                rows = slice(t * ROW_TILE, (t + 1) * ROW_TILE)
+                top = logits[rows].max()
+                weights = np.exp(logits[rows] - top)
+                np.testing.assert_allclose(tiles.lse[k, t], top + np.log(weights.sum()),
+                                           rtol=1e-12)
+                weights /= weights.sum()
+                np.testing.assert_allclose(tiles.alpha[k, rows], weights, rtol=1e-12)
+                np.testing.assert_allclose(tiles.pooled[k, t], weights @ x[rows],
+                                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_tile_1000_below_another_stays_finite_without_warning(self, dtype):
+        # logit = 500 tanh(10 x0) (V reads only column 0, U = 0 gives a gate
+        # of 1/2, w = (500, 500)): the first tile's rows sit near -500, the
+        # second's near +500, so the first tile's weight exp(-1000) is 0
+        m = _model(d=4, h=2, c=2, dtype=dtype)
+        m.params["attention_v"][:] = 0.0
+        m.params["attention_v"][:, 0] = 10.0
+        m.params["attention_u"][:] = 0.0
+        m.params["attention_w"][:] = 500.0
+        x = np.random.default_rng(0).standard_normal((2 * ROW_TILE, 4)).astype(dtype)
+        x[:ROW_TILE, 0] = -1.0
+        x[ROW_TILE:, 0] = 1.0
+        windows = chunk_windows(4, 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiles = m.window_tiles(x, m.window_weights(windows))
+            outputs, attention = m.forward_windows(x, windows)
+        assert tiles.lse[0, 1] - tiles.lse[0, 0] > 999
+        assert np.isfinite(outputs).all() and np.isfinite(attention).all()
+        assert (attention[0, :ROW_TILE] == 0.0).all()
+        ref_outputs, ref_attention = _per_window_forward(m, x, windows)
+        assert_window_close(outputs, ref_outputs, dtype)
+        assert_window_close(attention, ref_attention, dtype)
 
 
 def _windows_with(monkeypatch, workers, m, x, windows):
@@ -847,6 +908,35 @@ class TestPooledStep:
             assert max(started) < k + 4
             time.sleep(0.002)
         assert sorted(started) == list(range(40))
+
+    def test_map_on_a_pool_thread_runs_inline(self, monkeypatch):
+        # every worker runs an item that maps 8 more: were those submitted
+        # to the pool, each worker would wait on a queue that only a worker
+        # can drain
+        monkeypatch.setattr(model_module, "ensemble_workers", lambda: 2)
+
+        def outer(i):
+            threads = set()
+            inner = list(model_module._map(
+                lambda j: threads.add(threading.get_ident()) or i * 8 + j, range(8)))
+            return threading.get_ident(), threads, inner
+
+        # a pool of its own, so that a deadlock can be broken: shutting it
+        # down cancels the queued inner items, which frees the workers
+        pool = ThreadPoolExecutor(2)
+        monkeypatch.setattr(model_module, "_worker_pool", lambda count: pool)
+        results = []
+        runner = threading.Thread(
+            target=lambda: results.extend(model_module._map(outer, range(2))), daemon=True)
+        runner.start()
+        try:
+            runner.join(timeout=30)
+            assert not runner.is_alive(), "_map on a pool thread did not finish"
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        assert [inner for _, _, inner in results] == [list(range(8)), list(range(8, 16))]
+        for ident, threads, _ in results:
+            assert threads == {ident} != {runner.ident}
 
 
 def _traced_peak(fn, *args):

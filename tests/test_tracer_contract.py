@@ -9,13 +9,16 @@ whole CLI pipeline of each task under the tracer and checks that every span
 the task reaches is recorded, under the parent the metrics expect.
 """
 
+import contextlib
 import importlib.util
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from slidemil import model as model_module
 from slidemil.cli import main
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -94,3 +97,43 @@ def test_every_reached_patch_point_records_a_span(task, tmp_path):
     assert ("inference.ensemble_outputs", "cli.predict") not in parents
     if task == "survival":
         assert ("inference.baseline_fit", "training.train") in parents
+
+
+@pytest.mark.parametrize("task", sorted(SPECS))
+def test_spans_open_on_the_calling_thread_under_two_workers(task, tmp_path, monkeypatch,
+                                                             two_cpus):
+    # the tracer keeps one span stack: a traced call on a worker would nest
+    # under whatever span the calling thread has open. Workers run only the
+    # untraced tile kernels; each bag's ensemble_outputs, and its one
+    # model.forward per window, run on the calling thread
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    pools = []
+    real_pool = model_module._worker_pool
+    monkeypatch.setattr(model_module, "_worker_pool",
+                        lambda count: pools.append(count) or real_pool(count))
+    tracing = _load_tracing()
+
+    class ThreadTracer(tracing.Tracer):
+        def __init__(self):
+            super().__init__()
+            self.threads = []
+
+        @contextlib.contextmanager
+        def span(self, name):
+            self.threads.append(threading.get_ident())
+            with super().span(name) as span:
+                yield span
+
+    tracer = ThreadTracer()
+    tracer.install()
+    try:
+        _pipeline(task, tmp_path, tracer)
+    finally:
+        assert tracer.uninstall() == []
+
+    assert set(pools) == {2}
+    assert tracer.threads == [threading.get_ident()] * len(tracer.spans)
+    ensembles = {s.id: s for s in tracer.spans if s.name == "inference.ensemble_outputs"}
+    window_forwards = [s for s in tracer.spans
+                       if s.name == "model.forward" and s.parent in ensembles]
+    assert len(window_forwards) == sum(s.counts["windows"] for s in ensembles.values()) > 0

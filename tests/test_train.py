@@ -355,9 +355,15 @@ class TestValidationLoss:
         assert sorted(e.label.event for e in val) == [0, 1]
         per_window = {val[0].slide_id: np.array([[0.0], [1.0], [2.0]]),
                       val[1].slide_id: np.array([[-800.0], [-799.0], [-798.0]])}
+        # the pass hands each bag's ensemble_outputs call a callable that
+        # waits for its tile summaries; the stub replaces the whole ensemble
         monkeypatch.setattr(inference, "ensemble_outputs",
-                            lambda model, bag, windows: per_window[bag.slide_id])
-        loss = _validation_loss(None, "survival", val, bags, None)
+                            lambda model, bag, windows, tiles: per_window[bag.slide_id])
+        model = model_module.GatedAttentionMIL(8, 4, 1)
+        model.init_params(np.random.default_rng(0))
+        windows = inference.chunk_windows(8, 4, 2)
+        assert windows.n_chunks == 3
+        loss = _validation_loss(model, "survival", val, bags, windows)
         lme = math.log(np.mean(np.exp([0.0, 1.0, 2.0])))
         times = np.array([e.label.time for e in val])
         events = np.array([e.label.event for e in val])
