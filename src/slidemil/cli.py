@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -213,24 +214,21 @@ def cmd_predict(args) -> int:
     if model.n_outputs != manifest.n_outputs:
         raise ValidationError(f"checkpoint head has {model.n_outputs} outputs, but the "
                               f"manifest's {manifest.task} task needs {manifest.n_outputs}")
+    if config.task == "classification":
+        predict = inference.predict_classification
+    elif config.task == "regression":
+        predict = inference.predict_regression
+    else:
+        predict = functools.partial(inference.predict_survival, baseline=checkpoint.baseline,
+                                    eval_times=_survival_eval_times(args, manifest))
     windows = inference.inference_windows(config, model.embed_dim)
     entries = manifest.split_entries(args.split)
     if not entries:
         raise ValidationError(f"split {args.split!r} is empty")
     bags = dataio.load_bags(manifest, args.data_dir, (args.split,))
-    if config.task == "survival":
-        eval_times = _survival_eval_times(args, manifest)
-
-    predictions = []
-    for entry in entries:
-        bag = bags[entry.slide_id]
-        if config.task == "classification":
-            predictions.append(inference.predict_classification(model, bag, windows))
-        elif config.task == "regression":
-            predictions.append(inference.predict_regression(model, bag, windows))
-        else:
-            predictions.append(inference.predict_survival(model, bag, windows,
-                                                          checkpoint.baseline, eval_times))
+    predictions = inference.map_window_pass(
+        model, [bags[e.slide_id] for e in entries], windows,
+        lambda bag, tiles: predict(model, bag, windows, tiles=tiles))
 
     out = _out_dir(args)
     with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ in which a constant added to every train and slide risk cancels.
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -85,7 +85,7 @@ def ensemble_outputs(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWind
     """Raw per-window head outputs (K, n_outputs) on the full bag, dropout off;
     the bag's mapped pages are released after the pass.
 
-    tiles, handed out by a pass over many bags (slide_outputs), waits for
+    tiles, handed out by a pass over many bags (map_window_pass), waits for
     the worker that computes this bag's tile summaries; the windows' finish
     runs here, on the calling thread. forward_windows rejects a bag whose
     embed_dim is not the model's."""
@@ -138,17 +138,17 @@ def _class_summary(logits: np.ndarray, probs: np.ndarray) -> dict:
             "h_total": h_total, "h_aleatoric": h_aleatoric, "mutual_info": mi}
 
 
-def predict_classification(model: GatedAttentionMIL, bag: SlideBag,
-                           windows: ChunkWindows) -> ClsPrediction:
-    logits, attention = ensemble_outputs(model, bag, windows, return_attention=True)
+def predict_classification(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows, *,
+                           tiles: Callable[[], TileSummaries] | None = None) -> ClsPrediction:
+    logits, attention = ensemble_outputs(model, bag, windows, return_attention=True, tiles=tiles)
     per_chunk_probs = _softmax64(logits)
     return ClsPrediction(slide_id=bag.slide_id, per_chunk_probs=per_chunk_probs,
                          attention=attention, **_class_summary(logits, per_chunk_probs))
 
 
-def predict_regression(model: GatedAttentionMIL, bag: SlideBag,
-                       windows: ChunkWindows) -> RegPrediction:
-    raw, attention = ensemble_outputs(model, bag, windows, return_attention=True)
+def predict_regression(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows, *,
+                       tiles: Callable[[], TileSummaries] | None = None) -> RegPrediction:
+    raw, attention = ensemble_outputs(model, bag, windows, return_attention=True, tiles=tiles)
     values = raw[:, 0]
     return RegPrediction(slide_id=bag.slide_id, per_chunk_values=values,
                          mean_value=float(slide_output("regression", raw)[0]),
@@ -170,16 +170,24 @@ def slide_output(task: str, window_outputs: np.ndarray) -> np.ndarray:
     return window_outputs.mean(axis=0)
 
 
+def map_window_pass(model: GatedAttentionMIL, bags: Sequence[SlideBag], windows: ChunkWindows,
+                    finish: Callable[[SlideBag, Callable[[], TileSummaries]], object]) -> list:
+    """finish(bag, tiles) for each bag, in order, on the calling thread, with
+    tiles the bag's callable from one model.window_pass over all of them: a
+    bag per worker. finish hands tiles to the bag's ensemble_outputs, so an
+    error in a bag is raised from that call, and the bags not yet started
+    are cancelled."""
+    with contextlib.closing(model.window_pass([b.embeddings for b in bags], windows)) as tiles:
+        return [finish(bag, get) for bag, get in zip(bags, tiles)]
+
+
 def slide_outputs(model: GatedAttentionMIL, task: str, bags: dict[str, SlideBag], entries,
                   windows: ChunkWindows) -> np.ndarray:
     """Slide-level outputs (n_entries, n_out) of the window ensemble on each
-    entry's bag, in entry order: one model.window_pass, a bag per worker,
-    each bag finished in its own ensemble_outputs call. An error in a bag
-    is raised from that call, and the bags not yet started are cancelled."""
-    slides = [bags[e.slide_id] for e in entries]
-    with contextlib.closing(model.window_pass([b.embeddings for b in slides], windows)) as tiles:
-        return np.stack([slide_output(task, ensemble_outputs(model, bag, windows, tiles=get))
-                         for bag, get in zip(slides, tiles)])
+    entry's bag, in entry order, from one pass (map_window_pass)."""
+    return np.stack(map_window_pass(
+        model, [bags[e.slide_id] for e in entries], windows,
+        lambda bag, tiles: slide_output(task, ensemble_outputs(model, bag, windows, tiles=tiles))))
 
 
 def estimate_baseline_survival(train_risks: np.ndarray,
@@ -194,8 +202,9 @@ def estimate_baseline_survival(train_risks: np.ndarray,
 
 
 def predict_survival(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows,
-                     baseline: BreslowTable, eval_times) -> SurvPrediction:
-    raw, attention = ensemble_outputs(model, bag, windows, return_attention=True)
+                     baseline: BreslowTable, eval_times, *,
+                     tiles: Callable[[], TileSummaries] | None = None) -> SurvPrediction:
+    raw, attention = ensemble_outputs(model, bag, windows, return_attention=True, tiles=tiles)
     eta = raw[:, 0]
     eval_times = np.atleast_1d(np.asarray(eval_times, dtype=np.float64))
     per_chunk_surv = baseline.at(eval_times, eta)  # (K, T)

@@ -31,12 +31,13 @@ one forward() call over the T tiles' pooled vectors, with their
 log-sum-exps as the logits, which equals pooling over the whole bag (_softmax_pool). A single
 bag's tiles run on ensemble_workers() threads: usable CPUs // BLAS
 threads, so a BLAS that already uses every CPU keeps the tiles on the
-calling thread. A pass over many bags (window_pass) builds the weight
-blocks once and runs each bag's tiles serially on one worker, a bag per
-worker, while the calling thread finishes the bags in order. Every item of
-the pool runs its nested work on its own thread (_ahead), so there is one
-worker budget. Each tile writes only its own slots, so the outputs are
-bitwise the same for any worker count and schedule.
+calling thread. A pass over many bags (window_pass: validation, train's
+Breslow fit and predict) builds the weight blocks once and runs each bag's
+tiles serially on one worker, a bag per worker, while the calling thread
+finishes the bags in order. Every item of the pool runs its nested work
+on its own thread (_ahead), so there is one worker budget. Each tile
+writes only its own slots, so the outputs are bitwise the same for any
+worker count and schedule.
 """
 
 from __future__ import annotations
@@ -517,7 +518,9 @@ class GatedAttentionMIL:
         ensemble_workers() threads at most two per worker ahead of the bag
         last handed out; calling a bag's callable waits for it. A single bag
         runs on the calling thread, its tiles spread over the workers.
-        Close the iterator to cancel the bags not yet started."""
+        Close the iterator to cancel the bags not yet started. Validation,
+        train's Breslow fit and predict each run one pass over their split
+        (inference.map_window_pass)."""
         weights = self.window_weights(windows)
         return _ahead(lambda x: self.window_tiles(x, weights), bags)
 

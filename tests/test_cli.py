@@ -7,6 +7,8 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -877,6 +879,102 @@ class TestEnsembleWorkerCount:
         assert runs["1"][1] == runs["2"][1] == runs[None][1]
 
 
+class TestPredictPass:
+    """predict scores its split in one window pass: a bag per worker, each
+    slide finished on the calling thread."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        # 40 bags split 60/20/20: the 8 test bags are more than two workers'
+        # look-ahead of four
+        tmp = tmp_path_factory.mktemp("predict_pass")
+        dirs = {name: tmp / name for name in ("data", "fp", "plan", "train", "pred")}
+        manifest = _run_through_predict(tmp, dirs, spec_kw={"n_bags": 40},
+                                        plan_args=("--override", "max_epochs=1"))
+        return dirs, manifest
+
+    @staticmethod
+    def _predict(dirs, data, out):
+        return main(["predict", "--manifest", str(data / "manifest.json"),
+                     "--data-dir", str(data),
+                     "--checkpoint", str(dirs["train"] / "checkpoint.ckpt"),
+                     "--split", "test", "--out", str(out)])
+
+    @staticmethod
+    def _spy_passes(monkeypatch):
+        passes = []
+        real = model_module.GatedAttentionMIL.window_pass
+
+        def window_pass(self, bags, windows):
+            passes.append(list(bags))
+            return real(self, bags, windows)
+
+        monkeypatch.setattr(model_module.GatedAttentionMIL, "window_pass", window_pass)
+        return passes
+
+    def test_one_pass_over_the_split_in_entry_order(self, run, monkeypatch, tmp_path):
+        dirs, manifest = run
+        passes = self._spy_passes(monkeypatch)
+        assert self._predict(dirs, dirs["data"], tmp_path / "out") == 0
+        doc = load_manifest(manifest)
+        bags = dataio.load_bags(doc, dirs["data"], ("test",))
+        expected = [bags[e.slide_id].embeddings for e in doc.split_entries("test")]
+        assert len(passes) == 1 and len(passes[0]) == len(expected) > 2 * 2
+        assert all(np.array_equal(got, want) for got, want in zip(passes[0], expected))
+
+    def test_tiles_never_run_on_the_calling_thread(self, run, monkeypatch, tmp_path, two_cpus):
+        dirs, manifest = run
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert ensemble_workers() == 2
+        threads = []
+        real = model_module.GatedAttentionMIL.window_tiles
+        monkeypatch.setattr(model_module.GatedAttentionMIL, "window_tiles",
+                            lambda self, *a: threads.append(threading.get_ident())
+                            or real(self, *a))
+        assert self._predict(dirs, dirs["data"], tmp_path / "out") == 0
+        assert len(threads) == len(load_manifest(manifest).split_entries("test"))
+        assert threading.get_ident() not in threads
+
+    def test_a_bag_of_another_width_is_1_and_cancels_the_rest(self, run, monkeypatch, tmp_path,
+                                                              two_cpus, capsys):
+        dirs, manifest = run
+        data = tmp_path / "data"
+        shutil.copytree(dirs["data"], data)
+        third = load_manifest(manifest).split_entries("test")[2]
+        dataio.write_embedding_file(dataio.SlideBag(
+            third.slide_id, third.patient_id, np.ones((7, 6), dtype=np.float32)),
+            data / third.embedding_path)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        passes, started = self._spy_passes(monkeypatch), []
+        real = model_module.GatedAttentionMIL.window_tiles
+
+        def window_tiles(self, x, weights):
+            i = next(i for i, bag in enumerate(passes[0]) if bag is x)
+            started.append(i)
+            if i >= 3:  # the bags after the bad one outlast the reader's cancel
+                time.sleep(0.3)
+            return real(self, x, weights)
+
+        monkeypatch.setattr(model_module.GatedAttentionMIL, "window_tiles", window_tiles)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert self._predict(dirs, data, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "expected (n, 8) embeddings" in err
+        assert not (out / "predictions.jsonl").exists()
+        assert not (out / "patients.jsonl").exists()
+        # once both workers are idle at the same time, every item the pool
+        # had queued before has run; the bags the pass cancelled never do
+        barrier = threading.Barrier(2)
+        drain = [model_module._worker_pool(2).submit(barrier.wait, 20) for _ in range(2)]
+        for future in drain:
+            future.result(timeout=30)
+        # the pass handed out bag 2 with bags 3-5 queued: the two workers
+        # may have started 3 and 4 before the cancel, and never 5 or later
+        assert len(passes[0]) > 5
+        assert {0, 1, 2} <= set(started) <= {0, 1, 2, 3, 4}
+
+
 class TestReleasedPages:
     """Each use of a mapped bag releases its pages (dataio.release_pages),
     and the next use maps the same bytes again: no artifact may differ from
@@ -1014,6 +1112,14 @@ def _config_with(dirs, tmp_path, **fields):
     return _edited(dirs["plan"] / "config.json", tmp_path, **fields)
 
 
+def _without_test_embeddings(dirs, manifest, tmp_path, *args):
+    """predict's arguments but --out, on a copy of the corpus without the
+    test split's embedding files."""
+    data = _copy_without(dirs, manifest, ("test",), tmp_path / "copy")
+    return ["--manifest", data / "manifest.json", "--data-dir", data,
+            "--checkpoint", dirs["train"] / "checkpoint.ckpt", *args]
+
+
 def _classification_manifest(tmp_path):
     spec = _write_spec(tmp_path / "cls_spec.json")
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "cls")]) == 0
@@ -1073,6 +1179,12 @@ _BAD_INPUTS = {
     **{f"predict-eval-time-{value}": ("predict", lambda dirs, manifest, tmp_path, value=value: [
         "--manifest", manifest, "--data-dir", dirs["data"],
         "--checkpoint", dirs["train"] / "checkpoint.ckpt", "--eval-time", value],
+        "--eval-time must be 'median' or a finite positive number")
+       for value in ("nan", "inf", "-1", "0", "soon", "1e400")},
+    # --eval-time is checked before any embedding file is read
+    **{f"predict-eval-time-{value}-without-embeddings": (
+        "predict", lambda dirs, manifest, tmp_path, value=value: _without_test_embeddings(
+            dirs, manifest, tmp_path, "--eval-time", value),
         "--eval-time must be 'median' or a finite positive number")
        for value in ("nan", "inf", "-1", "0", "soon", "1e400")},
     **{f"{command}-{field}-{value}": (command, lambda dirs, manifest, tmp_path, command=command,

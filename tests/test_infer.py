@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -308,6 +309,65 @@ class TestWindowPass:
         bags = self._bags()
         assert np.array_equal(_pass_with(monkeypatch, 2, m, bags, wins),
                               _pass_with(monkeypatch, 1, m, bags, wins))
+
+
+# each task's model head width and its predict_* call on (model, bag, windows)
+_BASELINE = estimate_baseline_survival(
+    np.array([0.3, -0.2, 0.1, 0.5]),
+    [SurvivalRecord(time=t, event=e) for t, e in ((1.0, 1), (2.0, 0), (0.5, 1), (3.0, 1))])
+_PREDICTS = {
+    "classification": (3, predict_classification),
+    "regression": (1, predict_regression),
+    "survival": (1, lambda m, bag, wins, **kw: predict_survival(m, bag, wins, _BASELINE,
+                                                                [0.7, 2.5], **kw)),
+}
+
+
+def _assert_same_prediction(got, ref):
+    assert type(got) is type(ref)
+    for f in fields(ref):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+class TestPredictInPass:
+    """predict runs each predict_* on a pass's tiles (map_window_pass): a bag
+    per worker, each slide finished on the calling thread."""
+
+    @staticmethod
+    def _predict_pass(monkeypatch, workers, task):
+        n_out, predict = _PREDICTS[task]
+        m, wins = _model(c=n_out), chunk_windows(8, 4, 2)
+        bags = list(TestWindowPass._bags().values())
+        monkeypatch.setattr(model_module, "ensemble_workers", lambda: workers)
+        got = inference.map_window_pass(
+            m, bags, wins, lambda bag, tiles: predict(m, bag, wins, tiles=tiles))
+        return m, wins, bags, predict, got
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("task", sorted(_PREDICTS))
+    def test_every_field_equals_the_one_bag_call_bitwise(self, monkeypatch, task, workers):
+        m, wins, bags, predict, got = self._predict_pass(monkeypatch, workers, task)
+        assert len(got) == len(bags)
+        for bag, pred in zip(bags, got):
+            assert pred.slide_id == bag.slide_id
+            _assert_same_prediction(pred, predict(m, bag, wins))
+
+    @pytest.mark.parametrize("task", sorted(_PREDICTS))
+    def test_every_finish_forward_runs_on_the_calling_thread(self, monkeypatch, task):
+        tile_threads, finish_threads = set(), []
+        real_tiles, real_forward = GatedAttentionMIL.window_tiles, GatedAttentionMIL.forward
+        monkeypatch.setattr(GatedAttentionMIL, "window_tiles", lambda self, *a: tile_threads.add(
+            threading.get_ident()) or real_tiles(self, *a))
+        monkeypatch.setattr(GatedAttentionMIL, "forward", lambda self, *a, **kw: finish_threads
+                            .append(threading.get_ident()) or real_forward(self, *a, **kw))
+        _, wins, bags, _, _ = self._predict_pass(monkeypatch, 2, task)
+        assert finish_threads == [threading.get_ident()] * (len(bags) * wins.n_chunks)
+        assert tile_threads and threading.get_ident() not in tile_threads
 
 
 class TestPredictClassification:
