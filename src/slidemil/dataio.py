@@ -9,18 +9,19 @@ Embedding file layout (little-endian throughout):
     bytes 12-15  D (embedding dimension) as uint32
     then         N*D float32 values, row-major
 
-Loaded bags are read-only memory maps of their files' payloads: loading
-copies nothing, and the operating system may evict clean pages of a corpus
-larger than memory. A bag's pages are released from the process
-(release_pages) once each use of them is over: after its load-time scan in
-load_bags, after training samples it and after each window-ensemble pass
-over it. The page cache keeps the data, so the process's resident memory
-holds the bags in use, not the corpus. Each loaded bag holds one open file
-descriptor until it is freed, and load_bags raises the process's soft
-descriptor limit to fit.
-A file must not be modified in place while a bag maps it (truncating it
-under the mapping ends the process with SIGBUS); write_embedding_file
-replaces files by renaming, which leaves mapped bags as they were.
+A bag read from a file holds the file's path, the payload's (N, D) shape and
+the file's identity (device, inode, size and modification time), not its
+payload, and no open file. Each use of the bag's embeddings maps the file
+read-only: one sampling draw, one full-bag training step, one bag of a
+window-ensemble pass, one single-slide predict. Loading and mapping copy
+nothing, the operating system may evict clean pages of a corpus larger than
+memory, and the map and its pages go when the use's last reference to them
+does, so the process's resident memory and open files hold the bags in use,
+not the corpus. Each map checks that the file is still the one loaded, and
+raises CorruptionError naming it otherwise, so a bag never returns bytes its
+load-time finiteness scan did not check. write_embedding_file replaces files
+by renaming; a file must not be modified in place while a use maps it
+(truncating it under the mapping ends the process with SIGBUS).
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ import numpy as np
 
 from .errors import CorruptionError, FormatError, ValidationError
 
-try:
-    import resource
-except ImportError:  # not on Windows, where the descriptor limit is not set this way
-    resource = None
-
 EMBEDDING_MAGIC = b"NNMILEB1"
 HEADER_SIZE = 16
 
@@ -60,47 +56,81 @@ SCAN_BLOCK_BYTES = 512 * 1024
 
 TASKS = ("classification", "regression", "survival")
 SPLITS = ("train", "val", "test")
-# Descriptors left free beside the mapped bags, for the files a command opens
-# while its bags are loaded (checkpoint, outputs, lazily imported modules).
-FD_HEADROOM = 32
 
 
-@dataclass
 class SlideBag:
     """One slide's patch-embedding matrix plus identity metadata.
 
-    A bag read from a file holds a read-only view of the file's payload;
-    writing to its embeddings raises ValueError. Bags built from arrays hold
-    those arrays (cast to float32 if they are not)."""
+    A bag built from an array holds that array (cast to float32 if it is
+    not). A bag read from a file (read_embedding_file) holds the file
+    (_EmbeddingFile), and each read of embeddings maps it anew, read-only:
+    writing to the map raises ValueError. Either way the values are checked
+    once, when the bag is built, and n_patches and embed_dim read the shape
+    the bag holds without mapping anything."""
 
-    slide_id: str
-    patient_id: str
-    embeddings: np.ndarray  # (N, D) float32
-
-    def __post_init__(self):
-        emb = np.asarray(self.embeddings, dtype=np.float32)
+    def __init__(self, slide_id: str, patient_id: str, embeddings):
+        emb = np.asarray(embeddings, dtype=np.float32)
         if emb.ndim != 2:
-            raise ValidationError(f"bag {self.slide_id}: embeddings must be 2-D, got shape {emb.shape}")
+            raise ValidationError(f"bag {slide_id}: embeddings must be 2-D, got shape {emb.shape}")
         if emb.shape[0] < 1 or emb.shape[1] < 1:
-            raise ValidationError(f"bag {self.slide_id}: need N >= 1 and D >= 1, got shape {emb.shape}")
+            raise ValidationError(f"bag {slide_id}: need N >= 1 and D >= 1, got shape {emb.shape}")
         # min and max propagate NaN, so both are finite exactly when every
         # value is; unlike isfinite they allocate nothing the size of the bag.
-        # Taken per block of rows, they read each block from memory once, and
-        # every page of a mapped bag is read now, not at first use.
+        # Taken per block of rows, they read each block from memory once.
         rows = max(1, SCAN_BLOCK_BYTES // (emb.itemsize * emb.shape[1]))
         for r0 in range(0, emb.shape[0], rows):
             block = emb[r0:r0 + rows]
             if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-                raise ValidationError(f"bag {self.slide_id}: embeddings contain non-finite values")
-        self.embeddings = emb
+                raise ValidationError(f"bag {slide_id}: embeddings contain non-finite values")
+        self.slide_id, self.patient_id = slide_id, patient_id
+        self._source = emb
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        """The (N, D) float32 values: the bag's array, or a new map of its file."""
+        source = self._source
+        return source.map() if isinstance(source, _EmbeddingFile) else source
 
     @property
     def n_patches(self) -> int:
-        return self.embeddings.shape[0]
+        return self._source.shape[0]
 
     @property
     def embed_dim(self) -> int:
-        return self.embeddings.shape[1]
+        return self._source.shape[1]
+
+
+def _identity(f) -> tuple[int, int, int, int]:
+    """(st_dev, st_ino, st_size, st_mtime_ns) of the file open as f."""
+    st = os.fstat(f.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _map_payload(f, shape: tuple[int, int]) -> np.ndarray:
+    """A read-only (N, D) view of the payload of the embedding file open as f.
+    The map outlives f and closes when the last reference to the view goes."""
+    buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    return np.frombuffer(buf, dtype="<f4", count=shape[0] * shape[1],
+                         offset=HEADER_SIZE).reshape(shape)
+
+
+@dataclass(frozen=True)
+class _EmbeddingFile:
+    """What a bag read from a file holds between uses: its path, payload shape
+    and the file's identity when it was loaded."""
+
+    path: Path
+    shape: tuple[int, int]
+    identity: tuple[int, int, int, int]
+
+    def map(self) -> np.ndarray:
+        """The payload, mapped read-only; CorruptionError naming the file when
+        it is no longer the file that was loaded and scanned."""
+        with open(self.path, "rb") as f:
+            if _identity(f) != self.identity:
+                raise CorruptionError(f"{self.path}: file replaced or modified since it was "
+                                      f"loaded; its values were not checked")
+            return _map_payload(f, self.shape)
 
 
 @dataclass(frozen=True)
@@ -237,37 +267,18 @@ def read_embedding_header(path: str | Path) -> tuple[int, int]:
 
 
 def read_embedding_file(path: str | Path, slide_id: str = "", patient_id: str = "") -> SlideBag:
-    """Load a SlideBag whose embeddings are a read-only memory map of the
-    file's payload; validates magic and payload length (SlideBag checks
-    finiteness). Header and payload come from one open file, so a file
-    replaced meanwhile cannot pair one file's shape with another's values."""
+    """Load a SlideBag that holds the file (see SlideBag); validates magic and
+    payload length, and SlideBag scans one map of the payload for non-finite
+    values. Header, identity and the scanned payload come from one open
+    file, so a file replaced meanwhile cannot pair one file's shape with
+    another's values."""
     path = Path(path)
     with open(path, "rb") as f:
         n, d = _read_header(path, f)
-        emb = np.memmap(f, dtype="<f4", mode="r", offset=HEADER_SIZE, shape=(n, d))
-    return SlideBag(slide_id=slide_id or path.stem, patient_id=patient_id or path.stem,
-                    embeddings=emb)
-
-
-# madvise advice that drops a range's page-table entries, or None where the
-# platform or Python lacks it (release_pages then does nothing)
-_DONTNEED = getattr(mmap, "MADV_DONTNEED", None) if hasattr(mmap.mmap, "madvise") else None
-
-
-def release_pages(array: np.ndarray) -> None:
-    """Drop this process's resident pages of the read-only file map under
-    array (found through its .base chain); a no-op for arrays held in memory.
-
-    MADV_DONTNEED on a read-only, file-backed map removes only the process's
-    page-table entries: the page cache keeps the data, and the next read
-    maps the same bytes again. A writable map is left alone, since dropping
-    its pages could drop writes not yet in the file."""
-    owner, base = array, getattr(array, "base", None)
-    while base is not None and not isinstance(base, mmap.mmap):
-        owner, base = base, getattr(base, "base", None)
-    if base is None or _DONTNEED is None or owner.flags.writeable:
-        return
-    base.madvise(_DONTNEED)
+        source = _EmbeddingFile(path, (n, d), _identity(f))
+        bag = SlideBag(slide_id or path.stem, patient_id or path.stem, _map_payload(f, (n, d)))
+    bag._source = source  # the scanned map closes here
+    return bag
 
 
 def write_embedding_file(bag: SlideBag, path: str | Path) -> None:
@@ -275,7 +286,8 @@ def write_embedding_file(bag: SlideBag, path: str | Path) -> None:
 
     The bytes go to a new file in the same directory, which then replaces
     path in one rename: readers see the old file or the new one, never a
-    partial one, and bags mapped from the old file keep their values."""
+    partial one, and a bag loaded from the old file raises CorruptionError
+    at its next use."""
     # a bag's embeddings may have been written to since it was built, so its
     # checks (shape, and the blocked finiteness scan) run again
     checked = SlideBag(bag.slide_id, bag.patient_id, bag.embeddings)
@@ -428,41 +440,10 @@ def _entry_path(entry: ManifestEntry, data_dir: Path) -> Path:
 def load_bags(manifest: DatasetManifest, data_dir: str | Path,
               splits=SPLITS) -> dict[str, SlideBag]:
     """Load the embedding files of the entries in the given splits, keyed by
-    slide_id. Each bag maps its file and holds one open file descriptor; its
-    pages are released once its finiteness scan has read them."""
+    slide_id (read_embedding_file): no bag holds an open file or a map."""
     data_dir = Path(data_dir)
-    entries = [e for e in manifest.entries if e.split in splits]
-    _reserve_file_descriptors(len(entries))
-    bags = {}
-    for e in entries:
-        bag = read_embedding_file(_entry_path(e, data_dir), slide_id=e.slide_id,
-                                  patient_id=e.patient_id)
-        release_pages(bag.embeddings)
-        bags[e.slide_id] = bag
-    return bags
-
-
-def _reserve_file_descriptors(count: int) -> None:
-    """Make room for count more open files beside those already open and
-    FD_HEADROOM spare, raising this process's soft RLIMIT_NOFILE up to its
-    hard limit if needed; ValidationError when the hard limit is too low,
-    instead of EMFILE partway through a load."""
-    if resource is None:
-        return
-    try:
-        open_fds = len(os.listdir("/dev/fd"))
-    except OSError:  # no /dev/fd to count them by
-        open_fds = 0
-    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-    needed = count + open_fds + FD_HEADROOM
-    if soft == resource.RLIM_INFINITY or needed <= soft:
-        return
-    if hard != resource.RLIM_INFINITY and needed > hard:
-        raise ValidationError(
-            f"loading {count} embedding files needs {needed} open file descriptors, "
-            f"above this process's hard limit of {hard} (soft limit {soft}); "
-            f"raise it with ulimit -n or load fewer bags")
-    resource.setrlimit(resource.RLIMIT_NOFILE, (needed, hard))
+    return {e.slide_id: read_embedding_file(_entry_path(e, data_dir), e.slide_id, e.patient_id)
+            for e in manifest.entries if e.split in splits}
 
 
 def load_bag_shapes(manifest: DatasetManifest, data_dir: str | Path,

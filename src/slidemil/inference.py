@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataio import SlideBag, SurvivalRecord, release_pages
+from .dataio import SlideBag, SurvivalRecord
 from .errors import ValidationError
 from .fingerprint import RunConfig
 from .metrics import BreslowTable, breslow_table
@@ -82,15 +82,16 @@ def inference_windows(config: RunConfig, embed_dim: int) -> ChunkWindows:
 def ensemble_outputs(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWindows,
                      return_attention: bool = False,
                      tiles: Callable[[], TileSummaries] | None = None):
-    """Raw per-window head outputs (K, n_outputs) on the full bag, dropout off;
-    the bag's mapped pages are released after the pass.
+    """Raw per-window head outputs (K, n_outputs) on the full bag, dropout off.
 
     tiles, handed out by a pass over many bags (map_window_pass), waits for
     the worker that computes this bag's tile summaries; the windows' finish
-    runs here, on the calling thread. forward_windows rejects a bag whose
-    embed_dim is not the model's."""
-    outputs, attention = model.forward_windows(bag.embeddings, windows, tiles)
-    release_pages(bag.embeddings)
+    runs here, on the calling thread, from the summaries alone, so the bag
+    is not read here. Without tiles the bag is read once (one map of a bag
+    read from a file, closed on return). forward_windows rejects a bag
+    whose embed_dim is not the model's."""
+    outputs, attention = model.forward_windows(bag.embeddings if tiles is None else None,
+                                                windows, tiles)
     outputs = outputs.astype(np.float64)
     if return_attention:
         return outputs, attention.mean(axis=0, dtype=np.float64)
@@ -174,10 +175,10 @@ def map_window_pass(model: GatedAttentionMIL, bags: Sequence[SlideBag], windows:
                     finish: Callable[[SlideBag, Callable[[], TileSummaries]], object]) -> list:
     """finish(bag, tiles) for each bag, in order, on the calling thread, with
     tiles the bag's callable from one model.window_pass over all of them: a
-    bag per worker. finish hands tiles to the bag's ensemble_outputs, so an
-    error in a bag is raised from that call, and the bags not yet started
-    are cancelled."""
-    with contextlib.closing(model.window_pass([b.embeddings for b in bags], windows)) as tiles:
+    bag per worker, each read on its worker and only while its tiles run.
+    finish hands tiles to the bag's ensemble_outputs, so an error in a bag
+    is raised from that call, and the bags not yet started are cancelled."""
+    with contextlib.closing(model.window_pass(bags, windows)) as tiles:
         return [finish(bag, get) for bag, get in zip(bags, tiles)]
 
 

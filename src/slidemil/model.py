@@ -34,10 +34,10 @@ threads, so a BLAS that already uses every CPU keeps the tiles on the
 calling thread. A pass over many bags (window_pass: validation, train's
 Breslow fit and predict) builds the weight blocks once and runs each bag's
 tiles serially on one worker, a bag per worker, while the calling thread
-finishes the bags in order. Every item of the pool runs its nested work
-on its own thread (_ahead), so there is one worker budget. Each tile
-writes only its own slots, so the outputs are bitwise the same for any
-worker count and schedule.
+finishes the bags in order from their tile summaries alone. Every item of
+the pool runs its nested work on its own thread (_ahead), so there is one
+worker budget. Each tile writes only its own slots, so the outputs are
+bitwise the same for any worker count and schedule.
 """
 
 from __future__ import annotations
@@ -510,19 +510,22 @@ class GatedAttentionMIL:
         list(_map(tile, range(n_tiles)))  # re-raises a tile's error
         return TileSummaries(pooled, lse, alpha)
 
-    def window_pass(self, bags: Sequence[np.ndarray],
+    def window_pass(self, bags: Sequence,
                     windows: ChunkWindows) -> Iterator[Callable[[], TileSummaries]]:
-        """One zero-argument callable per bag, in bag order, that returns its
-        tile summaries (window_tiles) under weights built once for the pass.
-        Each bag's tiles run serially on one worker, the bags spread over
-        ensemble_workers() threads at most two per worker ahead of the bag
-        last handed out; calling a bag's callable waits for it. A single bag
-        runs on the calling thread, its tiles spread over the workers.
-        Close the iterator to cancel the bags not yet started. Validation,
-        train's Breslow fit and predict each run one pass over their split
+        """One zero-argument callable per bag (anything with an (N, D)
+        embeddings attribute, as a dataio.SlideBag), in bag order, that
+        returns its tile summaries (window_tiles) under weights built once
+        for the pass. Each bag's embeddings are read once, on the worker
+        that runs its tiles serially, so a bag read from a file is mapped
+        only while its tiles run. The bags spread over ensemble_workers()
+        threads at most two per worker ahead of the bag last handed out;
+        calling a bag's callable waits for it. A single bag runs on the
+        calling thread, its tiles spread over the workers. Close the
+        iterator to cancel the bags not yet started. Validation, train's
+        Breslow fit and predict each run one pass over their split
         (inference.map_window_pass)."""
         weights = self.window_weights(windows)
-        return _ahead(lambda x: self.window_tiles(x, weights), bags)
+        return _ahead(lambda bag: self.window_tiles(bag.embeddings, weights), bags)
 
     def forward_windows(self, embeddings: np.ndarray, windows: ChunkWindows,
                         tiles: Callable[[], TileSummaries] | None = None
@@ -531,13 +534,14 @@ class GatedAttentionMIL:
         (N, D) under each feature window [start, end) of the grid.
 
         tiles, a callable that returns the bag's tile summaries (one of a
-        window_pass's), waits for them; without it they are computed here
-        (window_tiles). Each window then runs forward() once, on the calling
-        thread: softmax, pooling and the head over the T tiles' pooled rows,
-        with the tiles' log-sum-exps as the logits. A row's attention is its
-        weight in its tile times its tile's weight. Block sums, the tanh
-        form and pooling by tiles round differently from per-window
-        forward() on the bag, so outputs differ from it in their low bits.
+        window_pass's), waits for them, and embeddings is not read; without
+        it they are computed here (window_tiles). Each window then runs
+        forward() once, on the calling thread: softmax, pooling and the head
+        over the T tiles' pooled rows, with the tiles' log-sum-exps as the
+        logits. A row's attention is its weight in its tile times its tile's
+        weight. Block sums, the tanh form and pooling by tiles round
+        differently from per-window forward() on the bag, so outputs differ
+        from it in their low bits.
         """
         summary = (self.window_tiles(embeddings, self.window_weights(windows))
                    if tiles is None else tiles())

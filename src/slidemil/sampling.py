@@ -42,6 +42,8 @@ class BatchPlan:
 def sample_patches(bag: SlideBag, bag_size: int, rng: np.random.Generator,
                    out: np.ndarray) -> FixedBag:
     """Normalize one bag to bag_size rows: uniform subsample if larger, zero-pad if smaller.
+    The bag's embeddings are read once, after the draw: one map of a bag read
+    from a file, closed on return.
 
     out, a writable float32 (bag_size, D) array, receives the rows and becomes
     the returned FixedBag's embeddings. Every row of it is written: sampled
@@ -50,7 +52,7 @@ def sample_patches(bag: SlideBag, bag_size: int, rng: np.random.Generator,
     """
     if bag_size < 1:
         raise ValidationError("bag_size must be >= 1")
-    n, d = bag.embeddings.shape
+    n, d = bag.n_patches, bag.embed_dim
     if out.shape != (bag_size, d) or out.dtype != np.float32:
         raise ValidationError(f"out must be a float32 ({bag_size}, {d}) array")
     if n > bag_size:

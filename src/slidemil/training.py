@@ -18,15 +18,16 @@ step's activations are, per slide, the (m, H) tanh and sigmoid branches and
 the bool dropout mask: 2H floats and H bytes per row, from which backward
 rebuilds the sampled columns, the dropout scale and the gated output. They
 are released once the step's update is applied, so training holds one
-batch and one step's activations at a time. A bag's mapped pages are
-released once sample_patches has copied its rows into the batch (in
-full_bag_batch1, once the step that reads the bag in place is over), and
-the validation ensemble releases each val bag after its pass. A validation
-pass (inference.slide_outputs) runs a bag per worker and has at most two
-bags per worker in flight, the one it finishes among them, so it holds up
-to 2 x workers bags mapped in, each with its (K, T, D) tile summaries. A survival run ends
-with one more such pass, over the train split, to fit the Breslow
-baseline that the checkpoint stores.
+batch and one step's activations at a time. A bag read from a file is
+mapped only while one use of it runs (dataio): sample_patches maps it for
+one draw and the map closes once its rows are in the batch, and a
+full_bag_batch1 step's map goes with the step's activations. A validation
+pass (inference.slide_outputs) maps each bag on the worker that runs its
+tiles, only while they run, and has at most two bags per worker in
+flight, the one it finishes among them, so it holds up to 2 x workers
+bags' (K, T, D) tile summaries. A survival run ends with one more such
+pass, over the train split, to fit the Breslow baseline that the
+checkpoint stores.
 On top of them, each slide body in flight holds its own temporaries, in
 place where it can: forward the (m, F) sampled columns, the gated output and
 the dropout scale; backward the sampled columns and three (m, H) buffers.
@@ -48,8 +49,7 @@ import numpy as np
 # inference.slide_outputs looks ensemble_outputs up in its module, so a
 # wrapper set there (perfbench/tracing.py) also sees the validation ensemble
 from . import inference
-from .dataio import (DatasetManifest, SlideBag, _as_real, _is_int, label_arrays, parse_json,
-                     release_pages)
+from .dataio import DatasetManifest, SlideBag, _as_real, _is_int, label_arrays, parse_json
 from .errors import CorruptionError, FormatError, ValidationError
 from .fingerprint import RunConfig
 from .metrics import BreslowTable
@@ -364,6 +364,36 @@ def _validation_loss(model, task, val_entries, bags, windows) -> float | None:
     return _loss_and_grad(task, outputs, targets)[0]
 
 
+def _epoch_steps(config: RunConfig, entries, bags: dict[str, SlideBag], labels,
+                 batch_buf: np.ndarray | None, rng: np.random.Generator):
+    """One epoch's steps as (batch, x, mask, feature indices), drawn from rng in
+    the order that fixes the checkpoint: the epoch's batch plan, then per step
+    its slides' patch subsets and its feature subset. Each step is drawn
+    when the caller asks for it, so the step before has drawn its dropout.
+    With batch_buf None (full_bag_batch1) a step is one whole bag, read in
+    place, with every feature; otherwise sample_patches writes each slide's
+    rows into batch_buf, of which x is a view."""
+    if batch_buf is None:
+        plan = plain_batches(len(entries), 1, rng)
+    elif config.task == "classification":
+        plan = balanced_batches(labels, config.batch_size, rng)
+    elif config.task == "regression":
+        plan = regression_batches(labels, config.batch_size, rng)
+    else:
+        plan = survival_batches([e.label for e in entries], config.batch_size, rng)
+    for batch in plan.batches:
+        if batch_buf is None:
+            bag = bags[entries[batch[0]].slide_id]
+            yield (batch, bag.embeddings[None], np.ones((1, bag.n_patches), dtype=bool),
+                   np.arange(bag.embed_dim))
+        else:
+            masks = [sample_patches(bags[entries[i].slide_id], batch_buf.shape[1], rng,
+                                    out=batch_buf[j]).valid_mask
+                     for j, i in enumerate(batch)]
+            yield (batch, batch_buf[:len(batch)], np.stack(masks),
+                   sample_feature_indices(batch_buf.shape[2], config.hidden_dim, rng))
+
+
 def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag],
           checkpoint_path=None) -> tuple[Checkpoint, TrainReport]:
     """Train per the run config; returns the latest-epoch checkpoint (with its
@@ -384,8 +414,6 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
             raise ValidationError(f"slide {sid} embed_dim {bag.embed_dim} != {embed_dim}")
 
     task = config.task
-    full_bag_mode = config.training_mode == "full_bag_batch1"
-
     rng = np.random.default_rng(config.seed)
     model = GatedAttentionMIL(embed_dim, config.hidden_dim, manifest.n_outputs,
                               dropout=config.dropout)
@@ -398,7 +426,7 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
     # A bag_size above the largest train bag draws nothing more and only
     # pads, which forward ignores, so rows stop at that bag's length
     rows = min(config.bag_size, max(bags[e.slide_id].n_patches for e in train_entries))
-    batch_buf = (None if full_bag_mode else
+    batch_buf = (None if config.training_mode == "full_bag_batch1" else
                  np.empty((config.batch_size, rows, embed_dim), dtype=np.float32))
 
     report = TrainReport()
@@ -408,42 +436,19 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
 
     for epoch in range(config.max_epochs):
         lr = lr_schedule(epoch, config)
-        if full_bag_mode:
-            plan = plain_batches(len(train_entries), 1, rng)
-        elif task == "classification":
-            plan = balanced_batches(labels, config.batch_size, rng)
-        elif task == "regression":
-            plan = regression_batches(labels, config.batch_size, rng)
-        else:
-            plan = survival_batches([e.label for e in train_entries], config.batch_size, rng)
-
         loss_sum = 0.0
         n_seen = 0
-        for batch in plan.batches:
-            if full_bag_mode:
-                bag = bags[train_entries[batch[0]].slide_id]
-                x = bag.embeddings[None]
-                mask = np.ones((1, bag.n_patches), dtype=bool)
-                feat = np.arange(embed_dim)
-            else:
-                fixed = []
-                for j, i in enumerate(batch):
-                    bag = bags[train_entries[i].slide_id]
-                    fixed.append(sample_patches(bag, rows, rng, out=batch_buf[j]))
-                    release_pages(bag.embeddings)  # its rows are in the batch now
-                x = batch_buf[:len(batch)]
-                mask = np.stack([f.valid_mask for f in fixed])
-                feat = sample_feature_indices(embed_dim, config.hidden_dim, rng)
+        for batch, x, mask, feat in _epoch_steps(config, train_entries, bags, labels,
+                                                 batch_buf, rng):
             batch_targets = label_arrays(task, [train_entries[i] for i in batch])
             result = model.forward(x, mask, feat, rng=rng)
             loss, d_out = _loss_and_grad(task, result.outputs, batch_targets)
             grads = model.backward(result.cache, d_out)
             adamw_step(model.params, grads, state, lr, config.weight_decay)
-            # the activations (and the cache's views of x) are not kept through
-            # validation or the next step's sampling and forward
-            del result, grads
-            if full_bag_mode:  # forward and backward read the bag's map itself
-                release_pages(bag.embeddings)
+            # the activations, the cache's views of x and x itself (in
+            # full_bag_batch1, the step's map of its bag) are not kept through
+            # validation or the next step's draws
+            del result, grads, x
             loss_sum += loss * len(batch)
             n_seen += len(batch)
 

@@ -920,7 +920,8 @@ class TestPredictPass:
         bags = dataio.load_bags(doc, dirs["data"], ("test",))
         expected = [bags[e.slide_id].embeddings for e in doc.split_entries("test")]
         assert len(passes) == 1 and len(passes[0]) == len(expected) > 2 * 2
-        assert all(np.array_equal(got, want) for got, want in zip(passes[0], expected))
+        assert all(np.array_equal(got.embeddings, want)
+                   for got, want in zip(passes[0], expected))
 
     def test_tiles_never_run_on_the_calling_thread(self, run, monkeypatch, tmp_path, two_cpus):
         dirs, manifest = run
@@ -949,7 +950,7 @@ class TestPredictPass:
         real = model_module.GatedAttentionMIL.window_tiles
 
         def window_tiles(self, x, weights):
-            i = next(i for i, bag in enumerate(passes[0]) if bag is x)
+            i = next(i for i, bag in enumerate(passes[0]) if np.array_equal(bag.embeddings, x))
             started.append(i)
             if i >= 3:  # the bags after the bad one outlast the reader's cancel
                 time.sleep(0.3)
@@ -976,9 +977,9 @@ class TestPredictPass:
 
 
 class TestReleasedPages:
-    """Each use of a mapped bag releases its pages (dataio.release_pages),
-    and the next use maps the same bytes again: no artifact may differ from
-    a run on the same bags held in memory, where the release does nothing."""
+    """Each use of a bag read from a file maps it anew and closes the map,
+    its pages with it, once the use is over: no artifact may differ from a
+    run on the same bags held in memory."""
 
     @pytest.mark.parametrize("spec_kw,plan_args", [
         ({"task": "classification"}, ()),
@@ -1000,10 +1001,9 @@ class TestReleasedPages:
 
         def in_memory(*args, **kwargs):
             bags = mapped_load(*args, **kwargs)
-            for bag in bags.values():
-                assert isinstance(bag.embeddings.base, np.memmap)
-                bag.embeddings = np.array(bag.embeddings)
-            return bags
+            assert all(bag.embeddings is not bag.embeddings for bag in bags.values())
+            return {sid: dataio.SlideBag(bag.slide_id, bag.patient_id, np.array(bag.embeddings))
+                    for sid, bag in bags.items()}
 
         mapped_load = dataio.load_bags
         artifacts = {}

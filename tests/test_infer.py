@@ -272,6 +272,22 @@ class TestWindowPass:
         assert finish_threads == [threading.get_ident()] * (len(bags) * wins.n_chunks)
         assert tile_threads and threading.get_ident() not in tile_threads
 
+    def test_each_bag_is_read_once_on_its_worker(self, monkeypatch):
+        # a bag read from a file maps it on each read: the pass maps each bag
+        # once, where its tiles run, and the finish reads only the tiles
+        reads = []
+
+        class Counted(SlideBag):
+            @property
+            def embeddings(self):
+                reads.append((self.slide_id, threading.get_ident()))
+                return super().embeddings
+
+        bags = {sid: Counted(sid, sid, bag.embeddings) for sid, bag in self._bags().items()}
+        _pass_with(monkeypatch, 2, _model(), bags, chunk_windows(8, 4, 2))
+        assert sorted(sid for sid, _ in reads) == sorted(bags)
+        assert threading.get_ident() not in {thread for _, thread in reads}
+
     def test_a_bad_bag_raises_from_its_own_call_and_cancels_the_rest(self, monkeypatch):
         started = []
 

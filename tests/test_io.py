@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -378,41 +379,37 @@ class TestMappedBags:
         assert bag.embeddings.nbytes >= 4 * dataio.SCAN_BLOCK_BYTES
         assert peak < dataio.SCAN_BLOCK_BYTES, f"scanning a 4 MB bag allocated {peak} bytes"
 
-    def test_release_pages_is_a_no_op_in_memory(self, rng):
-        bag = make_bag(rng, 64, 16)
-        before = bag.embeddings.copy()
-        dataio.release_pages(bag.embeddings)
-        dataio.release_pages(bag.embeddings[None])
-        assert np.array_equal(bag.embeddings, before)
+    @pytest.mark.parametrize("shape", [(7, 5), (3, 2)], ids=["same-size", "resized"])
+    def test_a_use_after_the_file_is_renamed_over_raises(self, rng, tmp_path, shape):
+        path = tmp_path / "a.emb"
+        write_embedding_file(make_bag(rng, 7, 5), path)
+        loaded = read_embedding_file(path)
+        write_embedding_file(make_bag(rng, *shape), path)
+        assert (loaded.n_patches, loaded.embed_dim) == (7, 5)  # held, not mapped
+        with pytest.raises(CorruptionError, match=re.escape(str(path))):
+            loaded.embeddings
+        assert read_embedding_file(path).embeddings.shape == shape
+        assert sorted(os.listdir(tmp_path)) == ["a.emb"], "no temporary file may be left"
 
-    def test_released_bag_reads_the_same_values(self, rng, tmp_path):
+    def test_each_use_maps_the_file_anew(self, rng, tmp_path):
         written = make_bag(rng, 3000, 64)  # 750 KB: many pages
         write_embedding_file(written, tmp_path / "a.emb")
         bag = read_embedding_file(tmp_path / "a.emb")
-        for view in (bag.embeddings, bag.embeddings[None], bag.embeddings[5:9]):
-            dataio.release_pages(view)
-            assert np.array_equal(bag.embeddings.view(np.uint32),
-                                  written.embeddings.view(np.uint32))
+        first, second = bag.embeddings, bag.embeddings
+        assert first is not second and not np.shares_memory(first, second)
+        for view in (first, second):
+            assert np.array_equal(view.view(np.uint32), written.embeddings.view(np.uint32))
 
-    def test_release_pages_leaves_a_writable_map_alone(self, rng, tmp_path):
-        # a copy-on-write map's changes live only in its private pages
-        write_embedding_file(make_bag(rng, 3000, 64), tmp_path / "a.emb")
-        cow = np.memmap(tmp_path / "a.emb", dtype="<f4", mode="c",
-                        offset=dataio.HEADER_SIZE, shape=(3000, 64))
-        cow[::64] = 7.0
-        dataio.release_pages(cow)
-        assert (cow[::64] == 7.0).all()
-
-    def test_rewrite_leaves_loaded_bag_unchanged(self, rng, tmp_path):
-        path = tmp_path / "a.emb"
-        first = make_bag(rng, 7, 5)
-        write_embedding_file(first, path)
-        loaded = read_embedding_file(path)
-        write_embedding_file(make_bag(rng, 3, 2), path)
-        assert np.array_equal(loaded.embeddings.view(np.uint32),
-                              first.embeddings.view(np.uint32))
-        assert read_embedding_file(path).embeddings.shape == (3, 2)
-        assert sorted(os.listdir(tmp_path)) == ["a.emb"], "no temporary file may be left"
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    def test_loaded_bags_hold_no_open_file(self, tmp_path):
+        manifest = _corpus(tmp_path, n_bags=40)
+        before = len(os.listdir("/proc/self/fd"))
+        bags = load_bags(manifest, tmp_path)
+        assert len(os.listdir("/proc/self/fd")) == before
+        view = bags["s0"].embeddings  # one use holds one map and its descriptor
+        assert len(os.listdir("/proc/self/fd")) == before + 1
+        del view
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_failed_rename_keeps_the_old_file(self, rng, tmp_path, monkeypatch):
         path = tmp_path / "a.emb"
@@ -431,57 +428,41 @@ class TestMappedBags:
 
 _LIMITED_CHILD = """
 import resource, sys
-soft, hard = int(sys.argv[1]), int(sys.argv[2])
-resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, 64))
 from slidemil import dataio
+from slidemil.cli import main
+manifest, data, config, out = sys.argv[1:]
 try:
-    bags = dataio.load_bags(dataio.load_manifest(sys.argv[3]), sys.argv[4])
+    bags = dataio.load_bags(dataio.load_manifest(manifest), data)
 except dataio.ValidationError as exc:
     print(exc)
     sys.exit(1)
-print(len(bags), resource.getrlimit(resource.RLIMIT_NOFILE)[0])
+assert len(bags) == 150, len(bags)
+sys.exit(main(["train", "--manifest", manifest, "--data-dir", data, "--config", config,
+               "--out", out])
+         or main(["predict", "--manifest", manifest, "--data-dir", data,
+                  "--checkpoint", out + "/checkpoint.ckpt", "--out", out]))
 """
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_NOFILE is POSIX")
-class TestDescriptorBudget:
-    """Each mapped bag holds one open file descriptor; load_bags makes room for
-    them under the hard limit, or refuses before opening any."""
-
-    N_BAGS = 150
-
-    @pytest.fixture(autouse=True)
-    def _many_bags(self, tmp_path):
-        import resource
-
-        if resource.getrlimit(resource.RLIMIT_NOFILE)[1] < 4 * self.N_BAGS:
-            pytest.skip("hard descriptor limit below this test's corpus")
-        manifest = _corpus(tmp_path, n_bags=self.N_BAGS, n_patches=2, embed_dim=2)
-        self.manifest_path = tmp_path / "manifest.json"
-        save_manifest(manifest, self.manifest_path)
-        self.data = tmp_path
-
-    def _child(self, soft, hard):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        return subprocess.run(
-            [sys.executable, "-c", _LIMITED_CHILD, str(soft), str(hard),
-             str(self.manifest_path), str(self.data)],
-            capture_output=True, text=True, env=env, timeout=120)
-
-    def test_raises_a_low_soft_limit(self):
-        done = self._child(soft=64, hard=4 * self.N_BAGS)
-        assert done.returncode == 0, done.stderr
-        n_loaded, soft_after = map(int, done.stdout.split())
-        assert n_loaded == self.N_BAGS
-        assert self.N_BAGS + dataio.FD_HEADROOM < soft_after <= 4 * self.N_BAGS
-
-    def test_refuses_past_the_hard_limit(self):
-        hard = self.N_BAGS
-        done = self._child(soft=64, hard=hard)
-        assert done.returncode == 1, done.stdout + done.stderr
-        assert f"loading {self.N_BAGS} embedding files" in done.stdout
-        assert f"hard limit of {hard}" in done.stdout
-        assert "soft limit 64" in done.stdout
+def test_a_corpus_loads_trains_and_predicts_under_64_descriptors(tmp_path):
+    """No loaded bag holds an open file: at a soft and hard limit of 64
+    descriptors, 150 bags load, train (on 120) and predict (on 30)."""
+    spec = SyntheticSpec(task="classification", n_bags=150, patches_per_bag_range=(4, 8),
+                         embed_dim=8, seed=0)
+    write_synthetic_dataset(spec, tmp_path / "data")
+    config = RunConfig(task="classification", bag_size=8, hidden_dim=4, stride=2, dropout=0.0,
+                       batch_size=8, learning_rate=1e-3, weight_decay=1e-4, warmup_epochs=0,
+                       max_epochs=1, patience=1, seed=0)
+    config.to_json(tmp_path / "config.json")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CHILD, str(tmp_path / "data" / "manifest.json"),
+         str(tmp_path / "data"), str(tmp_path / "config.json"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert len((tmp_path / "out" / "predictions.jsonl").read_text().splitlines()) == 30
 
 
 _RSS_CHILD = """
@@ -522,8 +503,9 @@ print(json.dumps(growth))
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc")
 def test_resident_memory_stays_at_one_bag(tmp_path):
-    """Loading, scoring and training on a mapped corpus leaves at most one bag
-    (plus the batch buffer) resident: each use releases the bag's pages."""
+    """Loading, scoring and training on a corpus read from files leaves at
+    most one bag (plus the batch buffer) resident: each use's map closes,
+    and its pages go with it, once the use is over."""
     spec = SyntheticSpec(task="classification", n_bags=24, patches_per_bag_range=(1900, 2100),
                          embed_dim=256, seed=3)  # 2 MB bags, 48 MB in all
     write_synthetic_dataset(spec, tmp_path)
@@ -645,6 +627,29 @@ class TestReaderFuzz:
                 _replace_file(p, original)
         assert (predict, train) == (EXIT_CODES[error], EXIT_CODES[error])
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_predict_exits_2_when_a_loaded_file_is_renamed_over(trained_corpus, monkeypatch, capsys):
+    """A bag whose file is replaced between load and use is an error naming
+    the file, even when the new file holds the same bytes."""
+    root, manifest = trained_corpus
+    data = root / "data"
+    target = data / manifest.split_entries("test")[0].embedding_path
+    loaded = dataio.load_bags
+
+    def load_then_replace(*args, **kwargs):
+        bags = loaded(*args, **kwargs)
+        _replace_file(target, target.read_bytes())
+        return bags
+
+    monkeypatch.setattr(dataio, "load_bags", load_then_replace)
+    capsys.readouterr()
+    code = main(["predict", "--manifest", str(data / "manifest.json"), "--data-dir", str(data),
+                 "--checkpoint", str(root / "train" / "checkpoint.ckpt"),
+                 "--out", str(root / "pred_replaced")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(target) in err and "Traceback" not in err
 
 
 def _checkpoint_bytes(header: dict, payload: bytes) -> bytes:

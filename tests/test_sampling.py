@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from slidemil.dataio import SurvivalRecord
+from slidemil.dataio import SlideBag, SurvivalRecord
 from slidemil.errors import ValidationError
 from slidemil.sampling import (
     balanced_batches,
@@ -27,6 +27,22 @@ def _sample(bag, bag_size, rng):
 
 
 class TestSamplePatches:
+    @pytest.mark.parametrize("n", [30, 80], ids=["padded", "subsampled"])
+    def test_reads_the_bag_once(self, rng, n):
+        # a bag read from a file maps it on each read of its embeddings
+        reads = []
+
+        class Counted(SlideBag):
+            @property
+            def embeddings(self):
+                reads.append(self.slide_id)
+                return super().embeddings
+
+        bag = make_bag(rng, n, 4)
+        fixed = _sample(Counted("s", "p", bag.embeddings), 50, rng)
+        assert reads == ["s"]
+        assert fixed.valid_mask.sum() == min(n, 50)
+
     def test_subsample_without_replacement(self, rng):
         bag = make_bag(rng, 100, 4)
         fixed = _sample(bag, 50, rng)

@@ -1,0 +1,34 @@
+"""The command-line tools under tools/."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+# what each artifact_digests pipeline writes, by step, besides the 40 bags
+_STEP_FILES = {"data/manifest.json", "data/signal_indices.json", "fp/fingerprint.json",
+               "plan/config.json", "train/checkpoint.ckpt", "train/train_report.json",
+               "pred/predictions.jsonl", "pred/patients.jsonl", "eval/evaluation.json",
+               "rej/rejection.csv", "rej/rejection.json"}
+_PIPELINE_FILES = {
+    name: _STEP_FILES | {f"data/synth_{i:05d}.emb" for i in range(40)}
+    | ({"eval/km_high.csv", "eval/km_low.csv"} if name == "survival" else set())
+    for name in ("classification", "regression", "survival", "full_bag_batch1")}
+
+
+def test_artifact_digests_prints_one_digest_per_artifact():
+    done = subprocess.run([sys.executable, str(TOOLS / "artifact_digests.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines[:3]
+    paths = [line.split("  ", 1)[1] for line in lines]
+    assert paths == sorted(set(paths)), "one line per file, sorted by path"
+    by_pipeline = {}
+    for path in paths:
+        pipeline, rest = path.split("/", 1)
+        by_pipeline.setdefault(pipeline, set()).add(rest)
+    assert by_pipeline == _PIPELINE_FILES
+    assert not any(path.endswith("run_manifest.json") for path in paths)
