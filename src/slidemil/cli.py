@@ -346,7 +346,8 @@ def cmd_reject_curve(args) -> int:
     curve = metrics.rejection_curve(metric, data, unc, fractions)
     out = _out_dir(args)
     n = len(entries)
-    rows = [{"fraction": q, "value": v,
+    # an uncertainty with one value ranks nothing: its drops would follow manifest order
+    rows = [{"fraction": q, "value": v if q == 0 or np.ptp(unc) > 0 else None,
              "n_retained": n - int(np.ceil(q * n))} for q, v in curve]
     dataio.write_json({"metric": metric_name, "task": manifest.task, "points": rows},
                       out / "rejection.json")
@@ -410,7 +411,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=dataio.SPLITS)
     p.add_argument("--eval-time", default="median",
                    help="survival probability evaluation time: 'median' or a positive number")
     p.add_argument("--out", required=True)
@@ -418,7 +419,7 @@ def build_parser() -> _Parser:
     p = add("evaluate", cmd_evaluate, help="score predictions against labels")
     p.add_argument("--manifest", required=True)
     p.add_argument("--predictions", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=dataio.SPLITS)
     p.add_argument("--kappa-weighting", default="none", choices=["none", "quadratic"])
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default=42, help="bootstrap seed (default 42)")
@@ -426,14 +427,13 @@ def build_parser() -> _Parser:
     p = add("reject-curve", cmd_reject_curve, help="selective-prediction curve")
     p.add_argument("--manifest", required=True)
     p.add_argument("--predictions", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=dataio.SPLITS)
     p.add_argument("--fractions", default="0,0.05,0.1,0.15,0.2,0.25,0.3")
     p.add_argument("--out", required=True)
 
     p = add("gradcheck", cmd_gradcheck, help="finite-difference gradient check")
     p.add_argument("--dims", default="8x4", help="DxH, e.g. 8x4")
-    p.add_argument("--task", default="classification",
-                   choices=["classification", "regression", "survival"])
+    p.add_argument("--task", default="classification", choices=dataio.TASKS)
     p.add_argument("--seed", type=_seed, default=42,
                    help="seed of the random model and data (default 42)")
 
@@ -448,15 +448,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ValidationError, MetricUndefinedError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
 
 
 if __name__ == "__main__":

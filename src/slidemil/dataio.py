@@ -1,6 +1,6 @@
 """On-disk and in-memory representation of embedding bags and dataset manifests,
-the one JSON parser and field checker of every JSON record the commands read,
-and the one real-number predicate (_as_real) of every real they read, which
+the one JSON parser, the field checker of the spec, fingerprint and config
+records, and the one real-number predicate (_as_real) of every real read, which
 rejects NaN and +-Infinity: Python's json reads them, though JSON has neither.
 
 Embedding file layout (little-endian throughout):
@@ -177,6 +177,8 @@ class DatasetManifest:
             raise ValidationError(f"unknown task {self.task!r}")
         if self.n_classes is not None and not _is_int(self.n_classes):
             raise ValidationError(f"n_classes must be an integer, got {self.n_classes!r}")
+        if self.n_classes is not None and self.task != "classification":
+            raise ValidationError("n_classes is only valid for classification")
         seen = set()
         for e in self.entries:
             if e.slide_id in seen:
@@ -204,14 +206,10 @@ class DatasetManifest:
                 if _as_real(e.label) is None:
                     raise ValidationError(f"entry {e.slide_id}: regression label must be a "
                                           f"finite real number, got {e.label!r}")
-            if self.n_classes is not None:
-                raise ValidationError("n_classes is only valid for classification")
         else:  # survival
             for e in self.entries:
                 if not isinstance(e.label, SurvivalRecord):
                     raise ValidationError(f"entry {e.slide_id}: survival label must be a time/event record")
-            if self.n_classes is not None:
-                raise ValidationError("n_classes is only valid for classification")
             train = [e for e in self.entries if e.split == "train"]
             if train and not any(e.label.event == 1 for e in train):
                 raise ValidationError("survival manifest has no event=1 entry in the train split")

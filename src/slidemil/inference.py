@@ -66,9 +66,8 @@ class SurvPrediction:
     attention: np.ndarray | None = None
 
 
-def chunk_windows(embed_dim: int, hidden_dim: int, stride: int) -> ChunkWindows:
-    """The grid of windows of width hidden_dim at the given stride over embed_dim features."""
-    return ChunkWindows(embed_dim, hidden_dim, stride)
+# the grid's older name: chunk_windows(embed_dim, hidden_dim, stride)
+chunk_windows = ChunkWindows
 
 
 def inference_windows(config: RunConfig, embed_dim: int) -> ChunkWindows:

@@ -68,6 +68,16 @@ class ForwardResult:
     cache: list | None
 
 
+def _finite_product(a: np.ndarray, b: np.ndarray, site: str) -> np.ndarray:
+    """a @ b, checked by its values and not by the FPU's invalid flag, which
+    BLAS has left set on finite results (tools/fpe_stress.py)."""
+    with np.errstate(invalid="ignore"):
+        out = a @ b
+    if not np.isfinite(out).all():
+        raise ValidationError(f"non-finite values in {site}")
+    return out
+
+
 def _softmax_pool(logits: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Softmax weights alpha over the last axis of logits, (m,) or (K, m), the
     pooled alpha @ xi, (D,) or (K, D), and the logits' log-sum-exp, a scalar
@@ -122,7 +132,7 @@ def _forward_slide(xi: np.ndarray, feat: np.ndarray, v_sub: np.ndarray, u_sub: n
     gate_act += 1.0
     np.divide(1.0, gate_act, out=gate_act)
     gated_out, _ = _gated_output(tanh_act, gate_act, keep, dropout)
-    logits = gated_out @ w                # (m,)
+    logits = _finite_product(gated_out, w, "the attention logits")  # (m,)
     alpha, pooled, _ = _softmax_pool(logits, xi)
     return alpha, pooled, tanh_act, gate_act
 
@@ -290,11 +300,11 @@ class ChunkWindows:
         """Column blocks [b, e) whose sum makes up each window, in window order.
 
         The block width g is gcd(width, step), where step = min(stride,
-        embed_dim - width) is the distance between the first two starts. A
-        window whose start is a multiple of g is split into g-wide blocks;
-        any other window (a clamped final window) is one block of its own
-        width, and so is every window when there is only one or the split
-        gives more than MAX_BLOCKS_PER_WINDOW blocks. That cutoff is timed:
+        embed_dim - width) is the distance between the first two starts (0
+        when there is one window, so g = width). A window whose start is a
+        multiple of g is split into g-wide blocks; any other window (a clamped
+        final window) is one block of its own width, and so is every window
+        when the split gives more than MAX_BLOCKS_PER_WINDOW. That cutoff is timed:
         on one 2500x1536 float32 bag with H=256 (one BLAS thread, 2 MB L2),
         forward_windows with block sums against one block per window ran
         1.5x faster at S=128 (2 blocks), 1.7x at S=64 (4), 1.6x at S=32 (8),
@@ -302,7 +312,7 @@ class ChunkWindows:
         products they save.
         """
         h = self.width
-        g = math.gcd(h, min(self.stride, self.embed_dim - h)) if self.n_chunks > 1 else h
+        g = math.gcd(h, min(self.stride, self.embed_dim - h))
         if h // g > MAX_BLOCKS_PER_WINDOW:
             g = h
         return tuple(tuple((b, b + g) for b in range(s, e, g)) if s % g == 0 else ((s, e),)
@@ -441,7 +451,8 @@ class GatedAttentionMIL:
                 alpha, pooled[i], _ = _softmax_pool(attention_logits[i, valid], rows(i))
                 attention[i, valid] = alpha
 
-        outputs = pooled @ self.params["head_weight"].T + self.params["head_bias"]
+        outputs = (_finite_product(pooled, self.params["head_weight"].T, "the head outputs")
+                   + self.params["head_bias"])
         return ForwardResult(outputs=outputs, attention=attention, cache=cache)
 
     def window_weights(self, windows: ChunkWindows) -> WindowWeights:

@@ -27,12 +27,6 @@ class FixedBag:
     embeddings: np.ndarray  # (M, D) float32
     valid_mask: np.ndarray  # (M,) bool
 
-    def __post_init__(self):
-        if self.embeddings.shape[0] != self.valid_mask.shape[0]:
-            raise ValidationError("mask length must equal the number of rows")
-        if not self.valid_mask.any():
-            raise ValidationError("a fixed bag needs at least one valid patch")
-
 
 @dataclass
 class BatchPlan:

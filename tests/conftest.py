@@ -59,6 +59,35 @@ def make_survival_corpus(rng, n_bags=12, embed_dim=8, n_patches=(5, 12)):
     return DatasetManifest(entries=entries, task="survival"), bags
 
 
+def _auc_pairs(labels, scores):
+    """O(n^2) Mann-Whitney enumeration."""
+    pos = [s for l, s in zip(labels, scores) if l == 1]
+    neg = [s for l, s in zip(labels, scores) if l == 0]
+    total = 0.0
+    for p in pos:
+        for q in neg:
+            total += 1.0 if p > q else (0.5 if p == q else 0.0)
+    return total / (len(pos) * len(neg))
+
+
+def _cindex_pairs(times, events, risks):
+    """O(n^2) Harrell enumeration: comparable pairs have an event before
+    the other time; a risk tie counts one half."""
+    wins = ties = n_pairs = 0
+    n = len(times)
+    for i in range(n):
+        if events[i] != 1:
+            continue
+        for j in range(n):
+            if times[i] < times[j]:
+                n_pairs += 1
+                if risks[i] > risks[j]:
+                    wins += 1
+                elif risks[i] == risks[j]:
+                    ties += 1
+    return (wins + 0.5 * ties) / n_pairs
+
+
 def write_old_layout(ckpt, path, moment_fill=0.5):
     """A checkpoint as written while checkpoints carried the AdamW state: the
     parameters and an adam_m./adam_v. moment of each, in sorted name order,

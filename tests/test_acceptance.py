@@ -32,6 +32,8 @@ from slidemil.sampling import balanced_batches, survival_batches
 from slidemil.synthetic import SyntheticSpec, generate_synthetic_dataset
 from slidemil.training import build_model, grad_check, load_checkpoint, save_checkpoint, train
 
+from conftest import _auc_pairs, _cindex_pairs
+
 
 def _fit(spec, overrides=None):
     """Generate a corpus, derive its config, train on it; returns the pieces a
@@ -279,32 +281,6 @@ def test_criterion_07_batch_plans_are_balanced_evented_and_deterministic():
         for batch in plan.batches:
             assert sum(records[i].event for i in batch) >= 1, (
                 f"epoch {epoch}: event-free batch {batch}")
-
-
-def _cindex_pairs(times, events, risks):
-    wins = ties = n_pairs = 0
-    n = len(times)
-    for i in range(n):
-        if events[i] != 1:
-            continue
-        for j in range(n):
-            if times[i] < times[j]:
-                n_pairs += 1
-                if risks[i] > risks[j]:
-                    wins += 1
-                elif risks[i] == risks[j]:
-                    ties += 1
-    return (wins + 0.5 * ties) / n_pairs
-
-
-def _auc_pairs(labels, scores):
-    pos = [s for l, s in zip(labels, scores) if l == 1]
-    neg = [s for l, s in zip(labels, scores) if l == 0]
-    total = 0.0
-    for p in pos:
-        for q in neg:
-            total += 1.0 if p > q else (0.5 if p == q else 0.0)
-    return total / (len(pos) * len(neg))
 
 
 def test_criterion_08_rank_statistics_match_brute_force_enumeration():

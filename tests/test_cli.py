@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import slidemil
-from slidemil import cli, dataio
+from slidemil import cli, dataio, metrics
 from slidemil import model as model_module
 from slidemil.cli import main
 from slidemil.dataio import load_bag_shapes, load_manifest
@@ -137,6 +137,14 @@ class TestClassificationPipeline:
         csv_lines = (dirs["rej"] / "rejection.csv").read_text().splitlines()
         assert csv_lines[0] == "fraction,value,n_retained"
         assert len(csv_lines) == 3
+        # h_aleatoric differs between slides at K = 1, so the curve is the metric's own
+        entries = load_manifest(self.manifest).split_entries("test")
+        preds = [json.loads(line) for line in lines]
+        expected = metrics.rejection_curve(
+            metrics.balanced_accuracy, (dataio.label_arrays("classification", entries),
+                                        np.array([r["predicted_class"] for r in preds])),
+            np.array([r["h_aleatoric"] for r in preds]), [0.0, 0.25])
+        assert [(p["fraction"], p["value"]) for p in rejection["points"]] == expected
 
     @pytest.mark.parametrize("command", ["evaluate", "reject-curve"])
     def test_malformed_prediction_records_are_2(self, tmp_path, command, capsys):
@@ -338,6 +346,38 @@ class TestSurvivalPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "bad" / "predictions.jsonl").exists()
 
+    def test_val_split_without_events_runs_every_epoch(self, tmp_path, pipeline_dirs):
+        # no Cox validation loss without an event: early stopping is off,
+        # the report says why, and the baseline is still fitted
+        dirs = pipeline_dirs
+        spec = _write_spec(tmp_path / "spec.json", task="survival", censoring_rate=0.2,
+                           n_bags=24)
+        assert main(["synth", "--spec", str(spec), "--out", str(dirs["data"])]) == 0
+        path = dirs["data"] / "manifest.json"
+        doc = json.loads(path.read_text())
+        for entry in doc["entries"]:
+            if entry["split"] == "val":
+                entry["label"]["event"] = 0
+        path.write_text(json.dumps(doc))
+        assert main(["fingerprint", "--manifest", str(path), "--data-dir", str(dirs["data"]),
+                     "--out", str(dirs["fp"])]) == 0
+        assert main(["plan", "--fingerprint", str(dirs["fp"] / "fingerprint.json"),
+                     "--override", "max_epochs=3", "--override", "patience=1",
+                     "--override", "batch_size=8", "--out", str(dirs["plan"])]) == 0
+        assert main(["train", "--manifest", str(path), "--data-dir", str(dirs["data"]),
+                     "--config", str(dirs["plan"] / "config.json"),
+                     "--out", str(dirs["train"])]) == 0
+
+        report = json.loads((dirs["train"] / "train_report.json").read_text())
+        assert [e["val_loss"] for e in report["epochs"]] == [None, None, None]
+        assert report["stopped_epoch"] == 3 and report["saved_epoch"] == 2
+        assert report["best_epoch"] is None and report["best_val_loss"] is None
+        assert report["notes"] == ["validation split has no events; early stopping disabled"]
+        train = [e.label for e in load_manifest(path).split_entries("train")]
+        baseline = load_checkpoint(dirs["train"] / "checkpoint.ckpt").baseline
+        np.testing.assert_array_equal(baseline.event_times,
+                                      np.unique([r.time for r in train if r.event == 1]))
+
     def test_batch_of_one_is_1(self, tmp_path, pipeline_dirs, capsys):
         # every planned batch was censored at B=1, so train skipped every step
         # and exited 0 with the initial parameters
@@ -374,6 +414,47 @@ class TestRegressionPipeline:
                      "--split", "test", "--out", str(dirs["eval"])]) == 0
         evaluation = json.loads((dirs["eval"] / "evaluation.json").read_text())
         assert {"pearson_r", "mse"} <= evaluation.keys()
+
+
+class TestRejectCurveOfOneWindow:
+    """At D = 8 the rule table gives H = D, so the ensemble has one window and
+    std_value and unc_survival are 0 on every slide. Such a column ranks
+    nothing: fraction 0 keeps its value and every larger fraction reads null."""
+
+    @pytest.mark.parametrize("spec_kw,column,metric_name", [
+        ({"task": "regression", "signal_strength": 1.0}, "std_value", "neg_mse"),
+        ({"task": "survival", "censoring_rate": 0.2, "n_bags": 24}, "unc_survival",
+         "concordance_index"),
+    ], ids=["regression", "survival"])
+    def test_fractions_above_0_read_null(self, spec_kw, column, metric_name, tmp_path,
+                                         pipeline_dirs):
+        dirs = pipeline_dirs
+        manifest = _run_through_predict(tmp_path, dirs, spec_kw=spec_kw,
+                                        plan_args=("--override", "max_epochs=2"))
+        preds = [json.loads(line) for line in
+                 (dirs["pred"] / "predictions.jsonl").read_text().splitlines()]
+        assert all(np.all(np.asarray(r[column]) == 0.0) for r in preds)
+        assert main(["reject-curve", "--manifest", str(manifest),
+                     "--predictions", str(dirs["pred"] / "predictions.jsonl"),
+                     "--split", "test", "--fractions", "0,0.25,0.5",
+                     "--out", str(dirs["rej"])]) == 0
+
+        truth = dataio.label_arrays(spec_kw["task"], load_manifest(manifest).split_entries("test"))
+        if metric_name == "neg_mse":
+            whole = -metrics.mean_squared_error(truth, [r["mean_value"] for r in preds])
+        else:
+            whole = metrics.concordance_index(*truth, [r["risk"] for r in preds])
+        rejection = json.loads((dirs["rej"] / "rejection.json").read_text())
+        assert rejection["metric"] == metric_name
+        n = len(preds)
+        assert rejection["points"] == [
+            {"fraction": 0.0, "value": whole, "n_retained": n},
+            {"fraction": 0.25, "value": None, "n_retained": n - int(np.ceil(0.25 * n))},
+            {"fraction": 0.5, "value": None, "n_retained": n - int(np.ceil(0.5 * n))},
+        ]
+        csv_lines = (dirs["rej"] / "rejection.csv").read_text().splitlines()
+        assert csv_lines[1] == f"0.0,{whole},{n}"
+        assert [line.split(",")[1] for line in csv_lines[2:]] == ["", ""]
 
 
 def _good_records(task, manifest):
@@ -573,6 +654,25 @@ class TestFingerprintReadsHeaders:
         path = data / manifest.split_entries("train")[0].embedding_path
         path.write_bytes(path.read_bytes()[:-4])
         assert self._fingerprint(data, tmp_path / "fp") == 2
+
+    @pytest.mark.parametrize("shape", [(0, 8), (6, 0)], ids=["n0", "d0"])
+    def test_train_file_declaring_an_empty_matrix_is_2(self, tmp_path, shape, capsys):
+        data, manifest = self._corpus(tmp_path)
+        assert self._fingerprint(data, tmp_path / "fp") == 0
+        assert main(["plan", "--fingerprint", str(tmp_path / "fp" / "fingerprint.json"),
+                     "--out", str(tmp_path / "plan")]) == 0
+        # a 16-byte file is the size its header implies, so only the empty shape is wrong
+        path = data / manifest.split_entries("train")[0].embedding_path
+        path.write_bytes(dataio.EMBEDDING_MAGIC + struct.pack("<II", *shape))
+        capsys.readouterr()
+        assert self._fingerprint(data, tmp_path / "fp2") == 2
+        assert main(["train", "--manifest", str(data / "manifest.json"),
+                     "--data-dir", str(data), "--config", str(tmp_path / "plan" / "config.json"),
+                     "--out", str(tmp_path / "train")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("declares empty matrix {}x{}".format(*shape) in line
+                                     for line in err)
+        assert not (tmp_path / "train" / "checkpoint.ckpt").exists()
 
 
 class TestPlanWindowCount:

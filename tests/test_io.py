@@ -90,6 +90,15 @@ class TestEmbeddingFormat:
         with pytest.raises(CorruptionError):
             read_embedding_file(path)
 
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_header_declaring_an_empty_matrix_is_corruption(self, tmp_path, shape):
+        # 16 bytes is the size such a header implies, so only the empty shape is wrong
+        path = tmp_path / "empty.emb"
+        path.write_bytes(EMBEDDING_MAGIC + struct.pack("<II", *shape))
+        for read in (read_embedding_file, read_embedding_header):
+            with pytest.raises(CorruptionError, match="declares empty matrix {}x{}".format(*shape)):
+                read(path)
+
     def test_payload_length_mismatch_is_corruption(self, tmp_path):
         # header declares 3x4 = 12 floats but the payload carries 11
         payload = struct.pack("<8sII", EMBEDDING_MAGIC, 3, 4) + b"\x00" * (11 * 4)

@@ -29,16 +29,7 @@ from slidemil.metrics import (
 )
 from slidemil.model import cox_loss, cross_entropy_loss, mse_loss
 
-
-def _auc_pairs(labels, scores):
-    """O(n^2) Mann-Whitney enumeration."""
-    pos = [s for l, s in zip(labels, scores) if l == 1]
-    neg = [s for l, s in zip(labels, scores) if l == 0]
-    total = 0.0
-    for p in pos:
-        for q in neg:
-            total += 1.0 if p > q else (0.5 if p == q else 0.0)
-    return total / (len(pos) * len(neg))
+from conftest import _auc_pairs, _cindex_pairs
 
 
 class TestAuc:
@@ -196,22 +187,6 @@ class TestMse:
     def test_hand_value(self):
         assert mean_squared_error([0.0, 2.0], [1.0, 0.0]) == 2.5
         assert mean_squared_error([3.0], [3.0]) == 0.0
-
-
-def _cindex_pairs(times, events, risks):
-    wins = ties = n_pairs = 0
-    n = len(times)
-    for i in range(n):
-        if events[i] != 1:
-            continue
-        for j in range(n):
-            if times[i] < times[j]:
-                n_pairs += 1
-                if risks[i] > risks[j]:
-                    wins += 1
-                elif risks[i] == risks[j]:
-                    ties += 1
-    return (wins + 0.5 * ties) / n_pairs
 
 
 class TestConcordance:

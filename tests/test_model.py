@@ -228,6 +228,21 @@ class TestForward:
         with pytest.raises(ValidationError):
             m.forward(x, mask, np.arange(6))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("call,site", [
+        (lambda m, x, mask: m.forward(x, mask, np.arange(6)), "the attention logits"),
+        (lambda m, x, mask: m.forward(x, mask, np.arange(6), rng=np.random.default_rng(1)),
+         "the attention logits"),
+        (lambda m, x, mask: m.forward_windows(x[0], chunk_windows(6, 4, 2)), "the head outputs"),
+    ], ids=["eval", "train", "windows"])
+    def test_non_finite_attention_w_raises(self, rng, call, site, dtype):
+        # the products ignore the FPU's invalid flag and check their values instead
+        m = _model(dropout=0.25, dtype=dtype)
+        m.params["attention_w"][1] = np.nan
+        x, mask = _batch(rng)
+        with pytest.raises(ValidationError, match=f"non-finite values in {site}"):
+            call(m, x.astype(dtype), mask)
+
     def test_float32_default_dtype(self, rng):
         m = GatedAttentionMIL(6, 4, 2)
         m.init_params(np.random.default_rng(0))

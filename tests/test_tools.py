@@ -32,3 +32,15 @@ def test_artifact_digests_prints_one_digest_per_artifact():
         by_pipeline.setdefault(pipeline, set()).add(rest)
     assert by_pipeline == _PIPELINE_FILES
     assert not any(path.endswith("run_manifest.json") for path in paths)
+
+
+def test_fpe_stress_reports_hits_per_kind():
+    done = subprocess.run([sys.executable, str(TOOLS / "fpe_stress.py"), "--children", "1",
+                           "--repeats", "1"], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # criterion 09's 60 eval-mode forwards and one training step, once
+    assert any(re.fullmatch(r"eval: \d+ hits in 60 calls, \d+\.\d{3} per thousand", line)
+               for line in lines), lines
+    assert any(re.fullmatch(r"step: \d+ hits in 1 calls, \d+\.\d{3} per thousand", line)
+               for line in lines), lines

@@ -17,6 +17,9 @@ command does, and repeats --repeats times:
   model on 8 slides, its per-slide bodies on two worker threads.
 
 A call that raises counts as a hit at its innermost slidemil line. The
+attention-logit and head products ignore the invalid flag and check their
+values instead (slidemil.model._finite_product), so they cannot be hit
+sites; the other products of a step (projections, backward) still are. The
 script prints hits per thousand calls of each kind by call site, the numpy
 and OpenBLAS versions, and np.show_runtime()'s
 ignore_floating_point_errors_in_matmul (when True, numpy does not read the
