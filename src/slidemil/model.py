@@ -11,15 +11,19 @@ always use the full embedding.
 A training step (forward with the cache, then backward) runs one body per
 slide, _forward_slide and _backward_slide, on ensemble_workers() threads
 (usable CPUs // BLAS threads; with one worker the bodies run in a loop on
-the calling thread). forward draws every slide's dropout mask on the
-calling thread, in slide order, before any body runs, so the generator's
-stream does not depend on the workers, and each forward body writes only its
-own pooled row and attention row. Each backward body returns its slide's
-three products for the attention gradients, and the calling thread adds
-them in slide order, the floating-point operations of a serial loop. The
-step is therefore bitwise the same for any worker count and schedule. The
-bodies work in place, in their activations' own buffers and a few (m, H)
-scratch arrays, so two slides in flight add little to a step's memory.
+the calling thread). forward draws slide i's dropout mask on the calling
+thread as slide i is handed out, in slide order, so the draws overlap the
+bodies already running and the generator's stream does not depend on the
+workers; each forward body writes only its own pooled row, attention row
+and rows of the step's sigmoid-branch array. Each backward body returns
+its slide's three products for the attention gradients, and the calling
+thread adds them in slide order, the floating-point operations of a serial
+loop. The step is therefore bitwise the same for any worker count and
+schedule. Per slide the step keeps only the sigmoid branch and the
+dropout mask packed to bits; backward recomputes the tanh branch with the
+call forward made. The bodies work in place, in their own buffers and a
+few (m, H) scratch arrays, so two slides in flight add little to a step's
+memory.
 
 The window ensemble (forward_windows) reads the bag once for all K windows.
 It walks the bag in row tiles (window_tiles). In each tile, each window's
@@ -48,7 +52,7 @@ import math
 import os
 import threading
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -68,14 +72,18 @@ class ForwardResult:
     cache: list | None
 
 
+def _check_finite(values: np.ndarray, site: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValidationError(f"non-finite values in {site}")
+    return values
+
+
 def _finite_product(a: np.ndarray, b: np.ndarray, site: str) -> np.ndarray:
     """a @ b, checked by its values and not by the FPU's invalid flag, which
     BLAS has left set on finite results (tools/fpe_stress.py)."""
     with np.errstate(invalid="ignore"):
         out = a @ b
-    if not np.isfinite(out).all():
-        raise ValidationError(f"non-finite values in {site}")
-    return out
+    return _check_finite(out, site)
 
 
 def _softmax_pool(logits: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,64 +102,80 @@ def _softmax_pool(logits: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.nd
     return alpha, alpha @ xi, (top + np.log(total))[..., 0]
 
 
+def _tanh_branch(xs: np.ndarray, v_sub: np.ndarray) -> np.ndarray:
+    """tanh(xs @ v_sub.T) (m, H) in a new array. forward computes it and
+    backward recomputes it with this one call on the same inputs, so both
+    hold the same bits and forward need not keep it."""
+    out = xs @ v_sub.T
+    return np.tanh(out, out=out)
+
+
 def _gated_output(tanh_act: np.ndarray, gate_act: np.ndarray, keep: np.ndarray | None,
-                  dropout: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gated activations tanh_act * gate_act (m, H) with the dropout mask keep
-    applied, and the scale keep / (1 - dropout) that applies it (None when
-    keep is None): one new (m, H) array each, the rest in place. forward and
-    backward both build them here, so backward's rebuild is bit-identical to
-    the forward pass."""
-    out = tanh_act * gate_act
+                  dropout: float, out: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gated activations tanh_act * gate_act (m, H), in out or a new array,
+    with the dropout mask keep applied, and the scale keep / (1 - dropout)
+    that applies it, one new (m, H) array (None when keep is None). forward
+    and backward both build them here, so backward's rebuild is
+    bit-identical to the forward pass."""
+    out = np.multiply(tanh_act, gate_act, out=out)
     if keep is None:
         return out, None
-    drop = keep.astype(out.dtype)
-    drop /= out.dtype.type(1.0 - dropout)
+    scale = out.dtype.type(1.0) / out.dtype.type(1.0 - dropout)
+    drop = np.multiply(keep, scale, dtype=out.dtype)  # 0 or the scale, as keep / (1 - dropout)
     out *= drop
     return out, drop
 
 
 def _forward_slide(xi: np.ndarray, feat: np.ndarray, v_sub: np.ndarray, u_sub: np.ndarray,
                    w: np.ndarray, keep: np.ndarray | None, dropout: float,
-                   tanh_act: np.ndarray, gate_act: np.ndarray):
+                   gate_act: np.ndarray):
     """Attention weights and pooled vector of one slide in a training batch.
 
     xi (m, D) is pooled, its columns feat feed the projections v_sub, u_sub
     (H, F), and keep is the slide's bool (m, H) dropout mask, drawn by the
-    caller, or None. The activations backward needs are computed in place in
-    tanh_act and gate_act, (m, H) buffers from the caller; the gated output
-    and the dropout scale take two more (m, H) arrays. Returns (alpha (m,),
-    pooled (D,), tanh_act, gate_act).
+    caller, or None. The sigmoid branch, which backward needs, is computed
+    in place in gate_act, an (m, H) buffer from the caller; the tanh branch
+    is computed in a buffer of the body's own, which then holds the gated
+    output, and under dropout the scale takes one more (m, H) array.
+    Returns (alpha (m,), pooled (D,), keep packed to bits along H by
+    np.packbits, or None).
     """
     xs = np.take(xi, feat, axis=1)         # (m, F)
-    np.matmul(xs, v_sub.T, out=tanh_act)
-    np.tanh(tanh_act, out=tanh_act)
+    gated_out = _tanh_branch(xs, v_sub)
     np.matmul(xs, u_sub.T, out=gate_act)
     del xs
     with np.errstate(over="ignore"):      # exp overflows to inf; 1 / (1 + inf) is 0
         np.exp(np.negative(gate_act, out=gate_act), out=gate_act)
     gate_act += 1.0
     np.divide(1.0, gate_act, out=gate_act)
-    gated_out, _ = _gated_output(tanh_act, gate_act, keep, dropout)
+    _gated_output(gated_out, gate_act, keep, dropout, out=gated_out)
     logits = _finite_product(gated_out, w, "the attention logits")  # (m,)
     alpha, pooled, _ = _softmax_pool(logits, xi)
-    return alpha, pooled, tanh_act, gate_act
+    return alpha, pooled, None if keep is None else np.packbits(keep, axis=-1)
 
 
-def _backward_slide(xi: np.ndarray, feat: np.ndarray, tanh_act: np.ndarray,
-                    gate_act: np.ndarray, keep: np.ndarray | None, alpha: np.ndarray,
+def _backward_slide(xi: np.ndarray, feat: np.ndarray, v_sub: np.ndarray,
+                    gate_act: np.ndarray, keep_bits: np.ndarray | None, alpha: np.ndarray,
                     d_pooled: np.ndarray, w: np.ndarray, dropout: float):
     """One slide's terms of the attention gradients: (gated_out.T @ d_logits
     (H,), d_pre_t.T @ xs (H, F), d_pre_g.T @ xs (H, F)), from its forward
     cache and d_pooled (D,), the loss gradient at its pooled vector.
 
-    The sampled columns xs, the dropout scale and the gated output are
-    rebuilt with the operations forward used. Three (m, H) buffers serve
-    every elementwise step, each product in the formulas' order: one holds
-    the gated output, then d_pre_t; one d_gated, then d_pre_g in place; one
-    the dropout scale, then 1 - tanh_act ** 2, then 1 - gate_act.
+    The sampled columns xs, the tanh branch (_tanh_branch), the dropout
+    mask (unpacked from keep_bits), its scale and the gated output are
+    rebuilt with the operations forward used. Four (m, H) buffers serve
+    every elementwise step, each product in the formulas' order: the tanh
+    branch; one holds the gated output, then d_pre_t; one d_gated, then
+    d_pre_g in place; one the dropout scale, then 1 - tanh_act ** 2, then
+    1 - gate_act.
     """
     xs = np.take(xi, feat, axis=1)
+    tanh_act = _tanh_branch(xs, v_sub)
+    keep = (None if keep_bits is None else
+            np.unpackbits(keep_bits, axis=-1, count=len(w)).view(bool))
     gated_out, scratch = _gated_output(tanh_act, gate_act, keep, dropout)
+    del keep
     d_alpha = xi @ d_pooled                 # (m,)
     # softmax Jacobian: d_logits = alpha * (d_alpha - <alpha, d_alpha>)
     d_logits = alpha * (d_alpha - alpha @ d_alpha)
@@ -216,19 +240,23 @@ def _pool_item(fn: Callable, item):
         _thread.on_pool = False
 
 
-def _ahead(fn: Callable, items: Sequence) -> Iterator[Callable[[], object]]:
+def _ahead(fn: Callable, items: Iterable,
+           count: int | None = None) -> Iterator[Callable[[], object]]:
     """One zero-argument callable per item, in item order, that returns
-    fn(item) and re-raises its error. The items run on the shared pool when
-    ensemble_workers() > 1, there is more than one item and the caller is
-    not itself running an item of the pool; otherwise each runs on the
-    calling thread when its callable is called. A pool item never submits to
-    the pool, so there is one worker budget and no wait on a queue the
-    waiting thread would have to drain. The pool runs at most two items per
-    worker ahead of the item last handed out, so results the reader has not
-    taken do not pile up. Closing the iterator cancels the items not yet
-    started."""
+    fn(item) and re-raises its error. items may be a lazy source of count
+    items (a Sequence gives its own length): the calling thread takes each
+    item from it as the item is handed out, one at a time, in order. The
+    items run on the shared pool when ensemble_workers() > 1, there is more
+    than one item and the caller is not itself running an item of the pool;
+    otherwise each runs on the calling thread when its callable is called. A
+    pool item never submits to the pool, so there is one worker budget and
+    no wait on a queue the waiting thread would have to drain. The pool runs
+    at most two items per worker ahead of the item last handed out, so
+    results the reader has not taken do not pile up. Closing the iterator
+    cancels the items not yet started."""
     workers = ensemble_workers()
-    if workers == 1 or len(items) < 2 or getattr(_thread, "on_pool", False):
+    n_items = len(items) if count is None else count
+    if workers == 1 or n_items < 2 or getattr(_thread, "on_pool", False):
         for item in items:
             yield functools.partial(fn, item)
         return
@@ -246,11 +274,11 @@ def _ahead(fn: Callable, items: Sequence) -> Iterator[Callable[[], object]]:
             future.cancel()
 
 
-def _map(fn: Callable, items: Sequence) -> Iterator:
+def _map(fn: Callable, items: Iterable, count: int | None = None) -> Iterator:
     """fn over items, yielding results in item order, scheduled by _ahead.
     Reading a result re-raises its body's error; closing the iterator
     cancels the items not yet started."""
-    with contextlib.closing(_ahead(fn, items)) as results:
+    with contextlib.closing(_ahead(fn, items, count)) as results:
         for result in results:
             yield result()
 
@@ -384,13 +412,16 @@ class GatedAttentionMIL:
         projections: only softmax, pooling and the head run, without dropout.
         The backward cache is built exactly when attention_logits is None:
         cache[0] is ("batch", pooled, feature_indices), and each slide adds
-        (valid rows, xi, tanh_act, gate_act, keep, alpha), with xi its (m, D)
-        valid rows (a view of the batch when it has no padding), tanh_act and
-        gate_act the (m, H) activations and keep the bool dropout mask or
-        None. backward rebuilds the sampled columns, the dropout scale and
-        the gated output from these. Each call draws its dropout masks
-        through one (bag_size, H) float64 buffer, all before the per-slide
-        bodies run on ensemble_workers() threads.
+        (valid rows, xi, gate_act, keep_bits, alpha), with xi its (m, D)
+        valid rows (a view of the batch when it has no padding), gate_act
+        its (m, H) sigmoid branch, a view of one (n_slides, bag_size, H)
+        array allocated per call, and keep_bits its bool dropout mask packed
+        along H by np.packbits, or None: H floats and H bits per row.
+        backward recomputes the tanh branch and rebuilds the sampled
+        columns, the dropout scale and the gated output from these. Slide
+        i's mask is drawn on the calling thread, through one (bag_size, H)
+        float64 buffer, as slide i is handed to the ensemble_workers()
+        threads, so the draws overlap the bodies and run in slide order.
         The embeddings must be finite; that is checked once, when a SlideBag
         is built, and not here.
         """
@@ -425,26 +456,27 @@ class GatedAttentionMIL:
             return x[i] if len(valids[i]) == bag_size else x[i, valids[i]]
 
         if need_cache:
-            # every mask is drawn here, in slide order, so the rng stream does
-            # not depend on the workers; a slide's body writes only its rows
-            noise = np.empty((bag_size, self.hidden_dim)) if dropout > 0.0 else None
-            keeps = [rng.random(out=noise[:len(valid)]) >= dropout if dropout > 0.0 else None
-                     for valid in valids]
+            # the sigmoid branches outlive the bodies: one array per step,
+            # taken from the calling thread's heap and not a worker's
+            gates = np.empty((n_slides, bag_size, len(w)), dtype=self.dtype)
+            noise = np.empty((bag_size, len(w))) if dropout > 0.0 else None
 
-            # the activations outlive the bodies: taken from the calling
-            # thread's heap, not a worker's, they left survival-cox's peak
-            # RSS 2 MB lower
-            acts = [np.empty((2, len(valid), len(w)), dtype=self.dtype) for valid in valids]
+            def draws() -> Iterator[tuple]:
+                # taken on the calling thread, in slide order, as each slide
+                # is handed out, so the stream does not depend on the workers
+                for i, valid in enumerate(valids):
+                    yield i, (rng.random(out=noise[:len(valid)]) >= dropout
+                              if dropout > 0.0 else None)
 
-            def slide(i: int) -> tuple:
-                xi = rows(i)
-                alpha, pooled[i], tanh_act, gate_act = _forward_slide(xi, feat, v_sub, u_sub,
-                                                                      w, keeps[i], dropout,
-                                                                      *acts[i])
+            def slide(item: tuple) -> tuple:
+                i, keep = item
+                xi, gate_act = rows(i), gates[i, :len(valids[i])]
+                alpha, pooled[i], keep_bits = _forward_slide(xi, feat, v_sub, u_sub, w, keep,
+                                                             dropout, gate_act)
                 attention[i, valids[i]] = alpha
-                return valids[i], xi, tanh_act, gate_act, keeps[i], alpha
+                return valids[i], xi, gate_act, keep_bits, alpha
 
-            cache = [("batch", pooled, feat), *_map(slide, range(n_slides))]
+            cache = [("batch", pooled, feat), *_map(slide, draws(), n_slides)]
         else:
             cache = None
             for i, valid in enumerate(valids):
@@ -483,9 +515,11 @@ class GatedAttentionMIL:
         halves of a product, and the logits w @ (tanh(xV) * sigmoid(xU)) are
         [w/2; w/2] @ [t; t * tanh(xU/2)] with t = tanh(xV): one GEMV, no
         exp, nothing to overflow. Halving is exact in binary floating point.
-        The tile then pools its own rows under all K windows at once
-        (_softmax_pool over its (K, rows) logits: one (K, rows) @ (rows, D)
-        GEMM while the tile is still in cache).
+        Each tile checks its (K, rows) logits once by their values, and
+        raises ValidationError when one is not finite. The tile then pools
+        its own rows under all K windows at once (_softmax_pool over its
+        logits: one (K, rows) @ (rows, D) GEMM while the tile is still in
+        cache).
         """
         x = np.asarray(embeddings, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.embed_dim:
@@ -507,15 +541,18 @@ class GatedAttentionMIL:
             pre = np.empty((2 * h, len(xt)), dtype=self.dtype)
             logits = np.empty((len(plan), len(xt)), dtype=self.dtype)
             ring = {}
-            for k, blocks in enumerate(plan):
-                ring = {b: ring[b] if b in ring else block_weights[b] @ xt[:, b[0]:b[1]].T
-                        for b in blocks}
-                np.copyto(pre, ring[blocks[0]])
-                for b in blocks[1:]:
-                    pre += ring[b]
-                np.tanh(pre, out=pre)
-                pre[h:] *= pre[:h]
-                np.matmul(w2, pre, out=logits[k])
+            # checked by the logits' values, not the FPU's invalid flag (_finite_product)
+            with np.errstate(invalid="ignore"):
+                for k, blocks in enumerate(plan):
+                    ring = {b: ring[b] if b in ring else block_weights[b] @ xt[:, b[0]:b[1]].T
+                            for b in blocks}
+                    np.copyto(pre, ring[blocks[0]])
+                    for b in blocks[1:]:
+                        pre += ring[b]
+                    np.tanh(pre, out=pre)
+                    pre[h:] *= pre[:h]
+                    np.matmul(w2, pre, out=logits[k])
+            _check_finite(logits, "the attention logits")
             alpha[:, rows], pooled[:, j], lse[:, j] = _softmax_pool(logits, xt)
 
         list(_map(tile, range(n_tiles)))  # re-raises a tile's error
@@ -568,12 +605,14 @@ class GatedAttentionMIL:
     def backward(self, cache: list, d_outputs: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients for the cached forward pass; d_outputs is (n_slides, n_outputs).
 
-        Per slide the cache keeps only tanh_act, gate_act and the bool dropout
-        mask (see forward); the sampled columns xs, the dropout scale and the
-        gated output are rebuilt by each slide's body (_backward_slide) with
-        the operations the forward pass used, and the bodies' products are
-        summed in slide order, so the gradients are those of the
-        full-activation formulas to the last bit for any worker count.
+        Per slide the cache keeps only the sigmoid branch and the packed
+        dropout mask (see forward); the sampled columns xs, the tanh branch,
+        the dropout scale and the gated output are rebuilt by each slide's
+        body (_backward_slide) with the operations the forward pass used,
+        on the model's parameters, which must be those forward read, and the
+        bodies' products are summed in slide order, so the gradients are
+        those of the full-activation formulas to the last bit for any worker
+        count.
         """
         _, pooled, feat = cache[0]
         d_out = np.asarray(d_outputs, dtype=self.dtype)
@@ -585,12 +624,13 @@ class GatedAttentionMIL:
         grads["head_bias"] += d_out.sum(axis=0)
         d_pooled = d_out @ head_w  # (n, D)
 
+        v_sub = self.params["attention_v"][:, feat]
         d_v_sub = np.zeros((len(w), len(feat)), dtype=w.dtype)
         d_u_sub = np.zeros_like(d_v_sub)
 
         def slide(i: int) -> tuple:
-            _, xi, tanh_act, gate_act, keep, alpha = cache[1 + i]
-            return _backward_slide(xi, feat, tanh_act, gate_act, keep, alpha, d_pooled[i], w,
+            _, xi, gate_act, keep_bits, alpha = cache[1 + i]
+            return _backward_slide(xi, feat, v_sub, gate_act, keep_bits, alpha, d_pooled[i], w,
                                    self.dropout)
 
         # the products are added here, in slide order, as the serial loop did

@@ -7,21 +7,24 @@ root generator is seeded from config.seed and consumed in a fixed order
 (param init, then per epoch: batch plan, per batch: patch subsets, feature
 subset, dropout), so identical runs produce bitwise-identical checkpoints.
 A step's per-slide forward and backward bodies run on
-model.ensemble_workers() threads (usable CPUs // BLAS threads); the
-dropout masks are drawn before they start and their gradient terms are
-summed in slide order, so checkpoints do not depend on the worker count.
+model.ensemble_workers() threads (usable CPUs // BLAS threads); slide i's
+dropout mask is drawn on the calling thread, in slide order, as slide i is
+handed to them, and their gradient terms are summed in slide order, so
+checkpoints do not depend on the worker count.
 
 Memory: a run allocates one (batch_size, rows, D) float32 batch buffer,
 rows = min(bag_size, largest train bag), and sample_patches writes each
 step's slides straight into its rows. A
-step's activations are, per slide, the (m, H) tanh and sigmoid branches and
-the bool dropout mask: 2H floats and H bytes per row, from which backward
-rebuilds the sampled columns, the dropout scale and the gated output. They
-are released once the step's update is applied, so training holds one
-batch and one step's activations at a time. A bag read from a file is
+step's state is, per slide, the (m, H) sigmoid branch, a view of one
+(batch_size, rows, H) array allocated per step, and the dropout mask packed
+to bits: H floats and H bits per row (42 MB at batch 32, M = 1,250, H =
+256), from which backward recomputes the tanh branch and rebuilds the
+sampled columns, the dropout scale and the gated output. It is released
+once the step's update is applied, so training holds one batch and one
+step's state at a time. A bag read from a file is
 mapped only while one use of it runs (dataio): sample_patches maps it for
 one draw and the map closes once its rows are in the batch, and a
-full_bag_batch1 step's map goes with the step's activations. A validation
+full_bag_batch1 step's map goes with the step's state. A validation
 pass (inference.slide_outputs) maps each bag on the worker that runs its
 tiles, only while they run, and has at most two bags per worker in
 flight, the one it finishes among them, so it holds up to 2 x workers
@@ -29,8 +32,9 @@ bags' (K, T, D) tile summaries. A survival run ends with one more such
 pass, over the train split, to fit the Breslow baseline that the
 checkpoint stores.
 On top of them, each slide body in flight holds its own temporaries, in
-place where it can: forward the (m, F) sampled columns, the gated output and
-the dropout scale; backward the sampled columns and three (m, H) buffers.
+place where it can: forward the (m, F) sampled columns, the tanh branch,
+which then holds the gated output, and the dropout scale; backward the
+sampled columns, the recomputed tanh branch and three (m, H) buffers.
 The pool runs at most two slides per worker ahead of the thread that adds
 their gradient terms, so at most that many (H, F) pairs wait unread.
 AdamW updates in place through two scratch buffers allocated once per run.
@@ -445,7 +449,7 @@ def train(config: RunConfig, manifest: DatasetManifest, bags: dict[str, SlideBag
             loss, d_out = _loss_and_grad(task, result.outputs, batch_targets)
             grads = model.backward(result.cache, d_out)
             adamw_step(model.params, grads, state, lr, config.weight_decay)
-            # the activations, the cache's views of x and x itself (in
+            # the step's state, the cache's views of x and x itself (in
             # full_bag_batch1, the step's map of its bag) are not kept through
             # validation or the next step's draws
             del result, grads, x

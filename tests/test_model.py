@@ -229,18 +229,18 @@ class TestForward:
             m.forward(x, mask, np.arange(6))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("call,site", [
-        (lambda m, x, mask: m.forward(x, mask, np.arange(6)), "the attention logits"),
-        (lambda m, x, mask: m.forward(x, mask, np.arange(6), rng=np.random.default_rng(1)),
-         "the attention logits"),
-        (lambda m, x, mask: m.forward_windows(x[0], chunk_windows(6, 4, 2)), "the head outputs"),
+    @pytest.mark.parametrize("call", [
+        lambda m, x, mask: m.forward(x, mask, np.arange(6)),
+        lambda m, x, mask: m.forward(x, mask, np.arange(6), rng=np.random.default_rng(1)),
+        lambda m, x, mask: m.forward_windows(x[0], chunk_windows(6, 4, 2)),
     ], ids=["eval", "train", "windows"])
-    def test_non_finite_attention_w_raises(self, rng, call, site, dtype):
-        # the products ignore the FPU's invalid flag and check their values instead
+    def test_non_finite_attention_w_raises(self, rng, call, dtype):
+        # the products ignore the FPU's invalid flag and check their values
+        # instead; a window tile checks its logits before it pools them
         m = _model(dropout=0.25, dtype=dtype)
         m.params["attention_w"][1] = np.nan
         x, mask = _batch(rng)
-        with pytest.raises(ValidationError, match=f"non-finite values in {site}"):
+        with pytest.raises(ValidationError, match="non-finite values in the attention logits"):
             call(m, x.astype(dtype), mask)
 
     def test_float32_default_dtype(self, rng):
@@ -381,9 +381,11 @@ class TestTilePooling:
         assert tiles.lse.shape == (windows.n_chunks, n_tiles)
         mask = np.ones((1, n), dtype=bool)
         for k, (start, end) in enumerate(windows.windows):
-            # the gated output without dropout is tanh_act * gate_act
-            _, _, tanh_act, gate_act, _, _ = m.forward(x[None], mask,
-                                                       np.arange(start, end)).cache[1]
+            # the gated output without dropout is tanh_act * gate_act, with
+            # the tanh branch recomputed as backward does
+            feat = np.arange(start, end)
+            _, xi, gate_act, _, _ = m.forward(x[None], mask, feat).cache[1]
+            tanh_act = model_module._tanh_branch(xi[:, feat], m.params["attention_v"][:, feat])
             logits = (tanh_act * gate_act) @ m.params["attention_w"]
             for t in range(n_tiles):
                 rows = slice(t * ROW_TILE, (t + 1) * ROW_TILE)
@@ -528,10 +530,11 @@ class TestAttentionLogits:
         x, mask = _batch(rng, n=3, m=5, n_valid=[5, 3, 1])
         plain = m.forward(x, mask, feat)
         logits = np.zeros(mask.shape, dtype=dtype)
-        w = m.params["attention_w"]
+        w, v_sub = m.params["attention_w"], m.params["attention_v"][:, feat]
         # without dropout the gated output is tanh_act * gate_act
-        for i, (valid, _xi, tanh_act, gate_act, keep, _alpha) in enumerate(plain.cache[1:]):
-            assert keep is None
+        for i, (valid, xi, gate_act, keep_bits, _alpha) in enumerate(plain.cache[1:]):
+            assert keep_bits is None
+            tanh_act = model_module._tanh_branch(xi[:, feat], v_sub)
             logits[i, valid] = (tanh_act * gate_act) @ w
         given = m.forward(x, mask, feat, attention_logits=logits)
         assert np.array_equal(given.outputs, plain.outputs)
@@ -789,20 +792,43 @@ class TestSlimCache:
         assert rng_model.random() == rng_ref.random()
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
-    def test_cache_holds_tanh_gate_and_a_bool_mask(self, dropout):
+    def test_cache_holds_the_gate_and_a_packed_mask(self, dropout):
         m = _model(dropout=dropout, dtype=np.float32)
         x, mask = _batch(np.random.default_rng(3), n=2, m=5, n_valid=[5, 2])
         res = m.forward(x, mask, np.array([1, 4]), rng=np.random.default_rng(0))
         assert res.cache[0][0] == "batch"
-        for n_valid, (valid, xi, tanh_act, gate_act, keep, alpha) in zip([5, 2], res.cache[1:]):
+        gates = set()
+        for n_valid, (valid, xi, gate_act, keep_bits, alpha) in zip([5, 2], res.cache[1:]):
             assert np.array_equal(valid, np.arange(n_valid))
             assert xi.shape == (n_valid, 6) and alpha.shape == (n_valid,)
-            assert tanh_act.shape == gate_act.shape == (n_valid, 4)
-            assert tanh_act.dtype == gate_act.dtype == np.float32
+            assert gate_act.shape == (n_valid, 4) and gate_act.dtype == np.float32
+            gates.add(id(gate_act.base))
             if dropout == 0.0:
-                assert keep is None
+                assert keep_bits is None
             else:
-                assert keep.dtype == bool and keep.shape == (n_valid, 4)
+                # H = 4 bits fit in one byte per row
+                assert keep_bits.dtype == np.uint8 and keep_bits.shape == (n_valid, 1)
+        # every slide's sigmoid branch is a view of one array of the step
+        assert len(gates) == 1 and None not in gates
+
+
+class TestDropoutDraws:
+    """Slide i's mask is drawn as slide i is handed out; the stream and the
+    masks are those of a plain slide-order loop, for any worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("h", [5, 8, 13])  # 5 and 13 pad their last byte of bits
+    def test_masks_and_stream_equal_a_slide_order_loop(self, monkeypatch, workers, h):
+        monkeypatch.setattr(model_module, "ensemble_workers", lambda: workers)
+        n_valid = [9, 4, 1, 9, 7, 9, 2]
+        m = _model(d=12, h=h, c=3, dropout=0.25, dtype=np.float32)
+        x, mask = _batch(np.random.default_rng(1), n=len(n_valid), m=9, d=12, n_valid=n_valid)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        res = m.forward(x, mask, np.array([0, 3, 4, 8, 11]), rng=rng)
+        for n, (_, _, _, keep_bits, _) in zip(n_valid, res.cache[1:]):
+            keep = np.unpackbits(keep_bits, axis=-1, count=h).view(bool)
+            assert np.array_equal(keep, ref.random((n, h)) >= 0.25)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _step_with(monkeypatch, workers, m, x, mask, feat, d_out):
@@ -965,9 +991,10 @@ def _traced_peak(fn, *args):
 
 
 class TestStepBodyMemory:
-    """The per-slide bodies work in place in buffers the caller owns; a body
-    that builds fresh (m, H) temporaries instead peaks at 6 to 7 (m, H)
-    arrays in backward and 3 in forward."""
+    """The per-slide bodies work in place: forward writes the sigmoid branch
+    into the caller's buffer and the gated output over its own tanh branch,
+    and backward reuses three (m, H) buffers beside the recomputed tanh
+    branch for every elementwise step."""
 
     M, D, H = 1250, 512, 256  # F = H columns of D feed the projections
 
@@ -980,23 +1007,25 @@ class TestStepBodyMemory:
         v, u = (rng.standard_normal((2, h, h)) * 0.05).astype(np.float32)
         w = (rng.standard_normal(h) * 0.05).astype(np.float32)
         keep = rng.random((m, h)) >= dropout if dropout else None
-        acts = np.empty((2, m, h), dtype=np.float32)
+        gate_act = np.empty((m, h), dtype=np.float32)
         d_pooled = rng.standard_normal(d).astype(np.float32)
-        forward_args = (xi, feat, v, u, w, keep, dropout, acts[0], acts[1])
+        forward_args = (xi, feat, v, u, w, keep, dropout, gate_act)
         model_module._forward_slide(*forward_args)  # one-off allocations
-        (alpha, _, tanh_act, gate_act), forward_peak = _traced_peak(
+        (alpha, _, keep_bits), forward_peak = _traced_peak(
             model_module._forward_slide, *forward_args)
-        backward_args = (xi, feat, tanh_act, gate_act, keep, alpha, d_pooled, w, dropout)
+        backward_args = (xi, feat, v, gate_act, keep_bits, alpha, d_pooled, w, dropout)
         model_module._backward_slide(*backward_args)
         _, backward_peak = _traced_peak(model_module._backward_slide, *backward_args)
 
         mh = mf = m * h * 4  # one (m, H) and one (m, F) float32 array
-        # forward: xs (m, F) is freed before the gated output (m, H) and,
-        # under dropout, its scale (m, H) are made; read 1.01 and 2.01 (m, H)
-        assert forward_peak < max(mf, (2 if dropout else 1) * mh) + mh / 2, forward_peak / mh
-        # backward: xs and three (m, H) buffers, with one (m, H) of slack for
-        # the two returned (H, F) terms and the (m,) vectors; read 4.42 (m, H)
-        assert backward_peak < 3 * mh + mf + mh, backward_peak / mh
+        # forward: xs (m, F) beside the tanh branch (m, H), which then holds
+        # the gated output; xs is freed before the dropout scale (m, H) is
+        # made; read 2.00 (m, H) with and without dropout
+        assert forward_peak < mf + mh + mh / 2, forward_peak / mh
+        # backward: xs, the recomputed tanh branch and three (m, H) buffers,
+        # with one (m, H) of slack for the two returned (H, F) terms and the
+        # (m,) vectors; read 5.42 (m, H)
+        assert backward_peak < 4 * mh + mf + mh, backward_peak / mh
 
 
 class TestGradCheck:

@@ -44,3 +44,17 @@ def test_fpe_stress_reports_hits_per_kind():
                for line in lines), lines
     assert any(re.fullmatch(r"step: \d+ hits in 1 calls, \d+\.\d{3} per thousand", line)
                for line in lines), lines
+
+
+def test_window_roofline_times_the_kernel_and_its_products():
+    done = subprocess.run([sys.executable, str(TOOLS / "window_roofline.py"), "--rows", "300",
+                           "--dim", "96", "--hidden", "32", "--stride", "16", "--repeats", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert re.fullmatch(r"sgemm 2048\^3: \d+\.\d ms, \d+\.\d GFLOP/s", lines[0]), lines
+    for line, name in zip(lines[1:3], ("window_tiles", "block products")):
+        assert re.fullmatch(rf"{name}: [\d.]+ ms \(fastest [\d.]+, slowest [\d.]+\), "
+                            r"[\d.]+ GFLOP/s, \d+% of peak", line), line
+    # D=96, H=32, S=16: windows at 0, 16, ... 64, each two of six 16-wide blocks
+    assert lines[3] == "K=5 windows, 6 distinct blocks, 0.00369 GFLOP of block products"

@@ -11,6 +11,17 @@ H=16, S=4, 4 epochs) in a temporary directory, and prints one
 path. run_manifest.json is left out: it records times and paths. Run it on two
 checkouts and diff the output to check that a change leaves every artifact
 byte-identical. It reads no network and takes a few seconds.
+
+The bytes must not depend on the worker count (slidemil.model.
+ensemble_workers) either. For a change to the training step or the window
+ensemble, run it twice on each checkout, once with every BLAS thread
+variable unset (one worker) and once with one BLAS thread (a worker per
+CPU, two on a 2-CPU host), and diff each run against the same setting at
+the parent commit:
+
+    env -u OPENBLAS_NUM_THREADS -u MKL_NUM_THREADS -u OMP_NUM_THREADS \\
+        python3 tools/artifact_digests.py > one-worker.txt
+    OPENBLAS_NUM_THREADS=1 python3 tools/artifact_digests.py > workers.txt
 """
 
 from __future__ import annotations
