@@ -226,8 +226,8 @@ def cmd_predict(args) -> int:
     if not entries:
         raise ValidationError(f"split {args.split!r} is empty")
     bags = dataio.load_bags(manifest, args.data_dir, (args.split,))
-    predictions = inference.map_window_pass(
-        model, [bags[e.slide_id] for e in entries], windows,
+    predictions = model.window_pass(
+        [bags[e.slide_id] for e in entries], windows,
         lambda bag, tiles: predict(model, bag, windows, tiles=tiles))
 
     out = _out_dir(args)
@@ -259,6 +259,13 @@ def _aligned_predictions(manifest, args) -> tuple[list, list[dict]]:
     if missing:
         raise ValidationError(f"predictions missing for slides {missing[:5]}")
     return entries, [records[e.slide_id] for e in entries]
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_evaluate(args) -> int:
@@ -302,11 +309,8 @@ def cmd_evaluate(args) -> int:
                 report["logrank"] = {"undefined": str(exc)}
             for name, group_mask in (("high", high), ("low", ~high)):
                 curve = metrics.km_curve(times[group_mask], events[group_mask])
-                with open(out / f"km_{name}.csv", "w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["time", "survival", "at_risk"])
-                    for row in zip(curve.times, curve.survival, curve.at_risk):
-                        writer.writerow(list(row))
+                _write_csv(out / f"km_{name}.csv", ["time", "survival", "at_risk"],
+                           zip(curve.times, curve.survival, curve.at_risk))
         else:
             report["logrank"] = {"undefined": "median split left one group empty"}
 
@@ -351,11 +355,8 @@ def cmd_reject_curve(args) -> int:
              "n_retained": n - int(np.ceil(q * n))} for q, v in curve]
     dataio.write_json({"metric": metric_name, "task": manifest.task, "points": rows},
                       out / "rejection.json")
-    with open(out / "rejection.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "value", "n_retained"])
-        for row in rows:
-            writer.writerow([row["fraction"], row["value"], row["n_retained"]])
+    header = ["fraction", "value", "n_retained"]
+    _write_csv(out / "rejection.csv", header, ([row[k] for k in header] for row in rows))
     _write_run_manifest(args, args.predictions, None)
     print(f"wrote rejection curve ({metric_name}, {len(rows)} points) to {out}")
     return 0

@@ -4,15 +4,17 @@ Inference always sees the full bag (every patch participates); the ensemble
 is over contiguous feature windows of width H at stride S. All probability
 and entropy arithmetic runs in 64-bit regardless of the model dtype so the
 additive uncertainty decomposition holds to near machine precision.
-_class_summary summarizes a slide's windows and a patient's slides. Every
-survival curve is metrics.BreslowTable.at's exp(-exp(log H_0(t) + eta)),
-in which a constant added to every train and slide risk cancels.
+_class_summary summarizes a slide's windows and a patient's slides. A pass
+over many bags is model.window_pass, whose finish calls ensemble_outputs
+or a predict_* from this module on the calling thread (slide_outputs;
+cli.cmd_predict). Every survival curve is metrics.BreslowTable.at's
+exp(-exp(log H_0(t) + eta)), in which a constant added to every train and
+slide risk cancels.
 """
 
 from __future__ import annotations
 
-import contextlib
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -83,12 +85,12 @@ def ensemble_outputs(model: GatedAttentionMIL, bag: SlideBag, windows: ChunkWind
                      tiles: Callable[[], TileSummaries] | None = None):
     """Raw per-window head outputs (K, n_outputs) on the full bag, dropout off.
 
-    tiles, handed out by a pass over many bags (map_window_pass), waits for
-    the worker that computes this bag's tile summaries; the windows' finish
-    runs here, on the calling thread, from the summaries alone, so the bag
-    is not read here. Without tiles the bag is read once (one map of a bag
-    read from a file, closed on return). forward_windows rejects a bag
-    whose embed_dim is not the model's."""
+    tiles, handed to a finish by a pass over many bags (model.window_pass),
+    waits for the worker that computes this bag's tile summaries; the
+    windows' finish runs here, on the calling thread, from the summaries
+    alone, so the bag is not read here. Without tiles the bag is read once
+    (one map of a bag read from a file, closed on return). forward_windows
+    rejects a bag whose embed_dim is not the model's."""
     outputs, attention = model.forward_windows(bag.embeddings if tiles is None else None,
                                                 windows, tiles)
     outputs = outputs.astype(np.float64)
@@ -170,23 +172,14 @@ def slide_output(task: str, window_outputs: np.ndarray) -> np.ndarray:
     return window_outputs.mean(axis=0)
 
 
-def map_window_pass(model: GatedAttentionMIL, bags: Sequence[SlideBag], windows: ChunkWindows,
-                    finish: Callable[[SlideBag, Callable[[], TileSummaries]], object]) -> list:
-    """finish(bag, tiles) for each bag, in order, on the calling thread, with
-    tiles the bag's callable from one model.window_pass over all of them: a
-    bag per worker, each read on its worker and only while its tiles run.
-    finish hands tiles to the bag's ensemble_outputs, so an error in a bag
-    is raised from that call, and the bags not yet started are cancelled."""
-    with contextlib.closing(model.window_pass(bags, windows)) as tiles:
-        return [finish(bag, get) for bag, get in zip(bags, tiles)]
-
-
 def slide_outputs(model: GatedAttentionMIL, task: str, bags: dict[str, SlideBag], entries,
                   windows: ChunkWindows) -> np.ndarray:
     """Slide-level outputs (n_entries, n_out) of the window ensemble on each
-    entry's bag, in entry order, from one pass (map_window_pass)."""
-    return np.stack(map_window_pass(
-        model, [bags[e.slide_id] for e in entries], windows,
+    entry's bag, in entry order, from one pass (model.window_pass) that
+    finishes each bag in its own ensemble_outputs call, so an error in a bag
+    is raised from that call."""
+    return np.stack(model.window_pass(
+        [bags[e.slide_id] for e in entries], windows,
         lambda bag, tiles: slide_output(task, ensemble_outputs(model, bag, windows, tiles=tiles))))
 
 

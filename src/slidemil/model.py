@@ -38,10 +38,11 @@ threads, so a BLAS that already uses every CPU keeps the tiles on the
 calling thread. A pass over many bags (window_pass: validation, train's
 Breslow fit and predict) builds the weight blocks once and runs each bag's
 tiles serially on one worker, a bag per worker, while the calling thread
-finishes the bags in order from their tile summaries alone. Every item of
-the pool runs its nested work on its own thread (_ahead), so there is one
-worker budget. Each tile writes only its own slots, so the outputs are
-bitwise the same for any worker count and schedule.
+calls the caller's finish on each bag in order, from its tile summaries
+alone. The pool's threads mark themselves as they start, and work that an
+item nests runs on the item's own thread (_ahead), so there is one worker
+budget. Each tile writes only its own slots, so the outputs are bitwise
+the same for any worker count and schedule.
 """
 
 from __future__ import annotations
@@ -222,22 +223,15 @@ def ensemble_workers() -> int:
     return max(1, cpus // (_blas_threads() or cpus))
 
 
-@functools.cache
-def _worker_pool(workers: int) -> ThreadPoolExecutor:
-    """The one pool of the model's threads, made on first use and kept."""
-    return ThreadPoolExecutor(workers, thread_name_prefix="slidemil-worker")
-
-
-# on_pool is True on a thread while it runs an item of the pool
+# on_pool is True on the pool's threads, each of which sets it as it starts
 _thread = threading.local()
 
 
-def _pool_item(fn: Callable, item):
-    _thread.on_pool = True
-    try:
-        return fn(item)
-    finally:
-        _thread.on_pool = False
+@functools.cache
+def _worker_pool(workers: int) -> ThreadPoolExecutor:
+    """The one pool of the model's threads, made on first use and kept."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="slidemil-worker",
+                              initializer=setattr, initargs=(_thread, "on_pool", True))
 
 
 def _ahead(fn: Callable, items: Iterable,
@@ -247,10 +241,11 @@ def _ahead(fn: Callable, items: Iterable,
     items (a Sequence gives its own length): the calling thread takes each
     item from it as the item is handed out, one at a time, in order. The
     items run on the shared pool when ensemble_workers() > 1, there is more
-    than one item and the caller is not itself running an item of the pool;
-    otherwise each runs on the calling thread when its callable is called. A
-    pool item never submits to the pool, so there is one worker budget and
-    no wait on a queue the waiting thread would have to drain. The pool runs
+    than one item and the caller is not itself one of the pool's threads,
+    which mark themselves as they start (_worker_pool); otherwise each runs
+    on the calling thread when its callable is called. A pool item never
+    submits to the pool, so there is one worker budget and no wait on a
+    queue the waiting thread would have to drain. The pool runs
     at most two items per worker ahead of the item last handed out, so
     results the reader has not taken do not pile up. Closing the iterator
     cancels the items not yet started."""
@@ -266,7 +261,7 @@ def _ahead(fn: Callable, items: Iterable,
         for item in items:
             if len(pending) == 2 * workers:
                 yield pending.popleft().result
-            pending.append(pool.submit(_pool_item, fn, item))
+            pending.append(pool.submit(fn, item))
         while pending:
             yield pending.popleft().result
     finally:
@@ -411,7 +406,7 @@ class GatedAttentionMIL:
         computed by the caller for these feature indices, skips the
         projections: only softmax, pooling and the head run, without dropout.
         The backward cache is built exactly when attention_logits is None:
-        cache[0] is ("batch", pooled, feature_indices), and each slide adds
+        cache[0] is (pooled, feature_indices), and each slide adds
         (valid rows, xi, gate_act, keep_bits, alpha), with xi its (m, D)
         valid rows (a view of the batch when it has no padding), gate_act
         its (m, H) sigmoid branch, a view of one (n_slides, bag_size, H)
@@ -476,7 +471,7 @@ class GatedAttentionMIL:
                 attention[i, valids[i]] = alpha
                 return valids[i], xi, gate_act, keep_bits, alpha
 
-            cache = [("batch", pooled, feat), *_map(slide, draws(), n_slides)]
+            cache = [(pooled, feat), *_map(slide, draws(), n_slides)]
         else:
             cache = None
             for i, valid in enumerate(valids):
@@ -558,22 +553,25 @@ class GatedAttentionMIL:
         list(_map(tile, range(n_tiles)))  # re-raises a tile's error
         return TileSummaries(pooled, lse, alpha)
 
-    def window_pass(self, bags: Sequence,
-                    windows: ChunkWindows) -> Iterator[Callable[[], TileSummaries]]:
-        """One zero-argument callable per bag (anything with an (N, D)
-        embeddings attribute, as a dataio.SlideBag), in bag order, that
-        returns its tile summaries (window_tiles) under weights built once
-        for the pass. Each bag's embeddings are read once, on the worker
-        that runs its tiles serially, so a bag read from a file is mapped
-        only while its tiles run. The bags spread over ensemble_workers()
-        threads at most two per worker ahead of the bag last handed out;
-        calling a bag's callable waits for it. A single bag runs on the
-        calling thread, its tiles spread over the workers. Close the
-        iterator to cancel the bags not yet started. Validation, train's
-        Breslow fit and predict each run one pass over their split
-        (inference.map_window_pass)."""
+    def window_pass(self, bags: Sequence, windows: ChunkWindows,
+                    finish: Callable[[object, Callable[[], TileSummaries]], object]) -> list:
+        """[finish(bag, tiles) for each bag], in bag order, each called on
+        the calling thread. A bag is anything with an (N, D) embeddings
+        attribute, as a dataio.SlideBag; tiles is a zero-argument callable
+        that waits for the bag's tile summaries (window_tiles) under weights
+        built once for the pass, and re-raises its tiles' error. Each bag's
+        embeddings are read once, on the worker that runs its tiles
+        serially, so a bag read from a file is mapped only while its tiles
+        run. The bags spread over ensemble_workers() threads at most two per
+        worker ahead of the bag last finished (_ahead); a single bag runs on
+        the calling thread, its tiles spread over the workers. When a finish
+        raises, the bags not yet started are cancelled. Validation, train's
+        Breslow fit and predict each run one pass over their split, with a
+        finish that calls inference.ensemble_outputs or a predict_*."""
         weights = self.window_weights(windows)
-        return _ahead(lambda bag: self.window_tiles(bag.embeddings, weights), bags)
+        with contextlib.closing(_ahead(lambda bag: self.window_tiles(bag.embeddings, weights),
+                                       bags)) as tiles:
+            return [finish(bag, get) for bag, get in zip(bags, tiles)]
 
     def forward_windows(self, embeddings: np.ndarray, windows: ChunkWindows,
                         tiles: Callable[[], TileSummaries] | None = None
@@ -581,13 +579,13 @@ class GatedAttentionMIL:
         """Eval-mode outputs (K, n_outputs) and attention (K, N) of one full bag
         (N, D) under each feature window [start, end) of the grid.
 
-        tiles, a callable that returns the bag's tile summaries (one of a
-        window_pass's), waits for them, and embeddings is not read; without
-        it they are computed here (window_tiles). Each window then runs
-        forward() once, on the calling thread: softmax, pooling and the head
-        over the T tiles' pooled rows, with the tiles' log-sum-exps as the
-        logits. A row's attention is its weight in its tile times its tile's
-        weight. Block sums, the tanh form and pooling by tiles round
+        tiles, a callable that returns the bag's tile summaries (the one a
+        window_pass hands its finish), waits for them, and embeddings is not
+        read; without it they are computed here (window_tiles). Each window
+        then runs forward() once, on the calling thread: softmax, pooling and
+        the head over the T tiles' pooled rows, with the tiles' log-sum-exps
+        as the logits. A row's attention is its weight in its tile times its
+        tile's weight. Block sums, the tanh form and pooling by tiles round
         differently from per-window forward() on the bag, so outputs differ
         from it in their low bits.
         """
@@ -614,7 +612,7 @@ class GatedAttentionMIL:
         those of the full-activation formulas to the last bit for any worker
         count.
         """
-        _, pooled, feat = cache[0]
+        pooled, feat = cache[0]
         d_out = np.asarray(d_outputs, dtype=self.dtype)
         head_w = self.params["head_weight"]
         w = self.params["attention_w"]

@@ -1005,9 +1005,9 @@ class TestPredictPass:
         passes = []
         real = model_module.GatedAttentionMIL.window_pass
 
-        def window_pass(self, bags, windows):
+        def window_pass(self, bags, windows, finish):
             passes.append(list(bags))
-            return real(self, bags, windows)
+            return real(self, bags, windows, finish)
 
         monkeypatch.setattr(model_module.GatedAttentionMIL, "window_pass", window_pass)
         return passes

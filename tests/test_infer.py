@@ -351,8 +351,8 @@ def _assert_same_prediction(got, ref):
 
 
 class TestPredictInPass:
-    """predict runs each predict_* on a pass's tiles (map_window_pass): a bag
-    per worker, each slide finished on the calling thread."""
+    """predict runs each predict_* on a pass's tiles (model.window_pass): a
+    bag per worker, each slide finished on the calling thread."""
 
     @staticmethod
     def _predict_pass(monkeypatch, workers, task):
@@ -360,8 +360,7 @@ class TestPredictInPass:
         m, wins = _model(c=n_out), chunk_windows(8, 4, 2)
         bags = list(TestWindowPass._bags().values())
         monkeypatch.setattr(model_module, "ensemble_workers", lambda: workers)
-        got = inference.map_window_pass(
-            m, bags, wins, lambda bag, tiles: predict(m, bag, wins, tiles=tiles))
+        got = m.window_pass(bags, wins, lambda bag, tiles: predict(m, bag, wins, tiles=tiles))
         return m, wins, bags, predict, got
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -122,7 +122,7 @@ class TestForward:
         m = _model()
         x, mask = _batch(rng, n_valid=[5, 4, 3])
         res = m.forward(x, mask, np.arange(6))
-        _, pooled, _ = res.cache[0]
+        pooled, _ = res.cache[0]
         for i, v in enumerate([5, 4, 3]):
             lo = x[i, :v].min(axis=0) - 1e-12
             hi = x[i, :v].max(axis=0) + 1e-12
@@ -177,7 +177,7 @@ class TestForward:
         m = _model(d=8, h=3, c=2)
         x, mask = _batch(rng, n=1, m=4, d=8)
         res = m.forward(x, mask, np.array([0, 1, 2]))
-        _, pooled, _ = res.cache[0]
+        pooled, _ = res.cache[0]
         expected = res.attention[0, :4] @ x[0]
         np.testing.assert_allclose(pooled[0], expected, atol=1e-12)
 
@@ -795,8 +795,10 @@ class TestSlimCache:
     def test_cache_holds_the_gate_and_a_packed_mask(self, dropout):
         m = _model(dropout=dropout, dtype=np.float32)
         x, mask = _batch(np.random.default_rng(3), n=2, m=5, n_valid=[5, 2])
-        res = m.forward(x, mask, np.array([1, 4]), rng=np.random.default_rng(0))
-        assert res.cache[0][0] == "batch"
+        feat = np.array([1, 4])
+        res = m.forward(x, mask, feat, rng=np.random.default_rng(0))
+        pooled, cached_feat = res.cache[0]
+        assert pooled.shape == (2, 6) and np.array_equal(cached_feat, feat)
         gates = set()
         for n_valid, (valid, xi, gate_act, keep_bits, alpha) in zip([5, 2], res.cache[1:]):
             assert np.array_equal(valid, np.arange(n_valid))
@@ -962,9 +964,10 @@ class TestPooledStep:
                 lambda j: threads.add(threading.get_ident()) or i * 8 + j, range(8)))
             return threading.get_ident(), threads, inner
 
-        # a pool of its own, so that a deadlock can be broken: shutting it
-        # down cancels the queued inner items, which frees the workers
-        pool = ThreadPoolExecutor(2)
+        # a pool of its own, built as the shared one is, so that a deadlock
+        # can be broken: shutting it down cancels the queued inner items,
+        # which frees the workers
+        pool = model_module._worker_pool.__wrapped__(2)
         monkeypatch.setattr(model_module, "_worker_pool", lambda count: pool)
         results = []
         runner = threading.Thread(
@@ -978,6 +981,44 @@ class TestPooledStep:
         assert [inner for _, _, inner in results] == [list(range(8)), list(range(8, 16))]
         for ident, threads, _ in results:
             assert threads == {ident} != {runner.ident}
+
+    def test_a_pool_thread_stays_marked_after_an_item_raised(self, monkeypatch):
+        # the pool's threads mark themselves once, as they start: an item
+        # that raised leaves its thread marked, so the next item's _map on
+        # that thread still runs inline and cannot wait on the pool's only
+        # thread, its own
+        monkeypatch.setattr(model_module, "ensemble_workers", lambda: 2)
+        pool = model_module._worker_pool.__wrapped__(1)
+        monkeypatch.setattr(model_module, "_worker_pool", lambda count: pool)
+        item_threads = []
+
+        def failing(i):
+            item_threads.append(threading.get_ident())
+            raise ValidationError(f"item {i} failed")
+
+        def outer(i):
+            item_threads.append(threading.get_ident())
+            return list(model_module._map(
+                lambda j: (threading.get_ident(), i * 8 + j), range(8)))
+
+        def run():
+            with pytest.raises(ValidationError, match="item 0 failed"):
+                list(model_module._map(failing, range(2)))
+            results.extend(model_module._map(outer, range(2)))
+
+        results = []
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        try:
+            runner.join(timeout=30)
+            assert not runner.is_alive(), "_map after a failed item did not finish"
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        pool_thread = item_threads[0]
+        assert set(item_threads) == {pool_thread} != {runner.ident}
+        assert [[k for _, k in inner] for inner in results] == [list(range(8)),
+                                                                list(range(8, 16))]
+        assert {ident for inner in results for ident, _ in inner} == {pool_thread}
 
 
 def _traced_peak(fn, *args):
