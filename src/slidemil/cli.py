@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import platform
@@ -231,18 +232,14 @@ def cmd_predict(args) -> int:
         lambda bag, tiles: predict(model, bag, windows, tiles=tiles))
 
     out = _out_dir(args)
-    with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
-        for pred in predictions:
-            fh.write(json.dumps(inference.prediction_to_json(pred), sort_keys=True) + "\n")
+    _write_jsonl(out / "predictions.jsonl", map(inference.prediction_to_json, predictions))
 
     by_patient: dict[str, list] = {}
     for entry, pred in zip(entries, predictions):
         by_patient.setdefault(entry.patient_id, []).append(pred)
-    with open(out / "patients.jsonl", "w", encoding="utf-8") as fh:
-        for patient_id in sorted(by_patient):
-            doc = {"patient_id": patient_id,
-                   **inference.aggregate_patient(by_patient[patient_id])}
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+    _write_jsonl(out / "patients.jsonl",
+                 ({"patient_id": patient_id, **inference.aggregate_patient(by_patient[patient_id])}
+                  for patient_id in sorted(by_patient)))
 
     _write_run_manifest(args, args.checkpoint, None)
     print(f"wrote {len(predictions)} slide predictions "
@@ -261,11 +258,17 @@ def _aligned_predictions(manifest, args) -> tuple[list, list[dict]]:
     return entries, [records[e.slide_id] for e in entries]
 
 
+def _write_jsonl(path: Path, docs) -> None:
+    dataio.write_file(path, "".join(json.dumps(doc, sort_keys=True) + "\n"
+                                    for doc in docs).encode("utf-8"))
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    dataio.write_file(path, text.getvalue().encode("utf-8"))
 
 
 def cmd_evaluate(args) -> int:
@@ -313,6 +316,8 @@ def cmd_evaluate(args) -> int:
                            zip(curve.times, curve.survival, curve.at_risk))
         else:
             report["logrank"] = {"undefined": "median split left one group empty"}
+            for name in ("high", "low"):  # no curve beside this report is the previous run's
+                (out / f"km_{name}.csv").unlink(missing_ok=True)
 
     dataio.write_json(report, out / "evaluation.json")
     _write_run_manifest(args, args.predictions, args.seed)

@@ -19,9 +19,9 @@ memory, and the map and its pages go when the use's last reference to them
 does, so the process's resident memory and open files hold the bags in use,
 not the corpus. Each map checks that the file is still the one loaded, and
 raises CorruptionError naming it otherwise, so a bag never returns bytes its
-load-time finiteness scan did not check. write_embedding_file replaces files
-by renaming; a file must not be modified in place while a use maps it
-(truncating it under the mapping ends the process with SIGBUS).
+load-time finiteness scan did not check. Every file slidemil writes reaches
+disk through write_file; a file must not be modified in place while a use maps
+it (truncating it under the mapping ends the process with SIGBUS).
 """
 
 from __future__ import annotations
@@ -279,28 +279,33 @@ def read_embedding_file(path: str | Path, slide_id: str = "", patient_id: str = 
     return bag
 
 
-def write_embedding_file(bag: SlideBag, path: str | Path) -> None:
-    """Write a SlideBag in the bit-exact on-disk format. No file is emitted on invalid input.
+def write_file(path: str | Path, *parts) -> None:
+    """Write the bytes-like parts, in order, as the file at path.
 
-    The bytes go to a new file in the same directory, which then replaces
-    path in one rename: readers see the old file or the new one, never a
-    partial one, and a bag loaded from the old file raises CorruptionError
-    at its next use."""
-    # a bag's embeddings may have been written to since it was built, so its
-    # checks (shape, and the blocked finiteness scan) run again
-    checked = SlideBag(bag.slide_id, bag.patient_id, bag.embeddings)
-    emb = np.ascontiguousarray(checked.embeddings, dtype="<f4")
-    n, d = emb.shape
+    The bytes go to a new file in path's directory, which then replaces path
+    in one rename: readers see the old file or the new one, never a partial
+    one, and a failed write leaves the old file (or none) and no temporary
+    file. A bag loaded from the old file raises CorruptionError at its next
+    use."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as f:
-            f.write(EMBEDDING_MAGIC + struct.pack("<II", n, d))
-            f.write(emb.data)
+            f.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_embedding_file(bag: SlideBag, path: str | Path) -> None:
+    """Write a SlideBag in the bit-exact on-disk format through write_file.
+    No file is emitted on invalid input."""
+    # a bag's embeddings may have been written to since it was built, so its
+    # checks (shape, and the blocked finiteness scan) run again
+    checked = SlideBag(bag.slide_id, bag.patient_id, bag.embeddings)
+    emb = np.ascontiguousarray(checked.embeddings, dtype="<f4")
+    write_file(path, EMBEDDING_MAGIC + struct.pack("<II", *emb.shape), emb.data)
 
 
 def _is_int(value) -> bool:
@@ -391,7 +396,7 @@ def read_json(path: str | Path):
 
 def write_json(doc, path: str | Path) -> None:
     """Write doc as UTF-8 JSON: indented by 2, keys sorted, newline-terminated."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_file(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:

@@ -53,7 +53,7 @@ import numpy as np
 # inference.slide_outputs looks ensemble_outputs up in its module, so a
 # wrapper set there (perfbench/tracing.py) also sees the validation ensemble
 from . import inference
-from .dataio import DatasetManifest, SlideBag, _as_real, _is_int, label_arrays, parse_json
+from .dataio import DatasetManifest, SlideBag, _as_real, _is_int, label_arrays, parse_json, write_file
 from .errors import CorruptionError, FormatError, ValidationError
 from .fingerprint import RunConfig
 from .metrics import BreslowTable
@@ -188,11 +188,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         header["baseline"] = {f.name: getattr(checkpoint.baseline, f.name).tolist()
                               for f in fields(BreslowTable)}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
+    write_file(path, CHECKPOINT_MAGIC, struct.pack("<Q", len(header_bytes)), header_bytes, payload)
 
 
 def _check_model_tensors(params: dict[str, np.ndarray]) -> None:

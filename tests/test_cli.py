@@ -324,6 +324,27 @@ class TestSurvivalPipeline:
             for name in ("predictions.jsonl", "patients.jsonl"):
                 assert (out / name).read_bytes() == (dirs["pred"] / name).read_bytes()
 
+    def test_constant_risks_leave_no_previous_km_curves(self, tmp_path, pipeline_dirs):
+        # a split of constant risks has one group, so it has no curves; the
+        # curves of an earlier evaluate into the same directory must go
+        dirs = pipeline_dirs
+        spec = _write_spec(tmp_path / "spec.json", task="survival", censoring_rate=0.2,
+                           n_bags=24)
+        assert main(["synth", "--spec", str(spec), "--out", str(dirs["data"])]) == 0
+        manifest = dirs["data"] / "manifest.json"
+        test = load_manifest(manifest).split_entries("test")
+        curves = {"km_high.csv", "km_low.csv"}
+        for risks, written in ((range(len(test)), curves), ([0.0] * len(test), set())):
+            predictions = tmp_path / "predictions.jsonl"
+            predictions.write_text("".join(json.dumps({"slide_id": e.slide_id, "risk": r}) + "\n"
+                                           for e, r in zip(test, risks)))
+            assert main(["evaluate", "--manifest", str(manifest),
+                         "--predictions", str(predictions), "--split", "test",
+                         "--out", str(dirs["eval"])]) == 0
+            assert curves & set(os.listdir(dirs["eval"])) == written
+        evaluation = json.loads((dirs["eval"] / "evaluation.json").read_text())
+        assert evaluation["logrank"] == {"undefined": "median split left one group empty"}
+
     @pytest.mark.parametrize("edit,message", [
         (lambda header: {k: v for k, v in header.items() if k != "baseline"}, "lacks one"),
         (lambda header: {**header, "config": {**header["config"], "task": "classification"}},

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slidemil import dataio
+from slidemil import cli, dataio
 from slidemil.cli import main
 from slidemil.dataio import (
     EMBEDDING_MAGIC,
@@ -34,7 +34,8 @@ from slidemil.dataio import (
 from slidemil.errors import CorruptionError, FormatError, ValidationError
 from slidemil.fingerprint import DataFingerprint, RunConfig
 from slidemil.synthetic import SyntheticSpec, write_synthetic_dataset
-from slidemil.training import CHECKPOINT_MAGIC, load_checkpoint
+from slidemil.model import GatedAttentionMIL
+from slidemil.training import CHECKPOINT_MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 
 from conftest import make_bag
 
@@ -334,6 +335,28 @@ class TestLoadBags:
             load_bags(manifest, tmp_path)
 
 
+def _tiny_config():
+    return RunConfig(task="classification", bag_size=8, hidden_dim=4, stride=2, dropout=0.0,
+                     batch_size=8, learning_rate=1e-3, weight_decay=1e-4, warmup_epochs=0,
+                     max_epochs=1, patience=1, seed=0)
+
+
+def _write_checkpoint(rng, path):
+    model = GatedAttentionMIL(embed_dim=6, hidden_dim=4, n_outputs=2)
+    model.init_params(rng)
+    save_checkpoint(Checkpoint(params=model.params, config=_tiny_config()), path)
+
+
+# every writer of an artifact, each writing new random content per call
+_WRITERS = {
+    "embedding": lambda rng, path: write_embedding_file(make_bag(rng, 4, 3), path),
+    "json": lambda rng, path: dataio.write_json({"x": rng.random()}, path),
+    "checkpoint": _write_checkpoint,
+    "jsonl": lambda rng, path: cli._write_jsonl(path, [{"x": x} for x in rng.random(3).tolist()]),
+    "csv": lambda rng, path: cli._write_csv(path, ["x"], [[x] for x in rng.random(3).tolist()]),
+}
+
+
 def _corpus(tmp_path, n_bags=3, n_patches=4, embed_dim=6, seed=0):
     rng = np.random.default_rng(seed)
     entries = []
@@ -420,9 +443,10 @@ class TestMappedBags:
         del view
         assert len(os.listdir("/proc/self/fd")) == before
 
-    def test_failed_rename_keeps_the_old_file(self, rng, tmp_path, monkeypatch):
-        path = tmp_path / "a.emb"
-        write_embedding_file(make_bag(rng, 4, 3), path)
+    @pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS.keys())
+    def test_failed_rename_keeps_the_old_file(self, write, rng, tmp_path, monkeypatch):
+        path = tmp_path / "a.out"
+        write(rng, path)
         before = path.read_bytes()
 
         def fail(src, dst):
@@ -430,9 +454,46 @@ class TestMappedBags:
 
         monkeypatch.setattr(dataio.os, "replace", fail)
         with pytest.raises(OSError):
-            write_embedding_file(make_bag(rng, 9, 9), path)
+            write(rng, path)
         assert path.read_bytes() == before
-        assert sorted(os.listdir(tmp_path)) == ["a.emb"], "no partial file may be left"
+        assert sorted(os.listdir(tmp_path)) == ["a.out"], "no partial file may be left"
+
+
+_FSIZE_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]),) * 2)
+from slidemil.cli import main
+sys.exit(main(["train", *sys.argv[2:]]))
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_FSIZE is POSIX")
+def test_a_train_that_fails_while_writing_keeps_the_previous_run(tmp_path):
+    """A second train into a run's directory, under a file-size limit below
+    the checkpoint's size, fails with EFBIG (Python ignores SIGXFSZ) and
+    leaves the first run's artifacts whole, so predict still reads them."""
+    spec = SyntheticSpec(task="classification", n_bags=20, patches_per_bag_range=(4, 8),
+                         embed_dim=8, seed=0)
+    write_synthetic_dataset(spec, tmp_path / "data")
+    _tiny_config().to_json(tmp_path / "config.json")
+    out = tmp_path / "out"
+    args = ["--manifest", str(tmp_path / "data" / "manifest.json"),
+            "--data-dir", str(tmp_path / "data"), "--config", str(tmp_path / "config.json"),
+            "--out", str(out)]
+    assert main(["train", *args]) == 0
+    before = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+    assert set(before) == {"checkpoint.ckpt", "train_report.json", "run_manifest.json"}
+    limit = len(before["checkpoint.ckpt"]) // 2
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", _FSIZE_CHILD, str(limit), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "File too large" in done.stderr, done.stderr
+    assert {name: (out / name).read_bytes() for name in sorted(os.listdir(out))} == before
+    assert main(["predict", "--manifest", str(tmp_path / "data" / "manifest.json"),
+                 "--data-dir", str(tmp_path / "data"),
+                 "--checkpoint", str(out / "checkpoint.ckpt"),
+                 "--out", str(tmp_path / "pred")]) == 0
 
 
 _LIMITED_CHILD = """
@@ -461,10 +522,7 @@ def test_a_corpus_loads_trains_and_predicts_under_64_descriptors(tmp_path):
     spec = SyntheticSpec(task="classification", n_bags=150, patches_per_bag_range=(4, 8),
                          embed_dim=8, seed=0)
     write_synthetic_dataset(spec, tmp_path / "data")
-    config = RunConfig(task="classification", bag_size=8, hidden_dim=4, stride=2, dropout=0.0,
-                       batch_size=8, learning_rate=1e-3, weight_decay=1e-4, warmup_epochs=0,
-                       max_epochs=1, patience=1, seed=0)
-    config.to_json(tmp_path / "config.json")
+    _tiny_config().to_json(tmp_path / "config.json")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run(
         [sys.executable, "-c", _LIMITED_CHILD, str(tmp_path / "data" / "manifest.json"),
