@@ -192,12 +192,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _survival_eval_times(args, manifest) -> np.ndarray:
-    """--eval-time: the train split's median event time (labels only), or a
-    number that SurvivalRecord accepts as a survival time."""
+def _survival_eval_times(args, baseline) -> np.ndarray:
+    """--eval-time: the median of the checkpoint's Breslow event times, one
+    per death (the train split's median event time, whatever the manifest),
+    or a number that SurvivalRecord accepts as a survival time."""
     if args.eval_time == "median":
-        train_records = [e.label for e in manifest.split_entries("train")]
-        return np.array([inference.median_event_time(train_records)])
+        return np.array([np.median(np.repeat(baseline.event_times, baseline.deaths))])
     try:
         return np.array([dataio.SurvivalRecord(time=float(args.eval_time), event=0).time])
     except (ValueError, ValidationError) as exc:
@@ -212,7 +212,8 @@ def cmd_predict(args) -> int:
     config = checkpoint.config
     if config.task != manifest.task:
         raise ValidationError(f"checkpoint task {config.task} != manifest task {manifest.task}")
-    if model.n_outputs != manifest.n_outputs:
+    widest = model.n_outputs if config.task == "classification" else 1
+    if not manifest.n_outputs <= model.n_outputs <= widest:  # a cohort may lack a class
         raise ValidationError(f"checkpoint head has {model.n_outputs} outputs, but the "
                               f"manifest's {manifest.task} task needs {manifest.n_outputs}")
     if config.task == "classification":
@@ -221,7 +222,7 @@ def cmd_predict(args) -> int:
         predict = inference.predict_regression
     else:
         predict = functools.partial(inference.predict_survival, baseline=checkpoint.baseline,
-                                    eval_times=_survival_eval_times(args, manifest))
+                                    eval_times=_survival_eval_times(args, checkpoint.baseline))
     windows = inference.inference_windows(config, model.embed_dim)
     entries = manifest.split_entries(args.split)
     if not entries:
@@ -278,29 +279,30 @@ def cmd_evaluate(args) -> int:
     report: dict = {"task": manifest.task, "split": args.split, "n_slides": len(entries)}
     truth = dataio.label_arrays(manifest.task, entries)
 
+    def bootstrap(metric, *data) -> dict:
+        """The bootstrap of metric on data, or why the split leaves it undefined."""
+        try:
+            return asdict(metrics.bootstrap_ci(metric, data, seed=args.seed))
+        except MetricUndefinedError as exc:
+            return {"undefined": str(exc)}
+
     if manifest.task == "classification":
         pred_cls = _column(preds, "predicted_class", int)
-        report["balanced_accuracy"] = asdict(metrics.bootstrap_ci(
-            metrics.balanced_accuracy, (truth, pred_cls), seed=args.seed))
+        report["balanced_accuracy"] = bootstrap(metrics.balanced_accuracy, truth, pred_cls)
         kappa = lambda t, p: metrics.cohens_kappa(t, p, weighting=args.kappa_weighting)
-        report["cohens_kappa"] = asdict(metrics.bootstrap_ci(kappa, (truth, pred_cls),
-                                                             seed=args.seed))
+        report["cohens_kappa"] = bootstrap(kappa, truth, pred_cls)
         report["kappa_weighting"] = args.kappa_weighting
         if manifest.n_classes == 2:
             scores = _column(preds, "mean_probs", np.float64, index=1)
-            report["auc"] = asdict(metrics.bootstrap_ci(metrics.auc, (truth, scores),
-                                                        seed=args.seed))
+            report["auc"] = bootstrap(metrics.auc, truth, scores)
     elif manifest.task == "regression":
         pred_val = _column(preds, "mean_value", np.float64)
-        report["pearson_r"] = asdict(metrics.bootstrap_ci(metrics.pearson_r, (truth, pred_val),
-                                                          seed=args.seed))
-        report["mse"] = asdict(metrics.bootstrap_ci(metrics.mean_squared_error,
-                                                    (truth, pred_val), seed=args.seed))
+        report["pearson_r"] = bootstrap(metrics.pearson_r, truth, pred_val)
+        report["mse"] = bootstrap(metrics.mean_squared_error, truth, pred_val)
     else:
         times, events = truth
         risks = _column(preds, "risk", np.float64)
-        report["concordance_index"] = asdict(metrics.bootstrap_ci(
-            metrics.concordance_index, (times, events, risks), seed=args.seed))
+        report["concordance_index"] = bootstrap(metrics.concordance_index, times, events, risks)
         median_risk = float(np.median(risks))
         high = risks > median_risk
         if high.any() and (~high).any():
@@ -457,7 +459,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValidationError, MetricUndefinedError) as exc:
+    except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -220,7 +220,8 @@ def adjust_patient_uncertainty(uncertainty: float, n_wsi: int) -> float:
 
 
 def median_event_time(records: list[SurvivalRecord]) -> float:
-    """Default evaluation time: median observed time among event subjects."""
+    """Median observed time among event subjects: the default evaluation time,
+    which predict reads from the checkpoint's Breslow table of the train split."""
     times = np.array([r.time for r in records if r.event == 1], dtype=np.float64)
     if len(times) == 0:
         raise ValidationError("no events to take a median over")

@@ -4,7 +4,8 @@ log-rank, bootstrap CIs, rejection curves.
 Per-slide arrays, here and in model's losses, are cast and checked in
 per_slide: arrays not 1-D and of one length raise ValidationError, so
 MetricUndefinedError means undefined on aligned data (empty input, one class,
-no comparable pair, constant input).
+no comparable pair, constant input). A command reports it in its artifact,
+{"undefined": reason} or a null point, and never exits on it.
 
 Every rank statistic counts wins and ties as integers before a single final
 division, so values agree bit-for-bit with brute-force pair enumeration.

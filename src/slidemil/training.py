@@ -319,10 +319,8 @@ def grad_check(task: str, embed_dim: int = 8, hidden_dim: int = 4, n_classes: in
     x = rng.standard_normal((n_slides, bag_size, embed_dim))
     mask = rng.random((n_slides, bag_size)) < 0.75
     mask[:, 0] = True
-    if hidden_dim < embed_dim:
-        feat = np.sort(rng.choice(embed_dim, size=hidden_dim, replace=False))
-    else:
-        feat = np.arange(embed_dim)
+    feat = (sample_feature_indices(embed_dim, hidden_dim, rng) if hidden_dim < embed_dim
+            else np.arange(embed_dim))
     if task == "classification":
         targets = rng.integers(n_classes, size=n_slides)
     elif task == "regression":

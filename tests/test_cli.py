@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 import slidemil
-from slidemil import cli, dataio, metrics
+from slidemil import cli, dataio, inference, metrics
 from slidemil import model as model_module
 from slidemil.cli import main
 from slidemil.dataio import load_bag_shapes, load_manifest
 from slidemil.model import BLAS_THREAD_VARS, ROW_TILE, ensemble_workers
-from slidemil.training import load_checkpoint
+from slidemil.training import Checkpoint, load_checkpoint, save_checkpoint
 
 from conftest import write_old_layout
 
@@ -265,6 +265,26 @@ class TestClassificationPipeline:
         assert (out / "predictions.jsonl").read_bytes() == \
             (self.dirs["pred"] / "predictions.jsonl").read_bytes()
 
+    def test_cohort_without_the_largest_class_is_predicted(self, tmp_path):
+        # an external cohort of class-0 slides alone infers one class, which
+        # the two-output head covers; each slide's record is the one a
+        # predict over the whole test split writes
+        doc = json.loads(self.manifest.read_text())
+        del doc["n_classes"]
+        doc["entries"] = [e for e in doc["entries"] if e["split"] == "test" and e["label"] == 0]
+        cohort = tmp_path / "class_0.json"
+        cohort.write_text(json.dumps(doc))
+        out = tmp_path / "class_0"
+        assert main(["predict", "--manifest", str(cohort), "--data-dir", str(self.dirs["data"]),
+                     "--checkpoint", str(self.dirs["train"] / "checkpoint.ckpt"),
+                     "--out", str(out)]) == 0
+        read = lambda d: [json.loads(line) for line in
+                          (d / "predictions.jsonl").read_text().splitlines()]
+        whole = {r["slide_id"]: r for r in read(self.dirs["pred"])}
+        records = read(out)
+        assert [r["slide_id"] for r in records] == [e["slide_id"] for e in doc["entries"]] != []
+        assert all(r == whole[r["slide_id"]] for r in records)
+
     def test_train_reads_only_train_and_val(self, tmp_path):
         out = tmp_path / "no_test"
         data = _copy_without(self.dirs, self.manifest, ("test",), out)
@@ -293,6 +313,8 @@ class TestSurvivalPipeline:
         assert rec["task"] == "survival"
         assert {"risk", "eval_times", "mean_survival", "unc_survival"} <= rec.keys()
         assert 0.0 <= rec["mean_survival"][0] <= 1.0
+        train = [e.label for e in load_manifest(manifest).split_entries("train")]
+        assert rec["eval_times"] == [inference.median_event_time(train)]
 
         assert main(["evaluate", "--manifest", str(manifest),
                      "--predictions", str(dirs["pred"] / "predictions.jsonl"),
@@ -323,6 +345,23 @@ class TestSurvivalPipeline:
             assert _predict_without(dirs, manifest, (split,), out) == 0
             for name in ("predictions.jsonl", "patients.jsonl"):
                 assert (out / name).read_bytes() == (dirs["pred"] / name).read_bytes()
+        # and so is the median event time, so predict reads no label of the
+        # train split either: a cohort of the test slides alone, or one whose
+        # train times are tripled, gets the same eval_times and predictions
+        doc = json.loads(manifest.read_text())
+        cohorts = {
+            "test_only": [e for e in doc["entries"] if e["split"] == "test"],
+            "tripled": [{**e, "label": {**e["label"], "time": 3 * e["label"]["time"]}}
+                        if e["split"] == "train" else e for e in doc["entries"]]}
+        for name, entries in cohorts.items():
+            cohort = tmp_path / f"{name}.json"
+            cohort.write_text(json.dumps({**doc, "entries": entries}))
+            assert main(["predict", "--manifest", str(cohort), "--data-dir", str(dirs["data"]),
+                         "--checkpoint", str(dirs["train"] / "checkpoint.ckpt"),
+                         "--out", str(tmp_path / name)]) == 0, name
+            for file in ("predictions.jsonl", "patients.jsonl"):
+                assert (tmp_path / name / file).read_bytes() == \
+                    (dirs["pred"] / file).read_bytes(), name
 
     def test_constant_risks_leave_no_previous_km_curves(self, tmp_path, pipeline_dirs):
         # a split of constant risks has one group, so it has no curves; the
@@ -508,10 +547,27 @@ _BAD_FIELDS = [
 ]
 
 
+# a test split on which evaluate cannot define some statistics: the task, an
+# edit of each test label and of each prediction record, the statistics that
+# read undefined with their reasons, and the bootstrapped ones that stay defined
+_UNDEFINED_SPLITS = {
+    "one-class": ("classification", lambda label: 0, {"predicted_class": 0},
+                  {"auc": "AUC needs both classes present",
+                   "cohens_kappa": "kappa undefined: chance disagreement is zero"},
+                  ("balanced_accuracy",)),
+    "constant-prediction": ("regression", lambda label: label, {"mean_value": 0.5},
+                            {"pearson_r": "Pearson r undefined for constant input"}, ("mse",)),
+    "no-events": ("survival", lambda label: {**label, "event": 0}, {},
+                  {"concordance_index": "no comparable pairs for the C-index",
+                   "logrank": "log-rank needs at least one event"}, ()),
+}
+
+
 class TestPredictionFieldTypes:
     """evaluate and reject-curve read predicted_class as a JSON integer and
     every other field as a finite number; any other value exits 2, names the
-    field and writes no report."""
+    field and writes no report. A statistic the split leaves undefined is
+    written as {"undefined": reason}, and evaluate exits 0."""
 
     @pytest.fixture(scope="class")
     def manifests(self, tmp_path_factory):
@@ -538,6 +594,28 @@ class TestPredictionFieldTypes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(field) in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("case", list(_UNDEFINED_SPLITS))
+    def test_undefined_statistic_is_written(self, manifests, case, tmp_path):
+        task, relabel, fields, undefined, defined = _UNDEFINED_SPLITS[case]
+        doc = json.loads(manifests[task].read_text())
+        for entry in doc["entries"]:
+            if entry["split"] == "test":
+                entry["label"] = relabel(entry["label"])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        path = tmp_path / "predictions.jsonl"
+        path.write_text("".join(json.dumps({**r, **fields}) + "\n"
+                                for r in _good_records(task, manifest)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--manifest", str(manifest), "--predictions", str(path),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "evaluation.json").read_text())
+        assert {name: report[name] for name in undefined} == {
+            name: {"undefined": reason} for name, reason in undefined.items()}
+        for name in defined:
+            assert report[name].keys() == {"point", "mean", "std", "ci_low", "ci_high",
+                                           "n_replicates"}, name
 
 
 class TestExitCodes:
@@ -1241,6 +1319,15 @@ def _without_test_embeddings(dirs, manifest, tmp_path, *args):
             "--checkpoint", dirs["train"] / "checkpoint.ckpt", *args]
 
 
+def _two_output_head(dirs, tmp_path):
+    """A copy of the trained checkpoint whose head has its one output twice."""
+    ckpt = load_checkpoint(dirs["train"] / "checkpoint.ckpt")
+    params = {**ckpt.params, "head_weight": np.repeat(ckpt.params["head_weight"], 2, axis=0),
+              "head_bias": np.repeat(ckpt.params["head_bias"], 2)}
+    save_checkpoint(Checkpoint(params, ckpt.config, ckpt.baseline), tmp_path / "wide.ckpt")
+    return tmp_path / "wide.ckpt"
+
+
 def _classification_manifest(tmp_path):
     spec = _write_spec(tmp_path / "cls_spec.json")
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "cls")]) == 0
@@ -1320,6 +1407,11 @@ _BAD_INPUTS = {
         "--manifest", _classification_manifest(tmp_path), "--data-dir", tmp_path / "cls",
         "--checkpoint", dirs["train"] / "checkpoint.ckpt"],
         "checkpoint task survival != manifest task classification"),
+    # only a classification head may be wider than its manifest needs
+    "predict-two-output-survival-head": ("predict", lambda dirs, manifest, tmp_path: [
+        "--manifest", manifest, "--data-dir", dirs["data"],
+        "--checkpoint", _two_output_head(dirs, tmp_path)],
+        "checkpoint head has 2 outputs, but the manifest's survival task needs 1"),
     **{f"synth-{name}": ("synth", lambda dirs, manifest, tmp_path, fields=fields: [
         "--spec", _write_spec(tmp_path / "spec.json", **fields)], message)
        for name, (fields, message) in _BAD_SPECS.items()},

@@ -12,9 +12,14 @@ _STEP_FILES = {"data/manifest.json", "data/signal_indices.json", "fp/fingerprint
                "plan/config.json", "train/checkpoint.ckpt", "train/train_report.json",
                "pred/predictions.jsonl", "pred/patients.jsonl", "eval/evaluation.json",
                "rej/rejection.csv", "rej/rejection.json"}
+# and what predict and evaluate write on the external cohort, the test slides alone
+_EXTERNAL_FILES = {"external/manifest.json", "external_pred/predictions.jsonl",
+                   "external_pred/patients.jsonl", "external_eval/evaluation.json"}
 _PIPELINE_FILES = {
     name: _STEP_FILES | {f"data/synth_{i:05d}.emb" for i in range(40)}
-    | ({"eval/km_high.csv", "eval/km_low.csv"} if name == "survival" else set())
+    | ({"eval/km_high.csv", "eval/km_low.csv", "external_eval/km_high.csv",
+        "external_eval/km_low.csv"} if name == "survival" else set())
+    | (_EXTERNAL_FILES if name in ("classification", "survival") else set())
     for name in ("classification", "regression", "survival", "full_bag_batch1")}
 
 

@@ -6,7 +6,9 @@ Runs synth -> fingerprint -> plan -> train -> predict -> evaluate ->
 reject-curve in-process (slidemil.cli.main, imported from the src/ beside
 this file) for classification, regression, survival, and classification
 trained in the full_bag_batch1 mode, each on a fixed 40-bag corpus (D=40,
-H=16, S=4, 4 epochs) in a temporary directory, and prints one
+H=16, S=4, 4 epochs) in a temporary directory. The classification and
+survival pipelines then run predict -> evaluate on an external cohort: a
+manifest of the test slides alone, without n_classes. It prints one
 "sha256  pipeline/step/file" line per file the commands write, sorted by
 path. run_manifest.json is left out: it records times and paths. Run it on two
 checkouts and diff the output to check that a change leaves every artifact
@@ -45,6 +47,7 @@ PIPELINES = {
     "survival": ({"task": "survival"}, ()),
     "full_bag_batch1": ({"task": "classification"}, ("training_mode=full_bag_batch1",)),
 }
+EXTERNAL = ("classification", "survival")  # the pipelines scored on an external cohort
 
 
 def _run(*argv: str) -> None:
@@ -54,7 +57,7 @@ def _run(*argv: str) -> None:
         raise SystemExit(f"slidemil {' '.join(argv)} exited with {code}")
 
 
-def run_pipeline(root: Path, spec_fields: dict, overrides: tuple) -> None:
+def run_pipeline(root: Path, spec_fields: dict, overrides: tuple, external: bool) -> None:
     spec = root / "spec.json"
     spec.write_text(json.dumps({"n_bags": 40, "patches_per_bag_range": [20, 60],
                                 "embed_dim": 40, "seed": 7, **spec_fields}),
@@ -75,6 +78,21 @@ def run_pipeline(root: Path, spec_fields: dict, overrides: tuple) -> None:
          "--out", str(root / "eval"))
     _run("reject-curve", "--manifest", manifest, "--predictions", predictions,
          "--out", str(root / "rej"))
+    if external:
+        # the model meets a cohort with no train split, whose labels alone
+        # give its class count
+        doc = json.loads(Path(manifest).read_text(encoding="utf-8"))
+        doc.pop("n_classes", None)
+        doc["entries"] = [e for e in doc["entries"] if e["split"] == "test"]
+        cohort = root / "external" / "manifest.json"
+        cohort.parent.mkdir()
+        cohort.write_text(json.dumps(doc), encoding="utf-8")
+        _run("predict", "--manifest", str(cohort), "--data-dir", str(data),
+             "--checkpoint", str(root / "train" / "checkpoint.ckpt"),
+             "--out", str(root / "external_pred"))
+        _run("evaluate", "--manifest", str(cohort),
+             "--predictions", str(root / "external_pred" / "predictions.jsonl"),
+             "--out", str(root / "external_eval"))
 
 
 def main() -> int:
@@ -82,7 +100,7 @@ def main() -> int:
         tmp = Path(tmp)
         for name, (spec_fields, overrides) in PIPELINES.items():
             (tmp / name).mkdir()
-            run_pipeline(tmp / name, spec_fields, overrides)
+            run_pipeline(tmp / name, spec_fields, overrides, name in EXTERNAL)
         for path in sorted(p for p in tmp.rglob("*") if p.is_file()):
             if path.name not in ("run_manifest.json", "spec.json"):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
