@@ -132,6 +132,14 @@ def _column(records: list[dict], key: str, dtype, index: int | None = None) -> n
     raise FormatError(message)
 
 
+def _width(records: list[dict], key: str) -> int:
+    """The one length that the list field key has in every record."""
+    widths = {len(r[key]) if isinstance(r.get(key), list) else -1 for r in records}
+    if len(widths) != 1 or -1 in widths:
+        raise FormatError(f"every prediction record needs a {key!r} list of one length")
+    return widths.pop()
+
+
 def cmd_synth(args) -> int:
     spec = synthetic.SyntheticSpec.from_json(args.spec)
     out = _out_dir(args)
@@ -288,11 +296,15 @@ def cmd_evaluate(args) -> int:
 
     if manifest.task == "classification":
         pred_cls = _column(preds, "predicted_class", int)
+        n_classes = _width(preds, "mean_probs")  # the head's outputs, not the split's labels
+        if manifest.n_classes > n_classes:
+            raise ValidationError(f"predictions have {n_classes} class probabilities, but the "
+                                  f"manifest's classification task needs {manifest.n_classes}")
         report["balanced_accuracy"] = bootstrap(metrics.balanced_accuracy, truth, pred_cls)
         kappa = lambda t, p: metrics.cohens_kappa(t, p, weighting=args.kappa_weighting)
         report["cohens_kappa"] = bootstrap(kappa, truth, pred_cls)
         report["kappa_weighting"] = args.kappa_weighting
-        if manifest.n_classes == 2:
+        if n_classes == 2:
             scores = _column(preds, "mean_probs", np.float64, index=1)
             report["auc"] = bootstrap(metrics.auc, truth, scores)
     elif manifest.task == "regression":

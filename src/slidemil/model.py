@@ -11,19 +11,18 @@ always use the full embedding.
 A training step (forward with the cache, then backward) runs one body per
 slide, _forward_slide and _backward_slide, on ensemble_workers() threads
 (usable CPUs // BLAS threads; with one worker the bodies run in a loop on
-the calling thread). forward draws slide i's dropout mask on the calling
-thread as slide i is handed out, in slide order, so the draws overlap the
-bodies already running and the generator's stream does not depend on the
-workers; each forward body writes only its own pooled row, attention row
-and rows of the step's sigmoid-branch array. Each backward body returns
-its slide's three products for the attention gradients, and the calling
-thread adds them in slide order, the floating-point operations of a serial
-loop. The step is therefore bitwise the same for any worker count and
-schedule. Per slide the step keeps only the sigmoid branch and the
-dropout mask packed to bits; backward recomputes the tanh branch with the
-call forward made. The bodies work in place, in their own buffers and a
-few (m, H) scratch arrays, so two slides in flight add little to a step's
-memory.
+the calling thread). forward draws every slide's dropout mask on the
+calling thread, in slide order, before any body runs, so the generator's
+stream does not depend on the workers; each forward body writes only its
+own pooled row, attention row and rows of the step's sigmoid-branch array.
+Each backward body returns its slide's three products for the attention
+gradients, and the calling thread adds them in slide order, the
+floating-point operations of a serial loop. The step is therefore bitwise
+the same for any worker count and schedule. Per slide the step keeps only
+the sigmoid branch and the dropout mask packed to bits; backward
+recomputes the tanh branch with the call forward made. The bodies work in
+place, in their own buffers and a few (m, H) scratch arrays, so two slides
+in flight add little to a step's memory.
 
 The window ensemble (forward_windows) reads the bag once for all K windows.
 It walks the bag in row tiles (window_tiles). In each tile, each window's
@@ -53,7 +52,7 @@ import math
 import os
 import threading
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -111,17 +110,19 @@ def _tanh_branch(xs: np.ndarray, v_sub: np.ndarray) -> np.ndarray:
     return np.tanh(out, out=out)
 
 
-def _gated_output(tanh_act: np.ndarray, gate_act: np.ndarray, keep: np.ndarray | None,
+def _gated_output(tanh_act: np.ndarray, gate_act: np.ndarray, keep_bits: np.ndarray | None,
                   dropout: float, out: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray | None]:
     """Gated activations tanh_act * gate_act (m, H), in out or a new array,
-    with the dropout mask keep applied, and the scale keep / (1 - dropout)
-    that applies it, one new (m, H) array (None when keep is None). forward
-    and backward both build them here, so backward's rebuild is
-    bit-identical to the forward pass."""
+    with the dropout mask applied, and the scale keep / (1 - dropout) that
+    applies it, one new (m, H) array (None when keep_bits is None).
+    keep_bits is the bool (m, H) mask packed along H by np.packbits, and is
+    unpacked only here. forward and backward both build the output here, so
+    backward's rebuild is bit-identical to the forward pass."""
     out = np.multiply(tanh_act, gate_act, out=out)
-    if keep is None:
+    if keep_bits is None:
         return out, None
+    keep = np.unpackbits(keep_bits, axis=-1, count=out.shape[-1]).view(bool)
     scale = out.dtype.type(1.0) / out.dtype.type(1.0 - dropout)
     drop = np.multiply(keep, scale, dtype=out.dtype)  # 0 or the scale, as keep / (1 - dropout)
     out *= drop
@@ -129,18 +130,18 @@ def _gated_output(tanh_act: np.ndarray, gate_act: np.ndarray, keep: np.ndarray |
 
 
 def _forward_slide(xi: np.ndarray, feat: np.ndarray, v_sub: np.ndarray, u_sub: np.ndarray,
-                   w: np.ndarray, keep: np.ndarray | None, dropout: float,
+                   w: np.ndarray, keep_bits: np.ndarray | None, dropout: float,
                    gate_act: np.ndarray):
-    """Attention weights and pooled vector of one slide in a training batch.
+    """Attention weights alpha (m,) and pooled vector (D,) of one slide in a
+    training batch.
 
     xi (m, D) is pooled, its columns feat feed the projections v_sub, u_sub
-    (H, F), and keep is the slide's bool (m, H) dropout mask, drawn by the
-    caller, or None. The sigmoid branch, which backward needs, is computed
-    in place in gate_act, an (m, H) buffer from the caller; the tanh branch
-    is computed in a buffer of the body's own, which then holds the gated
-    output, and under dropout the scale takes one more (m, H) array.
-    Returns (alpha (m,), pooled (D,), keep packed to bits along H by
-    np.packbits, or None).
+    (H, F), and keep_bits is the slide's dropout mask, drawn by the caller
+    and packed to bits (_gated_output), or None. The sigmoid branch, which
+    backward needs, is computed in place in gate_act, an (m, H) buffer from
+    the caller; the tanh branch is computed in a buffer of the body's own,
+    which then holds the gated output, and under dropout the scale takes
+    one more (m, H) array.
     """
     xs = np.take(xi, feat, axis=1)         # (m, F)
     gated_out = _tanh_branch(xs, v_sub)
@@ -150,10 +151,10 @@ def _forward_slide(xi: np.ndarray, feat: np.ndarray, v_sub: np.ndarray, u_sub: n
         np.exp(np.negative(gate_act, out=gate_act), out=gate_act)
     gate_act += 1.0
     np.divide(1.0, gate_act, out=gate_act)
-    _gated_output(gated_out, gate_act, keep, dropout, out=gated_out)
+    _gated_output(gated_out, gate_act, keep_bits, dropout, out=gated_out)
     logits = _finite_product(gated_out, w, "the attention logits")  # (m,)
     alpha, pooled, _ = _softmax_pool(logits, xi)
-    return alpha, pooled, None if keep is None else np.packbits(keep, axis=-1)
+    return alpha, pooled
 
 
 def _backward_slide(xi: np.ndarray, feat: np.ndarray, v_sub: np.ndarray,
@@ -164,19 +165,15 @@ def _backward_slide(xi: np.ndarray, feat: np.ndarray, v_sub: np.ndarray,
     cache and d_pooled (D,), the loss gradient at its pooled vector.
 
     The sampled columns xs, the tanh branch (_tanh_branch), the dropout
-    mask (unpacked from keep_bits), its scale and the gated output are
-    rebuilt with the operations forward used. Four (m, H) buffers serve
-    every elementwise step, each product in the formulas' order: the tanh
-    branch; one holds the gated output, then d_pre_t; one d_gated, then
-    d_pre_g in place; one the dropout scale, then 1 - tanh_act ** 2, then
-    1 - gate_act.
+    scale and the gated output (_gated_output, from keep_bits) are rebuilt
+    with the operations forward used. Four (m, H) buffers serve every
+    elementwise step, each product in the formulas' order: the tanh branch;
+    one holds the gated output, then d_pre_t; one d_gated, then d_pre_g in
+    place; one the dropout scale, then 1 - tanh_act ** 2, then 1 - gate_act.
     """
     xs = np.take(xi, feat, axis=1)
     tanh_act = _tanh_branch(xs, v_sub)
-    keep = (None if keep_bits is None else
-            np.unpackbits(keep_bits, axis=-1, count=len(w)).view(bool))
-    gated_out, scratch = _gated_output(tanh_act, gate_act, keep, dropout)
-    del keep
+    gated_out, scratch = _gated_output(tanh_act, gate_act, keep_bits, dropout)
     d_alpha = xi @ d_pooled                 # (m,)
     # softmax Jacobian: d_logits = alpha * (d_alpha - <alpha, d_alpha>)
     d_logits = alpha * (d_alpha - alpha @ d_alpha)
@@ -234,24 +231,19 @@ def _worker_pool(workers: int) -> ThreadPoolExecutor:
                               initializer=setattr, initargs=(_thread, "on_pool", True))
 
 
-def _ahead(fn: Callable, items: Iterable,
-           count: int | None = None) -> Iterator[Callable[[], object]]:
+def _ahead(fn: Callable, items: Sequence) -> Iterator[Callable[[], object]]:
     """One zero-argument callable per item, in item order, that returns
-    fn(item) and re-raises its error. items may be a lazy source of count
-    items (a Sequence gives its own length): the calling thread takes each
-    item from it as the item is handed out, one at a time, in order. The
-    items run on the shared pool when ensemble_workers() > 1, there is more
-    than one item and the caller is not itself one of the pool's threads,
-    which mark themselves as they start (_worker_pool); otherwise each runs
-    on the calling thread when its callable is called. A pool item never
-    submits to the pool, so there is one worker budget and no wait on a
-    queue the waiting thread would have to drain. The pool runs
-    at most two items per worker ahead of the item last handed out, so
-    results the reader has not taken do not pile up. Closing the iterator
+    fn(item) and re-raises its error. The items run on the shared pool when
+    ensemble_workers() > 1, there is more than one item and the caller is
+    not itself one of the pool's threads, which mark themselves as they
+    start (_worker_pool); otherwise each runs on the calling thread when its
+    callable is called. A pool item never submits to the pool, so there is
+    one worker budget and no wait on a queue the waiting thread would have
+    to drain. The pool runs at most two items per worker ahead of the item
+    last handed out, so results the reader has not taken do not pile up. Closing the iterator
     cancels the items not yet started."""
     workers = ensemble_workers()
-    n_items = len(items) if count is None else count
-    if workers == 1 or n_items < 2 or getattr(_thread, "on_pool", False):
+    if workers == 1 or len(items) < 2 or getattr(_thread, "on_pool", False):
         for item in items:
             yield functools.partial(fn, item)
         return
@@ -269,11 +261,11 @@ def _ahead(fn: Callable, items: Iterable,
             future.cancel()
 
 
-def _map(fn: Callable, items: Iterable, count: int | None = None) -> Iterator:
+def _map(fn: Callable, items: Sequence) -> Iterator:
     """fn over items, yielding results in item order, scheduled by _ahead.
     Reading a result re-raises its body's error; closing the iterator
     cancels the items not yet started."""
-    with contextlib.closing(_ahead(fn, items, count)) as results:
+    with contextlib.closing(_ahead(fn, items)) as results:
         for result in results:
             yield result()
 
@@ -407,18 +399,17 @@ class GatedAttentionMIL:
         projections: only softmax, pooling and the head run, without dropout.
         The backward cache is built exactly when attention_logits is None:
         cache[0] is (pooled, feature_indices), and each slide adds
-        (valid rows, xi, gate_act, keep_bits, alpha), with xi its (m, D)
-        valid rows (a view of the batch when it has no padding), gate_act
-        its (m, H) sigmoid branch, a view of one (n_slides, bag_size, H)
-        array allocated per call, and keep_bits its bool dropout mask packed
-        along H by np.packbits, or None: H floats and H bits per row.
-        backward recomputes the tanh branch and rebuilds the sampled
-        columns, the dropout scale and the gated output from these. Slide
-        i's mask is drawn on the calling thread, through one (bag_size, H)
-        float64 buffer, as slide i is handed to the ensemble_workers()
-        threads, so the draws overlap the bodies and run in slide order.
-        The embeddings must be finite; that is checked once, when a SlideBag
-        is built, and not here.
+        (xi, gate_act, keep_bits, alpha), with xi its (m, D) valid rows (a
+        view of the batch when it has no padding), gate_act its (m, H)
+        sigmoid branch, a view of one (n_slides, bag_size, H) array
+        allocated per call, and keep_bits its bool dropout mask packed along
+        H by np.packbits, or None: H floats and H bits per row. backward
+        recomputes the tanh branch and rebuilds the sampled columns, the
+        dropout scale and the gated output from these. Every slide's mask is
+        drawn on the calling thread, in slide order, through one
+        (bag_size, H) float64 buffer, before any slide is handed to the
+        ensemble_workers() threads. The embeddings must be finite; that is
+        checked once, when a SlideBag is built, and not here.
         """
         x = np.asarray(embeddings, dtype=self.dtype)
         if x.ndim != 3 or x.shape[2] != self.embed_dim:
@@ -454,24 +445,22 @@ class GatedAttentionMIL:
             # the sigmoid branches outlive the bodies: one array per step,
             # taken from the calling thread's heap and not a worker's
             gates = np.empty((n_slides, bag_size, len(w)), dtype=self.dtype)
-            noise = np.empty((bag_size, len(w))) if dropout > 0.0 else None
+            # drawn before any body runs, in slide order, so the stream does
+            # not depend on the workers
+            bits = [None] * n_slides
+            if dropout > 0.0:
+                noise = np.empty((bag_size, len(w)))
+                bits = [np.packbits(rng.random(out=noise[:len(valid)]) >= dropout, axis=-1)
+                        for valid in valids]
 
-            def draws() -> Iterator[tuple]:
-                # taken on the calling thread, in slide order, as each slide
-                # is handed out, so the stream does not depend on the workers
-                for i, valid in enumerate(valids):
-                    yield i, (rng.random(out=noise[:len(valid)]) >= dropout
-                              if dropout > 0.0 else None)
-
-            def slide(item: tuple) -> tuple:
-                i, keep = item
+            def slide(i: int) -> tuple:
                 xi, gate_act = rows(i), gates[i, :len(valids[i])]
-                alpha, pooled[i], keep_bits = _forward_slide(xi, feat, v_sub, u_sub, w, keep,
-                                                             dropout, gate_act)
+                alpha, pooled[i] = _forward_slide(xi, feat, v_sub, u_sub, w, bits[i], dropout,
+                                                  gate_act)
                 attention[i, valids[i]] = alpha
-                return valids[i], xi, gate_act, keep_bits, alpha
+                return xi, gate_act, bits[i], alpha
 
-            cache = [(pooled, feat), *_map(slide, draws(), n_slides)]
+            cache = [(pooled, feat), *_map(slide, range(n_slides))]
         else:
             cache = None
             for i, valid in enumerate(valids):
@@ -627,7 +616,7 @@ class GatedAttentionMIL:
         d_u_sub = np.zeros_like(d_v_sub)
 
         def slide(i: int) -> tuple:
-            _, xi, gate_act, keep_bits, alpha = cache[1 + i]
+            xi, gate_act, keep_bits, alpha = cache[1 + i]
             return _backward_slide(xi, feat, v_sub, gate_act, keep_bits, alpha, d_pooled[i], w,
                                    self.dropout)
 

@@ -7,10 +7,10 @@ root generator is seeded from config.seed and consumed in a fixed order
 (param init, then per epoch: batch plan, per batch: patch subsets, feature
 subset, dropout), so identical runs produce bitwise-identical checkpoints.
 A step's per-slide forward and backward bodies run on
-model.ensemble_workers() threads (usable CPUs // BLAS threads); slide i's
-dropout mask is drawn on the calling thread, in slide order, as slide i is
-handed to them, and their gradient terms are summed in slide order, so
-checkpoints do not depend on the worker count.
+model.ensemble_workers() threads (usable CPUs // BLAS threads); every
+slide's dropout mask is drawn on the calling thread, in slide order, before
+any slide is handed to them, and their gradient terms are summed in slide
+order, so checkpoints do not depend on the worker count.
 
 Memory: a run allocates one (batch_size, rows, D) float32 batch buffer,
 rows = min(bag_size, largest train bag), and sample_patches writes each
@@ -33,7 +33,8 @@ pass, over the train split, to fit the Breslow baseline that the
 checkpoint stores.
 On top of them, each slide body in flight holds its own temporaries, in
 place where it can: forward the (m, F) sampled columns, the tanh branch,
-which then holds the gated output, and the dropout scale; backward the
+which then holds the gated output, the mask unpacked to a byte per entry
+and the dropout scale; backward the
 sampled columns, the recomputed tanh branch and three (m, H) buffers.
 The pool runs at most two slides per worker ahead of the thread that adds
 their gradient terms, so at most that many (H, F) pairs wait unread.

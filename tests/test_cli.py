@@ -268,7 +268,8 @@ class TestClassificationPipeline:
     def test_cohort_without_the_largest_class_is_predicted(self, tmp_path):
         # an external cohort of class-0 slides alone infers one class, which
         # the two-output head covers; each slide's record is the one a
-        # predict over the whole test split writes
+        # predict over the whole test split writes, and evaluate reports the
+        # AUC of the head's two classes, undefined on one
         doc = json.loads(self.manifest.read_text())
         del doc["n_classes"]
         doc["entries"] = [e for e in doc["entries"] if e["split"] == "test" and e["label"] == 0]
@@ -284,6 +285,10 @@ class TestClassificationPipeline:
         records = read(out)
         assert [r["slide_id"] for r in records] == [e["slide_id"] for e in doc["entries"]] != []
         assert all(r == whole[r["slide_id"]] for r in records)
+        assert main(["evaluate", "--manifest", str(cohort),
+                     "--predictions", str(out / "predictions.jsonl"), "--out", str(out)]) == 0
+        report = json.loads((out / "evaluation.json").read_text())
+        assert report["auc"] == {"undefined": "AUC needs both classes present"}
 
     def test_train_reads_only_train_and_val(self, tmp_path):
         out = tmp_path / "no_test"
@@ -538,6 +543,7 @@ _BAD_FIELDS = [
     ("classification", "predicted_class", "1", ("evaluate", "reject-curve")),
     ("classification", "predicted_class", True, ("evaluate", "reject-curve")),
     ("classification", "mean_probs", [0.5, float("nan")], ("evaluate",)),
+    ("classification", "mean_probs", [0.2, 0.3, 0.5], ("evaluate",)),  # not the others' width
     ("classification", "h_aleatoric", float("nan"), ("reject-curve",)),
     ("regression", "mean_value", float("nan"), ("evaluate", "reject-curve")),
     ("regression", "mean_value", float("inf"), ("evaluate", "reject-curve")),
@@ -594,6 +600,18 @@ class TestPredictionFieldTypes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(field) in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_more_classes_than_the_predictions_carry_is_1(self, manifests, tmp_path, capsys):
+        doc = {**json.loads(manifests["classification"].read_text()), "n_classes": 3}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        path = tmp_path / "predictions.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n"
+                                for r in _good_records("classification", manifest)))
+        capsys.readouterr()
+        assert main(["evaluate", "--manifest", str(manifest), "--predictions", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "2 class probabilities" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", list(_UNDEFINED_SPLITS))
     def test_undefined_statistic_is_written(self, manifests, case, tmp_path):

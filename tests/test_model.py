@@ -384,7 +384,7 @@ class TestTilePooling:
             # the gated output without dropout is tanh_act * gate_act, with
             # the tanh branch recomputed as backward does
             feat = np.arange(start, end)
-            _, xi, gate_act, _, _ = m.forward(x[None], mask, feat).cache[1]
+            xi, gate_act, _, _ = m.forward(x[None], mask, feat).cache[1]
             tanh_act = model_module._tanh_branch(xi[:, feat], m.params["attention_v"][:, feat])
             logits = (tanh_act * gate_act) @ m.params["attention_w"]
             for t in range(n_tiles):
@@ -532,10 +532,10 @@ class TestAttentionLogits:
         logits = np.zeros(mask.shape, dtype=dtype)
         w, v_sub = m.params["attention_w"], m.params["attention_v"][:, feat]
         # without dropout the gated output is tanh_act * gate_act
-        for i, (valid, xi, gate_act, keep_bits, _alpha) in enumerate(plain.cache[1:]):
+        for i, (xi, gate_act, keep_bits, _alpha) in enumerate(plain.cache[1:]):
             assert keep_bits is None
             tanh_act = model_module._tanh_branch(xi[:, feat], v_sub)
-            logits[i, valid] = (tanh_act * gate_act) @ w
+            logits[i, np.flatnonzero(mask[i])] = (tanh_act * gate_act) @ w
         given = m.forward(x, mask, feat, attention_logits=logits)
         assert np.array_equal(given.outputs, plain.outputs)
         assert np.array_equal(given.attention, plain.attention)
@@ -800,8 +800,7 @@ class TestSlimCache:
         pooled, cached_feat = res.cache[0]
         assert pooled.shape == (2, 6) and np.array_equal(cached_feat, feat)
         gates = set()
-        for n_valid, (valid, xi, gate_act, keep_bits, alpha) in zip([5, 2], res.cache[1:]):
-            assert np.array_equal(valid, np.arange(n_valid))
+        for n_valid, (xi, gate_act, keep_bits, alpha) in zip([5, 2], res.cache[1:]):
             assert xi.shape == (n_valid, 6) and alpha.shape == (n_valid,)
             assert gate_act.shape == (n_valid, 4) and gate_act.dtype == np.float32
             gates.add(id(gate_act.base))
@@ -815,8 +814,9 @@ class TestSlimCache:
 
 
 class TestDropoutDraws:
-    """Slide i's mask is drawn as slide i is handed out; the stream and the
-    masks are those of a plain slide-order loop, for any worker count."""
+    """Every slide's mask is drawn before any slide's body runs; the stream
+    and the masks are those of a plain slide-order loop, for any worker
+    count."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("h", [5, 8, 13])  # 5 and 13 pad their last byte of bits
@@ -827,10 +827,32 @@ class TestDropoutDraws:
         x, mask = _batch(np.random.default_rng(1), n=len(n_valid), m=9, d=12, n_valid=n_valid)
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         res = m.forward(x, mask, np.array([0, 3, 4, 8, 11]), rng=rng)
-        for n, (_, _, _, keep_bits, _) in zip(n_valid, res.cache[1:]):
+        for n, (_, _, keep_bits, _) in zip(n_valid, res.cache[1:]):
             keep = np.unpackbits(keep_bits, axis=-1, count=h).view(bool)
             assert np.array_equal(keep, ref.random((n, h)) >= 0.25)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_mask_is_drawn_before_the_first_body_runs(self, monkeypatch, workers):
+        # more slides than the pool holds ahead of its reader (two per
+        # worker), so no schedule can draw them all while bodies run
+        monkeypatch.setattr(model_module, "ensemble_workers", lambda: workers)
+        n_valid = [9, 4, 1, 9, 7, 9, 2]
+        m = _model(d=12, h=5, c=3, dropout=0.25, dtype=np.float32)
+        x, mask = _batch(np.random.default_rng(1), n=len(n_valid), m=9, d=12, n_valid=n_valid)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for n in n_valid:
+            ref.random((n, 5))
+        body, states = model_module._forward_slide, []
+
+        def spy(*args):
+            states.append(rng.bit_generator.state)
+            return body(*args)
+
+        monkeypatch.setattr(model_module, "_forward_slide", spy)
+        m.forward(x, mask, np.array([0, 3, 4, 8, 11]), rng=rng)
+        assert len(states) == len(n_valid)
+        assert all(state == ref.bit_generator.state for state in states)
 
 
 def _step_with(monkeypatch, workers, m, x, mask, feat, d_out):
@@ -1047,12 +1069,12 @@ class TestStepBodyMemory:
         feat = np.sort(rng.choice(d, h, replace=False))
         v, u = (rng.standard_normal((2, h, h)) * 0.05).astype(np.float32)
         w = (rng.standard_normal(h) * 0.05).astype(np.float32)
-        keep = rng.random((m, h)) >= dropout if dropout else None
+        keep_bits = np.packbits(rng.random((m, h)) >= dropout, axis=-1) if dropout else None
         gate_act = np.empty((m, h), dtype=np.float32)
         d_pooled = rng.standard_normal(d).astype(np.float32)
-        forward_args = (xi, feat, v, u, w, keep, dropout, gate_act)
+        forward_args = (xi, feat, v, u, w, keep_bits, dropout, gate_act)
         model_module._forward_slide(*forward_args)  # one-off allocations
-        (alpha, _, keep_bits), forward_peak = _traced_peak(
+        (alpha, _), forward_peak = _traced_peak(
             model_module._forward_slide, *forward_args)
         backward_args = (xi, feat, v, gate_act, keep_bits, alpha, d_pooled, w, dropout)
         model_module._backward_slide(*backward_args)
@@ -1060,8 +1082,9 @@ class TestStepBodyMemory:
 
         mh = mf = m * h * 4  # one (m, H) and one (m, F) float32 array
         # forward: xs (m, F) beside the tanh branch (m, H), which then holds
-        # the gated output; xs is freed before the dropout scale (m, H) is
-        # made; read 2.00 (m, H) with and without dropout
+        # the gated output; xs is freed before the mask is unpacked (a byte
+        # per entry) and the dropout scale (m, H) is made; read 2.00 (m, H)
+        # without dropout and 2.28 with it
         assert forward_peak < mf + mh + mh / 2, forward_peak / mh
         # backward: xs, the recomputed tanh branch and three (m, H) buffers,
         # with one (m, H) of slack for the two returned (H, F) terms and the
